@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -114,13 +113,6 @@ def time_grid(cfg, section="times"):
             raise ConfigError("log-spaced time grid needs start > 0")
         return np.geomspace(start, stop, num)
     raise ConfigError(f"spacing must be linear or log, got {spacing!r}")
-
-
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ def run_sweep(cfg, args):
             return getattr(taus, target)
         raise ConfigError(f"unknown sweep target {target!r}")
 
-    taus = _map_ordered(tau_at, list(values), args.threads)
+    taus = [tau_at(v) for v in values]
     fit = fit_scaling(values, taus, axis)
     rows = [[v, tau] for v, tau in zip(values, taus)]
     extras = {"fit-axis": axis, "fit-exponent": fit.exponent, "fit-stderr": fit.stderr}
@@ -399,7 +391,7 @@ def run_clt(cfg, args):
         bath = spin_bath(m, var_b, dimension_cap=max(4096, 1 << m))
         return float(np.abs(bath_characteristic(bath, lam) - gauss).max())
 
-    dists = _map_ordered(sup_distance, m_values, args.threads)
+    dists = [sup_distance(m) for m in m_values]
     rows = [[m, dist] for m, dist in zip(m_values, dists)]
     return ["m", "sup_distance"], rows, {}
 
@@ -595,7 +587,9 @@ def build_parser():
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--json", dest="json_path", help="optional JSON mirror path")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; ignored"
+    )
     parser.add_argument(
         "--emit-config", action="store_true", help="print a config template and exit"
     )
@@ -637,12 +631,13 @@ def main(argv=None):
                 f"config is for experiment {kind!r}, not {args.experiment!r}"
             )
         columns, rows, extras = EXPERIMENTS[args.experiment](cfg, args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(f"decolab: error: numerical: {exc}", file=sys.stderr)
+        return 2
     except (ValidationError, OSError, configparser.Error, ValueError) as exc:
         print(f"decolab: error: validation: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"decolab: error: numerical: {exc}", file=sys.stderr)
-        return 2
 
     csv_text = render_csv(args.experiment, config_hash, columns, rows, extras)
     if args.out:

@@ -21,8 +21,10 @@ Evolution strategies by model structure:
   (``expm_multiply``);
 * grid particle: symmetric split-step Fourier, with the bath axis handled
   per grid point when the bath is dynamic;
-* frozen particle (infinite mass): the position is a conserved pointer and
-  each occupied grid point carries an independent bath evolution.
+* frozen particle (infinite mass): the position is a conserved pointer, so
+  q B + H_res is a sum of commuting single-component terms and each
+  pointer's bath state stays a product; the pointer overlaps are products
+  over components of levels x levels evolutions, with no joint bath.
 """
 
 import hashlib
@@ -65,6 +67,8 @@ class BathComponent:
             raise ValidationError(f"unknown bath component kind {self.kind!r}")
         if not math.isfinite(self.g):
             raise ValidationError("coupling g must be finite")
+        if not math.isfinite(self.omega):
+            raise ValidationError("frequency omega must be finite")
         if self.kind == "spin-half" and self.levels != 2:
             raise ValidationError("spin-half components have exactly 2 levels")
         if self.kind == "oscillator" and self.levels < 2:
@@ -159,6 +163,8 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
+    if not (math.isfinite(var_total) and var_total >= 0):
+        raise ValidationError("var_total must be finite and nonnegative")
     g = math.sqrt(var_total / m)
     if np.isscalar(omegas):
         omegas = [float(omegas)] * m
@@ -408,6 +414,8 @@ def _check_times(times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("times must be finite")
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValidationError("times must be ascending and nonnegative")
     return t
@@ -475,6 +483,26 @@ def _sparse_bath_ops(bath, hbar):
     return b_sp, hbar * diag
 
 
+def _propagate(times, psi, advance, branch_norms, reduce_norm):
+    """Advance psi through the sample times and reduce it at each one.
+
+    advance(psi, span) propagates by a span > 0; branch_norms(psi) gives the
+    norm of each branch, which exact propagation keeps at one.
+    """
+    norms = np.empty(times.size)
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        span = t - t_prev
+        if span > 0:
+            psi = advance(psi, span)
+        t_prev = t
+        drift = np.abs(branch_norms(psi) - 1.0).max()
+        if drift > UNITARITY_DRIFT:
+            raise StepSizeError(f"unitarity drift {drift:.3g}")
+        norms[i] = reduce_norm(psi)
+    return norms
+
+
 def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     dim_s = branch1.size
     dim_b = bath.dimension
@@ -494,100 +522,76 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     generator = (-1j / sys.hbar) * h.tocsc()
     chi0 = bath.initial_state()
     psi = np.stack([np.kron(branch1, chi0), np.kron(branch2, chi0)], axis=1)
-    norms = np.empty(times.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dt = t - t_prev
-        if dt > 0:
-            psi = scipy.sparse.linalg.expm_multiply(generator * dt, psi)
-        t_prev = t
-        col_norms = np.linalg.norm(psi, axis=0)
-        if np.any(np.abs(col_norms - 1.0) > UNITARITY_DRIFT):
-            raise StepSizeError(f"unitarity drift {np.abs(col_norms - 1.0).max():.3g}")
-        a1 = psi[:, 0].reshape(dim_s, dim_b)
-        a2 = psi[:, 1].reshape(dim_s, dim_b)
-        norms[i] = _sandwich_norm(a1, a2)
-    return norms
+    return _propagate(
+        times, psi,
+        lambda psi, span: scipy.sparse.linalg.expm_multiply(generator * span, psi),
+        lambda psi: np.linalg.norm(psi, axis=0),
+        lambda psi: _sandwich_norm(*psi.T.reshape(2, dim_s, dim_b)),
+    )
 
 
 def _grid_frozen_curve(sys, bath, branch1, branch2, times):
-    qs = sys.grid.points
+    """Pointer overlaps <chi_q(t)|chi_q'(t)> = prod_i <chi_{q,i}(t)|chi_{q',i}(t)>.
+
+    Exact because q B + H_res is a sum of commuting single-component terms
+    and the initial bath state is a product; each factor comes from the
+    eigendecomposition of one component's levels x levels Hamiltonian.
+    """
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
-    dim_b = bath.dimension
-    chi0 = bath.initial_state()
-    b_sp, hres_diag = _sparse_bath_ops(bath, sys.hbar)
+    qs = sys.grid.points[occupied]
+    overlaps = np.ones((times.size, qs.size, qs.size), dtype=complex)
+    for comp, label in zip(bath.components, bath.initial):
+        h = (
+            qs[:, None, None] * comp.coupling_operator()
+            + sys.hbar * comp.frequency_operator()
+        )
+        w, v = np.linalg.eigh(h)
+        coeffs = v.conj().transpose(0, 2, 1) @ comp.initial_vector(label)
+        phases = np.exp(-1j * np.multiply.outer(times, w) / sys.hbar)
+        chi = np.einsum("qij,tqj->tqi", v, phases * coeffs)
+        overlaps *= chi.conj() @ chi.transpose(0, 2, 1)
     w1 = np.abs(branch1[occupied]) ** 2
     w2 = np.abs(branch2[occupied]) ** 2
-    norms = np.empty(times.size)
-    if dim_b <= 256 and occupied.size * dim_b ** 2 <= (1 << 24):
-        b_dense = b_sp.toarray()
-        h_stack = (
-            qs[occupied][:, None, None] * b_dense[None, :, :]
-            + np.diag(hres_diag)[None, :, :]
-        )
-        w, v = np.linalg.eigh(h_stack)
-        coeffs = v.conj().transpose(0, 2, 1) @ chi0
-        for i, t in enumerate(times):
-            chi_t = np.einsum(
-                "mij,mj->mi", v, np.exp(-1j * w * t / sys.hbar) * coeffs
-            )
-            overlaps = chi_t.conj() @ chi_t.T
-            norms[i] = float(w2 @ (np.abs(overlaps) ** 2) @ w1)
-        return norms
-    # Larger baths: Krylov-propagate one bath state per occupied point.
-    chis = np.stack([chi0.copy() for _ in occupied], axis=1)
-    t_prev = 0.0
-    hres = scipy.sparse.diags(hres_diag)
-    generators = [
-        ((-1j / sys.hbar) * (q * b_sp + hres)).tocsc() for q in qs[occupied]
-    ]
-    for i, t in enumerate(times):
-        dt = t - t_prev
-        if dt > 0:
-            for k, gen in enumerate(generators):
-                chis[:, k] = scipy.sparse.linalg.expm_multiply(gen * dt, chis[:, k])
-        t_prev = t
-        drift = np.abs(np.linalg.norm(chis, axis=0) - 1.0).max()
-        if drift > UNITARITY_DRIFT:
-            raise StepSizeError(f"unitarity drift {drift:.3g}")
-        overlaps = chis.conj().T @ chis
-        norms[i] = float(w2 @ (np.abs(overlaps) ** 2) @ w1)
-    return norms
+    return (np.abs(overlaps) ** 2 @ w1) @ w2
 
 
-def _kinetic_phase(grid, mass, hbar, dt):
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    return np.exp(-1j * hbar * k ** 2 * dt / (2.0 * mass))
+def _strang_advance(sys, dt, half_potential, axis):
+    """Split-step propagation along the grid axis of psi.
+
+    A span is cut into ceil(span / dt) equal symmetric Strang steps
+    exp(-i V delta / 2 hbar) exp(-i T delta / hbar) exp(-i V delta / 2 hbar);
+    half_potential(delta) returns the map psi -> exp(-i V delta / 2 hbar) psi.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(sys.grid.n_points, d=sys.grid.spacing)
+    k = k.reshape((-1,) + (1,) * (-1 - axis))
+
+    def advance(psi, span):
+        n_steps = max(1, int(math.ceil(span / dt)))
+        delta = span / n_steps
+        kin = np.exp(-1j * sys.hbar * k ** 2 * delta / (2.0 * sys.mass))
+        half = half_potential(delta)
+        for _ in range(n_steps):
+            psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=axis), axis=axis))
+        return psi
+
+    return advance
 
 
 def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
     bvals, weights = bath_eigen_decomposition(bath)
-    qs = sys.grid.points
-    v_pot = sys.potential()
-    psi1 = np.tile(branch1, (bvals.size, 1))
-    psi2 = np.tile(branch2, (bvals.size, 1))
-    pot = v_pot[None, :] + bvals[:, None] * qs[None, :]
-    norms = np.empty(times.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        span = t - t_prev
-        if span > 0:
-            n_steps = max(1, int(math.ceil(span / dt)))
-            delta = span / n_steps
-            kin = _kinetic_phase(sys.grid, sys.mass, sys.hbar, delta)
-            half_pot = np.exp(-0.5j * pot * delta / sys.hbar)
-            for _ in range(n_steps):
-                psi1 = half_pot * np.fft.ifft(kin * np.fft.fft(half_pot * psi1, axis=1), axis=1)
-                psi2 = half_pot * np.fft.ifft(kin * np.fft.fft(half_pot * psi2, axis=1), axis=1)
-        t_prev = t
-        drift = max(
-            np.abs(np.sqrt(weights @ np.sum(np.abs(psi1) ** 2, axis=1)) - 1.0),
-            np.abs(np.sqrt(weights @ np.sum(np.abs(psi2) ** 2, axis=1)) - 1.0),
-        )
-        if drift > UNITARITY_DRIFT:
-            raise StepSizeError(f"unitarity drift {drift:.3g}")
-        norms[i] = _product_norms(weights, psi1, psi2)
-    return norms
+    pot = sys.potential()[None, :] + bvals[:, None] * sys.grid.points[None, :]
+
+    def half_potential(delta):
+        phase = np.exp(-0.5j * pot * delta / sys.hbar)
+        return lambda psi: phase * psi
+
+    return _propagate(
+        times,
+        np.stack([np.tile(branch1, (bvals.size, 1)), np.tile(branch2, (bvals.size, 1))]),
+        _strang_advance(sys, dt, half_potential, axis=-1),
+        lambda psi: np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) @ weights),
+        lambda psi: _product_norms(weights, psi[0], psi[1]),
+    )
 
 
 def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
@@ -610,33 +614,23 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
     w, v = np.linalg.eigh(h_stack)
     v_dag = v.conj().transpose(0, 2, 1)
     chi0 = bath.initial_state()
-    psi1 = np.outer(branch1, chi0)
-    psi2 = np.outer(branch2, chi0)
-    norms = np.empty(times.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        span = t - t_prev
-        if span > 0:
-            n_steps = max(1, int(math.ceil(span / dt)))
-            delta = span / n_steps
-            kin = _kinetic_phase(sys.grid, sys.mass, sys.hbar, delta)[:, None]
-            half_phase = np.exp(-0.5j * w * delta / sys.hbar)
 
-            def half_pot(psi):
-                coeff = np.einsum("kij,kj->ki", v_dag, psi)
-                return np.einsum("kij,kj->ki", v, half_phase * coeff)
+    def half_potential(delta):
+        half_phase = np.exp(-0.5j * w * delta / sys.hbar)
 
-            for _ in range(n_steps):
-                psi1 = half_pot(np.fft.ifft(kin * np.fft.fft(half_pot(psi1), axis=0), axis=0))
-                psi2 = half_pot(np.fft.ifft(kin * np.fft.fft(half_pot(psi2), axis=0), axis=0))
-        t_prev = t
-        drift = max(
-            abs(np.linalg.norm(psi1) - 1.0), abs(np.linalg.norm(psi2) - 1.0)
-        )
-        if drift > UNITARITY_DRIFT:
-            raise StepSizeError(f"unitarity drift {drift:.3g}")
-        norms[i] = _sandwich_norm(psi1, psi2)
-    return norms
+        def half(psi):
+            coeff = np.einsum("kij,bkj->bki", v_dag, psi)
+            return np.einsum("kij,bkj->bki", v, half_phase * coeff)
+
+        return half
+
+    return _propagate(
+        times,
+        np.stack([np.outer(branch1, chi0), np.outer(branch2, chi0)]),
+        _strang_advance(sys, dt, half_potential, axis=-2),
+        lambda psi: np.linalg.norm(psi, axis=(1, 2)),
+        lambda psi: _sandwich_norm(psi[0], psi[1]),
+    )
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -653,10 +647,13 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         Ascending sample times starting at >= 0.
     dt : float, optional
         Split-step size for finite-mass grid particles (default: total
-        span / 4096).  Ignored by the factorized and Krylov back ends,
-        which are exact in the step size.
+        span / 4096); must be finite and positive when given.  Ignored by
+        the factorized and Krylov back ends, which are exact in the step
+        size.
     """
     times = _check_times(times)
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be finite and positive")
     if isinstance(sys, SpinSystem):
         dim_s = int(round(2 * sys.j)) + 1
         b1 = _normalized_branch(branch1, dim_s, "branch1")

@@ -239,6 +239,17 @@ class TestExperiments:
         assert main(["times", "--config", cfg]) == 2
         assert "numerical" in capsys.readouterr().err
 
+    def test_linalg_error_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
+        import decolab.cli as cli
+
+        def broken(cfg, args):
+            raise np.linalg.LinAlgError("synthetic eigensolver failure")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "times", broken)
+        cfg = write(tmp_path, "t.ini", TIMES_CFG)
+        assert main(["times", "--config", cfg]) == 2
+        assert "numerical" in capsys.readouterr().err
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import decolab as dl
 from decolab._linalg import expm_phase
@@ -23,6 +25,16 @@ class TestBathModel:
             dl.BathComponent("oscillator", 1.0, levels=1)
         with pytest.raises(ValidationError):
             dl.BathComponent("spin-half", math.inf)
+
+    def test_component_rejects_non_finite_omega(self):
+        for omega in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                dl.BathComponent("spin-half", 1.0, omega=omega)
+
+    def test_spin_bath_rejects_bad_variance(self):
+        for var in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                dl.spin_bath(4, var)
 
     def test_oscillator_initial_leaves_truncation_headroom(self):
         comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
@@ -121,13 +133,71 @@ class TestEvolveNorm:
         )
 
     def test_frozen_krylov_path_matches_closed_form(self):
-        # bath dimension above the dense-eigh threshold takes the sparse route
-        bath = dl.spin_bath(9, 1.0)  # dim 512 > 256
+        # nine components (bath dimension 512), the largest closed-form check
+        bath = dl.spin_bath(9, 1.0)  # dim 512
         times = np.linspace(0.01, 0.9, 7)
         curve, d = frozen_position_curve(bath, 1.5, times)
         np.testing.assert_allclose(
             curve.values, dl.static_bath_norm(d, bath, times), atol=1e-9
         )
+
+    def test_frozen_large_bath_matches_memory_law(self):
+        # 2^200-dimensional bath: only the product over components can run
+        # it, and at m = 200 the finite-bath curve sits on the Gaussian
+        # (CLT) limit of the memory-kernel law
+        m = 200
+        bath = dl.spin_bath(
+            m, 1.0, omegas=list(np.linspace(0.6, 1.8, m)), dimension_cap=1 << m
+        )
+        _, corr = dl.bath_statistics(bath)
+        times = np.linspace(0.02, 2.4, 40)
+        curve, d = frozen_position_curve(bath, 1.0, times)
+        law = np.array([dl.memory_kernel_norm(t, d, 1.0, corr) for t in times])
+        mask = curve.values >= 0.05
+        assert mask.sum() > 10
+        assert np.abs(curve.values - law)[mask].max() <= 1e-3
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_frozen_curve_matches_joint_propagator(self, data):
+        # reference: dense joint bath and expm of q B + H_res per pointer
+        comps, labels = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            g = data.draw(st.floats(-1.5, 1.5))
+            omega = data.draw(st.floats(0.0, 2.5))
+            if data.draw(st.booleans()):
+                comps.append(dl.BathComponent("spin-half", g, omega))
+                labels.append(data.draw(st.sampled_from(["up", "down"])))
+            else:
+                levels = data.draw(st.integers(2, 4))
+                comps.append(dl.BathComponent("oscillator", g, omega, levels))
+                labels.append(data.draw(st.integers(0, levels - 2)))
+        bath = dl.BathModel(tuple(comps), tuple(labels))
+        hbar = data.draw(st.floats(0.5, 2.0))
+        grid = dl.PositionGrid(-2.0, 2.0, 16)
+        amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        branches = []
+        for _ in range(2):
+            vec = np.zeros(16, dtype=complex)
+            for idx in data.draw(st.sets(st.integers(0, 15), min_size=1, max_size=3)):
+                vec[idx] = data.draw(amp.filter(lambda z: abs(z) > 0.1))
+            branches.append(vec / np.linalg.norm(vec))
+        times = sorted(data.draw(st.sets(st.floats(0.0, 3.0), min_size=1, max_size=3)))
+        sys_p = dl.GridParticle(grid, mass=math.inf, hbar=hbar)
+        curve = dl.evolve_norm(sys_p, bath, branches[0], branches[1], times)
+
+        ops = dl.build_bath_operators(bath, hbar)
+        occupied = np.flatnonzero(np.abs(branches[0]) + np.abs(branches[1]))
+        expected = []
+        for t in times:
+            chis = np.array([
+                scipy.linalg.expm(-1j * t * (q * ops.B + ops.H_res) / hbar)
+                @ ops.initial_state
+                for q in grid.points[occupied]
+            ])
+            a1, a2 = (b[occupied, None] * chis for b in branches)
+            expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
     def test_spin_static_matches_product_formula(self):
         # alpha = +-1 are Jx eigenstates: exact product of cosines at 2 hbar j
@@ -285,6 +355,29 @@ class TestEvolveNorm:
         c, _ = frozen_position_curve(bath, 1.2, times)
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+
+class TestEvolveNormValidation:
+    def _frozen(self):
+        grid = dl.PositionGrid(-4, 4, 64)
+        b1, _ = dl.position_eigenstate(grid, 1.0)
+        b2, _ = dl.position_eigenstate(grid, -1.0)
+        return dl.GridParticle(grid, mass=math.inf), b1, b2
+
+    def test_non_finite_times_rejected(self):
+        sys_p, b1, b2 = self._frozen()
+        for times in ([0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, b2, times)
+
+    def test_bad_step_size_rejected(self):
+        grid = dl.PositionGrid(-8, 8, 64)
+        sys_p = dl.GridParticle(grid, mass=1.0)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        for dt in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(3, 1.0), b1, b2, [0.5], dt=dt)
 
 
 class TestStaticBathNorm:
