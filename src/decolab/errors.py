@@ -6,6 +6,8 @@ happens, and ``NumericalError`` for computations that start but cannot be
 completed reliably.
 """
 
+import numpy as np
+
 
 class DecolabError(Exception):
     """Base class for all errors raised by decolab."""
@@ -13,6 +15,16 @@ class DecolabError(Exception):
 
 class ValidationError(DecolabError):
     """Invalid parameters, configuration, or domain-type invariants."""
+
+
+def require_finite(**values):
+    """Raise ValidationError for the first argument with a non-finite entry.
+
+    Scalars and arrays are accepted; None (an unset optional) is skipped.
+    """
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite")
 
 
 class ResolutionError(ValidationError):

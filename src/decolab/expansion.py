@@ -27,6 +27,8 @@ from ._linalg import (
 )
 from .errors import ConvergenceError, ValidationError
 
+REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
+
 
 @dataclass(frozen=True)
 class ExpandedHamiltonian:
@@ -146,11 +148,11 @@ def spin_generators(Jx, Jy, B, Bdot, Bddot, omega, hbar=1.0):
     return ExpandedHamiltonian(h0, h1, h2, hbar)
 
 
-def expansion_error(h, h_of_t, t, rel_self_error=1e-3):
+def expansion_error(h, h_of_t, t):
     """Spectral-norm distance between the O(t^4) propagator and a converged reference.
 
     The reference step count is doubled until its own Richardson error
-    estimate is below ``rel_self_error`` times the reported distance.
+    estimate is below REL_SELF_ERROR times the reported distance.
     """
     if t < 0:
         raise ValidationError("t must be >= 0")
@@ -165,7 +167,7 @@ def expansion_error(h, h_of_t, t, rel_self_error=1e-3):
         estimate = spectral_norm(fine - coarse) / 3.0
         reference = fine + (fine - coarse) / 3.0
         distance = spectral_norm(reference - approx)
-        if estimate <= rel_self_error * distance:
+        if estimate <= REL_SELF_ERROR * distance:
             return distance
         if distance <= 1e-10:
             # Below the roundoff floor of the factored reference product;

@@ -33,6 +33,7 @@ from .errors import (
     IntegrationError,
     ResolutionError,
     ValidationError,
+    require_finite,
 )
 from .packets import DensityBlock
 
@@ -50,6 +51,7 @@ class BathMoments:
     kappa: float = 0.0
 
     def __post_init__(self):
+        require_finite(var_B=self.var_B, var_Bdot=self.var_Bdot, kappa=self.kappa)
         if self.var_B < 0:
             raise ValidationError(f"var_B must be >= 0, got {self.var_B}")
         if self.var_Bdot is not None and self.var_Bdot < 0:
@@ -208,6 +210,7 @@ def coherence_norm_short_time(t, sup, sys, bath):
     if sys.hbar != hbar:
         raise ValidationError("SystemParams.hbar differs from the packets' hbar")
     t = np.asarray(t, dtype=float)
+    require_finite(t=t)
     if np.any(t < 0):
         raise ValidationError("t must be >= 0")
     v = bath.var_B
@@ -305,6 +308,7 @@ def two_reservoir_norm(t, dq, dp, var_bq, var_bp, hbar):
     (separation, variance) pairs.
     """
     t = np.asarray(t, dtype=float)
+    require_finite(t=t, dq=dq, dp=dp, var_bq=var_bq, var_bp=var_bp, hbar=hbar)
     if np.any(t < 0):
         raise ValidationError("t must be >= 0")
     factor_q = np.exp(-(t * dq / hbar) ** 2 * var_bq)
@@ -321,6 +325,7 @@ def memory_kernel_norm(t, dq, hbar, corr):
     bath correlation time.  The integral is evaluated by adaptive
     quadrature to absolute tolerance 1e-10.
     """
+    require_finite(t=t, dq=dq, hbar=hbar)
     if t < 0:
         raise ValidationError("t must be >= 0")
     if t == 0:

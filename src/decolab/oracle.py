@@ -19,8 +19,8 @@ Evolution strategies by model structure:
   the joint evolution factorizes over its eigenvalues, which is exact;
 * spin system with a dynamic bath: sparse Krylov propagation
   (``expm_multiply``);
-* grid particle: symmetric split-step Fourier, with the bath axis handled
-  per grid point when the bath is dynamic;
+* grid particle: symmetric split-step Fourier; a dynamic bath's per-point
+  half-step is a Kronecker product of per-component propagators;
 * frozen particle (infinite mass): the position is a conserved pointer, so
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
@@ -37,11 +37,13 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._linalg import expm_phase_stack
 from .errors import (
     DimensionCapError,
     FitWindowError,
     StepSizeError,
     ValidationError,
+    require_finite,
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
@@ -50,6 +52,7 @@ from .spin import spin_matrices
 DEFAULT_DIMENSION_CAP = 4096
 DENSE_BATH_LIMIT = 4096          # largest bath materialized as dense matrices
 JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
+MAX_UNIQUE_EIGENVALUES = 1 << 16
 UNITARITY_DRIFT = 1e-8
 
 
@@ -192,15 +195,6 @@ class OracleBathOperators:
     initial_state: np.ndarray = field(repr=False, default=None)
 
 
-def _embed(matrices, index):
-    """Kronecker embedding of matrices[index] among same-shaped identities."""
-    factors = [
-        m if k == index else np.eye(m.shape[0], dtype=complex)
-        for k, m in enumerate(matrices)
-    ]
-    return reduce(np.kron, factors)
-
-
 def _component_statistics(comp, label):
     """(variance factor c, response coefficient r, kappa contribution k1).
 
@@ -245,20 +239,19 @@ def bath_statistics(bath, hbar=1.0):
 def build_bath_operators(bath, hbar=1.0):
     """Dense B, Bdot, Bddot, H_res plus exact moments and correlations.
 
-    Bdot and Bddot are the nested commutators (i/hbar)[H_res, .] applied to
-    B.  Dense assembly is refused above a bath dimension of 4096 even when
-    the model's own cap was raised (the factorized evolution paths never
-    need these matrices at such sizes).
+    B and H_res are ``_sparse_bath_ops`` made dense; Bdot and Bddot are the
+    nested commutators (i/hbar)[H_res, .] applied to B.  Refused above a
+    bath dimension of 4096 even when the model's own cap was raised (the
+    evolution paths never need these matrices at such sizes).
     """
     dim = bath.dimension
     if dim > min(bath.dimension_cap, DENSE_BATH_LIMIT):
         raise DimensionCapError(
             f"dense bath operators refused at dimension {dim}"
         )
-    coupling_ops = [c.coupling_operator() for c in bath.components]
-    freq_ops = [c.frequency_operator() for c in bath.components]
-    b_total = sum(_embed(coupling_ops, i) for i in range(len(coupling_ops)))
-    h_res = hbar * sum(_embed(freq_ops, i) for i in range(len(freq_ops)))
+    b_sp, hres_diag = _sparse_bath_ops(bath, hbar)
+    b_total = b_sp.toarray()
+    h_res = np.diag(hres_diag).astype(complex)
     bdot = (1j / hbar) * (h_res @ b_total - b_total @ h_res)
     bddot = (1j / hbar) * (h_res @ bdot - bdot @ h_res)
     moments, corr = bath_statistics(bath, hbar)
@@ -268,7 +261,7 @@ def build_bath_operators(bath, hbar=1.0):
     )
 
 
-def bath_eigen_decomposition(bath, max_unique=1 << 16):
+def bath_eigen_decomposition(bath):
     """Eigenvalues of B and their weights in the initial product state.
 
     Returns (values, weights) with duplicates (up to 1e-12 relative)
@@ -290,9 +283,9 @@ def bath_eigen_decomposition(bath, max_unique=1 << 16):
         collapsed = np.bincount(inverse, weights=weights)
         values = uniq * scale
         weights = collapsed
-        if values.size > max_unique:
+        if values.size > MAX_UNIQUE_EIGENVALUES:
             raise DimensionCapError(
-                f"bath spectrum exceeds {max_unique} distinct eigenvalues"
+                f"bath spectrum exceeds {MAX_UNIQUE_EIGENVALUES} distinct eigenvalues"
             )
     keep = weights > 1e-300
     return values[keep], weights[keep]
@@ -318,6 +311,7 @@ class GridParticle:
             raise ValidationError("harmonic potential requires finite mass")
         if not self.hbar > 0:
             raise ValidationError("hbar must be positive")
+        require_finite(potential_omega=self.potential_omega, hbar=self.hbar)
 
     def potential(self):
         q = self.grid.points
@@ -338,6 +332,7 @@ class SpinSystem:
         spin_matrices(self.j)  # validates j
         if not self.hbar > 0:
             raise ValidationError("hbar must be positive")
+        require_finite(omega=self.omega, hbar=self.hbar)
 
 
 SystemSpec = Union[GridParticle, SpinSystem]
@@ -358,6 +353,7 @@ class NormCurve:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValidationError("times and values must be matching 1-d arrays")
+        require_finite(times=times, values=values)
         if np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly ascending")
         if np.any(values < -1e-9) or np.any(values > 1.0 + 1e-9):
@@ -404,6 +400,7 @@ def _normalized_branch(vec, dim, name):
     v = np.asarray(vec, dtype=complex).ravel()
     if v.size != dim:
         raise ValidationError(f"{name} has length {v.size}, expected {dim}")
+    require_finite(**{name: v})
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValidationError(f"{name} is the zero vector")
@@ -530,6 +527,14 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     )
 
 
+def _local_hamiltonians(bath, qs, hbar):
+    """Per component, q coupling + hbar frequency over qs: (len(qs), l, l) each."""
+    return [
+        qs[:, None, None] * c.coupling_operator() + hbar * c.frequency_operator()
+        for c in bath.components
+    ]
+
+
 def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     """Pointer overlaps <chi_q(t)|chi_q'(t)> = prod_i <chi_{q,i}(t)|chi_{q',i}(t)>.
 
@@ -540,11 +545,8 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
     overlaps = np.ones((times.size, qs.size, qs.size), dtype=complex)
-    for comp, label in zip(bath.components, bath.initial):
-        h = (
-            qs[:, None, None] * comp.coupling_operator()
-            + sys.hbar * comp.frequency_operator()
-        )
+    local = _local_hamiltonians(bath, qs, sys.hbar)
+    for h, comp, label in zip(local, bath.components, bath.initial):
         w, v = np.linalg.eigh(h)
         coeffs = v.conj().transpose(0, 2, 1) @ comp.initial_vector(label)
         phases = np.exp(-1j * np.multiply.outer(times, w) / sys.hbar)
@@ -602,27 +604,19 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
             "per-point bath propagators would exceed the memory budget; "
             "use a static bath, a smaller grid, or an infinite-mass particle"
         )
-    qs = sys.grid.points
+    local = _local_hamiltonians(bath, sys.grid.points, sys.hbar)
     v_pot = sys.potential()
-    b_sp, hres_diag = _sparse_bath_ops(bath, sys.hbar)
-    b_dense = b_sp.toarray()
-    h_stack = (
-        qs[:, None, None] * b_dense[None, :, :]
-        + np.diag(hres_diag)[None, :, :]
-        + v_pot[:, None, None] * np.eye(dim_b)[None, :, :]
-    )
-    w, v = np.linalg.eigh(h_stack)
-    v_dag = v.conj().transpose(0, 2, 1)
     chi0 = bath.initial_state()
 
     def half_potential(delta):
-        half_phase = np.exp(-0.5j * w * delta / sys.hbar)
-
-        def half(psi):
-            coeff = np.einsum("kij,bkj->bki", v_dag, psi)
-            return np.einsum("kij,bkj->bki", v, half_phase * coeff)
-
-        return half
+        # Per point: the potential phase times the Kronecker product of the
+        # component propagators, in the component order of chi0.
+        factor = -0.5 * delta / sys.hbar
+        u = np.exp(1j * factor * v_pot)[:, None, None]
+        for h in local:
+            f = expm_phase_stack(h, factor)
+            u = np.einsum("qab,qcd->qacbd", u, f).reshape(n, u.shape[1] * f.shape[1], -1)
+        return lambda psi: (u @ psi[..., None])[..., 0]
 
     return _propagate(
         times,

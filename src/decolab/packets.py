@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ResolutionError, ValidationError
+from .errors import GridMismatchError, ResolutionError, ValidationError, require_finite
 
 # Grid sizing rule: the box has to cover the packet centers with this many
 # rms widths of margin, and the spacing may not exceed sqrt(sigma)/4.
@@ -33,6 +33,7 @@ class GaussianPacket:
     hbar: float = 1.0
 
     def __post_init__(self):
+        require_finite(q0=self.q0, p0=self.p0, sigma=self.sigma, hbar=self.hbar)
         if not self.sigma > 0:
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
         if not self.hbar > 0:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBathError, ValidationError
+from .errors import DegenerateBathError, ValidationError, require_finite
 
 
 def _check_j(j):
@@ -249,10 +249,13 @@ def spin_coherence_norm(
     i hbar kappa, and returns a MonteCarloNorm(value, stderr); the counter
     -based RNG makes results reproducible for a given seed.
     """
+    t_arr = np.asarray(t, dtype=float)
+    require_finite(t=t_arr)
+    if np.any(t_arr < 0):
+        raise ValidationError("t must be >= 0")
     seps = separations(j, alpha, beta, hbar)
     if mode == "regime":
         times = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
-        t_arr = np.asarray(t, dtype=float)
         result = _regime_norm(t_arr, seps, times)
         return result if result.ndim else float(result)
     if mode != "montecarlo":

@@ -55,9 +55,26 @@ def _sup(q1, p1, q2, p2, sigma, hbar=1.0):
     )
 
 
+class TestBathMoments:
+    def test_non_finite_moments_rejected(self):
+        for kwargs in (
+            {"var_B": math.nan},
+            {"var_B": 1.0, "var_Bdot": math.nan},
+            {"var_B": 1.0, "kappa": math.inf},
+        ):
+            with pytest.raises(ValidationError):
+                dl.BathMoments(**kwargs)
+
+
 class TestShortTimeNorm:
     def test_t_zero(self):
         assert dl.coherence_norm_short_time(0.0, _sup(1, 0, -1, 0, 0.1), SYS, BATH) == 1.0
+
+    def test_non_finite_t_rejected(self):
+        sup = _sup(1, 0, -1, 0, 0.1)
+        for t in (math.nan, [0.1, math.inf]):
+            with pytest.raises(ValidationError):
+                dl.coherence_norm_short_time(t, sup, SYS, BATH)
 
     def test_position_exponential(self):
         # dq=2, dp=0, sigma -> 0: N(0.5) = exp(-1)
@@ -181,6 +198,14 @@ class TestTwoReservoir:
     def test_t_zero(self):
         assert dl.two_reservoir_norm(0.0, 1.0, 2.0, 1.0, 3.0, 1.0) == 1.0
 
+    def test_non_finite_inputs_rejected(self):
+        args = [0.5, 1.0, 2.0, 1.0, 3.0, 1.0]
+        for i in range(len(args)):
+            bad = list(args)
+            bad[i] = math.nan
+            with pytest.raises(ValidationError):
+                dl.two_reservoir_norm(*bad)
+
     def test_position_substitution(self):
         assert dl.two_reservoir_norm(1.0, 1.0, 0.0, 1.0, 5.0, 1.0) == pytest.approx(
             math.exp(-1.0), rel=1e-14
@@ -221,6 +246,12 @@ class TestMemoryKernel:
 
     def test_t_zero(self):
         assert dl.memory_kernel_norm(0.0, 3.0, 1.0, dl.constant_correlation(2.0)) == 1.0
+
+    def test_non_finite_inputs_rejected(self):
+        corr = dl.constant_correlation(1.0)
+        for t, dq in ((0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+            with pytest.raises(ValidationError):
+                dl.memory_kernel_norm(t, dq, 1.0, corr)
 
     @settings(deadline=None, max_examples=30)
     @given(

@@ -269,6 +269,28 @@ class TestEvolveNorm:
         )
         np.testing.assert_allclose(static.values, dense.values, atol=1e-11)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_dense_path_matches_frozen_for_mixed_dynamic_bath(self, reverse):
+        # A huge mass leaves only q B + H_res acting, which the frozen path
+        # evolves exactly; an asymmetric mixed bath catches a wrong
+        # Kronecker order in either component order.
+        grid = dl.PositionGrid(-8, 8, 64)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        parts = [
+            (dl.BathComponent("oscillator", 0.4, 0.8, levels=5), 1),
+            (dl.BathComponent("spin-half", 0.7, 1.3), "down"),
+            (dl.BathComponent("oscillator", 0.3, 1.7, levels=4), 0),
+        ]
+        if reverse:
+            parts.reverse()
+        bath = dl.BathModel(*zip(*parts))
+        times = np.linspace(0.0, 1.5, 10)
+        dense = dl.evolve_norm(dl.GridParticle(grid, mass=1e12), bath, b1, b2, times, dt=0.05)
+        frozen = dl.evolve_norm(dl.GridParticle(grid, mass=math.inf), bath, b1, b2, times)
+        assert frozen.values[-1] < 0.9  # the bath has visibly decohered the pair
+        np.testing.assert_allclose(dense.values, frozen.values, atol=1e-12)
+
     def test_split_step_converges_in_dt(self):
         curve_a, tau = momentum_separation_curve(24.0, n_times=5, dt=4e-4)
         curve_b, _ = momentum_separation_curve(24.0, n_times=5, dt=2e-4)
@@ -379,6 +401,27 @@ class TestEvolveNormValidation:
             with pytest.raises(ValidationError):
                 dl.evolve_norm(sys_p, dl.spin_bath(3, 1.0), b1, b2, [0.5], dt=dt)
 
+    def test_non_finite_branch_rejected(self):
+        sys_p, b1, b2 = self._frozen()
+        for bad in (math.nan, math.inf):
+            vec = b1.copy()
+            vec[3] = bad
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), vec, b2, [0.1])
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, vec, [0.1])
+
+    def test_spin_system_rejects_non_finite_omega(self):
+        for omega in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.SpinSystem(1.0, omega)
+
+    def test_grid_particle_rejects_non_finite_potential(self):
+        grid = dl.PositionGrid(-8, 8, 64)
+        for omega in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.GridParticle(grid, mass=1.0, potential_omega=omega)
+
 
 class TestStaticBathNorm:
     def test_unity_at_zero(self):
@@ -469,3 +512,7 @@ class TestNormCurve:
             dl.NormCurve(np.array([0.0, 0.0]), np.array([1.0, 1.0]), "x")
         with pytest.raises(ValidationError):
             dl.NormCurve(np.array([0.0, 1.0]), np.array([1.0, 1.5]), "x")
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValidationError):
+            dl.NormCurve(np.array([0.0, 1.0]), np.array([1.0, math.nan]), "x")

@@ -192,6 +192,12 @@ class TestTypes:
         with pytest.raises(ValidationError):
             dl.GaussianPacket(0.0, 0.0, 1.0, 0.0)
 
+    def test_packet_rejects_non_finite_values(self):
+        with pytest.raises(ValidationError):
+            dl.GaussianPacket(float("nan"), 0.0, 1.0)
+        with pytest.raises(ValidationError):
+            dl.GaussianPacket(0.0, float("inf"), 1.0)
+
     def test_superposition_normalization(self):
         pk = dl.GaussianPacket(0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):

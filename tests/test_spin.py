@@ -184,6 +184,14 @@ class TestSpinCoherenceNorm:
         )
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_or_non_finite_t_rejected(self):
+        bath = dl.BathMoments(1.0, var_Bdot=0.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.spin_coherence_norm(t, 10.0, 1.0, -1.0, 1.0, bath)
+        with pytest.raises(ValidationError):
+            dl.spin_coherence_norm(-1.0, 10.0, 1.0, -1.0, 1.0, bath, mode="montecarlo")
+
     def test_regime_z_at_tau(self):
         j, alpha = 15.0, math.tan(math.pi / 6)
         beta = dl.special_pair(alpha, "i")
