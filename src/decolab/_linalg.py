@@ -1,20 +1,36 @@
-"""Small dense linear-algebra helpers used across modules."""
+"""Small dense linear-algebra helpers used across modules.
+
+The exponentials take Hermitian generators only (one eigendecomposition
+path) and do not check: ``as_hermitian`` does, at the public boundary of
+``decolab.expansion``; the oracle's Hamiltonians are Hermitian by construction.
+"""
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-12
 
 
-def as_operator(a, name="operator"):
-    """Coerce to a square complex ndarray, validating finiteness."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
+def as_hermitian(a, name="operator"):
+    """Coerce one matrix or a stack (..., d, d) to complex, validating each.
+
+    Each must be square, finite and Hermitian to HERMITIAN_TOL relative to
+    max(1, its largest entry); otherwise ValidationError is raised.
+    """
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        msg = f"{name} is not an array of equal-shape matrices"
+        raise ValidationError(msg) from exc
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValidationError(f"{name} must be square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    skew = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+    if np.any(skew > HERMITIAN_TOL * scale):
+        raise ValidationError(f"{name} must be Hermitian")
     return m
 
 
@@ -22,26 +38,12 @@ def require_same_dim(*mats):
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise ValidationError(f"operator dimensions differ: {sorted(dims)}")
-    return dims.pop()
-
-
-def is_hermitian(a, tol=HERMITIAN_TOL):
-    scale = max(1.0, np.abs(a).max())
-    return np.abs(a - a.conj().T).max() <= tol * scale
 
 
 def expm_phase(h, factor):
-    """exp(1j * factor * h) for a matrix h, accurate to ~1e-12 relative.
-
-    Uses an eigendecomposition when h is Hermitian (the common case; the
-    result is then exactly unitary up to roundoff), otherwise falls back to
-    scipy's scaling-and-squaring Pade expm.
-    """
-    h = np.asarray(h, dtype=complex)
-    if is_hermitian(h):
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(1j * factor * w)) @ v.conj().T
-    return scipy.linalg.expm(1j * factor * h)
+    """exp(1j * factor * h) for one Hermitian h; unitary up to roundoff."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return (v * np.exp(1j * factor * w)) @ v.conj().T
 
 
 def expm_phase_stack(hs, factor):

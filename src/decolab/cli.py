@@ -3,7 +3,7 @@
 Usage:
 
     decolab <experiment> --config cfg.ini [--out results.csv] [--json results.json]
-                         [--seed N] [--threads N] [--emit-config]
+                         [--seed N] [--emit-config]
 
 Experiments: times, norm, sweep, oracle-compare, spin, expansion-check, clt.
 Configs are INI files (key-value with nested sections); ``--emit-config``
@@ -44,6 +44,7 @@ from .packets import GaussianPacket, PositionGrid, Superposition
 from .expansion import ExpandedHamiltonian, expansion_error
 from .spin import special_pair, spin_coherence_norm, spin_decoherence_times
 from .oracle import (
+    DEFAULT_DIMENSION_CAP,
     GridParticle,
     bath_characteristic,
     bath_statistics,
@@ -285,7 +286,7 @@ def _bath_model_from(cfg, section="bath-model"):
         omegas = list(np.linspace(float(lo), float(hi), m))
     else:
         omegas = float(omega_spec)
-    cap = _get_int(cfg, section, "cap", 4096)
+    cap = _get_int(cfg, section, "cap", DEFAULT_DIMENSION_CAP)
     return spin_bath(m, var_total, omegas, dimension_cap=cap)
 
 
@@ -388,7 +389,7 @@ def run_clt(cfg, args):
     gauss = np.exp(-(lam ** 2) * var_b / 2.0)
 
     def sup_distance(m):
-        bath = spin_bath(m, var_b, dimension_cap=max(4096, 1 << m))
+        bath = spin_bath(m, var_b, dimension_cap=max(DEFAULT_DIMENSION_CAP, 1 << m))
         return float(np.abs(bath_characteristic(bath, lam) - gauss).max())
 
     dists = [sup_distance(m) for m in m_values]
@@ -587,9 +588,6 @@ def build_parser():
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--json", dest="json_path", help="optional JSON mirror path")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; ignored"
-    )
     parser.add_argument(
         "--emit-config", action="store_true", help="print a config template and exit"
     )

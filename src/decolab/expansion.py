@@ -10,6 +10,12 @@ This module builds Phi, supplies the expanded generators for a particle
 coupled through its position and for a spin precessing about z while
 coupled through Jx, and measures the O(t^4) remainder against a converged
 midpoint-product reference propagator.
+
+Every generator is Hermitian, so every exponential is one eigendecomposition.
+ExpandedHamiltonian, particle_generators, spin_generators and (for its whole
+stack of midpoint generators) time_ordered_propagator check this once with
+``_linalg.as_hermitian``: non-square, non-finite or non-Hermitian input raises
+ValidationError.
 """
 
 from dataclasses import dataclass
@@ -17,22 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    as_operator,
+    as_hermitian,
     expm_phase,
     expm_phase_stack,
-    is_hermitian,
     ordered_product,
     require_same_dim,
     spectral_norm,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, require_finite
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
 
 
 @dataclass(frozen=True)
 class ExpandedHamiltonian:
-    """Coefficients of H(t) = h0 + h1 t + h2 t^2/2."""
+    """Hermitian coefficients of H(t) = h0 + h1 t + h2 t^2/2."""
 
     h0: np.ndarray
     h1: np.ndarray
@@ -40,13 +45,9 @@ class ExpandedHamiltonian:
     hbar: float = 1.0
 
     def __post_init__(self):
-        h0 = as_operator(self.h0, "h0")
-        h1 = as_operator(self.h1, "h1")
-        h2 = as_operator(self.h2, "h2")
-        require_same_dim(h0, h1, h2)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
+        for name in ("h0", "h1", "h2"):
+            object.__setattr__(self, name, as_hermitian(getattr(self, name), name))
+        require_same_dim(self.h0, self.h1, self.h2)
 
     @property
     def dim(self):
@@ -59,6 +60,7 @@ class ExpandedHamiltonian:
 
 def magnus_exponent(h, t):
     """Exponent Phi(t) with U(t) ~ exp(-i Phi(t) / hbar), accurate to O(t^4)."""
+    require_finite(t=t)
     if t < 0:
         raise ValidationError("t must be >= 0")
     comm = h.h0 @ h.h1 - h.h1 @ h.h0
@@ -74,7 +76,7 @@ def short_time_propagator(h, t):
     return expm_phase(magnus_exponent(h, t), -1.0 / h.hbar)
 
 
-def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0, dim=None):
+def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0):
     """Midpoint-rule reference for the time-ordered exponential.
 
     Ordered product of exp(-i h((k + 1/2) delta) delta / hbar) with later
@@ -84,7 +86,8 @@ def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0, dim=None):
     Parameters
     ----------
     h_of_t : callable
-        Maps a time to the (Hermitian) generator matrix at that time.
+        Maps a time to the Hermitian generator matrix at that time; the
+        stack of midpoint generators is checked once with as_hermitian.
     t : float
         Final time.
     n_steps : int
@@ -92,18 +95,14 @@ def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0, dim=None):
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be >= 1")
-    if t == 0:
-        probe = as_operator(h_of_t(0.0)) if dim is None else None
-        d = dim if dim is not None else probe.shape[0]
-        return np.eye(d, dtype=complex)
     delta = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * delta
-    hs = np.stack([as_operator(h_of_t(float(s))) for s in mids])
-    if all(is_hermitian(h) for h in hs):
-        factors = expm_phase_stack(hs, -delta / hbar)
-    else:
-        factors = np.stack([expm_phase(h, -delta / hbar) for h in hs])
-    return ordered_product(factors)
+    hs = as_hermitian([h_of_t(float(s)) for s in mids], "h_of_t")
+    if hs.ndim != 3:
+        raise ValidationError(f"h_of_t must return one matrix, got shape {hs.shape[1:]}")
+    if t == 0:
+        return np.eye(hs.shape[-1], dtype=complex)
+    return ordered_product(expm_phase_stack(hs, -delta / hbar))
 
 
 def particle_generators(Q, P, B, Bdot, mass, hbar=1.0):
@@ -113,8 +112,8 @@ def particle_generators(Q, P, B, Bdot, mass, hbar=1.0):
     coefficient is not required at the order implemented for the particle
     case.
     """
-    Q, P = as_operator(Q, "Q"), as_operator(P, "P")
-    B, Bdot = as_operator(B, "B"), as_operator(Bdot, "Bdot")
+    Q, P = as_hermitian(Q, "Q"), as_hermitian(P, "P")
+    B, Bdot = as_hermitian(B, "B"), as_hermitian(Bdot, "Bdot")
     require_same_dim(Q, P)
     require_same_dim(B, Bdot)
     h0 = np.kron(Q, B)
@@ -130,12 +129,9 @@ def spin_generators(Jx, Jy, B, Bdot, Bddot, omega, hbar=1.0):
     h1 = Jx (x) Bdot - Omega Jy (x) B,
     h2 = -Omega^2 Jx (x) B - 2 Omega Jy (x) Bdot + Jx (x) Bddot.
     """
-    Jx, Jy = as_operator(Jx, "Jx"), as_operator(Jy, "Jy")
-    B, Bdot, Bddot = (
-        as_operator(B, "B"),
-        as_operator(Bdot, "Bdot"),
-        as_operator(Bddot, "Bddot"),
-    )
+    Jx, Jy = as_hermitian(Jx, "Jx"), as_hermitian(Jy, "Jy")
+    B, Bdot = as_hermitian(B, "B"), as_hermitian(Bdot, "Bdot")
+    Bddot = as_hermitian(Bddot, "Bddot")
     require_same_dim(Jx, Jy)
     require_same_dim(B, Bdot, Bddot)
     h0 = np.kron(Jx, B)
@@ -160,10 +156,10 @@ def expansion_error(h, h_of_t, t):
         return 0.0
     approx = short_time_propagator(h, t)
     n = 32
-    coarse = time_ordered_propagator(h_of_t, t, n, h.hbar, dim=h.dim)
+    coarse = time_ordered_propagator(h_of_t, t, n, h.hbar)
     while True:
         n *= 2
-        fine = time_ordered_propagator(h_of_t, t, n, h.hbar, dim=h.dim)
+        fine = time_ordered_propagator(h_of_t, t, n, h.hbar)
         estimate = spectral_norm(fine - coarse) / 3.0
         reference = fine + (fine - coarse) / 3.0
         distance = spectral_norm(reference - approx)

@@ -138,6 +138,7 @@ class SystemParams:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         if not self.hbar > 0:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
+        require_finite(omega=self.omega, hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,7 @@ def evolve_density_short_time(block, t, sys, bath):
     result reproduces the closed-form coherence norm: the two code paths
     cross-check each other.
     """
+    require_finite(t=t)
     if t < 0:
         raise ValidationError("t must be >= 0")
     grid = block.grid
@@ -370,6 +372,7 @@ def golden_rule_times(corr, sys, dq):
     Integrals are truncated at corr.tail_cutoff (which must be finite),
     where the correlations are zero by contract.
     """
+    require_finite(dq=dq)
     upper = corr.tail_cutoff
     if not math.isfinite(upper):
         raise ValidationError("golden_rule_times requires a finite tail_cutoff")
@@ -396,6 +399,7 @@ def golden_rule_times(corr, sys, dq):
 
 def transition_separation(dp, hbar):
     """Position separation sqrt(hbar |dp|) below which E^Q dominance is lost."""
+    require_finite(dp=dp, hbar=hbar)
     if dp == 0:
         raise ValidationError("transition_separation requires dp != 0")
     return math.sqrt(hbar * abs(dp))
@@ -407,6 +411,7 @@ def flo_time(sigma, d, v):
     sigma is the position variance (width squared); the literature writes
     this sigma^2 / (d v) with sigma denoting the width itself.
     """
+    require_finite(sigma=sigma, d=d, v=v)
     if not d > 0:
         raise ValidationError("d must be positive")
     if not v > 0:

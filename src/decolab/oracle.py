@@ -53,6 +53,7 @@ DEFAULT_DIMENSION_CAP = 4096
 DENSE_BATH_LIMIT = 4096          # largest bath materialized as dense matrices
 JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
 MAX_UNIQUE_EIGENVALUES = 1 << 16
+FROZEN_OVERLAP_LIMIT = 1 << 20   # pointer-overlap entries (times x Q x Q) held at once
 UNITARITY_DRIFT = 1e-8
 
 
@@ -540,21 +541,30 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
 
     Exact because q B + H_res is a sum of commuting single-component terms
     and the initial bath state is a product; each factor comes from the
-    eigendecomposition of one component's levels x levels Hamiltonian.
+    eigendecomposition of one component's levels x levels Hamiltonian.  The
+    Q x Q overlaps (Q occupied grid points) are reduced one chunk of at most
+    FROZEN_OVERLAP_LIMIT / Q^2 times at a time, so memory stays O(Q^2).
     """
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
-    overlaps = np.ones((times.size, qs.size, qs.size), dtype=complex)
-    local = _local_hamiltonians(bath, qs, sys.hbar)
-    for h, comp, label in zip(local, bath.components, bath.initial):
+    eigen = []
+    for h, comp, label in zip(_local_hamiltonians(bath, qs, sys.hbar),
+                              bath.components, bath.initial):
         w, v = np.linalg.eigh(h)
-        coeffs = v.conj().transpose(0, 2, 1) @ comp.initial_vector(label)
-        phases = np.exp(-1j * np.multiply.outer(times, w) / sys.hbar)
-        chi = np.einsum("qij,tqj->tqi", v, phases * coeffs)
-        overlaps *= chi.conj() @ chi.transpose(0, 2, 1)
+        eigen.append((w, v, v.conj().transpose(0, 2, 1) @ comp.initial_vector(label)))
     w1 = np.abs(branch1[occupied]) ** 2
     w2 = np.abs(branch2[occupied]) ** 2
-    return (np.abs(overlaps) ** 2 @ w1) @ w2
+    chunk = max(1, FROZEN_OVERLAP_LIMIT // qs.size ** 2)
+    norms = []
+    for start in range(0, times.size, chunk):
+        ts = times[start:start + chunk]
+        overlaps = np.ones((ts.size, qs.size, qs.size), dtype=complex)
+        for w, v, coeffs in eigen:
+            phases = np.exp(-1j * np.multiply.outer(ts, w) / sys.hbar)
+            chi = np.einsum("qij,tqj->tqi", v, phases * coeffs)
+            overlaps *= chi.conj() @ chi.transpose(0, 2, 1)
+        norms.append((np.abs(overlaps) ** 2 @ w1) @ w2)
+    return np.concatenate(norms)
 
 
 def _strang_advance(sys, dt, half_potential, axis):

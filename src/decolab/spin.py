@@ -30,6 +30,7 @@ from .errors import DegenerateBathError, ValidationError, require_finite
 
 
 def _check_j(j):
+    require_finite(j=j)
     two_j = 2.0 * j
     if two_j < 1 or abs(two_j - round(two_j)) > 1e-12:
         raise ValidationError(f"j must be a half-integer >= 1/2, got {j}")
@@ -205,6 +206,7 @@ def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
     angle-resolved expressions.  Channels whose separation (or, for y and
     z, the precession frequency) vanishes get math.inf.
     """
+    require_finite(omega=omega, hbar=hbar)
     if not bath.var_B > 0:
         raise DegenerateBathError("spin decoherence times require var_B > 0")
     v = bath.var_B

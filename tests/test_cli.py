@@ -199,17 +199,15 @@ class TestExperiments:
             out = str(tmp_path / f"{experiment}.csv")
             assert main([experiment, "--config", cfg, "--out", out]) == 0, experiment
 
-    def test_threads_do_not_change_results(self, tmp_path):
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
             "s.ini",
             "[experiment]\nkind = sweep\n[sweep]\naxis = hbar\ntarget = tau_p\n"
             "start = 0.5\nstop = 4.0\nnum = 6\n[base]\ndq = 0.0\ndp = 2.0\n",
         )
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert main(["sweep", "--config", cfg, "--out", out1]) == 0
-        assert main(["sweep", "--config", cfg, "--out", out2, "--threads", "4"]) == 0
-        assert open(out1).read() == open(out2).read()
+        assert main(["sweep", "--config", cfg, "--threads", "4"]) == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_json_mirror(self, tmp_path):
         import json

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import decolab as dl
 from decolab._linalg import expm_phase, spectral_norm
@@ -61,6 +64,11 @@ class TestMagnusExponent:
         ratio = deviation(0.1) / deviation(0.05)
         assert 12.8 <= ratio <= 19.2
 
+    def test_non_finite_t_rejected(self, rng):
+        h = dl.ExpandedHamiltonian(random_hermitian(2, rng), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValidationError):
+            dl.magnus_exponent(h, math.nan)
+
     def test_two_factor_product_misses_third_order(self, rng):
         # dropping the commutator correction leaves an O(t^3) defect: the
         # two-factor product is NOT the full O(t^4)-accurate propagator
@@ -105,6 +113,41 @@ class TestTimeOrderedPropagator:
         with pytest.raises(ValidationError):
             dl.time_ordered_propagator(lambda s: np.eye(2), 1.0, 0)
 
+    def test_zero_time_is_exact_identity(self, rng):
+        h0 = random_hermitian(3, rng)
+        u = dl.time_ordered_propagator(lambda s: h0, 0.0, 5)
+        assert u.dtype == complex
+        np.testing.assert_array_equal(u, np.eye(3))
+
+    def test_non_hermitian_generator_rejected(self, rng):
+        h0 = random_hermitian(3, rng)
+        h0[0, 1] += 0.5
+        with pytest.raises(ValidationError):
+            dl.time_ordered_propagator(lambda s: h0, 0.3, 8)
+
+    def test_generator_shape_change_rejected(self, rng):
+        h2, h3 = random_hermitian(2, rng), random_hermitian(3, rng)
+        with pytest.raises(ValidationError):
+            dl.time_ordered_propagator(lambda s: h2 if s < 0.5 else h3, 1.0, 4)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2 ** 32 - 1),
+        t=st.floats(0.0, 3.0),
+        n_steps=st.integers(1, 64),
+        freq=st.floats(-4.0, 4.0),
+    )
+    def test_hermitian_families_give_unitary_propagators(self, dim, seed, t, n_steps, freq):
+        rng = np.random.default_rng(seed)
+        h0, h1, h2 = (random_hermitian(dim, rng, unit_norm=False) for _ in range(3))
+
+        def h_of_t(s):
+            return h0 + np.sin(freq * s) * h1 + s * s * h2
+
+        u = dl.time_ordered_propagator(h_of_t, t, n_steps)
+        assert spectral_norm(u.conj().T @ u - np.eye(dim)) < 1e-10
+
 
 def bath_pair(rng, dim=4, omega_scale=1.0):
     """Concrete bath: Hermitian B with H_res driving it; exact derivatives."""
@@ -120,7 +163,17 @@ def bath_pair(rng, dim=4, omega_scale=1.0):
     return h_res, b, bdot, bddot, b_of_t
 
 
+def non_hermitian(dim, rng):
+    h = random_hermitian(dim, rng)
+    h[0, -1] += 0.5
+    return h
+
+
 class TestParticleGenerators:
+    def test_non_hermitian_operator_rejected(self, rng):
+        p, b, bdot = (random_hermitian(2, rng) for _ in range(3))
+        with pytest.raises(ValidationError):
+            dl.particle_generators(non_hermitian(2, rng), p, b, bdot, mass=1.0)
     def test_static_coupling_is_exact(self, rng):
         q = random_hermitian(4, rng)
         b = random_hermitian(4, rng)
@@ -160,6 +213,11 @@ class TestParticleGenerators:
 
 
 class TestSpinGenerators:
+    def test_non_hermitian_operator_rejected(self, rng):
+        jx, jy, _ = dl.spin_matrices(0.5)
+        b, bddot = random_hermitian(2, rng), random_hermitian(2, rng)
+        with pytest.raises(ValidationError):
+            dl.spin_generators(jx, jy, b, non_hermitian(2, rng), bddot, omega=0.5)
     def test_static_limit(self, rng):
         jx, jy, _ = dl.spin_matrices(1.0)
         b = random_hermitian(2, rng)
@@ -208,6 +266,11 @@ class TestExpansionError:
         h = dl.ExpandedHamiltonian(h0, 0.5 * h0, 0.25 * h0)
         for t in (0.2, 0.9):
             assert dl.expansion_error(h, h.at, t) < 1e-10
+
+    def test_non_hermitian_coefficient_rejected(self, rng):
+        zero = np.zeros((3, 3))
+        with pytest.raises(ValidationError):
+            dl.ExpandedHamiltonian(random_hermitian(3, rng), non_hermitian(3, rng), zero)
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValidationError):

@@ -55,6 +55,12 @@ def _sup(q1, p1, q2, p2, sigma, hbar=1.0):
     )
 
 
+class TestSystemParams:
+    def test_non_finite_omega_rejected(self):
+        with pytest.raises(ValidationError):
+            dl.SystemParams(1.0, omega=math.nan)
+
+
 class TestBathMoments:
     def test_non_finite_moments_rejected(self):
         for kwargs in (
@@ -124,6 +130,11 @@ class TestEvolveDensity:
         block, _ = self.make_block()
         out = dl.evolve_density_short_time(block, 0.0, SYS, BATH)
         np.testing.assert_array_equal(out.values, block.values)
+
+    def test_non_finite_t_rejected(self):
+        block, _ = self.make_block()
+        with pytest.raises(ValidationError):
+            dl.evolve_density_short_time(block, math.nan, SYS, BATH)
 
     def test_trace_preserved_on_diagonal_block(self):
         pk = dl.GaussianPacket(0.0, 0.5, 1.0)
@@ -305,6 +316,11 @@ class TestGoldenRule:
         with pytest.raises(ValidationError):
             dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.0), 1.0)
 
+    def test_non_finite_separation_rejected(self):
+        corr = dl.exponential_correlation(1.0, 1.0)
+        with pytest.raises(ValidationError):
+            dl.golden_rule_times(corr, SYS, math.nan)
+
     def test_oscillator_frequency_reduces_rate(self):
         corr = dl.exponential_correlation(1.0, 1.0)
         at_zero = dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.0), 1.0)
@@ -320,6 +336,10 @@ class TestScales:
         with pytest.raises(ValidationError):
             dl.transition_separation(0.0, 1.0)
 
+    def test_transition_separation_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            dl.transition_separation(math.nan, 1.0)
+
     @settings(deadline=None, max_examples=50)
     @given(hbar=st.floats(1e-4, 10), dp=st.floats(0.01, 10))
     def test_transition_scales_as_sqrt_hbar(self, hbar, dp):
@@ -331,3 +351,7 @@ class TestScales:
         assert dl.flo_time(1.0, 4.0, 1.0) == 0.25  # doubling d halves it
         with pytest.raises(ValidationError):
             dl.flo_time(1.0, -1.0, 1.0)
+
+    def test_flo_time_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            dl.flo_time(math.nan, 1.0, 1.0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -379,6 +383,35 @@ class TestEvolveNorm:
         assert a.fingerprint != c.fingerprint
 
 
+FROZEN_MEMORY_PROBE = textwrap.dedent("""
+    import numpy as np
+    import decolab as dl
+
+    grid = dl.PositionGrid(-8.0, 8.0, 1024)
+    b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+    b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+    dl.evolve_norm(dl.GridParticle(grid, mass=float("inf")), dl.spin_bath(4, 1.0, omegas=1.0),
+                   b1, b2, np.linspace(0.0, 2.0, 40))
+    # VmHWM is this address space's own peak; ru_maxrss would also count
+    # the memory of the forking test process
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+""")
+
+
+class TestFrozenMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_wide_packets_on_fine_grid_stay_small(self):
+        # the packets cover all Q = 1024 grid points, so one (times, Q, Q)
+        # overlap array would hold 40 x 1024^2 complex entries (640 MiB)
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", FROZEN_MEMORY_PROBE],
+                              capture_output=True, text=True, env=env, check=True)
+        assert int(proc.stdout.split()[-1]) / 1024 < 400
+
+
 class TestEvolveNormValidation:
     def _frozen(self):
         grid = dl.PositionGrid(-4, 4, 64)
@@ -410,6 +443,10 @@ class TestEvolveNormValidation:
                 dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), vec, b2, [0.1])
             with pytest.raises(ValidationError):
                 dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, vec, [0.1])
+
+    def test_spin_system_rejects_non_finite_j(self):
+        with pytest.raises(ValidationError):
+            dl.SpinSystem(math.nan, 1.0)
 
     def test_spin_system_rejects_non_finite_omega(self):
         for omega in (math.nan, math.inf):

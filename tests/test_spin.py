@@ -33,6 +33,11 @@ class TestSpinMatrices:
         with pytest.raises(ValidationError):
             dl.spin_matrices(0.0)
 
+    def test_non_finite_j_rejected(self):
+        for j in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.spin_matrices(j)
+
 
 class TestCoherentStates:
     def test_north_pole(self):
@@ -132,6 +137,9 @@ class TestSeparationsAndPairs:
 
 
 class TestSpinDecoherenceTimes:
+    def test_non_finite_omega_rejected(self):
+        with pytest.raises(ValidationError):
+            dl.spin_decoherence_times(10.0, 1.0, 1j, math.nan, dl.BathMoments(1.0))
     def test_antipodal_x_pair(self):
         taus = dl.spin_decoherence_times(10.0, 1.0, -1.0, 1.0, dl.BathMoments(1.0))
         assert taus.tau_x == pytest.approx(400.0 ** -0.5, rel=1e-12)  # 0.05
