@@ -19,6 +19,10 @@ The finite-memory generalization replaces the first exponential by a double
 time integral over the symmetric bath correlation function, and the
 golden-rule rates are provided for comparison with the weak-coupling
 regime.
+
+Only the two quadrature-based functions, memory_kernel_norm and
+golden_rule_times, load scipy (scipy.integrate, on first call); everything
+else here needs numpy alone.
 """
 
 import math
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     DegenerateBathError,
@@ -327,6 +330,8 @@ def memory_kernel_norm(t, dq, hbar, corr):
     bath correlation time.  The integral is evaluated by adaptive
     quadrature to absolute tolerance 1e-10.
     """
+    import scipy.integrate
+
     require_finite(t=t, dq=dq, hbar=hbar)
     if t < 0:
         raise ValidationError("t must be >= 0")
@@ -346,6 +351,8 @@ def memory_kernel_norm(t, dq, hbar, corr):
 
 
 def _quad_weighted(f, upper, omega, kind):
+    import scipy.integrate
+
     if omega == 0.0:
         result = scipy.integrate.quad(
             f, 0.0, upper, epsabs=1e-12, epsrel=1e-10, limit=400, full_output=True

@@ -25,6 +25,10 @@ Evolution strategies by model structure:
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
   over components of levels x levels evolutions, with no joint bath.
+
+Only the sparse Krylov back end and build_bath_operators load scipy
+(scipy.sparse, on first call); the other back ends, the closed forms and
+the fits need numpy alone.
 """
 
 import hashlib
@@ -34,8 +38,6 @@ from functools import reduce
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ._linalg import expm_phase_stack
 from .errors import (
@@ -460,6 +462,8 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
 
 
 def _sparse_embed(local_ops, index):
+    import scipy.sparse
+
     mats = [
         scipy.sparse.csr_matrix(local_ops[k]) if k == index
         else scipy.sparse.identity(local_ops[k].shape[0], format="csr")
@@ -502,6 +506,9 @@ def _propagate(times, psi, advance, branch_norms, reduce_norm):
 
 
 def _spin_sparse_curve(sys, bath, branch1, branch2, times):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     dim_s = branch1.size
     dim_b = bath.dimension
     if dim_s * dim_b > JOINT_DIMENSION_LIMIT:
@@ -698,6 +705,9 @@ def static_bath_norm(d, bath, t, hbar=1.0):
         if comp.kind != "spin-half":
             raise ValidationError("static_bath_norm requires spin-half components")
     t = np.asarray(t, dtype=float)
+    require_finite(d=d, t=t, hbar=hbar)
+    if not hbar > 0:
+        raise ValidationError("hbar must be positive")
     gs = np.array([c.g for c in bath.components])
     result = np.prod(np.cos(np.multiply.outer(t, gs) * d / hbar) ** 2, axis=-1)
     return result if result.ndim else float(result)
@@ -706,6 +716,7 @@ def static_bath_norm(d, bath, t, hbar=1.0):
 def bath_characteristic(bath, lam):
     """Exact characteristic function <e^{i lam B}> of the initial state."""
     lam = np.asarray(lam, dtype=float)
+    require_finite(lam=lam)
     result = np.ones(lam.shape, dtype=complex)
     for comp, label in zip(bath.components, bath.initial):
         if comp.kind == "spin-half":
@@ -724,6 +735,8 @@ def fit_decay_exponent(curve, window=(0.05, 0.95)):
     curve must be strictly decreasing there and provide at least 8 points.
     """
     lo, hi = window
+    if not 0 <= lo < hi <= 1:  # also false for a NaN or infinite bound
+        raise ValidationError(f"fit window must satisfy 0 <= lo < hi <= 1, got {window}")
     mask = (curve.values > lo) & (curve.values < hi) & (curve.times > 0)
     if np.count_nonzero(mask) < 8:
         raise FitWindowError(

@@ -119,6 +119,7 @@ class DensityBlock:
 def position_amplitude(packet, q):
     """Position-representation amplitude phi(q); broadcasts over q."""
     q = np.asarray(q, dtype=float)
+    require_finite(q=q)
     norm = (2.0 * np.pi * packet.sigma) ** -0.25
     phase = np.exp(1j * packet.p0 * (q - packet.q0) / packet.hbar)
     envelope = np.exp(-((q - packet.q0) ** 2) / (4.0 * packet.sigma))
@@ -133,6 +134,7 @@ def momentum_amplitude(packet, p):
     (2 pi sigma)^(1/4) (pi hbar)^(-1/2) e^{-i p q0 / hbar} e^{-sigma (p - p0)^2 / hbar^2}.
     """
     p = np.asarray(p, dtype=float)
+    require_finite(p=p)
     norm = (2.0 * np.pi * packet.sigma) ** 0.25 / np.sqrt(np.pi * packet.hbar)
     phase = np.exp(-1j * p * packet.q0 / packet.hbar)
     envelope = np.exp(-packet.sigma * (p - packet.p0) ** 2 / packet.hbar ** 2)

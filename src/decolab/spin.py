@@ -165,6 +165,7 @@ def special_pair(alpha, case_id):
     is_special_case_iv because its printed condition appears corrupted.
     """
     alpha = complex(alpha)
+    require_finite(alpha=alpha)
     if case_id == "ii":
         return alpha.conjugate()
     if case_id in ("i", "iii"):

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,6 +22,60 @@ hbar = 1.0
 [bath]
 var_b = 1.0
 """
+
+
+EXPERIMENTS = ("times", "norm", "sweep", "oracle-compare", "spin", "expansion-check", "clt")
+
+# Runs the --emit-config template of each experiment in argv[2:] and lists
+# the scipy modules the runs loaded; argv[1] is a scratch directory.
+TEMPLATES_PROBE = textwrap.dedent("""
+    import contextlib, io, os, sys
+    from decolab.cli import main
+
+    for experiment in sys.argv[2:]:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([experiment, "--emit-config"]) == 0
+        cfg = os.path.join(sys.argv[1], experiment + ".ini")
+        with open(cfg, "w") as fh:
+            fh.write(buf.getvalue())
+        out = os.path.join(sys.argv[1], experiment + ".csv")
+        print(experiment, main([experiment, "--config", cfg, "--out", out]))
+    print("scipy-modules", *[m for m in sys.modules if m.split(".")[0] == "scipy"])
+""")
+
+# Calls each scipy-backed function once after a scipy-free import of
+# decolab; prints whether the results are finite and which scipy
+# subpackages were loaded before and after the calls.
+SCIPY_PATHS_PROBE = textwrap.dedent("""
+    import math
+    import sys
+    import numpy as np
+    import decolab as dl
+
+    def loaded():
+        return [m in sys.modules for m in ("scipy.integrate", "scipy.sparse.linalg")]
+
+    print(*loaded())
+    corr = dl.exponential_correlation(1.0, 1.0)
+    a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
+    b = dl.coherent_vector(dl.SpinCoherent(1.0, -1.0))
+    curve = dl.evolve_norm(dl.SpinSystem(1.0, 0.0), dl.spin_bath(3, 1.0, omegas=0.7),
+                           a, b, np.linspace(0.0, 1.0, 5))
+    values = [dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
+              dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec,
+              *curve.values]
+    print(all(map(math.isfinite, values)), *loaded())
+""")
+
+
+def run_fresh(code, *args):
+    """Run code in a new interpreter that imports decolab from this checkout."""
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, check=True).stdout
 
 
 def write(tmp_path, name, text):
@@ -258,3 +314,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "[experiment]" in proc.stdout
+
+
+class TestImportPath:
+    def test_templates_run_without_scipy(self, tmp_path):
+        lines = run_fresh(TEMPLATES_PROBE, str(tmp_path), *EXPERIMENTS).splitlines()
+        assert lines[:-1] == [f"{experiment} 0" for experiment in EXPERIMENTS]
+        assert lines[-1] == "scipy-modules"
+
+    def test_deferred_scipy_imports_resolve(self):
+        before, after = run_fresh(SCIPY_PATHS_PROBE).splitlines()
+        assert before.split() == ["False", "False"]
+        assert after.split() == ["True", "True", "True"]

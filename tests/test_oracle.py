@@ -473,6 +473,19 @@ class TestStaticBathNorm:
         with pytest.raises(ValidationError):
             dl.static_bath_norm(1.0, bath, 0.5)
 
+    def test_non_finite_arguments_rejected(self):
+        bath = dl.spin_bath(4, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.static_bath_norm(bad, bath, 0.5)
+            with pytest.raises(ValidationError):
+                dl.static_bath_norm(1.0, bath, [0.1, bad])
+
+    def test_bad_hbar_rejected(self):
+        for hbar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.static_bath_norm(1.0, dl.spin_bath(4, 1.0), 0.5, hbar=hbar)
+
     def test_clt_agreement_with_gaussian(self):
         bath = dl.spin_bath(16, 1.0, dimension_cap=1 << 16)
         ts = np.linspace(0.0, 1.0, 200)
@@ -502,6 +515,11 @@ class TestBathCharacteristic:
             assert dl.bath_characteristic(bath, lam) == pytest.approx(
                 math.exp(-(lam * 0.4) ** 2 / 2), abs=1e-10
             )
+
+    def test_non_finite_lam_rejected(self):
+        for lam in (math.nan, [0.0, math.inf]):
+            with pytest.raises(ValidationError):
+                dl.bath_characteristic(dl.spin_bath(4, 1.0), lam)
 
     def test_clt_monotone_convergence(self):
         lam = np.linspace(-3.0, 3.0, 301)
@@ -541,6 +559,15 @@ class TestFitDecayExponent:
         vals = 0.5 + 0.3 * np.sin(8 * ts)
         with pytest.raises(FitWindowError):
             dl.fit_decay_exponent(dl.NormCurve(ts, np.clip(vals, 0, 1), "synthetic"))
+
+    def test_bad_window_rejected(self):
+        # bad input, not a numerical failure: ValidationError, never FitWindowError
+        ts = np.linspace(0.3, 4.0, 120)
+        curve = dl.NormCurve(ts, np.exp(-((ts / 2.0) ** 4)), "synthetic")
+        for window in ((0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5),
+                       (math.nan, 0.9), (0.1, math.inf)):
+            with pytest.raises(ValidationError):
+                dl.fit_decay_exponent(curve, window=window)
 
 
 class TestNormCurve:

@@ -33,6 +33,12 @@ class TestPositionAmplitude:
             abs(dl.position_amplitude(pk, -1.0)), rel=1e-12
         )
 
+    def test_non_finite_q_rejected(self):
+        pk = dl.GaussianPacket(0.0, 0.0, 1.0)
+        for q in (np.nan, [0.0, np.inf]):
+            with pytest.raises(ValidationError):
+                dl.position_amplitude(pk, q)
+
 
 class TestMomentumAmplitude:
     def test_peak_value(self):
@@ -74,6 +80,12 @@ class TestMomentumAmplitude:
         a = np.abs(dl.momentum_amplitude(dl.GaussianPacket(3.0, 0.0, 1.0), p))
         b = np.abs(dl.momentum_amplitude(dl.GaussianPacket(0.0, 0.0, 1.0), p))
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_non_finite_p_rejected(self):
+        pk = dl.GaussianPacket(0.0, 0.0, 1.0)
+        for p in (np.nan, [0.0, -np.inf]):
+            with pytest.raises(ValidationError):
+                dl.momentum_amplitude(pk, p)
 
 
 class TestDensityBlock:

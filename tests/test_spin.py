@@ -128,6 +128,12 @@ class TestSeparationsAndPairs:
             with pytest.raises(ValidationError):
                 dl.special_pair(0.0, case)
 
+    def test_non_finite_alpha_rejected(self):
+        for alpha in (math.nan, math.inf, complex(0.5, math.nan)):
+            for case in ("i", "ii", "iii"):
+                with pytest.raises(ValidationError):
+                    dl.special_pair(alpha, case)
+
     def test_case_iv_predicate_matches_printed_condition(self):
         # recorded verbatim: cos(phi_a) = sin(theta_b), cos(phi_b) = sin(phi_a)
         alpha = cmath.exp(1j * math.pi / 2)  # cos(phi_a) = 0, sin(phi_a) = 1
