@@ -6,8 +6,11 @@ Usage:
                          [--seed N] [--emit-config]
 
 Experiments: times, norm, sweep, oracle-compare, spin, expansion-check, clt.
-Configs are INI files (key-value with nested sections); ``--emit-config``
-prints a commented template for the chosen experiment.  Results are CSV
+Configs are INI files.  One schema table per experiment (``SCHEMA``) gives
+each key's type, default, choices and template text; ``parse_config`` turns
+a config into typed values and rejects an unknown section or key, a value
+outside its choices or a non-finite number, and ``--emit-config`` prints
+the commented template generated from the table.  Results are CSV
 (one row per point, fixed header) with the config hash embedded in comment
 lines, plus an optional JSON mirror.  Runs are deterministic: rerunning a
 config (same seed) reproduces the output byte for byte.
@@ -58,62 +61,201 @@ FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
-# Config access helpers
+# Config schema: one table per experiment drives parsing, defaults,
+# validation and the --emit-config templates
 
 
 class ConfigError(ValidationError):
     pass
 
 
-def _section(cfg, name):
-    if not cfg.has_section(name):
-        raise ConfigError(f"missing config section [{name}]")
-    return cfg[name]
+REQUIRED = object()
 
 
-def _get(cfg, section, key, cast, default=None):
-    sec = _section(cfg, section)
-    if key not in sec:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {key!r} in section [{section}]")
-    raw = sec[key].strip()
+class Key(NamedTuple):
+    """One config key.  ``type`` casts the INI text; ``default`` is used when
+    the key is absent (REQUIRED: reading it raises); ``template`` is the value
+    --emit-config shows (None: not shown); ``choices`` are the allowed values;
+    ``note`` is the template comment (None: list the choices)."""
+
+    type: type
+    default: object = REQUIRED
+    template: str = None
+    choices: tuple = ()
+    note: str = None
+
+
+def _times(start, stop, num):
+    return {"start": Key(float, REQUIRED, start), "stop": Key(float, REQUIRED, stop),
+            "num": Key(int, REQUIRED, num),
+            "spacing": Key(str, "linear", "linear", ("linear", "log"), "")}
+
+
+def _ints(text):
+    return tuple(int(tok) for tok in text.split())
+
+
+def _frequencies(text):
+    """A scalar frequency, or ``linear:<lo>:<hi>`` as a (lo, hi) pair."""
+    if not text.startswith("linear:"):
+        return float(text)
+    lo, hi = text.split(":")[1:]
+    return float(lo), float(hi)
+
+
+def _bath(var_bdot=None, kappa=None):
+    return {"var_b": Key(float, REQUIRED, "1.0"), "var_bdot": Key(float, None, var_bdot),
+            "kappa": Key(float, 0.0, kappa)}
+
+
+SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
+    "times": ("decoherence time table from the closed-form laws", {
+        "separation": {"dq": Key(float, REQUIRED, "2.0"), "dp": Key(float, 0.0, "0.0")},
+        "system": {"mass": Key(float, REQUIRED, "1.0"), "omega": Key(float, 0.0, "0.0"),
+                   "hbar": Key(float, 1.0, "1.0")},
+        "bath": _bath(),
+    }),
+    "norm": ("closed-form coherence-norm curve", {
+        "law": {"kind": Key(str, REQUIRED, "short-time", ("short-time", "two-reservoir", "memory"))},
+        "packets": {"q1": Key(float, REQUIRED, "1.0"), "p1": Key(float, REQUIRED, "0.0"),
+                    "q2": Key(float, REQUIRED, "-1.0"), "p2": Key(float, REQUIRED, "0.0"),
+                    "sigma": Key(float, REQUIRED, "0.01"), "hbar": Key(float, 1.0, "1.0")},
+        "system": {"mass": Key(float, REQUIRED, "1.0")},
+        "bath": _bath(),
+        "times": _times("0.0", "1.0", "101"),
+        "two-reservoir": {"dq": Key(float), "dp": Key(float), "var_bq": Key(float),
+                          "var_bp": Key(float), "hbar": Key(float, 1.0)},
+        "memory": {"correlation": Key(str, choices=("constant", "exponential", "gaussian")),
+                   "var_b": Key(float), "tail_cutoff": Key(float, math.inf), "gamma": Key(float),
+                   "tau_c": Key(float), "dq": Key(float), "hbar": Key(float, 1.0)},
+    }),
+    "sweep": ("log-spaced parameter sweep with a scaling-exponent fit", {
+        "sweep": {"axis": Key(str, REQUIRED, "hbar", ("hbar", "distance", "dp", "j")),
+                  "target": Key(str, REQUIRED, "tau_q",
+                                ("tau_q", "tau_qp", "tau_p", "tau_gr", "tau_x", "tau_y", "tau_z")),
+                  "start": Key(float, REQUIRED, "0.25"), "stop": Key(float, REQUIRED, "4.0"),
+                  "num": Key(int, REQUIRED, "8")},
+        "base": {"dq": Key(float, 1.0, "2.0"), "dp": Key(float, 0.0, "0.0"),
+                 "mass": Key(float, 1.0, "1.0"), "omega": Key(float, 0.0, "0.0"),
+                 "hbar": Key(float, 1.0, "1.0"), "var_b": Key(float, 1.0, "1.0"),
+                 "gamma": Key(float, 1.0), "j": Key(float, 10.0),
+                 "alpha": Key(complex, 1.0 + 0j), "beta": Key(complex, -1.0 + 0j)},
+    }),
+    "oracle-compare": ("exact finite-bath oracle against a closed-form law", {
+        "bath-model": {"m": Key(int, REQUIRED, "12"), "var_total": Key(float, 1.0, "1.0"),
+                       "omega": Key(_frequencies, 0.0, "0", note="scalar or linear:<lo>:<hi>"),
+                       "cap": Key(int, DEFAULT_DIMENSION_CAP, "4096")},
+        "compare": {"d": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0"),
+                    "protocol": Key(str, "static", "frozen", ("static", "frozen")),
+                    "law": Key(str, "gaussian", "gaussian", ("gaussian", "memory"))},
+        "times": _times("0.01", "1.2", "40"),
+    }),
+    "spin": ("spin coherence-norm curve (regime closed form or Monte Carlo)", {
+        "spin": {"j": Key(float, REQUIRED, "15"), "alpha": Key(complex, REQUIRED, "1+0j"),
+                 "beta": Key(complex, REQUIRED, "-1+0j", note="or set case = i | ii | iii instead"),
+                 "case": Key(str, None, choices=("i", "ii", "iii")),
+                 "omega": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0")},
+        "bath": _bath("0.0", "0.0"),
+        "norm": {"mode": Key(str, "regime", "regime", ("regime", "montecarlo")),
+                 "samples": Key(int, 100_000, "100000"), "seed": Key(int, 0, "0")},
+        "times": _times("0.001", "0.1", "40"),
+    }),
+    "expansion-check": (
+        "O(t^4) order check of the short-time propagator on random Hermitian triples", {
+            "expansion": {"dim": Key(int, 4, "4"), "trials": Key(int, 10, "10"),
+                          "hnorm_t": Key(float, 0.05, "0.05"), "seed": Key(int, 0, "0")},
+        }),
+    "clt": ("CLT convergence of the bath characteristic function", {
+        "clt": {"m_values": Key(_ints, (4, 8, 16, 32), "4 8 16 32"), "var_b": Key(float, 1.0, "1.0"),
+                "lambda_sigmas": Key(float, 3.0, "3.0"), "lambda_points": Key(int, 301, "301")},
+    }),
+}
+
+
+def _sections(experiment):
+    return {"experiment": {"kind": Key(str, experiment, experiment)}, **SCHEMA[experiment][1]}
+
+
+def _template(experiment):
+    lines = [f"; {SCHEMA[experiment][0]}"]
+    for section, keys in _sections(experiment).items():
+        shown = [(key, row) for key, row in keys.items() if row.template is not None]
+        if shown:
+            lines.append(f"[{section}]")
+        for key, row in shown:
+            line = f"{key} = {row.template}"
+            note = " | ".join(row.choices) if row.note is None else row.note
+            lines.append(f"{line:<24} ; {note}" if note else line)
+    return "\n".join(lines) + "\n"
+
+
+TEMPLATES = {experiment: _template(experiment) for experiment in SCHEMA}
+
+
+class _Values(dict):
+    """Typed config values; reading an absent section or required key raises."""
+
+    def __init__(self, section=None):
+        super().__init__()
+        self.section = section
+
+    def __missing__(self, key):
+        if self.section is None:
+            raise ConfigError(f"missing config section [{key}]")
+        raise ConfigError(f"missing key {key!r} in section [{self.section}]")
+
+
+def _cast(section, key, row, raw):
     try:
-        return cast(raw)
+        value = row.type(raw.strip())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+    if row.choices and value not in row.choices:
+        raise ConfigError(f"[{section}] {key} must be one of {' | '.join(row.choices)}, got {raw!r}")
+    # a non-finite number is accepted only as the key's own default ([memory] tail_cutoff = inf)
+    if row.type in (float, complex) and not np.isfinite(value) and value != row.default:
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
-def _get_float(cfg, section, key, default=None):
-    return _get(cfg, section, key, float, default)
+def parse_config(cfg, experiment):
+    """Typed values of a ConfigParser checked strictly against SCHEMA[experiment].
+
+    An unknown section or key (``[DEFAULT]`` keys count as keys of every
+    section), a value outside ``choices`` or a non-finite number raises
+    ConfigError naming it.  Defaults fill the sections present; an absent
+    section or required key raises only when a runner reads it.
+    """
+    kind = cfg.get("experiment", "kind", fallback=experiment)
+    if kind != experiment:
+        raise ConfigError(f"config is for experiment {kind!r}, not {experiment!r}")
+    schema, values = _sections(experiment), _Values()
+    for section in cfg.sections():
+        if section not in schema:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in schema[section]:
+                origin = " (set in [DEFAULT])" if key in cfg.defaults() else ""
+                raise ConfigError(f"unknown key {key!r} in section [{section}]{origin}")
+        values[section] = typed = _Values(section)
+        for key, row in schema[section].items():
+            if key in cfg[section]:
+                typed[key] = _cast(section, key, row, cfg[section][key])
+            elif row.default is not REQUIRED:
+                typed[key] = row.default
+    return values
 
 
-def _get_int(cfg, section, key, default=None):
-    return _get(cfg, section, key, int, default)
-
-
-def _get_str(cfg, section, key, default=None):
-    return _get(cfg, section, key, str, default)
-
-
-def _get_complex(cfg, section, key, default=None):
-    return _get(cfg, section, key, complex, default)
-
-
-def time_grid(cfg, section="times"):
-    start = _get_float(cfg, section, "start")
-    stop = _get_float(cfg, section, "stop")
-    num = _get_int(cfg, section, "num")
-    spacing = _get_str(cfg, section, "spacing", "linear")
+def time_grid(times):
+    """Time points of a parsed ``[times]`` section."""
+    start, stop, num = times["start"], times["stop"], times["num"]
     if num < 1 or stop <= start:
         raise ConfigError("time grid needs num >= 1 and stop > start")
-    if spacing == "linear":
+    if times["spacing"] == "linear":
         return np.linspace(start, stop, num)
-    if spacing == "log":
-        if start <= 0:
-            raise ConfigError("log-spaced time grid needs start > 0")
-        return np.geomspace(start, stop, num)
-    raise ConfigError(f"spacing must be linear or log, got {spacing!r}")
+    if start <= 0:
+        raise ConfigError("log-spaced time grid needs start > 0")
+    return np.geomspace(start, stop, num)
 
 
 # ---------------------------------------------------------------------------
@@ -156,119 +298,87 @@ def fit_scaling(axis_values, taus, axis="hbar"):
 # Experiment implementations; each returns (columns, rows, extras)
 
 
-def _bath_moments_from(cfg, section="bath"):
-    var_b = _get_float(cfg, section, "var_b")
-    var_bdot = _get_float(cfg, section, "var_bdot", math.nan)
-    kappa = _get_float(cfg, section, "kappa", 0.0)
-    return BathMoments(var_b, None if math.isnan(var_bdot) else var_bdot, kappa)
+def _bath_moments(bath):
+    return BathMoments(bath["var_b"], bath["var_bdot"], bath["kappa"])
 
 
-def run_times(cfg, args):
-    dq = _get_float(cfg, "separation", "dq")
-    dp = _get_float(cfg, "separation", "dp", 0.0)
-    sysp = SystemParams(
-        mass=_get_float(cfg, "system", "mass"),
-        omega=_get_float(cfg, "system", "omega", 0.0),
-        hbar=_get_float(cfg, "system", "hbar", 1.0),
-    )
-    bath = _bath_moments_from(cfg)
+def run_times(c, args):
+    dq, dp = c["separation"]["dq"], c["separation"]["dp"]
+    system = c["system"]
+    sysp = SystemParams(mass=system["mass"], omega=system["omega"], hbar=system["hbar"])
+    bath = _bath_moments(c["bath"])
     taus = decoherence_times(dq, dp, sysp, bath)
     columns = ["dq", "dp", "mass", "hbar", "var_b", "tau_q", "tau_qp", "tau_p"]
     rows = [[dq, dp, sysp.mass, sysp.hbar, bath.var_B, taus.tau_q, taus.tau_qp, taus.tau_p]]
     return columns, rows, {}
 
 
-def _correlation_from(cfg, section):
-    kind = _get_str(cfg, section, "correlation")
-    var_b = _get_float(cfg, section, "var_b")
+def _correlation_from(memory):
+    kind, var_b = memory["correlation"], memory["var_b"]
     if kind == "constant":
-        return constant_correlation(var_b, tail_cutoff=_get_float(cfg, section, "tail_cutoff", math.inf))
+        return constant_correlation(var_b, tail_cutoff=memory["tail_cutoff"])
     if kind == "exponential":
-        return exponential_correlation(var_b, _get_float(cfg, section, "gamma"))
-    if kind == "gaussian":
-        return gaussian_correlation(var_b, _get_float(cfg, section, "tau_c"))
-    raise ConfigError(f"correlation must be constant/exponential/gaussian, got {kind!r}")
+        return exponential_correlation(var_b, memory["gamma"])
+    return gaussian_correlation(var_b, memory["tau_c"])
 
 
-def run_norm(cfg, args):
-    law = _get_str(cfg, "law", "kind")
-    times = time_grid(cfg)
+def run_norm(c, args):
+    law = c["law"]["kind"]
+    times = time_grid(c["times"])
     if law == "short-time":
-        hbar = _get_float(cfg, "packets", "hbar", 1.0)
-        sigma = _get_float(cfg, "packets", "sigma")
+        packets = c["packets"]
+        hbar, sigma = packets["hbar"], packets["sigma"]
         sup = Superposition(
-            GaussianPacket(_get_float(cfg, "packets", "q1"), _get_float(cfg, "packets", "p1"), sigma, hbar),
-            GaussianPacket(_get_float(cfg, "packets", "q2"), _get_float(cfg, "packets", "p2"), sigma, hbar),
+            GaussianPacket(packets["q1"], packets["p1"], sigma, hbar),
+            GaussianPacket(packets["q2"], packets["p2"], sigma, hbar),
         )
-        sysp = SystemParams(mass=_get_float(cfg, "system", "mass"), hbar=hbar)
-        bath = _bath_moments_from(cfg)
-        values = coherence_norm_short_time(times, sup, sysp, bath)
+        sysp = SystemParams(mass=c["system"]["mass"], hbar=hbar)
+        values = coherence_norm_short_time(times, sup, sysp, _bath_moments(c["bath"]))
     elif law == "two-reservoir":
+        two = c["two-reservoir"]
         values = two_reservoir_norm(
-            times,
-            _get_float(cfg, "two-reservoir", "dq"),
-            _get_float(cfg, "two-reservoir", "dp"),
-            _get_float(cfg, "two-reservoir", "var_bq"),
-            _get_float(cfg, "two-reservoir", "var_bp"),
-            _get_float(cfg, "two-reservoir", "hbar", 1.0),
+            times, two["dq"], two["dp"], two["var_bq"], two["var_bp"], two["hbar"]
         )
-    elif law == "memory":
-        corr = _correlation_from(cfg, "memory")
-        dq = _get_float(cfg, "memory", "dq")
-        hbar = _get_float(cfg, "memory", "hbar", 1.0)
-        values = np.array([memory_kernel_norm(t, dq, hbar, corr) for t in times])
     else:
-        raise ConfigError(f"law kind must be short-time/two-reservoir/memory, got {law!r}")
+        memory = c["memory"]
+        corr = _correlation_from(memory)
+        dq, hbar = memory["dq"], memory["hbar"]
+        values = np.array([memory_kernel_norm(t, dq, hbar, corr) for t in times])
     return ["t", "norm"], [[t, v] for t, v in zip(times, np.atleast_1d(values))], {}
 
 
-def _sweep_axis_values(cfg):
-    start = _get_float(cfg, "sweep", "start")
-    stop = _get_float(cfg, "sweep", "stop")
-    num = _get_int(cfg, "sweep", "num")
+def run_sweep(c, args):
+    sweep = c["sweep"]
+    axis, target = sweep["axis"], sweep["target"]
+    law_inputs = {  # the axes each target's closed-form law depends on
+        ("tau_q", "tau_qp", "tau_p"): ("hbar", "distance", "dp"),
+        ("tau_gr",): ("hbar", "distance"),
+        ("tau_x", "tau_y", "tau_z"): ("hbar", "j"),
+    }
+    if not any(target in targets and axis in axes for targets, axes in law_inputs.items()):
+        raise ConfigError(f"[sweep] axis = {axis} is not an input of target = {target}")
+    start, stop, num = sweep["start"], sweep["stop"], sweep["num"]
     if num < 4:
         raise ConfigError("sweep needs at least 4 points")
     if start <= 0 or stop <= start:
         raise ConfigError("sweep needs 0 < start < stop")
-    return np.geomspace(start, stop, num)
-
-
-def run_sweep(cfg, args):
-    axis = _get_str(cfg, "sweep", "axis")
-    target = _get_str(cfg, "sweep", "target")
-    values = _sweep_axis_values(cfg)
-    base = {
-        "dq": _get_float(cfg, "base", "dq", 1.0),
-        "dp": _get_float(cfg, "base", "dp", 0.0),
-        "mass": _get_float(cfg, "base", "mass", 1.0),
-        "omega": _get_float(cfg, "base", "omega", 0.0),
-        "hbar": _get_float(cfg, "base", "hbar", 1.0),
-        "var_b": _get_float(cfg, "base", "var_b", 1.0),
-    }
+    values = np.geomspace(start, stop, num)
+    base = c["base"]
+    key = "dq" if axis == "distance" else axis
 
     def tau_at(value):
-        params = dict(base)
-        key = {"hbar": "hbar", "distance": "dq", "dp": "dp", "j": "j"}.get(axis)
-        if key is None:
-            raise ConfigError(f"sweep axis must be hbar/distance/dp/j, got {axis!r}")
-        params[key] = value
-        if target in ("tau_q", "tau_qp", "tau_p"):
-            sysp = SystemParams(params["mass"], params["omega"], params["hbar"])
-            taus = decoherence_times(params["dq"], params["dp"], sysp, BathMoments(params["var_b"]))
-            return getattr(taus, target)
-        if target == "tau_gr":
-            corr = exponential_correlation(params["var_b"], _get_float(cfg, "base", "gamma", 1.0))
-            sysp = SystemParams(params["mass"], params["omega"], params["hbar"])
-            return golden_rule_times(corr, sysp, params["dq"]).tau_dec
+        p = dict(base, **{key: value})
         if target in ("tau_x", "tau_y", "tau_z"):
-            j = params.get("j", _get_float(cfg, "base", "j", 10.0))
-            alpha = _get_complex(cfg, "base", "alpha", 1.0 + 0j)
-            beta = _get_complex(cfg, "base", "beta", -1.0 + 0j)
             taus = spin_decoherence_times(
-                j, alpha, beta, params["omega"], BathMoments(params["var_b"]), params["hbar"]
+                p["j"], p["alpha"], p["beta"], p["omega"], BathMoments(p["var_b"]), p["hbar"]
             )
             return getattr(taus, target)
-        raise ConfigError(f"unknown sweep target {target!r}")
+        sysp = SystemParams(p["mass"], p["omega"], p["hbar"])
+        if target == "tau_gr":
+            corr = exponential_correlation(p["var_b"], p["gamma"])
+            return golden_rule_times(corr, sysp, p["dq"]).tau_dec
+        taus = decoherence_times(p["dq"], p["dp"], sysp, BathMoments(p["var_b"]))
+        return getattr(taus, target)
 
     taus = [tau_at(v) for v in values]
     fit = fit_scaling(values, taus, axis)
@@ -277,31 +387,22 @@ def run_sweep(cfg, args):
     return [axis, target], rows, extras
 
 
-def _bath_model_from(cfg, section="bath-model"):
-    m = _get_int(cfg, section, "m")
-    var_total = _get_float(cfg, section, "var_total", 1.0)
-    omega_spec = _get_str(cfg, section, "omega", "0")
-    if omega_spec.startswith("linear:"):
-        _, lo, hi = omega_spec.split(":")
-        omegas = list(np.linspace(float(lo), float(hi), m))
-    else:
-        omegas = float(omega_spec)
-    cap = _get_int(cfg, section, "cap", DEFAULT_DIMENSION_CAP)
-    return spin_bath(m, var_total, omegas, dimension_cap=cap)
+def _bath_model_from(model):
+    m, omega = model["m"], model["omega"]
+    omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
+    return spin_bath(m, model["var_total"], omegas, dimension_cap=model["cap"])
 
 
-def run_oracle_compare(cfg, args):
-    bath = _bath_model_from(cfg)
-    d = _get_float(cfg, "compare", "d")
-    hbar = _get_float(cfg, "compare", "hbar", 1.0)
-    protocol = _get_str(cfg, "compare", "protocol", "static")
-    law = _get_str(cfg, "compare", "law", "gaussian")
-    times = time_grid(cfg)
+def run_oracle_compare(c, args):
+    bath = _bath_model_from(c["bath-model"])
+    compare = c["compare"]
+    d, hbar, protocol, law = compare["d"], compare["hbar"], compare["protocol"], compare["law"]
+    times = time_grid(c["times"])
     moments, corr = bath_statistics(bath, hbar)
 
     if protocol == "static":
         n_oracle = np.atleast_1d(static_bath_norm(d, bath, times, hbar))
-    elif protocol == "frozen":
+    else:
         width = 4.0 * abs(d) + 4.0
         n_points = 64
         grid = PositionGrid(-width / 2, width / 2, n_points)
@@ -311,15 +412,11 @@ def run_oracle_compare(cfg, args):
         d = q1 - q2
         curve = evolve_norm(sysp, bath, b1, b2, times)
         n_oracle = curve.values
-    else:
-        raise ConfigError(f"protocol must be static or frozen, got {protocol!r}")
 
     if law == "gaussian":
         n_law = np.exp(-(d ** 2) * moments.var_B * times ** 2 / hbar ** 2)
-    elif law == "memory":
-        n_law = np.array([memory_kernel_norm(t, d, hbar, corr) for t in times])
     else:
-        raise ConfigError(f"law must be gaussian or memory, got {law!r}")
+        n_law = np.array([memory_kernel_norm(t, d, hbar, corr) for t in times])
 
     rows = [
         [t, o, l, abs(o - l)] for t, o, l in zip(times, n_oracle, n_law)
@@ -327,21 +424,20 @@ def run_oracle_compare(cfg, args):
     return ["t", "n_oracle", "n_law", "abs_diff"], rows, {"protocol": protocol, "law": law}
 
 
-def run_spin(cfg, args):
-    j = _get_float(cfg, "spin", "j")
-    alpha = _get_complex(cfg, "spin", "alpha")
-    case = _get_str(cfg, "spin", "case", "")
-    if case:
-        beta = special_pair(alpha, case)
+def run_spin(c, args):
+    spin, norm = c["spin"], c["norm"]
+    j, alpha, case = spin["j"], spin["alpha"], spin["case"]
+    if case is None:
+        beta = spin["beta"]
+    elif "beta" in spin:
+        raise ConfigError("[spin] sets both beta and case; set only one")
     else:
-        beta = _get_complex(cfg, "spin", "beta")
-    omega = _get_float(cfg, "spin", "omega")
-    hbar = _get_float(cfg, "spin", "hbar", 1.0)
-    bath = _bath_moments_from(cfg)
-    mode = _get_str(cfg, "norm", "mode", "regime")
-    samples = _get_int(cfg, "norm", "samples", 100_000)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "norm", "seed", 0)
-    times = time_grid(cfg)
+        beta = special_pair(alpha, case)
+    omega, hbar = spin["omega"], spin["hbar"]
+    bath = _bath_moments(c["bath"])
+    mode, samples = norm["mode"], norm["samples"]
+    seed = args.seed if args.seed is not None else norm["seed"]
+    times = time_grid(c["times"])
     taus = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
     rows = []
     for t in times:
@@ -358,11 +454,10 @@ def run_spin(cfg, args):
     return ["t", "norm", "stderr"], rows, extras
 
 
-def run_expansion_check(cfg, args):
-    dim = _get_int(cfg, "expansion", "dim", 4)
-    trials = _get_int(cfg, "expansion", "trials", 10)
-    hnorm_t = _get_float(cfg, "expansion", "hnorm_t", 0.05)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "expansion", "seed", 0)
+def run_expansion_check(c, args):
+    expansion = c["expansion"]
+    dim, trials, hnorm_t = expansion["dim"], expansion["trials"], expansion["hnorm_t"]
+    seed = args.seed if args.seed is not None else expansion["seed"]
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def random_hermitian():
@@ -380,16 +475,15 @@ def run_expansion_check(cfg, args):
     return ["trial", "t", "error_t", "error_half", "ratio"], rows, {"seed": seed}
 
 
-def run_clt(cfg, args):
-    m_values = [int(tok) for tok in _get_str(cfg, "clt", "m_values", "4 8 16 32").split()]
-    var_b = _get_float(cfg, "clt", "var_b", 1.0)
-    sigmas = _get_float(cfg, "clt", "lambda_sigmas", 3.0)
-    points = _get_int(cfg, "clt", "lambda_points", 301)
+def run_clt(c, args):
+    clt = c["clt"]
+    m_values = clt["m_values"]
+    var_b, sigmas, points = clt["var_b"], clt["lambda_sigmas"], clt["lambda_points"]
     lam = np.linspace(-sigmas / math.sqrt(var_b), sigmas / math.sqrt(var_b), points)
     gauss = np.exp(-(lam ** 2) * var_b / 2.0)
 
     def sup_distance(m):
-        bath = spin_bath(m, var_b, dimension_cap=max(DEFAULT_DIMENSION_CAP, 1 << m))
+        bath = spin_bath(m, var_b, dimension_cap=max(DEFAULT_DIMENSION_CAP, 2 ** m))
         return float(np.abs(bath_characteristic(bath, lam) - gauss).max())
 
     dists = [sup_distance(m) for m in m_values]
@@ -405,128 +499,6 @@ EXPERIMENTS = {
     "spin": run_spin,
     "expansion-check": run_expansion_check,
     "clt": run_clt,
-}
-
-TEMPLATES = {
-    "times": """\
-; decoherence time table from the closed-form laws
-[experiment]
-kind = times
-[separation]
-dq = 2.0
-dp = 0.0
-[system]
-mass = 1.0
-omega = 0.0
-hbar = 1.0
-[bath]
-var_b = 1.0
-""",
-    "norm": """\
-; closed-form coherence-norm curve
-[experiment]
-kind = norm
-[law]
-kind = short-time        ; short-time | two-reservoir | memory
-[packets]
-q1 = 1.0
-p1 = 0.0
-q2 = -1.0
-p2 = 0.0
-sigma = 0.01
-hbar = 1.0
-[system]
-mass = 1.0
-[bath]
-var_b = 1.0
-[times]
-start = 0.0
-stop = 1.0
-num = 101
-spacing = linear
-""",
-    "sweep": """\
-; log-spaced parameter sweep with a scaling-exponent fit
-[experiment]
-kind = sweep
-[sweep]
-axis = hbar              ; hbar | distance | dp | j
-target = tau_q           ; tau_q | tau_qp | tau_p | tau_gr | tau_x | tau_y | tau_z
-start = 0.25
-stop = 4.0
-num = 8
-[base]
-dq = 2.0
-dp = 0.0
-mass = 1.0
-omega = 0.0
-hbar = 1.0
-var_b = 1.0
-""",
-    "oracle-compare": """\
-; exact finite-bath oracle against a closed-form law
-[experiment]
-kind = oracle-compare
-[bath-model]
-m = 12
-var_total = 1.0
-omega = 0                ; scalar or linear:<lo>:<hi>
-cap = 4096
-[compare]
-d = 1.0
-hbar = 1.0
-protocol = frozen        ; static | frozen
-law = gaussian           ; gaussian | memory
-[times]
-start = 0.01
-stop = 1.2
-num = 40
-spacing = linear
-""",
-    "spin": """\
-; spin coherence-norm curve (regime closed form or Monte Carlo)
-[experiment]
-kind = spin
-[spin]
-j = 15
-alpha = 1+0j
-beta = -1+0j             ; or set case = i | ii | iii instead
-omega = 1.0
-hbar = 1.0
-[bath]
-var_b = 1.0
-var_bdot = 0.0
-kappa = 0.0
-[norm]
-mode = regime            ; regime | montecarlo
-samples = 100000
-seed = 0
-[times]
-start = 0.001
-stop = 0.1
-num = 40
-spacing = linear
-""",
-    "expansion-check": """\
-; O(t^4) order check of the short-time propagator on random Hermitian triples
-[experiment]
-kind = expansion-check
-[expansion]
-dim = 4
-trials = 10
-hnorm_t = 0.05
-seed = 0
-""",
-    "clt": """\
-; CLT convergence of the bath characteristic function
-[experiment]
-kind = clt
-[clt]
-m_values = 4 8 16 32
-var_b = 1.0
-lambda_sigmas = 3.0
-lambda_points = 301
-""",
 }
 
 
@@ -623,12 +595,8 @@ def main(argv=None):
         config_hash = hashlib.sha256(raw).hexdigest()
         cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cfg.read_string(raw.decode())
-        kind = cfg.get("experiment", "kind", fallback=args.experiment)
-        if kind != args.experiment:
-            raise ConfigError(
-                f"config is for experiment {kind!r}, not {args.experiment!r}"
-            )
-        columns, rows, extras = EXPERIMENTS[args.experiment](cfg, args)
+        values = parse_config(cfg, args.experiment)
+        columns, rows, extras = EXPERIMENTS[args.experiment](values, args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"decolab: error: numerical: {exc}", file=sys.stderr)

@@ -379,6 +379,7 @@ def grid_packet_state(packet, grid):
 
 def position_eigenstate(grid, q):
     """Delta state at the grid point nearest q; returns (state, snapped q)."""
+    require_finite(q=q)
     idx = int(np.argmin(np.abs(grid.points - q)))
     vec = np.zeros(grid.n_points, dtype=complex)
     vec[idx] = 1.0

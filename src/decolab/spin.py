@@ -183,6 +183,7 @@ def is_special_case_iv(alpha, beta, tol=1e-9):
     as printed rather than guessed at, and no constructor is provided.
     """
     alpha, beta = complex(alpha), complex(beta)
+    require_finite(alpha=alpha, beta=beta)
     phi_a = cmath.phase(alpha) if alpha != 0 else 0.0
     phi_b = cmath.phase(beta) if beta != 0 else 0.0
     theta_b = 2.0 * math.atan(abs(beta))

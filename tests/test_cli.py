@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import decolab as dl
-from decolab.cli import fit_scaling, main
+from decolab.cli import TEMPLATES, fit_scaling, main
 from decolab.errors import ValidationError
 
 TIMES_CFG = """\
@@ -23,6 +23,18 @@ hbar = 1.0
 var_b = 1.0
 """
 
+# Misconfigured templates: (experiment, template text, replacement, name
+# the error must give).  Each used to run, or fail for another reason.
+MISCONFIGS = {
+    "misspelt-key": ("oracle-compare", "protocol = frozen", "protocl = frozen", "protocl"),
+    "unknown-section": ("times", "[bath]\n", "[bogus]\n[bath]\n", "bogus"),
+    "unknown-key": ("norm", "spacing = linear\n", "spacing = linear\nmas = 5\n", "mas"),
+    "out-of-choice": ("spin", "mode = regime", "mode = montecarl", "mode"),
+    "non-finite": ("sweep", "stop = 4.0", "stop = inf", "stop"),
+    "axis-not-in-law": ("sweep", "axis = hbar", "axis = j", "axis"),
+    "beta-and-case": ("spin", "[spin]\n", "[spin]\ncase = ii\n", "case"),
+    "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
+}
 
 EXPERIMENTS = ("times", "norm", "sweep", "oracle-compare", "spin", "expansion-check", "clt")
 
@@ -254,6 +266,14 @@ class TestExperiments:
             cfg = write(tmp_path, f"{experiment}.ini", template)
             out = str(tmp_path / f"{experiment}.csv")
             assert main([experiment, "--config", cfg, "--out", out]) == 0, experiment
+
+    @pytest.mark.parametrize("experiment, old, new, named", MISCONFIGS.values(), ids=MISCONFIGS)
+    def test_misconfig_rejected(self, tmp_path, capsys, experiment, old, new, named):
+        template = TEMPLATES[experiment]
+        assert old in template
+        cfg = write(tmp_path, "c.ini", template.replace(old, new, 1))
+        assert main([experiment, "--config", cfg]) == 1
+        assert named in capsys.readouterr().err
 
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
         cfg = write(

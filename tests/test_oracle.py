@@ -444,6 +444,12 @@ class TestEvolveNormValidation:
             with pytest.raises(ValidationError):
                 dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, vec, [0.1])
 
+    def test_position_eigenstate_rejects_non_finite_q(self):
+        grid = dl.PositionGrid(-1, 1, 16)
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                dl.position_eigenstate(grid, q)
+
     def test_spin_system_rejects_non_finite_j(self):
         with pytest.raises(ValidationError):
             dl.SpinSystem(math.nan, 1.0)

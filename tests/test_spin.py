@@ -141,6 +141,11 @@ class TestSeparationsAndPairs:
         assert dl.is_special_case_iv(alpha, beta)
         assert not dl.is_special_case_iv(0.5, 0.5)
 
+    def test_case_iv_predicate_rejects_non_finite(self):
+        for alpha, beta in ((math.nan, 0.5), (0.5, math.inf), (complex(0.5, math.nan), 0.5)):
+            with pytest.raises(ValidationError):
+                dl.is_special_case_iv(alpha, beta)
+
 
 class TestSpinDecoherenceTimes:
     def test_non_finite_omega_rejected(self):
