@@ -16,15 +16,22 @@ never stored.
 Evolution strategies by model structure:
 
 * static bath (all component frequencies zero): B is diagonalized once and
-  the joint evolution factorizes over its eigenvalues, which is exact;
+  the joint evolution factorizes over its distinct eigenvalues, which is
+  exact;
 * spin system with a dynamic bath: sparse Krylov propagation
   (``expm_multiply``);
 * grid particle: symmetric split-step Fourier; a dynamic bath's per-point
-  half-step is a Kronecker product of per-component propagators;
+  half-step is a Kronecker product of per-factor propagators;
 * frozen particle (infinite mass): the position is a conserved pointer, so
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
   over components of levels x levels evolutions, with no joint bath.
+
+The two back ends that hold a joint bath state (Krylov and the dynamic-bath
+split step) use the bath's permutation symmetry: spin-halves with equal g,
+omega and initial sigma_z state stay in their symmetric (Dicke) subspace,
+so k of them evolve as one spin k/2 of dimension k + 1 instead of 2^k.  The
+dimension limits of those back ends apply to this reduced bath.
 
 Only the sparse Krylov back end and build_bath_operators load scipy
 (scipy.sparse, on first call); the other back ends, the closed forms and
@@ -33,6 +40,7 @@ the fits need numpy alone.
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple, Optional, Tuple, Union
@@ -59,6 +67,12 @@ FROZEN_OVERLAP_LIMIT = 1 << 20   # pointer-overlap entries (times x Q x Q) held 
 UNITARITY_DRIFT = 1e-8
 
 
+def _check_hbar(hbar):
+    require_finite(hbar=hbar)
+    if not hbar > 0:
+        raise ValidationError("hbar must be positive")
+
+
 @dataclass(frozen=True)
 class BathComponent:
     """One bath degree of freedom: kind, coupling strength, local frequency."""
@@ -75,6 +89,8 @@ class BathComponent:
             raise ValidationError("coupling g must be finite")
         if not math.isfinite(self.omega):
             raise ValidationError("frequency omega must be finite")
+        if not isinstance(self.levels, numbers.Integral):
+            raise ValidationError(f"levels must be an integer, got {self.levels!r}")
         if self.kind == "spin-half" and self.levels != 2:
             raise ValidationError("spin-half components have exactly 2 levels")
         if self.kind == "oscillator" and self.levels < 2:
@@ -135,6 +151,10 @@ class BathModel:
             raise ValidationError("one initial-state label per component is required")
         if not self.components:
             raise ValidationError("bath needs at least one component")
+        if not (isinstance(self.dimension_cap, numbers.Integral) and self.dimension_cap >= 1):
+            raise ValidationError(
+                f"dimension_cap must be a positive integer, got {self.dimension_cap!r}"
+            )
         if self.dimension > self.dimension_cap:
             raise DimensionCapError(
                 f"bath dimension {self.dimension} exceeds cap {self.dimension_cap}"
@@ -167,14 +187,20 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 
     omegas may be a scalar (shared frequency) or a sequence of length m.
     """
+    if not isinstance(m, numbers.Integral):
+        raise ValidationError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValidationError("m must be >= 1")
     if not (math.isfinite(var_total) and var_total >= 0):
         raise ValidationError("var_total must be finite and nonnegative")
     g = math.sqrt(var_total / m)
-    if np.isscalar(omegas):
-        omegas = [float(omegas)] * m
-    if len(omegas) != m:
+    try:
+        omegas = np.asarray(omegas, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("omegas must be a number or a sequence of numbers") from None
+    if omegas.ndim == 0:
+        omegas = np.full(m, omegas)
+    if omegas.shape != (m,):
         raise ValidationError("omegas must be scalar or of length m")
     comps = tuple(BathComponent("spin-half", g, float(w)) for w in omegas)
     kwargs = {} if dimension_cap is None else {"dimension_cap": dimension_cap}
@@ -218,6 +244,7 @@ def bath_statistics(bath, hbar=1.0):
     correlation is a sum of cosines, sym(s) = sum_i 2 g_i^2 cos(omega_i s);
     Fock-state oscillators contribute 2 g^2 (2n+1) cos(omega s).
     """
+    _check_hbar(hbar)
     terms = [
         (_component_statistics(c, l), c.g, c.omega)
         for c, l in zip(bath.components, bath.initial)
@@ -247,12 +274,13 @@ def build_bath_operators(bath, hbar=1.0):
     bath dimension of 4096 even when the model's own cap was raised (the
     evolution paths never need these matrices at such sizes).
     """
+    _check_hbar(hbar)
     dim = bath.dimension
     if dim > min(bath.dimension_cap, DENSE_BATH_LIMIT):
         raise DimensionCapError(
             f"dense bath operators refused at dimension {dim}"
         )
-    b_sp, hres_diag = _sparse_bath_ops(bath, hbar)
+    b_sp, hres_diag = _sparse_bath_ops(_bath_factors(bath, dicke=False), hbar)
     b_total = b_sp.toarray()
     h_res = np.diag(hres_diag).astype(complex)
     bdot = (1j / hbar) * (h_res @ b_total - b_total @ h_res)
@@ -267,10 +295,13 @@ def build_bath_operators(bath, hbar=1.0):
 def bath_eigen_decomposition(bath):
     """Eigenvalues of B and their weights in the initial product state.
 
-    Returns (values, weights) with duplicates (up to 1e-12 relative)
-    collapsed; for M equal couplings this is the binomial distribution on
-    M + 1 points.  Exact because the initial state is a product and B is a
-    sum of commuting local terms.
+    Returns ascending (values, weights).  After each component the sums of
+    local eigenvalues are sorted and split into clusters wherever a gap
+    exceeds 1e-12 times the largest magnitude; each cluster keeps its
+    smallest member as its value and the sum of its weights.  For M equal
+    couplings this is the binomial distribution on the M + 1 points
+    g (2k - M), each value a sum of local eigenvalues.  Exact because the
+    initial state is a product and B is a sum of commuting local terms.
     """
     values = np.array([0.0])
     weights = np.array([1.0])
@@ -280,12 +311,12 @@ def bath_eigen_decomposition(bath):
         p_loc = np.abs(v_loc.conj().T @ init) ** 2
         values = (values[:, None] + w_loc[None, :]).ravel()
         weights = (weights[:, None] * p_loc[None, :]).ravel()
+        order = np.argsort(values, kind="stable")
+        values, weights = values[order], weights[order]
         scale = max(np.abs(values).max(), 1e-300)
-        keys = np.round(values / scale, 12)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        collapsed = np.bincount(inverse, weights=weights)
-        values = uniq * scale
-        weights = collapsed
+        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-12 * scale)
+        values = values[starts]
+        weights = np.add.reduceat(weights, starts)
         if values.size > MAX_UNIQUE_EIGENVALUES:
             raise DimensionCapError(
                 f"bath spectrum exceeds {MAX_UNIQUE_EIGENVALUES} distinct eigenvalues"
@@ -473,15 +504,42 @@ def _sparse_embed(local_ops, index):
     return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
 
 
-def _sparse_bath_ops(bath, hbar):
-    """Sparse coupling agent B and the (diagonal) H_res of the bath."""
-    coupling = [c.coupling_operator() for c in bath.components]
+def _bath_factors(bath, dicke=True):
+    """The bath as independent factors (coupling, frequency operator, initial vector).
+
+    With dicke=False there is one factor per component.  With dicke=True,
+    spin-halves sharing g, omega and initial label are merged: k of them
+    stay in their symmetric (Dicke) subspace, where sum g sigma_x = 2g Jx,
+    sum omega sigma_z / 2 = omega Jz for spin k/2, and the initial state is
+    |M = +k/2> ('up') or |M = -k/2> ('down').  A group of one keeps the
+    component's own matrices.
+    """
+    groups = {}
+    for i, (comp, label) in enumerate(zip(bath.components, bath.initial)):
+        key = (comp.g, comp.omega, label) if dicke and comp.kind == "spin-half" else i
+        groups.setdefault(key, [comp, label, 0])[2] += 1
+    factors = []
+    for comp, label, k in groups.values():
+        if k == 1:
+            factors.append((comp.coupling_operator(), comp.frequency_operator(),
+                            comp.initial_vector(label)))
+            continue
+        jx, _, jz = spin_matrices(0.5 * k)
+        vec = np.zeros(k + 1, dtype=complex)
+        vec[0 if label == "up" else k] = 1.0
+        factors.append((2.0 * comp.g * jx, comp.omega * jz, vec))
+    return factors
+
+
+def _sparse_bath_ops(factors, hbar):
+    """Sparse coupling agent B and the (diagonal) H_res of a product of factors."""
+    coupling = [c for c, _, _ in factors]
     b_sp = sum(_sparse_embed(coupling, i) for i in range(len(coupling)))
     # Local frequency operators are diagonal in the storage basis.
-    diag = np.zeros(bath.dimension)
-    for i, comp in enumerate(bath.components):
-        pattern = [np.ones(c.levels) for c in bath.components]
-        pattern[i] = np.real(np.diag(comp.frequency_operator()))
+    diag = np.zeros(b_sp.shape[0])
+    for i, (_, freq, _) in enumerate(factors):
+        pattern = [np.ones(c.shape[0]) for c in coupling]
+        pattern[i] = np.real(np.diag(freq))
         diag += reduce(np.kron, pattern)
     return b_sp, hbar * diag
 
@@ -510,14 +568,15 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     import scipy.sparse
     import scipy.sparse.linalg
 
+    factors = _bath_factors(bath)
     dim_s = branch1.size
-    dim_b = bath.dimension
+    dim_b = math.prod(chi.size for _, _, chi in factors)
     if dim_s * dim_b > JOINT_DIMENSION_LIMIT:
         raise DimensionCapError(
             f"joint dimension {dim_s * dim_b} exceeds {JOINT_DIMENSION_LIMIT}"
         )
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
-    b_sp, hres_diag = _sparse_bath_ops(bath, sys.hbar)
+    b_sp, hres_diag = _sparse_bath_ops(factors, sys.hbar)
     eye_b = scipy.sparse.identity(dim_b, format="csr")
     h = (
         sys.omega * scipy.sparse.kron(scipy.sparse.csr_matrix(jz), eye_b, format="csr")
@@ -526,7 +585,7 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
         + scipy.sparse.kron(scipy.sparse.csr_matrix(jx), b_sp, format="csr")
     )
     generator = (-1j / sys.hbar) * h.tocsc()
-    chi0 = bath.initial_state()
+    chi0 = reduce(np.kron, [chi for _, _, chi in factors])
     psi = np.stack([np.kron(branch1, chi0), np.kron(branch2, chi0)], axis=1)
     return _propagate(
         times, psi,
@@ -536,12 +595,9 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     )
 
 
-def _local_hamiltonians(bath, qs, hbar):
-    """Per component, q coupling + hbar frequency over qs: (len(qs), l, l) each."""
-    return [
-        qs[:, None, None] * c.coupling_operator() + hbar * c.frequency_operator()
-        for c in bath.components
-    ]
+def _local_hamiltonians(factors, qs, hbar):
+    """Per factor, q coupling + hbar frequency over qs: (len(qs), l, l) each."""
+    return [qs[:, None, None] * c + hbar * f for c, f, _ in factors]
 
 
 def _grid_frozen_curve(sys, bath, branch1, branch2, times):
@@ -555,11 +611,11 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     """
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
+    factors = _bath_factors(bath, dicke=False)
     eigen = []
-    for h, comp, label in zip(_local_hamiltonians(bath, qs, sys.hbar),
-                              bath.components, bath.initial):
+    for h, (_, _, chi) in zip(_local_hamiltonians(factors, qs, sys.hbar), factors):
         w, v = np.linalg.eigh(h)
-        eigen.append((w, v, v.conj().transpose(0, 2, 1) @ comp.initial_vector(label)))
+        eigen.append((w, v, v.conj().transpose(0, 2, 1) @ chi))
     w1 = np.abs(branch1[occupied]) ** 2
     w2 = np.abs(branch2[occupied]) ** 2
     chunk = max(1, FROZEN_OVERLAP_LIMIT // qs.size ** 2)
@@ -616,19 +672,20 @@ def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
 
 def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
     n = sys.grid.n_points
-    dim_b = bath.dimension
+    factors = _bath_factors(bath)
+    dim_b = math.prod(chi.size for _, _, chi in factors)
     if n * dim_b ** 2 > (1 << 22):
         raise DimensionCapError(
             "per-point bath propagators would exceed the memory budget; "
             "use a static bath, a smaller grid, or an infinite-mass particle"
         )
-    local = _local_hamiltonians(bath, sys.grid.points, sys.hbar)
+    local = _local_hamiltonians(factors, sys.grid.points, sys.hbar)
     v_pot = sys.potential()
-    chi0 = bath.initial_state()
+    chi0 = reduce(np.kron, [chi for _, _, chi in factors])
 
     def half_potential(delta):
         # Per point: the potential phase times the Kronecker product of the
-        # component propagators, in the component order of chi0.
+        # factor propagators, in the factor order of chi0.
         factor = -0.5 * delta / sys.hbar
         u = np.exp(1j * factor * v_pot)[:, None, None]
         for h in local:
@@ -706,9 +763,8 @@ def static_bath_norm(d, bath, t, hbar=1.0):
         if comp.kind != "spin-half":
             raise ValidationError("static_bath_norm requires spin-half components")
     t = np.asarray(t, dtype=float)
-    require_finite(d=d, t=t, hbar=hbar)
-    if not hbar > 0:
-        raise ValidationError("hbar must be positive")
+    require_finite(d=d, t=t)
+    _check_hbar(hbar)
     gs = np.array([c.g for c in bath.components])
     result = np.prod(np.cos(np.multiply.outer(t, gs) * d / hbar) ** 2, axis=-1)
     return result if result.ndim else float(result)

@@ -40,6 +40,33 @@ class TestBathModel:
             with pytest.raises(ValidationError):
                 dl.spin_bath(4, var)
 
+    def test_spin_bath_rejects_non_integer_m(self):
+        for m in (2.5, 3.0, "3", None):
+            with pytest.raises(ValidationError):
+                dl.spin_bath(m, 1.0)
+
+    def test_spin_bath_rejects_non_numeric_omegas(self):
+        for omegas in ("fast", 1j, [0.5, "x", 1.0], [[0.5, 1.0, 1.5]], object()):
+            with pytest.raises(ValidationError):
+                dl.spin_bath(3, 1.0, omegas=omegas)
+
+    def test_spin_bath_takes_zero_d_array_as_scalar(self):
+        bath = dl.spin_bath(3, 1.0, omegas=np.array(0.7))
+        assert bath == dl.spin_bath(3, 1.0, omegas=0.7)
+
+    def test_component_rejects_non_integer_levels(self):
+        for levels in (2.5, 3.0, "3"):
+            with pytest.raises(ValidationError):
+                dl.BathComponent("oscillator", 1.0, 0.5, levels=levels)
+
+    def test_dimension_cap_must_be_positive_integer(self):
+        comp = dl.BathComponent("spin-half", 1.0)
+        for cap in (math.nan, math.inf, 0, -4, 100.5, 4096.0):
+            with pytest.raises(ValidationError):
+                dl.BathModel((comp,), ("up",), dimension_cap=cap)
+            with pytest.raises(ValidationError):
+                dl.spin_bath(13, 1.0, dimension_cap=cap)
+
     def test_oscillator_initial_leaves_truncation_headroom(self):
         comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
         with pytest.raises(ValidationError):
@@ -104,6 +131,28 @@ class TestBathOperators:
         bath = dl.spin_bath(13, 1.0, dimension_cap=1 << 13)
         with pytest.raises(DimensionCapError):
             dl.build_bath_operators(bath)
+
+    def test_bad_hbar_rejected(self):
+        bath = dl.spin_bath(2, 1.0, omegas=0.5)
+        for hbar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                dl.bath_statistics(bath, hbar)
+            with pytest.raises(ValidationError):
+                dl.build_bath_operators(bath, hbar)
+
+    @pytest.mark.parametrize("m", [14, 16, 60, 200])
+    def test_eigen_decomposition_collapses_to_exact_binomial(self, m):
+        # every eigenvalue 2g(k - m/2) appears once, at its exact value
+        values, weights = dl.bath_eigen_decomposition(
+            dl.spin_bath(m, 1.0, dimension_cap=1 << m)
+        )
+        g = math.sqrt(1.0 / m)
+        k = np.arange(m + 1)
+        assert values.size == m + 1
+        np.testing.assert_allclose(values, 2.0 * g * (k - m / 2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            weights, [math.comb(m, i) / 2.0 ** m for i in k], rtol=0, atol=1e-12
+        )
 
     def test_eigen_decomposition_is_binomial(self):
         m, var = 6, 0.9
@@ -294,6 +343,98 @@ class TestEvolveNorm:
         frozen = dl.evolve_norm(dl.GridParticle(grid, mass=math.inf), bath, b1, b2, times)
         assert frozen.values[-1] < 0.9  # the bath has visibly decohered the pair
         np.testing.assert_allclose(dense.values, frozen.values, atol=1e-12)
+
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_dicke_factors_match_full_joint_evolution(self, data):
+        # repeated (g, omega, label) spin groups, distinct spins and an
+        # optional oscillator; reference: eigh of the full 2^m joint H
+        # couplings and times are kept away from zero so every factor acts
+        coupling = st.builds(math.copysign, st.floats(0.2, 1.0), st.sampled_from([1.0, -1.0]))
+        comps, labels = [], []
+        if data.draw(st.booleans()):
+            levels = data.draw(st.integers(2, 3))
+            comps.append(dl.BathComponent("oscillator", data.draw(coupling),
+                                          data.draw(st.floats(0.1, 2.0)), levels))
+            labels.append(data.draw(st.integers(0, levels - 2)))
+        spins = 0
+        max_spins = 6 if comps else 8
+        while spins < max_spins and (spins == 0 or data.draw(st.booleans())):
+            size = data.draw(st.integers(1, max_spins - spins))
+            g = data.draw(coupling)
+            omega = data.draw(st.floats(0.1, 2.0))
+            label = data.draw(st.sampled_from(["up", "down"]))
+            comps += [dl.BathComponent("spin-half", g, omega)] * size
+            labels += [label] * size
+            spins += size
+        order = data.draw(st.permutations(range(len(comps))))
+        bath = dl.BathModel(tuple(comps[i] for i in order), tuple(labels[i] for i in order))
+        j = data.draw(st.sampled_from([0.5, 1.0]))
+        hbar = data.draw(st.floats(0.5, 2.0))
+        sys_s = dl.SpinSystem(j, data.draw(st.floats(-1.5, 1.5)), hbar)
+        dim_s = int(2 * j) + 1
+        amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        vectors = st.lists(amp, min_size=dim_s, max_size=dim_s).map(np.array).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        )
+        branches = [vec / np.linalg.norm(vec) for vec in (data.draw(vectors), data.draw(vectors))]
+        times = sorted(data.draw(st.sets(st.floats(0.1, 2.0), min_size=1, max_size=3)))
+        curve = dl.evolve_norm(sys_s, bath, branches[0], branches[1], times)
+
+        ops = dl.build_bath_operators(bath, hbar)
+        jx, _, jz = dl.spin_matrices(j, hbar)
+        eye_b = np.eye(bath.dimension)
+        h = (
+            sys_s.omega * np.kron(jz, eye_b)
+            + np.kron(np.eye(dim_s), ops.H_res)
+            + np.kron(jx, ops.B)
+        )
+        w, v = np.linalg.eigh(h)
+        starts = [v.conj().T @ np.kron(b, ops.initial_state) for b in branches]
+        expected = []
+        for t in times:
+            a1, a2 = (
+                (v @ (np.exp(-1j * w * t / hbar) * c)).reshape(dim_s, -1) for c in starts
+            )
+            expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 10])
+    def test_dense_path_with_dicke_bath_matches_frozen(self, m):
+        # 4 equal spins: one spin-2 factor of 5 levels in the dense path;
+        # 10 of them (1024 levels as separate spins) only fit the
+        # per-point budget as one spin-5 factor
+        grid = dl.PositionGrid(-8, 8, 64)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        bath = dl.spin_bath(m, 1.0, omegas=1.0)
+        times = np.linspace(0.0, 1.5, 10)
+        dense = dl.evolve_norm(dl.GridParticle(grid, mass=1e12), bath, b1, b2, times, dt=0.05)
+        frozen = dl.evolve_norm(dl.GridParticle(grid, mass=math.inf), bath, b1, b2, times)
+        assert frozen.values[-1] < 0.9
+        np.testing.assert_allclose(dense.values, frozen.values, rtol=0, atol=1e-12)
+
+    def test_krylov_runs_thirty_equal_spins(self):
+        # 2^30 bath levels, 31 in the symmetric subspace
+        j = 1.5
+        a = dl.coherent_vector(dl.SpinCoherent(j, 1.0))
+        b = dl.coherent_vector(dl.SpinCoherent(j, -1.0))
+        times = np.linspace(0.01, 0.5, 10)
+        sys_s = dl.SpinSystem(j, 0.7)
+        static = dl.evolve_norm(sys_s, dl.spin_bath(30, 1.0, dimension_cap=1 << 30), a, b, times)
+        dynamic = dl.evolve_norm(
+            sys_s, dl.spin_bath(30, 1.0, omegas=1e-30, dimension_cap=1 << 30), a, b, times
+        )
+        assert static.values[-1] < 0.5
+        np.testing.assert_allclose(dynamic.values, static.values, rtol=0, atol=1e-12)
+
+    def test_krylov_refuses_distinct_spins_above_joint_limit(self):
+        # distinct frequencies leave no symmetry: the joint dimension is 3 x 2^20
+        bath = dl.spin_bath(20, 1.0, omegas=list(np.linspace(0.5, 1.5, 20)),
+                            dimension_cap=1 << 20)
+        a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
+        with pytest.raises(DimensionCapError):
+            dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, a, [0.1])
 
     def test_split_step_converges_in_dt(self):
         curve_a, tau = momentum_separation_curve(24.0, n_times=5, dt=4e-4)
