@@ -403,15 +403,14 @@ def run_oracle_compare(c, args):
     if protocol == "static":
         n_oracle = np.atleast_1d(static_bath_norm(d, bath, times, hbar))
     else:
-        width = 4.0 * abs(d) + 4.0
-        n_points = 64
-        grid = PositionGrid(-width / 2, width / 2, n_points)
+        # Spacing |d|/2 about 0 puts both pointers +-d/2 on grid points.
+        spacing = abs(d) / 2 or 1.0
+        grid = PositionGrid(-8 * spacing, 8 * spacing, 16)
         sysp = GridParticle(grid, mass=math.inf, hbar=hbar)
         b1, q1 = position_eigenstate(grid, d / 2)
         b2, q2 = position_eigenstate(grid, -d / 2)
         d = q1 - q2
-        curve = evolve_norm(sysp, bath, b1, b2, times)
-        n_oracle = curve.values
+        n_oracle = evolve_norm(sysp, bath, b1, b2, times).values
 
     if law == "gaussian":
         n_law = np.exp(-(d ** 2) * moments.var_B * times ** 2 / hbar ** 2)

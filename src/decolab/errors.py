@@ -21,9 +21,14 @@ def require_finite(**values):
     """Raise ValidationError for the first argument with a non-finite entry.
 
     Scalars and arrays are accepted; None (an unset optional) is skipped.
+    A value numpy cannot test (a string, a non-numeric object) is rejected.
     """
     for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(value)):
+        try:
+            finite = value is None or np.all(np.isfinite(value))
+        except TypeError:
+            raise ValidationError(f"{name} must be numeric, got {type(value).__name__}") from None
+        if not finite:
             raise ValidationError(f"{name} must be finite")
 
 

@@ -8,16 +8,15 @@ law can be validated against it at desk scale.
 The bath is a product of independent components (spin-halves coupled
 through sigma_x, truncated oscillators through a + a^dagger), each
 prepared in a pure state with vanishing coupling mean.  Norms are computed
-by the pure-state sandwich: reshaping the two evolved joint states into
-system x bath matrices A1, A2 gives rho^{12} = A1 A2^dagger after the bath
-contraction, and N_12 = ||A1 A2^dagger||_F^2, so the full density matrix is
-never stored.
+by the pure-state sandwich: the two branches, held on axis 0 as system x
+bath matrices A1, A2, give rho^{12} = A1 A2^dagger after the bath
+contraction and N_12 = ||A1 A2^dagger||_F^2, never the full density matrix.
 
 Evolution strategies by model structure:
 
 * static bath (all component frequencies zero): B is diagonalized once and
-  the joint evolution factorizes over its distinct eigenvalues, which is
-  exact;
+  the bath is written in its eigenbasis as one factor with amplitude
+  sqrt(W_m) on each distinct eigenvalue, which is exact;
 * spin system with a dynamic bath: sparse Krylov propagation
   (``expm_multiply``);
 * grid particle: symmetric split-step Fourier; a dynamic bath's per-point
@@ -26,6 +25,10 @@ Evolution strategies by model structure:
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
   over components of levels x levels evolutions, with no joint bath.
+
+The exact back ends (spin system in a static bath, frozen particle) share
+one sampler of v e^{-i w t / hbar} c over chunks of times; the stepping
+ones share one loop that checks unitarity at every sample.
 
 The two back ends that hold a joint bath state (Krylov and the dynamic-bath
 split step) use the bath's permutation symmetry: spin-halves with equal g,
@@ -63,8 +66,19 @@ DEFAULT_DIMENSION_CAP = 4096
 DENSE_BATH_LIMIT = 4096          # largest bath materialized as dense matrices
 JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
 MAX_UNIQUE_EIGENVALUES = 1 << 16
-FROZEN_OVERLAP_LIMIT = 1 << 20   # pointer-overlap entries (times x Q x Q) held at once
+SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_real(**values):
+    require_finite(**values)
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_hbar(hbar):
@@ -85,11 +99,8 @@ class BathComponent:
     def __post_init__(self):
         if self.kind not in ("spin-half", "oscillator"):
             raise ValidationError(f"unknown bath component kind {self.kind!r}")
-        if not math.isfinite(self.g):
-            raise ValidationError("coupling g must be finite")
-        if not math.isfinite(self.omega):
-            raise ValidationError("frequency omega must be finite")
-        if not isinstance(self.levels, numbers.Integral):
+        _require_real(g=self.g, omega=self.omega)
+        if not _is_int(self.levels):
             raise ValidationError(f"levels must be an integer, got {self.levels!r}")
         if self.kind == "spin-half" and self.levels != 2:
             raise ValidationError("spin-half components have exactly 2 levels")
@@ -151,7 +162,7 @@ class BathModel:
             raise ValidationError("one initial-state label per component is required")
         if not self.components:
             raise ValidationError("bath needs at least one component")
-        if not (isinstance(self.dimension_cap, numbers.Integral) and self.dimension_cap >= 1):
+        if not (_is_int(self.dimension_cap) and self.dimension_cap >= 1):
             raise ValidationError(
                 f"dimension_cap must be a positive integer, got {self.dimension_cap!r}"
             )
@@ -187,12 +198,13 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 
     omegas may be a scalar (shared frequency) or a sequence of length m.
     """
-    if not isinstance(m, numbers.Integral):
+    if not _is_int(m):
         raise ValidationError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if not (math.isfinite(var_total) and var_total >= 0):
-        raise ValidationError("var_total must be finite and nonnegative")
+    _require_real(var_total=var_total)
+    if var_total < 0:
+        raise ValidationError("var_total must be nonnegative")
     g = math.sqrt(var_total / m)
     try:
         omegas = np.asarray(omegas, dtype=float)
@@ -343,9 +355,8 @@ class GridParticle:
             raise ValidationError("mass must be positive (math.inf allowed)")
         if self.potential_omega is not None and math.isinf(self.mass):
             raise ValidationError("harmonic potential requires finite mass")
-        if not self.hbar > 0:
-            raise ValidationError("hbar must be positive")
-        require_finite(potential_omega=self.potential_omega, hbar=self.hbar)
+        require_finite(potential_omega=self.potential_omega)
+        _check_hbar(self.hbar)
 
     def potential(self):
         q = self.grid.points
@@ -364,9 +375,8 @@ class SpinSystem:
 
     def __post_init__(self):
         spin_matrices(self.j)  # validates j
-        if not self.hbar > 0:
-            raise ValidationError("hbar must be positive")
-        require_finite(omega=self.omega, hbar=self.hbar)
+        require_finite(omega=self.omega)
+        _check_hbar(self.hbar)
 
 
 SystemSpec = Union[GridParticle, SpinSystem]
@@ -446,51 +456,57 @@ def _check_times(times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("times must be finite")
+    require_finite(times=t)
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValidationError("times must be ascending and nonnegative")
     return t
 
 
-def _sandwich_norm(a_mat, b_mat):
-    """N = ||A B^dagger||_F^2 for system x bath matrices A, B."""
-    rho = a_mat @ b_mat.conj().T
-    return float(np.sum(np.abs(rho) ** 2))
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def _sandwich_norm(a, b):
+    """N = ||A B^dagger||_F^2 = tr(A^dagger A B^dagger B) for system x bath A, B.
+
+    Contracts the longer matrix axis, so the product formed is the smaller
+    square (B^dagger B is Hermitian); leading axes are batched.
+    """
+    if a.shape[-2] <= a.shape[-1]:
+        return np.sum(np.abs(a @ _dagger(b)) ** 2, axis=(-2, -1))
+    return np.sum((_dagger(a) @ a) * (_dagger(b) @ b).conj(), axis=(-2, -1)).real
 
 
 # ---------------------------------------------------------------------------
 # Evolution back ends
 
 
-def _product_norms(weights, psi1, psi2):
-    """Norm from the eigenvalue-factorized representation.
+def _eigen_phase_chunks(times, hbar, eigen, entries_per_time):
+    """Per chunk of times ts, the states psi(ts) = v e^{-i w ts / hbar} c.
 
-    psi_k has shape (n_unique, dim_sys); the reduced block is
-    rho^{12} = sum_m W_m psi1_m psi2_m^dagger and its squared Frobenius
-    norm is assembled from the two Gram matrices.
+    For each (w, v, c) in eigen (eigenvalues, eigenvectors, initial
+    coefficients in that eigenbasis) a lazy sequence gives a stack of shape
+    (ts.size,) + c.shape.  A chunk holds SAMPLE_BUDGET // entries_per_time
+    times (at least one), bounding the caller's largest stack.
     """
-    g1 = psi1.conj() @ psi1.T
-    g2 = psi2.conj() @ psi2.T
-    ww = np.outer(weights, weights)
-    return float(np.real(np.sum(ww * g2 * g1.T)))
+    step = max(1, SAMPLE_BUDGET // entries_per_time)
+    for start in range(0, times.size, step):
+        ts = times[start:start + step]
+        yield ((v @ (np.exp(-1j * np.multiply.outer(ts, w) / hbar) * c)[..., None])[..., 0]
+               for w, v, c in eigen)
 
 
 def _spin_static_curve(sys, bath, branch1, branch2, times):
+    """Static bath in B's eigenbasis: column m of a branch is sqrt(W_m) times
+    the system state evolved under H_sys + b_m Jx."""
     bvals, weights = bath_eigen_decomposition(bath)
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
-    h_stack = sys.omega * jz[None, :, :] + bvals[:, None, None] * jx[None, :, :]
-    w, v = np.linalg.eigh(h_stack)
-    v_dag = v.conj().transpose(0, 2, 1)
-    c1 = v_dag @ branch1
-    c2 = v_dag @ branch2
-    norms = np.empty(times.size)
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * w * t / sys.hbar)
-        psi1 = np.einsum("mij,mj->mi", v, phase * c1)
-        psi2 = np.einsum("mij,mj->mi", v, phase * c2)
-        norms[i] = _product_norms(weights, psi1, psi2)
-    return norms
+    w, v = np.linalg.eigh(sys.omega * jz + bvals[:, None, None] * jx)
+    c = _dagger(v) @ np.stack([branch1, branch2], axis=-1)
+    c = (np.sqrt(weights)[:, None, None] * c).transpose(2, 0, 1)  # (branch, M, d)
+    # w gains the branch axis; psi is (t, branch, M, d), the sandwich (t, d, M).
+    chunks = _eigen_phase_chunks(times, sys.hbar, [(w[None], v, c)], c.size)
+    return np.concatenate([_sandwich_norm(*psi.transpose(1, 0, 3, 2)) for (psi,) in chunks])
 
 
 def _sparse_embed(local_ops, index):
@@ -544,12 +560,11 @@ def _sparse_bath_ops(factors, hbar):
     return b_sp, hbar * diag
 
 
-def _propagate(times, psi, advance, branch_norms, reduce_norm):
-    """Advance psi through the sample times and reduce it at each one.
-
-    advance(psi, span) propagates by a span > 0; branch_norms(psi) gives the
-    norm of each branch, which exact propagation keeps at one.
-    """
+def _propagate(times, branch1, branch2, bath_state, advance):
+    """Step psi = branch_k (x) bath_state (branches on axis 0, system x bath
+    matrices) by advance(psi, span > 0); reduce it and check each branch
+    stays at unit norm at every sample."""
+    psi = np.multiply.outer(np.stack([branch1, branch2]), bath_state)
     norms = np.empty(times.size)
     t_prev = 0.0
     for i, t in enumerate(times):
@@ -557,10 +572,10 @@ def _propagate(times, psi, advance, branch_norms, reduce_norm):
         if span > 0:
             psi = advance(psi, span)
         t_prev = t
-        drift = np.abs(branch_norms(psi) - 1.0).max()
+        drift = np.abs(np.linalg.norm(psi.reshape(2, -1), axis=1) - 1.0).max()
         if drift > UNITARITY_DRIFT:
             raise StepSizeError(f"unitarity drift {drift:.3g}")
-        norms[i] = reduce_norm(psi)
+        norms[i] = _sandwich_norm(psi[0], psi[1])
     return norms
 
 
@@ -586,18 +601,12 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     )
     generator = (-1j / sys.hbar) * h.tocsc()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-    psi = np.stack([np.kron(branch1, chi0), np.kron(branch2, chi0)], axis=1)
-    return _propagate(
-        times, psi,
-        lambda psi, span: scipy.sparse.linalg.expm_multiply(generator * span, psi),
-        lambda psi: np.linalg.norm(psi, axis=0),
-        lambda psi: _sandwich_norm(*psi.T.reshape(2, dim_s, dim_b)),
-    )
 
+    def advance(psi, span):
+        cols = scipy.sparse.linalg.expm_multiply(generator * span, psi.reshape(2, -1).T)
+        return cols.T.reshape(psi.shape)
 
-def _local_hamiltonians(factors, qs, hbar):
-    """Per factor, q coupling + hbar frequency over qs: (len(qs), l, l) each."""
-    return [qs[:, None, None] * c + hbar * f for c, f, _ in factors]
+    return _propagate(times, branch1, branch2, chi0, advance)
 
 
 def _grid_frozen_curve(sys, bath, branch1, branch2, times):
@@ -606,68 +615,59 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     Exact because q B + H_res is a sum of commuting single-component terms
     and the initial bath state is a product; each factor comes from the
     eigendecomposition of one component's levels x levels Hamiltonian.  The
-    Q x Q overlaps (Q occupied grid points) are reduced one chunk of at most
-    FROZEN_OVERLAP_LIMIT / Q^2 times at a time, so memory stays O(Q^2).
+    Q x Q overlaps (Q occupied grid points) are reduced one sampler chunk
+    at a time, so memory stays O(Q^2).
     """
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
     factors = _bath_factors(bath, dicke=False)
     eigen = []
-    for h, (_, _, chi) in zip(_local_hamiltonians(factors, qs, sys.hbar), factors):
-        w, v = np.linalg.eigh(h)
-        eigen.append((w, v, v.conj().transpose(0, 2, 1) @ chi))
+    for c, f, chi in factors:  # per pointer q: q coupling + hbar frequency
+        w, v = np.linalg.eigh(qs[:, None, None] * c + sys.hbar * f)
+        eigen.append((w, v, _dagger(v) @ chi))
     w1 = np.abs(branch1[occupied]) ** 2
     w2 = np.abs(branch2[occupied]) ** 2
-    chunk = max(1, FROZEN_OVERLAP_LIMIT // qs.size ** 2)
     norms = []
-    for start in range(0, times.size, chunk):
-        ts = times[start:start + chunk]
-        overlaps = np.ones((ts.size, qs.size, qs.size), dtype=complex)
-        for w, v, coeffs in eigen:
-            phases = np.exp(-1j * np.multiply.outer(ts, w) / sys.hbar)
-            chi = np.einsum("qij,tqj->tqi", v, phases * coeffs)
-            overlaps *= chi.conj() @ chi.transpose(0, 2, 1)
+    for chis in _eigen_phase_chunks(times, sys.hbar, eigen, qs.size ** 2):
+        # chi has axes (t, q, level); the overlaps are (t, q, q').
+        overlaps = reduce(np.multiply, (chi.conj() @ chi.transpose(0, 2, 1) for chi in chis))
         norms.append((np.abs(overlaps) ** 2 @ w1) @ w2)
     return np.concatenate(norms)
 
 
-def _strang_advance(sys, dt, half_potential, axis):
-    """Split-step propagation along the grid axis of psi.
+def _strang_advance(sys, dt, half_potential):
+    """Split-step propagation along the grid (system) axis -2 of psi.
 
     A span is cut into ceil(span / dt) equal symmetric Strang steps
     exp(-i V delta / 2 hbar) exp(-i T delta / hbar) exp(-i V delta / 2 hbar);
     half_potential(delta) returns the map psi -> exp(-i V delta / 2 hbar) psi.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(sys.grid.n_points, d=sys.grid.spacing)
-    k = k.reshape((-1,) + (1,) * (-1 - axis))
 
     def advance(psi, span):
         n_steps = max(1, int(math.ceil(span / dt)))
         delta = span / n_steps
         kin = np.exp(-1j * sys.hbar * k ** 2 * delta / (2.0 * sys.mass))
+        kin = np.repeat(kin[:, None], psi.shape[-1], axis=1)  # equal shapes multiply fastest
         half = half_potential(delta)
         for _ in range(n_steps):
-            psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=axis), axis=axis))
+            psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=-2), axis=-2))
         return psi
 
     return advance
 
 
 def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
+    """Static bath in B's eigenbasis: column m of each branch carries sqrt(W_m)."""
     bvals, weights = bath_eigen_decomposition(bath)
-    pot = sys.potential()[None, :] + bvals[:, None] * sys.grid.points[None, :]
+    pot = sys.potential()[:, None] + sys.grid.points[:, None] * bvals[None, :]
 
     def half_potential(delta):
         phase = np.exp(-0.5j * pot * delta / sys.hbar)
         return lambda psi: phase * psi
 
-    return _propagate(
-        times,
-        np.stack([np.tile(branch1, (bvals.size, 1)), np.tile(branch2, (bvals.size, 1))]),
-        _strang_advance(sys, dt, half_potential, axis=-1),
-        lambda psi: np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) @ weights),
-        lambda psi: _product_norms(weights, psi[0], psi[1]),
-    )
+    return _propagate(times, branch1, branch2, np.sqrt(weights),
+                      _strang_advance(sys, dt, half_potential))
 
 
 def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
@@ -679,7 +679,7 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
             "per-point bath propagators would exceed the memory budget; "
             "use a static bath, a smaller grid, or an infinite-mass particle"
         )
-    local = _local_hamiltonians(factors, sys.grid.points, sys.hbar)
+    local = [sys.grid.points[:, None, None] * c + sys.hbar * f for c, f, _ in factors]
     v_pot = sys.potential()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
 
@@ -693,13 +693,8 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
             u = np.einsum("qab,qcd->qacbd", u, f).reshape(n, u.shape[1] * f.shape[1], -1)
         return lambda psi: (u @ psi[..., None])[..., 0]
 
-    return _propagate(
-        times,
-        np.stack([np.outer(branch1, chi0), np.outer(branch2, chi0)]),
-        _strang_advance(sys, dt, half_potential, axis=-2),
-        lambda psi: np.linalg.norm(psi, axis=(1, 2)),
-        lambda psi: _sandwich_norm(psi[0], psi[1]),
-    )
+    return _propagate(times, branch1, branch2, chi0,
+                      _strang_advance(sys, dt, half_potential))
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -721,20 +716,21 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         size.
     """
     times = _check_times(times)
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
+    require_finite(dt=dt)
+    if dt is not None and not dt > 0:
         raise ValidationError("dt must be finite and positive")
     if isinstance(sys, SpinSystem):
-        dim_s = int(round(2 * sys.j)) + 1
-        b1 = _normalized_branch(branch1, dim_s, "branch1")
-        b2 = _normalized_branch(branch2, dim_s, "branch2")
-        if bath.is_static():
-            values = _spin_static_curve(sys, bath, b1, b2, times)
-        else:
-            values = _spin_sparse_curve(sys, bath, b1, b2, times)
+        dim = int(round(2 * sys.j)) + 1
     elif isinstance(sys, GridParticle):
-        n = sys.grid.n_points
-        b1 = _normalized_branch(branch1, n, "branch1")
-        b2 = _normalized_branch(branch2, n, "branch2")
+        dim = sys.grid.n_points
+    else:
+        raise ValidationError(f"unsupported system spec {type(sys).__name__}")
+    b1 = _normalized_branch(branch1, dim, "branch1")
+    b2 = _normalized_branch(branch2, dim, "branch2")
+    if isinstance(sys, SpinSystem):
+        curve = _spin_static_curve if bath.is_static() else _spin_sparse_curve
+        values = curve(sys, bath, b1, b2, times)
+    else:
         if dt is None:
             dt = max(times[-1], 1e-30) / 4096.0
         if math.isinf(sys.mass):
@@ -743,8 +739,6 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
             values = _grid_static_curve(sys, bath, b1, b2, times, dt)
         else:
             values = _grid_dense_curve(sys, bath, b1, b2, times, dt)
-    else:
-        raise ValidationError(f"unsupported system spec {type(sys).__name__}")
     values = np.clip(values, 0.0, None)
     return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times, dt))
 

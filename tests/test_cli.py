@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import decolab as dl
-from decolab.cli import TEMPLATES, fit_scaling, main
+from decolab.cli import SCHEMA, TEMPLATES, fit_scaling, main
 from decolab.errors import ValidationError
 
 TIMES_CFG = """\
@@ -323,6 +324,51 @@ class TestExperiments:
         cfg = write(tmp_path, "t.ini", TIMES_CFG)
         assert main(["times", "--config", cfg]) == 2
         assert "numerical" in capsys.readouterr().err
+
+
+class TestOracleCompareFrozen:
+    @pytest.mark.parametrize("d", [1.05, -0.7, 0.0])
+    def test_pointers_sit_at_the_configured_separation(self, tmp_path, d):
+        cfg = write(
+            tmp_path,
+            "o.ini",
+            "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 12\n"
+            f"var_total = 1.0\nomega = 0\ncap = 4096\n[compare]\nd = {d!r}\n"
+            "protocol = frozen\nlaw = gaussian\n[times]\n"
+            "start = 0.01\nstop = 1.2\nnum = 40\n",
+        )
+        out = str(tmp_path / "o.csv")
+        assert main(["oracle-compare", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out)
+        t = np.array([float(r["t"]) for r in rows])
+        n_oracle = [float(r["n_oracle"]) for r in rows]
+        n_law = [float(r["n_law"]) for r in rows]
+        # a static bath on a frozen particle is the exact product of cosines
+        np.testing.assert_allclose(n_oracle, dl.static_bath_norm(d, dl.spin_bath(12, 1.0), t),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(n_law, np.exp(-(d ** 2) * t ** 2), rtol=0, atol=1e-12)
+
+
+class TestReadme:
+    def test_omitted_keys_table_matches_schema(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        text = open(readme).read()
+        table = text.split("Known keys the templates leave\nout:\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = set()
+        for line in table.splitlines()[2:]:
+            experiments, section, keys = line.strip("|").split("|")[:3]
+            section = section.strip().strip("`[]")
+            for exp in re.findall(r"`([^`]+)`", experiments):
+                listed |= {(exp, section, key) for key in re.findall(r"`([^`]+)`", keys)}
+        omitted = {
+            (exp, section, key)
+            for exp, (_, sections) in SCHEMA.items()
+            for section, keys in sections.items()
+            for key, spec in keys.items()
+            if spec.template is None
+        }
+        assert listed == omitted
 
 
 class TestConsoleEntry:

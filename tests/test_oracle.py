@@ -10,8 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import decolab as dl
+from decolab import oracle
 from decolab._linalg import expm_phase
-from decolab.errors import DimensionCapError, FitWindowError, ValidationError
+from decolab.errors import DimensionCapError, FitWindowError, ValidationError, require_finite
 from helpers import frozen_position_curve, momentum_separation_curve
 
 
@@ -66,6 +67,29 @@ class TestBathModel:
                 dl.BathModel((comp,), ("up",), dimension_cap=cap)
             with pytest.raises(ValidationError):
                 dl.spin_bath(13, 1.0, dimension_cap=cap)
+
+    def test_non_numeric_parameters_rejected(self):
+        for make in (
+            lambda: dl.BathComponent("spin-half", "a"),
+            lambda: dl.BathComponent("spin-half", 1.0, "x"),
+            lambda: dl.BathComponent("spin-half", None),
+            lambda: dl.BathComponent("spin-half", 1j),
+            lambda: dl.spin_bath(3, "a"),
+            lambda: dl.spin_bath(3, None),
+        ):
+            with pytest.raises(ValidationError):
+                make()
+
+    def test_bool_rejected_where_an_integer_is_required(self):
+        comp = dl.BathComponent("spin-half", 1.0)
+        for make in (
+            lambda: dl.spin_bath(True, 1.0),
+            lambda: dl.BathComponent("spin-half", 1.0, levels=True),
+            lambda: dl.BathModel((comp,), ("up",), dimension_cap=True),
+            lambda: dl.spin_bath(1, 1.0, dimension_cap=True),
+        ):
+            with pytest.raises(ValidationError, match="integer"):
+                make()
 
     def test_oscillator_initial_leaves_truncation_headroom(self):
         comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
@@ -286,6 +310,18 @@ class TestEvolveNorm:
             dl.SpinSystem(j, 0.7), dl.spin_bath(4, 1.0, omegas=[1e-30] * 4), a, b, times
         )
         np.testing.assert_allclose(static.values, dynamic.values, atol=1e-12)
+
+    def test_spin_static_chunks_match_one_call_per_time(self):
+        # enough times for several sampler chunks: 2 branches x 13 x 41 entries each
+        j, bath = 20.0, dl.spin_bath(12, 0.01)
+        sys_s = dl.SpinSystem(j=j, omega=1.0)
+        a = dl.coherent_vector(dl.SpinCoherent(j, 1j))
+        b = dl.coherent_vector(dl.SpinCoherent(j, -1j))
+        n_times = 3 * (oracle.SAMPLE_BUDGET // (2 * 13 * 41)) + 5
+        times = np.linspace(0.0, 2.0, n_times)
+        curve = dl.evolve_norm(sys_s, bath, a, b, times)
+        single = [dl.evolve_norm(sys_s, bath, a, b, [t]).values[0] for t in times]
+        np.testing.assert_allclose(curve.values, single, rtol=0, atol=1e-14)
 
     def test_grid_static_agrees_with_dense_path(self):
         grid = dl.PositionGrid(-8, 8, 64)
@@ -551,6 +587,33 @@ class TestFrozenMemory:
         proc = subprocess.run([sys.executable, "-c", FROZEN_MEMORY_PROBE],
                               capture_output=True, text=True, env=env, check=True)
         assert int(proc.stdout.split()[-1]) / 1024 < 400
+
+
+class TestSandwichNorm:
+    @pytest.mark.parametrize("tall", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(short=st.integers(1, 5), extra=st.integers(1, 6),
+           batch=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_explicit_frobenius_norm(self, tall, short, extra, batch, seed):
+        rows, cols = (short + extra, short) if tall else (short, short + extra)
+        rng = np.random.default_rng(seed)
+        shape = (2, *batch, rows, cols)
+        a, b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = np.einsum("...ik,...jk->...ij", a, b.conj())
+        expected = np.sum(rho.real ** 2 + rho.imag ** 2, axis=(-2, -1))
+        got = oracle._sandwich_norm(a, b)
+        assert np.shape(got) == tuple(batch)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+class TestRequireFinite:
+    def test_non_numeric_value_is_a_validation_error(self):
+        for value in ("a", "1.0", [1.0, "b"], object(), {"x": 1.0}):
+            with pytest.raises(ValidationError, match="numeric"):
+                require_finite(x=value)
+
+    def test_finite_numbers_and_none_pass(self):
+        require_finite(x=1.0, y=np.arange(3.0), z=None, w=2 + 1j)
 
 
 class TestEvolveNormValidation:
