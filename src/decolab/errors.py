@@ -6,6 +6,8 @@ happens, and ``NumericalError`` for computations that start but cannot be
 completed reliably.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -26,10 +28,23 @@ def require_finite(**values):
     for name, value in values.items():
         try:
             finite = value is None or np.all(np.isfinite(value))
-        except TypeError:
+        except (TypeError, ValueError):  # ValueError: a ragged sequence
             raise ValidationError(f"{name} must be numeric, got {type(value).__name__}") from None
         if not finite:
             raise ValidationError(f"{name} must be finite")
+
+
+def require_real(**values):
+    """require_finite, and each value must be one real number (None is not)."""
+    require_finite(**values)
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def is_int(value):
+    """True for an integer of any integral type except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ResolutionError(ValidationError):

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .packets import DensityBlock
+from .packets import BLOCK_CHUNK, DensityBlock
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,12 @@ def _short_time_factors(t, mass, hbar, var_b):
     """Gaussian suppression scales of the single-block decoherence factor.
 
     In variables k = q - q' and K (Fourier conjugate of qbar) the factor is
-    exp(-a k^2) exp(-b k K) exp(-c K^2) with the coefficients returned here.
+    exp(-a k^2) exp(-b k K) exp(-c K^2) with b = sqrt(4 a c) =
+    <B^2> t^3 / (2 M hbar); a and c are returned here.
     """
     a = var_b * t ** 2 / (2.0 * hbar ** 2)
-    b = var_b * t ** 3 / (2.0 * mass * hbar)
     c = var_b * t ** 4 / (8.0 * mass ** 2)
-    return a, b, c
+    return a, c
 
 
 def evolve_density_short_time(block, t, sys, bath):
@@ -261,7 +261,7 @@ def evolve_density_short_time(block, t, sys, bath):
     if t == 0:
         return DensityBlock(grid, block.values.copy())
 
-    a, b, c = _short_time_factors(t, sys.mass, sys.hbar, bath.var_B)
+    a, c = _short_time_factors(t, sys.mass, sys.hbar, bath.var_B)
     if a > 0 and a ** -0.5 < 2.0 * h:
         raise ResolutionError(
             "relative-coordinate Gaussian narrower than two grid cells; "
@@ -274,34 +274,33 @@ def evolve_density_short_time(block, t, sys, bath):
             "enlarge the box or reduce t"
         )
 
-    out = block.values.copy()
-    # Walk the diagonals of constant k = q - q' (exact, unwrapped), FFT
-    # along the center-of-mass direction, multiply, transform back.  All
-    # three factors are applied jointly: b^2 = 4ac makes the exponent the
-    # perfect square -(sqrt(a) k + sqrt(c) K)^2, so the multiplier never
-    # exceeds one anywhere on the (k, K) lattice.
-    K = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    offsets = np.arange(-(n - 1), n)
-    diag_chunk = max(1, (1 << 22) // n)
-    scratch = np.zeros((min(diag_chunk, offsets.size), n), dtype=complex)
-    for start in range(0, offsets.size, diag_chunk):
-        chunk = offsets[start : start + diag_chunk]
-        scratch[: chunk.size].fill(0.0)
-        for row, d in enumerate(chunk):
-            seg = np.diagonal(out, -d)
-            scratch[row, : seg.size] = seg
-        spec = np.fft.fft(scratch[: chunk.size], axis=1)
-        k_vals = chunk * h
-        exponent = (
-            -a * k_vals[:, None] ** 2 - b * np.outer(k_vals, K) - c * K ** 2
-        )
-        spec *= np.exp(np.minimum(exponent, 0.0))
-        back = np.fft.ifft(spec, axis=1)
-        for row, d in enumerate(chunk):
-            length = n - abs(d)
-            rows = np.arange(length) + max(d, 0)
-            cols = np.arange(length) + max(-d, 0)
-            out[rows, cols] = back[row, :length]
+    # Shear each diagonal d = i - j (k = d h, exact and unwrapped) into one
+    # row, FFT it along the center-of-mass direction, multiply, transform
+    # back.  The block is the middle n rows of a zero-padded (n + 2, n)
+    # buffer, in which entry (i, i - d) lies i (n + 1) - d entries past
+    # out[0, 0]: a chunk of diagonals d_hi, d_hi - 1, ... is a copy-free view
+    # with strides (1, n + 1) entries, and the padding rows keep its
+    # addresses inside the buffer.  Positions with i - d outside [0, n) alias
+    # other entries, so the mask zero-fills them on the read and skips them
+    # on the write: each entry is read and written once, by its own
+    # diagonal.  A chunk holds BLOCK_CHUNK entries, so temporaries stay a few
+    # MiB at any n.  b^2 = 4ac makes the joint exponent the perfect square
+    # -(sqrt(a) k + sqrt(c) K)^2, which never exceeds zero.
+    padded = np.zeros((n + 2, n), dtype=complex)
+    out = padded[1:-1]
+    out[...] = block.values
+    flat, step = padded.reshape(-1), padded.itemsize
+    K = np.sqrt(c) * 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    cols = np.arange(n)
+    rows = max(1, BLOCK_CHUNK // n)
+    for d_hi in range(n - 1, -n, -rows):
+        d = np.arange(d_hi, max(d_hi - rows, -n), -1)[:, None]
+        view = np.lib.stride_tricks.as_strided(flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
+        valid = (cols >= d) & (cols < n + d)
+        spec = np.fft.fft(np.where(valid, view, 0.0), axis=1)
+        arg = np.sqrt(a) * h * d + K
+        spec *= np.exp(-arg * arg)
+        np.copyto(view, np.fft.ifft(spec, axis=1), where=valid)
     return DensityBlock(grid, out)
 
 

@@ -43,7 +43,6 @@ the fits need numpy alone.
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple, Optional, Tuple, Union
@@ -56,7 +55,9 @@ from .errors import (
     FitWindowError,
     StepSizeError,
     ValidationError,
+    is_int,
     require_finite,
+    require_real,
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
@@ -68,17 +69,6 @@ JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
 MAX_UNIQUE_EIGENVALUES = 1 << 16
 SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_real(**values):
-    require_finite(**values)
-    for name, value in values.items():
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_hbar(hbar):
@@ -99,8 +89,8 @@ class BathComponent:
     def __post_init__(self):
         if self.kind not in ("spin-half", "oscillator"):
             raise ValidationError(f"unknown bath component kind {self.kind!r}")
-        _require_real(g=self.g, omega=self.omega)
-        if not _is_int(self.levels):
+        require_real(g=self.g, omega=self.omega)
+        if not is_int(self.levels):
             raise ValidationError(f"levels must be an integer, got {self.levels!r}")
         if self.kind == "spin-half" and self.levels != 2:
             raise ValidationError("spin-half components have exactly 2 levels")
@@ -129,6 +119,8 @@ class BathComponent:
             if label == "down":
                 return np.array([0.0, 1.0], dtype=complex)
             raise ValidationError(f"spin-half initial state must be 'up'/'down', got {label!r}")
+        if not is_int(label):
+            raise ValidationError(f"oscillator initial state must be a Fock index, got {label!r}")
         n = int(label)
         # n <= levels - 2 keeps <B^2> and the correlation function free of
         # truncation artifacts (a^dagger must act within the kept space).
@@ -162,7 +154,7 @@ class BathModel:
             raise ValidationError("one initial-state label per component is required")
         if not self.components:
             raise ValidationError("bath needs at least one component")
-        if not (_is_int(self.dimension_cap) and self.dimension_cap >= 1):
+        if not (is_int(self.dimension_cap) and self.dimension_cap >= 1):
             raise ValidationError(
                 f"dimension_cap must be a positive integer, got {self.dimension_cap!r}"
             )
@@ -198,11 +190,11 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 
     omegas may be a scalar (shared frequency) or a sequence of length m.
     """
-    if not _is_int(m):
+    if not is_int(m):
         raise ValidationError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValidationError("m must be >= 1")
-    _require_real(var_total=var_total)
+    require_real(var_total=var_total)
     if var_total < 0:
         raise ValidationError("var_total must be nonnegative")
     g = math.sqrt(var_total / m)
@@ -351,6 +343,8 @@ class GridParticle:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if self.mass != math.inf:
+            require_real(mass=self.mass)
         if not self.mass > 0:
             raise ValidationError("mass must be positive (math.inf allowed)")
         if self.potential_omega is not None and math.isinf(self.mass):
@@ -453,10 +447,12 @@ def _normalized_branch(vec, dim, name):
 
 
 def _check_times(times):
+    require_finite(times=times)
+    if np.iscomplexobj(times):
+        raise ValidationError("times must be real")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    require_finite(times=t)
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValidationError("times must be ascending and nonnegative")
     return t
@@ -716,9 +712,10 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         size.
     """
     times = _check_times(times)
-    require_finite(dt=dt)
-    if dt is not None and not dt > 0:
-        raise ValidationError("dt must be finite and positive")
+    if dt is not None:
+        require_real(dt=dt)
+        if not dt > 0:
+            raise ValidationError("dt must be finite and positive")
     if isinstance(sys, SpinSystem):
         dim = int(round(2 * sys.j)) + 1
     elif isinstance(sys, GridParticle):
@@ -786,7 +783,8 @@ def fit_decay_exponent(curve, window=(0.05, 0.95)):
     curve must be strictly decreasing there and provide at least 8 points.
     """
     lo, hi = window
-    if not 0 <= lo < hi <= 1:  # also false for a NaN or infinite bound
+    require_real(lo=lo, hi=hi)
+    if not 0 <= lo < hi <= 1:
         raise ValidationError(f"fit window must satisfy 0 <= lo < hi <= 1, got {window}")
     mask = (curve.values > lo) & (curve.values < hi) & (curve.times > 0)
     if np.count_nonzero(mask) < 8:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import decolab as dl
 from decolab.errors import DegenerateBathError, ResolutionError, ValidationError
@@ -119,6 +123,38 @@ class TestShortTimeNorm:
             dl.coherence_norm_short_time(0.1, sup, SYS, BATH)
 
 
+def per_diagonal_reference(values, h, a, b, c):
+    """The decoherence factor applied one diagonal d = i - j at a time."""
+    n = values.shape[0]
+    K = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    out = values.copy()
+    for d in range(-(n - 1), n):
+        k = d * h
+        spec = np.fft.fft(np.diagonal(values, -d), n)  # zero-padded to n
+        spec *= np.exp(np.minimum(-a * k ** 2 - b * k * K - c * K ** 2, 0.0))
+        rows = np.arange(n - abs(d)) + max(d, 0)
+        out[rows, rows - d] = np.fft.ifft(spec)[: rows.size]
+    return out
+
+
+# n = 2048 as in the kernels benchmark: one complex block is 64 MiB
+DENSITY_MEMORY_PROBE = textwrap.dedent("""
+    import math
+    import decolab as dl
+
+    sigma = 5e-3
+    half = 20.5 / 2 + 8 * math.sqrt(sigma) + 0.05
+    grid = dl.PositionGrid(-half, half, 2048)
+    block = dl.density_block(dl.GaussianPacket(10.0, 0.0, sigma),
+                             dl.GaussianPacket(-10.0, 0.0, sigma), grid)
+    out = dl.evolve_density_short_time(block, 0.05, dl.SystemParams(mass=8.0),
+                                       dl.BathMoments(1.0))
+    dl.coherence_norm(out, out)
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+""")
+
+
 class TestEvolveDensity:
     def make_block(self, sigma=1.0, q=3.0, n=256):
         p1 = dl.GaussianPacket(q, 0.0, sigma)
@@ -203,6 +239,41 @@ class TestEvolveDensity:
         block, _ = self.make_block(sigma=1.0, q=3.0, n=256)
         with pytest.raises(ResolutionError):
             dl.evolve_density_short_time(block, 50.0, SYS, BATH)
+
+    @settings(deadline=None, max_examples=30)
+    @given(n=st.sampled_from([16, 32, 64, 128]), t=st.floats(0.01, 2.0),
+           mass=st.floats(0.2, 5.0), v=st.floats(0.1, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_diagonal_reference(self, n, t, mass, v, seed):
+        # random non-Hermitian blocks: every diagonal, both signs of d and
+        # the one-entry corners d = +-(n - 1), carries independent data
+        rng = np.random.default_rng(seed)
+        grid = dl.PositionGrid(-n / 8, n / 8, n)
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        try:
+            out = dl.evolve_density_short_time(
+                dl.DensityBlock(grid, values), t, dl.SystemParams(mass=mass), dl.BathMoments(v)
+            ).values
+        except ResolutionError:
+            assume(False)
+        ref = per_diagonal_reference(
+            values, grid.spacing, v * t ** 2 / 2, v * t ** 3 / (2 * mass), v * t ** 4 / (8 * mass ** 2)
+        )
+        scale = np.abs(ref).max()
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+        for corner in ((n - 1, 0), (0, n - 1)):
+            assert abs(out[corner] - ref[corner]) <= 1e-12 * scale
+            assert out[corner] != values[corner]  # the corner diagonals were evolved
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_block_pipeline_peak_memory(self):
+        # input and output blocks are 128 MiB together; the kernel and the
+        # norm may add chunk-sized temporaries, not whole blocks
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", DENSITY_MEMORY_PROBE],
+                              capture_output=True, text=True, env=env, check=True)
+        assert int(proc.stdout.split()[-1]) / 1024 < 256
 
 
 class TestTwoReservoir:

@@ -91,6 +91,16 @@ class TestBathModel:
             with pytest.raises(ValidationError, match="integer"):
                 make()
 
+    @pytest.mark.parametrize("label", ["x", 1.7, True])
+    def test_oscillator_initial_must_be_fock_index(self, label):
+        comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
+        with pytest.raises(ValidationError, match="Fock index"):
+            dl.BathModel((comp,), (label,))
+
+    def test_oscillator_initial_label_may_be_numpy_integer(self):
+        comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
+        assert dl.BathModel((comp,), (np.int64(1),)).dimension == 4
+
     def test_oscillator_initial_leaves_truncation_headroom(self):
         comp = dl.BathComponent("oscillator", 0.5, omega=1.0, levels=4)
         with pytest.raises(ValidationError):
@@ -663,6 +673,23 @@ class TestEvolveNormValidation:
             with pytest.raises(ValidationError):
                 dl.SpinSystem(1.0, omega)
 
+    @pytest.mark.parametrize("mass", ["a", None, 1j, -math.inf, math.nan])
+    def test_grid_particle_rejects_malformed_mass(self, mass):
+        with pytest.raises(ValidationError):
+            dl.GridParticle(dl.PositionGrid(-8, 8, 64), mass=mass)
+
+    def test_non_numeric_times_rejected(self):
+        sys_p, b1, b2 = self._frozen()
+        for times in ("a", [0.0, "b"], [0.0, 1j], [[0.0], [0.5, 1.0]]):
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, b2, times)
+
+    def test_non_real_step_size_rejected(self):
+        sys_p, b1, b2 = self._frozen()
+        for dt in (1j, "0.1"):
+            with pytest.raises(ValidationError):
+                dl.evolve_norm(sys_p, dl.spin_bath(4, 1.0), b1, b2, [0.5], dt=dt)
+
     def test_grid_particle_rejects_non_finite_potential(self):
         grid = dl.PositionGrid(-8, 8, 64)
         for omega in (math.nan, math.inf):
@@ -776,6 +803,13 @@ class TestFitDecayExponent:
         curve = dl.NormCurve(ts, np.exp(-((ts / 2.0) ** 4)), "synthetic")
         for window in ((0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5),
                        (math.nan, 0.9), (0.1, math.inf)):
+            with pytest.raises(ValidationError):
+                dl.fit_decay_exponent(curve, window=window)
+
+    def test_non_numeric_window_rejected(self):
+        ts = np.linspace(0.3, 4.0, 120)
+        curve = dl.NormCurve(ts, np.exp(-((ts / 2.0) ** 4)), "synthetic")
+        for window in (("a", 1.0), (0.1, None), (0.1j, 0.9)):
             with pytest.raises(ValidationError):
                 dl.fit_decay_exponent(curve, window=window)
 

@@ -224,3 +224,14 @@ class TestTypes:
             dl.PositionGrid(0.0, 1.0, 100)  # not a power of two
         with pytest.raises(ValidationError):
             dl.PositionGrid(0.0, 1.0, 8)  # too few points
+
+    @pytest.mark.parametrize("args", [
+        ("a", 1.0, 16), (0.0, 1.0, "16"), (0.0, 1.0, 16.0),
+        (-float("inf"), 1.0, 16), (0.0, float("inf"), 16),
+    ], ids=["text-bound", "text-size", "float-size", "infinite-q-min", "infinite-q-max"])
+    def test_grid_rejects_malformed_arguments(self, args):
+        with pytest.raises(ValidationError):
+            dl.PositionGrid(*args)
+
+    def test_grid_accepts_numpy_integer_size(self):
+        assert dl.PositionGrid(0.0, 1.0, np.int64(16)).spacing == 1.0 / 16
