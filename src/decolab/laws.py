@@ -37,6 +37,7 @@ from .errors import (
     ResolutionError,
     ValidationError,
     require_finite,
+    require_real,
 )
 from .packets import BLOCK_CHUNK, DensityBlock
 
@@ -81,7 +82,9 @@ class CorrelationFunction:
     moments: Optional[BathMoments] = None
 
     def __post_init__(self):
-        if self.tail_cutoff <= 0:
+        if self.tail_cutoff != math.inf:
+            require_real(tail_cutoff=self.tail_cutoff)
+        if not self.tail_cutoff > 0:
             raise ValidationError("tail_cutoff must be positive")
         if self.moments is not None:
             expected = 2.0 * self.moments.var_B
@@ -102,6 +105,7 @@ def constant_correlation(var_b, tail_cutoff=math.inf):
 
 def exponential_correlation(var_b, gamma, tail_cutoff=None):
     """sym(s) = 2 var_b exp(-gamma s)."""
+    require_real(gamma=gamma)
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     if tail_cutoff is None:
@@ -116,6 +120,7 @@ def exponential_correlation(var_b, gamma, tail_cutoff=None):
 
 def gaussian_correlation(var_b, tau, tail_cutoff=None):
     """sym(s) = 2 var_b exp(-s^2 / 2 tau^2)."""
+    require_real(tau=tau)
     if tau <= 0:
         raise ValidationError("tau must be positive")
     if tail_cutoff is None:
@@ -137,11 +142,13 @@ class SystemParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if self.mass != math.inf:
+            require_real(mass=self.mass)
+        require_real(omega=self.omega, hbar=self.hbar)
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         if not self.hbar > 0:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
-        require_finite(omega=self.omega, hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,7 @@ def decoherence_times(dq, dp, sys, bath):
     tau_qp = (M hbar^2 / (|dq dp| <B^2>))^(1/3)
     tau_p  = (4 M^2 hbar^2 / (dp^2 <B^2>))^(1/4)
     """
+    require_real(dq=dq, dp=dp)
     if not bath.var_B > 0:
         raise DegenerateBathError("decoherence times require var_B > 0")
     v = bath.var_B
@@ -331,7 +339,7 @@ def memory_kernel_norm(t, dq, hbar, corr):
     """
     import scipy.integrate
 
-    require_finite(t=t, dq=dq, hbar=hbar)
+    require_real(t=t, dq=dq, hbar=hbar)
     if t < 0:
         raise ValidationError("t must be >= 0")
     if t == 0:
@@ -417,7 +425,7 @@ def flo_time(sigma, d, v):
     sigma is the position variance (width squared); the literature writes
     this sigma^2 / (d v) with sigma denoting the width itself.
     """
-    require_finite(sigma=sigma, d=d, v=v)
+    require_real(sigma=sigma, d=d, v=v)
     if not d > 0:
         raise ValidationError("d must be positive")
     if not v > 0:

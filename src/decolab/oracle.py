@@ -19,8 +19,10 @@ Evolution strategies by model structure:
   sqrt(W_m) on each distinct eigenvalue, which is exact;
 * spin system with a dynamic bath: sparse Krylov propagation
   (``expm_multiply``);
-* grid particle: symmetric split-step Fourier; a dynamic bath's per-point
-  half-step is a Kronecker product of per-factor propagators;
+* grid particle: symmetric split-step Fourier, with the half-potentials of
+  adjacent steps merged and the FFTs along a contiguous grid axis; a dynamic
+  bath's per-point half-step is a Kronecker product of per-factor
+  propagators;
 * frozen particle (infinite mass): the position is a conserved pointer, so
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
@@ -631,12 +633,19 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     return np.concatenate(norms)
 
 
-def _strang_advance(sys, dt, half_potential):
-    """Split-step propagation along the grid (system) axis -2 of psi.
+def _strang_advance(sys, dt, potential):
+    """Split-step propagation along the grid (system) axis of psi.
 
-    A span is cut into ceil(span / dt) equal symmetric Strang steps
-    exp(-i V delta / 2 hbar) exp(-i T delta / hbar) exp(-i V delta / 2 hbar);
-    half_potential(delta) returns the map psi -> exp(-i V delta / 2 hbar) psi.
+    A span is cut into n = ceil(span / dt) equal symmetric Strang steps
+    P K P, with the half-potential P = exp(-i V delta / 2 hbar) and the
+    kinetic step K = exp(-i T delta / hbar) (FFT, phase, inverse FFT).  The
+    half-potentials of adjacent steps are merged, so a span runs as
+    P (K P^2)^(n-1) K P.  Within a span the state is held bath-major,
+    (branch, bath, grid), so both FFTs run in place along the contiguous
+    last axis.  A span hands the state back as a (branch, grid, bath) view
+    of that array, which the next span takes over in place; only a psi in
+    another layout is copied.  potential(delta) returns the in-place maps
+    (P, P^2) on the bath-major state.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(sys.grid.n_points, d=sys.grid.spacing)
 
@@ -644,11 +653,15 @@ def _strang_advance(sys, dt, half_potential):
         n_steps = max(1, int(math.ceil(span / dt)))
         delta = span / n_steps
         kin = np.exp(-1j * sys.hbar * k ** 2 * delta / (2.0 * sys.mass))
-        kin = np.repeat(kin[:, None], psi.shape[-1], axis=1)  # equal shapes multiply fastest
-        half = half_potential(delta)
-        for _ in range(n_steps):
-            psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=-2), axis=-2))
-        return psi
+        half, full = potential(delta)
+        x = np.ascontiguousarray(psi.swapaxes(-1, -2))
+        half(x)
+        for step in range(n_steps):
+            np.fft.fft(x, axis=-1, out=x)
+            x *= kin
+            np.fft.ifft(x, axis=-1, out=x)
+            (full if step < n_steps - 1 else half)(x)
+        return x.swapaxes(-1, -2)
 
     return advance
 
@@ -656,14 +669,15 @@ def _strang_advance(sys, dt, half_potential):
 def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
     """Static bath in B's eigenbasis: column m of each branch carries sqrt(W_m)."""
     bvals, weights = bath_eigen_decomposition(bath)
-    pot = sys.potential()[:, None] + sys.grid.points[:, None] * bvals[None, :]
+    pot = sys.potential()[None, :] + bvals[:, None] * sys.grid.points[None, :]  # (bath, grid)
 
-    def half_potential(delta):
-        phase = np.exp(-0.5j * pot * delta / sys.hbar)
-        return lambda psi: phase * psi
+    def potential(delta):
+        half = np.exp(-0.5j * pot * delta / sys.hbar)
+        full = half * half
+        return (lambda x: np.multiply(x, half, out=x)), (lambda x: np.multiply(x, full, out=x))
 
     return _propagate(times, branch1, branch2, np.sqrt(weights),
-                      _strang_advance(sys, dt, half_potential))
+                      _strang_advance(sys, dt, potential))
 
 
 def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
@@ -679,18 +693,30 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
     v_pot = sys.potential()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
 
-    def half_potential(delta):
+    def potential(delta):
         # Per point: the potential phase times the Kronecker product of the
-        # factor propagators, in the factor order of chi0.
+        # factor propagators, in the factor order of chi0.  P^2 applies this
+        # stack twice, so no second stack is kept.
         factor = -0.5 * delta / sys.hbar
         u = np.exp(1j * factor * v_pot)[:, None, None]
         for h in local:
             f = expm_phase_stack(h, factor)
             u = np.einsum("qab,qcd->qacbd", u, f).reshape(n, u.shape[1] * f.shape[1], -1)
-        return lambda psi: (u @ psi[..., None])[..., 0]
+
+        def half(x):
+            # (branch, grid, bath, 1) view of x; numpy buffers an output
+            # that overlaps an input, so the product is written in place
+            cols = x.swapaxes(-1, -2)[..., None]
+            np.matmul(u, cols, out=cols)
+
+        def full(x):
+            half(x)
+            half(x)
+
+        return half, full
 
     return _propagate(times, branch1, branch2, chi0,
-                      _strang_advance(sys, dt, half_potential))
+                      _strang_advance(sys, dt, potential))
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):

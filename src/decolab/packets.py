@@ -62,6 +62,7 @@ class Superposition:
     def __post_init__(self):
         if self.packet1.sigma != self.packet2.sigma or self.packet1.hbar != self.packet2.hbar:
             raise ValidationError("superposed packets must share sigma and hbar")
+        require_finite(c1=self.c1, c2=self.c2)
         total = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"|c1|^2 + |c2|^2 = {total}, expected 1")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBathError, ValidationError, require_finite
+from .errors import DegenerateBathError, ValidationError, is_int, require_finite
 
 
 def _check_j(j):
@@ -251,7 +251,8 @@ def spin_coherence_norm(
     the full leading-order-in-j exponent with B ~ N(0, var_B) and
     Bdot ~ N(0, var_Bdot) independent, the commutator replaced by
     i hbar kappa, and returns a MonteCarloNorm(value, stderr); the counter
-    -based RNG makes results reproducible for a given seed.
+    -based RNG makes results reproducible for a given seed.  samples (at
+    least 10000) and seed (in [0, 2**128)) must be integers.
     """
     t_arr = np.asarray(t, dtype=float)
     require_finite(t=t_arr)
@@ -267,8 +268,11 @@ def spin_coherence_norm(
 
     if bath.var_Bdot is None:
         raise ValidationError("montecarlo mode requires bath.var_Bdot to be set")
-    if samples < 10_000:
-        raise ValidationError("montecarlo mode requires samples >= 10000")
+    if not (is_int(samples) and samples >= 10_000):
+        raise ValidationError(f"montecarlo mode requires integer samples >= 10000, "
+                              f"got {samples!r}")
+    if not (is_int(seed) and 0 <= seed < 1 << 128):
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not np.isscalar(t):
         raise ValidationError("montecarlo mode evaluates one time per call")
 

@@ -52,6 +52,10 @@ class TestDecoherenceTimes:
         with pytest.raises(DegenerateBathError):
             dl.decoherence_times(1.0, 0.0, SYS, dl.BathMoments(0.0))
 
+    def test_non_numeric_separation_rejected(self):
+        with pytest.raises(ValidationError):
+            dl.decoherence_times("a", 0.0, SYS, BATH)
+
 
 def _sup(q1, p1, q2, p2, sigma, hbar=1.0):
     return dl.Superposition(
@@ -63,6 +67,11 @@ class TestSystemParams:
     def test_non_finite_omega_rejected(self):
         with pytest.raises(ValidationError):
             dl.SystemParams(1.0, omega=math.nan)
+
+    @pytest.mark.parametrize("mass", ["a", None], ids=["text", "none"])
+    def test_malformed_mass_rejected(self, mass):
+        with pytest.raises(ValidationError):
+            dl.SystemParams(mass=mass)
 
 
 class TestBathMoments:
@@ -354,6 +363,28 @@ class TestMemoryKernel:
                 sym=lambda s: 1.0, moments=dl.BathMoments(1.0)
             )
 
+    def test_complex_time_rejected(self):
+        with pytest.raises(ValidationError):
+            dl.memory_kernel_norm(1j, 1.0, 1.0, dl.constant_correlation(1.0))
+
+    def test_exponential_correlation_rejects_non_numeric_rate(self):
+        with pytest.raises(ValidationError):
+            dl.exponential_correlation(1.0, "a")
+
+    def test_gaussian_correlation_rejects_missing_time(self):
+        with pytest.raises(ValidationError):
+            dl.gaussian_correlation(1.0, None)
+
+    def test_tail_cutoff_rejects_text(self):
+        with pytest.raises(ValidationError):
+            dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff="x")
+
+    def test_tail_cutoff_rejects_nan_and_keeps_inf(self):
+        with pytest.raises(ValidationError):
+            dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff=math.nan)
+        corr = dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff=math.inf)
+        assert corr.tail_cutoff == math.inf
+
 
 class TestGoldenRule:
     def test_exponential_correlation_rate(self):
@@ -426,3 +457,7 @@ class TestScales:
     def test_flo_time_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             dl.flo_time(math.nan, 1.0, 1.0)
+
+    def test_flo_time_rejects_complex_width(self):
+        with pytest.raises(ValidationError):
+            dl.flo_time(1j, 1.0, 1.0)

@@ -200,6 +200,36 @@ class TestBathOperators:
         )
 
 
+def _unmerged_strang_norms(sys_p, bath, branch1, branch2, times, dt):
+    """Reference split step: system-major (branch, grid, bath) states on the
+    full joint bath, each Strang step applying both of its half-potentials."""
+    ops = dl.build_bath_operators(bath, sys_p.hbar)
+    q = sys_p.grid.points
+    k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys_p.grid.spacing)
+    eye_b = np.eye(bath.dimension)
+    h = sys_p.potential()[:, None, None] * eye_b + q[:, None, None] * ops.B + ops.H_res
+    w, v = np.linalg.eigh(h)
+    psi = np.multiply.outer(np.stack([branch1, branch2]), ops.initial_state)
+    norms, t_prev = [], 0.0
+    for t in times:
+        span = t - t_prev
+        if span > 0:
+            n_steps = max(1, math.ceil(span / dt))
+            delta = span / n_steps
+            kin = np.exp(-1j * sys_p.hbar * k ** 2 * delta / (2.0 * sys_p.mass))[:, None]
+            phase = np.exp(-0.5j * w * delta / sys_p.hbar)[:, None, :]
+            u = (v * phase) @ v.conj().swapaxes(-1, -2)
+
+            def half(x):
+                return (u @ x[..., None])[..., 0]
+
+            for _ in range(n_steps):
+                psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=-2), axis=-2))
+        t_prev = t
+        norms.append(np.sum(np.abs(psi[0] @ psi[1].conj().T) ** 2))
+    return np.array(norms)
+
+
 class TestEvolveNorm:
     def test_initial_norm_is_one(self):
         bath = dl.spin_bath(4, 1.0)
@@ -486,6 +516,46 @@ class TestEvolveNorm:
         curve_a, tau = momentum_separation_curve(24.0, n_times=5, dt=4e-4)
         curve_b, _ = momentum_separation_curve(24.0, n_times=5, dt=2e-4)
         assert np.abs(curve_a.values - curve_b.values).max() < 1e-6
+
+    @pytest.mark.parametrize("omegas", [0.0, 1.0], ids=["static", "dicke"])
+    def test_merged_strang_matches_unmerged_reference(self, omegas):
+        # dt = 0.25 cuts the spans 0.25, 0.5, 0.75 and 0.6 into 1, 2, 3 and
+        # 3 steps, so both end half-steps of short and long spans count; four
+        # equal spins form one Dicke factor on the dynamic path
+        grid = dl.PositionGrid(-8, 8, 64)
+        sys_p = dl.GridParticle(grid, mass=1.0, potential_omega=1.5)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.5, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, -0.5, 0.5), grid)
+        bath = dl.spin_bath(4, 1.0, omegas=omegas)
+        times = [0.0, 0.25, 0.75, 1.5, 2.1]
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=0.25)
+        expected = _unmerged_strang_norms(sys_p, bath, b1, b2, times, 0.25)
+        assert expected[-1] < 0.9
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_merged_strang_matches_unmerged_reference_random(self, data):
+        n = data.draw(st.sampled_from([16, 32, 64]))
+        grid = dl.PositionGrid(-6, 6, n)
+        omega_p = data.draw(st.one_of(st.none(), st.floats(0.2, 2.0)))
+        sys_p = dl.GridParticle(grid, data.draw(st.floats(0.5, 4.0)), omega_p,
+                                data.draw(st.floats(0.5, 2.0)))
+        m = data.draw(st.integers(1, 4))
+        omegas = data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0]),
+            st.lists(st.sampled_from([0.0, 0.7, 1.3]), min_size=m, max_size=m),
+        ))
+        bath = dl.spin_bath(m, data.draw(st.floats(0.2, 2.0)), omegas=omegas)
+        q0 = data.draw(st.floats(0.3, 1.5))
+        p0 = data.draw(st.floats(-1.0, 1.0))
+        b1 = dl.grid_packet_state(dl.GaussianPacket(q0, p0, 0.6, sys_p.hbar), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-q0, -p0, 0.6, sys_p.hbar), grid)
+        times = sorted(data.draw(st.sets(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+        dt = data.draw(st.floats(0.02, 0.3))
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=dt)
+        expected = _unmerged_strang_norms(sys_p, bath, b1, b2, times, dt)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
     def test_spin_gaussian_decay_matches_law(self):
         # CLT-converged product of cosines vs the Gaussian law: fitted tau

@@ -266,6 +266,21 @@ class TestSpinCoherenceNorm:
                 0.1, 5.0, 1.0, -1.0, 1.0, dl.BathMoments(1.0), mode="montecarlo"
             )
 
+    @pytest.mark.parametrize("samples", [1e5, "a"], ids=["float", "text"])
+    def test_montecarlo_rejects_non_integer_samples(self, samples):
+        bath = dl.BathMoments(1.0, var_Bdot=0.0)
+        with pytest.raises(ValidationError):
+            dl.spin_coherence_norm(0.02, 15.0, 1.0, -1.0, 1.0, bath, mode="montecarlo",
+                                   samples=samples)
+
+    @pytest.mark.parametrize("seed", [-1, "a", 1.5, True, 1 << 128],
+                             ids=["negative", "text", "float", "bool", "too-large"])
+    def test_montecarlo_rejects_bad_seed(self, seed):
+        bath = dl.BathMoments(1.0, var_Bdot=0.0)
+        with pytest.raises(ValidationError):
+            dl.spin_coherence_norm(0.02, 15.0, 1.0, -1.0, 1.0, bath, mode="montecarlo",
+                                   seed=seed)
+
     def test_montecarlo_reproducible(self):
         bath = dl.BathMoments(1.0, var_Bdot=0.0)
         a = dl.spin_coherence_norm(0.02, 15.0, 1.0, -1.0, 1.0, bath, mode="montecarlo", seed=9)
