@@ -7,7 +7,7 @@ path) and do not check: ``as_hermitian`` does, at the public boundary of
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 HERMITIAN_TOL = 1e-12
 
@@ -25,8 +25,7 @@ def as_hermitian(a, name="operator"):
         raise ValidationError(msg) from exc
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"{name} must be square matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} has non-finite entries")
+    require_finite(**{name: m})
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     skew = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
     if np.any(skew > HERMITIAN_TOL * scale):

@@ -596,7 +596,7 @@ def main(argv=None):
         cfg.read_string(raw.decode())
         values = parse_config(cfg, args.experiment)
         columns, rows, extras = EXPERIMENTS[args.experiment](values, args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"decolab: error: numerical: {exc}", file=sys.stderr)
         return 2

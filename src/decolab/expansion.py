@@ -30,7 +30,9 @@ from ._linalg import (
     require_same_dim,
     spectral_norm,
 )
-from .errors import ConvergenceError, ValidationError, require_finite
+from .errors import (
+    ConvergenceError, ValidationError, is_int, require_nonnegative, require_positive,
+)
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
 
@@ -48,6 +50,7 @@ class ExpandedHamiltonian:
         for name in ("h0", "h1", "h2"):
             object.__setattr__(self, name, as_hermitian(getattr(self, name), name))
         require_same_dim(self.h0, self.h1, self.h2)
+        require_positive(hbar=self.hbar)
 
     @property
     def dim(self):
@@ -60,9 +63,7 @@ class ExpandedHamiltonian:
 
 def magnus_exponent(h, t):
     """Exponent Phi(t) with U(t) ~ exp(-i Phi(t) / hbar), accurate to O(t^4)."""
-    require_finite(t=t)
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    require_nonnegative(t=t)
     comm = h.h0 @ h.h1 - h.h1 @ h.h0
     return (
         h.h0 * t
@@ -91,10 +92,12 @@ def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0):
     t : float
         Final time.
     n_steps : int
-        Number of midpoint factors (>= 1).
+        Number of midpoint factors, an integer >= 1.
     """
-    if n_steps < 1:
-        raise ValidationError("n_steps must be >= 1")
+    if not (is_int(n_steps) and n_steps >= 1):
+        raise ValidationError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    require_nonnegative(t=t)
+    require_positive(hbar=hbar)
     delta = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * delta
     hs = as_hermitian([h_of_t(float(s)) for s in mids], "h_of_t")
@@ -112,6 +115,8 @@ def particle_generators(Q, P, B, Bdot, mass, hbar=1.0):
     coefficient is not required at the order implemented for the particle
     case.
     """
+    if mass != np.inf:
+        require_positive(mass=mass)
     Q, P = as_hermitian(Q, "Q"), as_hermitian(P, "P")
     B, Bdot = as_hermitian(B, "B"), as_hermitian(Bdot, "Bdot")
     require_same_dim(Q, P)
@@ -150,8 +155,7 @@ def expansion_error(h, h_of_t, t):
     The reference step count is doubled until its own Richardson error
     estimate is below REL_SELF_ERROR times the reported distance.
     """
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    require_nonnegative(t=t)
     if t == 0:
         return 0.0
     approx = short_time_propagator(h, t)

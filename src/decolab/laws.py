@@ -32,12 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateBathError,
-    IntegrationError,
-    ResolutionError,
-    ValidationError,
-    require_finite,
-    require_real,
+    DegenerateBathError, IntegrationError, ResolutionError, ValidationError,
+    _float_range_checked, require_nonnegative, require_positive, require_real, require_times,
 )
 from .packets import BLOCK_CHUNK, DensityBlock
 
@@ -55,11 +51,10 @@ class BathMoments:
     kappa: float = 0.0
 
     def __post_init__(self):
-        require_finite(var_B=self.var_B, var_Bdot=self.var_Bdot, kappa=self.kappa)
-        if self.var_B < 0:
-            raise ValidationError(f"var_B must be >= 0, got {self.var_B}")
-        if self.var_Bdot is not None and self.var_Bdot < 0:
-            raise ValidationError(f"var_Bdot must be >= 0, got {self.var_Bdot}")
+        require_nonnegative(var_B=self.var_B)
+        require_real(kappa=self.kappa)
+        if self.var_Bdot is not None:
+            require_nonnegative(var_Bdot=self.var_Bdot)
 
 
 def _zero(s):
@@ -83,9 +78,7 @@ class CorrelationFunction:
 
     def __post_init__(self):
         if self.tail_cutoff != math.inf:
-            require_real(tail_cutoff=self.tail_cutoff)
-        if not self.tail_cutoff > 0:
-            raise ValidationError("tail_cutoff must be positive")
+            require_positive(tail_cutoff=self.tail_cutoff)
         if self.moments is not None:
             expected = 2.0 * self.moments.var_B
             got = float(self.sym(0.0))
@@ -97,39 +90,28 @@ class CorrelationFunction:
 
 def constant_correlation(var_b, tail_cutoff=math.inf):
     """sym(s) = 2 var_b for all s (the zero-memory limit)."""
-    moments = BathMoments(var_b)
     return CorrelationFunction(
-        sym=lambda s: 2.0 * var_b, tail_cutoff=tail_cutoff, moments=moments
+        sym=lambda s: 2.0 * var_b, tail_cutoff=tail_cutoff, moments=BathMoments(var_b)
     )
 
 
 def exponential_correlation(var_b, gamma, tail_cutoff=None):
     """sym(s) = 2 var_b exp(-gamma s)."""
-    require_real(gamma=gamma)
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    if tail_cutoff is None:
-        tail_cutoff = 46.0 / gamma  # exp(-46) ~ 1e-20
-    moments = BathMoments(var_b)
+    require_positive(gamma=gamma)
     return CorrelationFunction(
         sym=lambda s: 2.0 * var_b * math.exp(-gamma * s),
-        tail_cutoff=tail_cutoff,
-        moments=moments,
+        tail_cutoff=46.0 / gamma if tail_cutoff is None else tail_cutoff,  # exp(-46) ~ 1e-20
+        moments=BathMoments(var_b),
     )
 
 
 def gaussian_correlation(var_b, tau, tail_cutoff=None):
     """sym(s) = 2 var_b exp(-s^2 / 2 tau^2)."""
-    require_real(tau=tau)
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    if tail_cutoff is None:
-        tail_cutoff = 10.0 * tau
-    moments = BathMoments(var_b)
+    require_positive(tau=tau)
     return CorrelationFunction(
         sym=lambda s: 2.0 * var_b * math.exp(-0.5 * (s / tau) ** 2),
-        tail_cutoff=tail_cutoff,
-        moments=moments,
+        tail_cutoff=10.0 * tau if tail_cutoff is None else tail_cutoff,
+        moments=BathMoments(var_b),
     )
 
 
@@ -143,12 +125,9 @@ class SystemParams:
 
     def __post_init__(self):
         if self.mass != math.inf:
-            require_real(mass=self.mass)
-        require_real(omega=self.omega, hbar=self.hbar)
-        if not self.mass > 0:
-            raise ValidationError(f"mass must be positive, got {self.mass}")
-        if not self.hbar > 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
+            require_positive(mass=self.mass)
+        require_real(omega=self.omega)
+        require_positive(hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -189,24 +168,23 @@ def decoherence_times(dq, dp, sys, bath):
     tau_q  = hbar / (|dq| sqrt(<B^2>))
     tau_qp = (M hbar^2 / (|dq dp| <B^2>))^(1/3)
     tau_p  = (4 M^2 hbar^2 / (dp^2 <B^2>))^(1/4)
+
+    A channel whose rate (the denominator) is zero, also by underflow of a
+    nonzero separation, gets math.inf.
     """
     require_real(dq=dq, dp=dp)
     if not bath.var_B > 0:
         raise DegenerateBathError("decoherence times require var_B > 0")
     v = bath.var_B
     hbar, mass = sys.hbar, sys.mass
-    tau_q = hbar / (abs(dq) * math.sqrt(v)) if dq != 0 else math.inf
-    tau_qp = (
-        (mass * hbar ** 2 / (abs(dq * dp) * v)) ** (1.0 / 3.0)
-        if dq * dp != 0
-        else math.inf
-    )
-    tau_p = (
-        (4.0 * mass ** 2 * hbar ** 2 / (dp ** 2 * v)) ** 0.25 if dp != 0 else math.inf
-    )
+    rate_q, rate_qp, rate_p = abs(dq) * math.sqrt(v), abs(dq * dp) * v, dp ** 2 * v
+    tau_q = hbar / rate_q if rate_q > 0 else math.inf
+    tau_qp = (mass * hbar ** 2 / rate_qp) ** (1.0 / 3.0) if rate_qp > 0 else math.inf
+    tau_p = (4.0 * mass ** 2 * hbar ** 2 / rate_p) ** 0.25 if rate_p > 0 else math.inf
     return DecoherenceTimes(tau_q, tau_qp, tau_p)
 
 
+@_float_range_checked
 def coherence_norm_short_time(t, sup, sys, bath):
     """Short-time coherence norm N(t) the off-diagonal block of ``sup`` decays by.
 
@@ -221,10 +199,8 @@ def coherence_norm_short_time(t, sup, sys, bath):
     hbar = sup.packet1.hbar
     if sys.hbar != hbar:
         raise ValidationError("SystemParams.hbar differs from the packets' hbar")
+    require_times(t=t)
     t = np.asarray(t, dtype=float)
-    require_finite(t=t)
-    if np.any(t < 0):
-        raise ValidationError("t must be >= 0")
     v = bath.var_B
     sigma = sup.packet1.sigma
     dq, dp = sup.dq, sup.dp
@@ -234,7 +210,9 @@ def coherence_norm_short_time(t, sup, sys, bath):
         + dq * dp * t ** 3 / sys.mass
         + dp ** 2 * t ** 4 / (4.0 * sys.mass ** 2)
     )
-    result = prefactor * np.exp(exponent)
+    # The bracket is the perfect square (dq t + dp t^2 / 2M)^2, but rounding
+    # in the cross term can leave the exponent a few ulps above 0.
+    result = prefactor * np.exp(np.minimum(exponent, 0.0))
     return result if result.ndim else float(result)
 
 
@@ -260,9 +238,7 @@ def evolve_density_short_time(block, t, sys, bath):
     result reproduces the closed-form coherence norm: the two code paths
     cross-check each other.
     """
-    require_finite(t=t)
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    require_nonnegative(t=t)
     grid = block.grid
     n = grid.n_points
     h = grid.spacing
@@ -312,6 +288,7 @@ def evolve_density_short_time(block, t, sys, bath):
     return DensityBlock(grid, out)
 
 
+@_float_range_checked
 def two_reservoir_norm(t, dq, dp, var_bq, var_bp, hbar):
     """Coherence norm for independent Q and P reservoirs.
 
@@ -319,16 +296,18 @@ def two_reservoir_norm(t, dq, dp, var_bq, var_bp, hbar):
     and tau_P = hbar/(|dp| sqrt(var_bp)); symmetric under swapping the two
     (separation, variance) pairs.
     """
+    require_times(t=t)
+    require_real(dq=dq, dp=dp)
+    require_nonnegative(var_bq=var_bq, var_bp=var_bp)
+    require_positive(hbar=hbar)
     t = np.asarray(t, dtype=float)
-    require_finite(t=t, dq=dq, dp=dp, var_bq=var_bq, var_bp=var_bp, hbar=hbar)
-    if np.any(t < 0):
-        raise ValidationError("t must be >= 0")
     factor_q = np.exp(-(t * dq / hbar) ** 2 * var_bq)
     factor_p = np.exp(-(t * dp / hbar) ** 2 * var_bp)
     result = factor_q * factor_p
     return result if result.ndim else float(result)
 
 
+@_float_range_checked
 def memory_kernel_norm(t, dq, hbar, corr):
     """Finite-memory coherence norm for position-separated packets.
 
@@ -337,44 +316,33 @@ def memory_kernel_norm(t, dq, hbar, corr):
     bath correlation time.  The integral is evaluated by adaptive
     quadrature to absolute tolerance 1e-10.
     """
-    import scipy.integrate
-
-    require_real(t=t, dq=dq, hbar=hbar)
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    require_nonnegative(t=t)
+    require_real(dq=dq)
+    require_positive(hbar=hbar)
     if t == 0:
         return 1.0
-    upper = min(t, corr.tail_cutoff)
-    result = scipy.integrate.quad(
-        lambda s: (t - s) * corr.sym(s), 0.0, upper,
-        epsabs=1e-10, epsrel=1e-10, limit=400, full_output=True,
-    )
-    integral, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > max(1e-8, 1e-6 * abs(integral)):
-        raise IntegrationError(
-            f"memory-kernel quadrature did not converge (abserr={abserr:.3g})"
-        )
+    integral = _quad("memory-kernel", lambda s: (t - s) * corr.sym(s), min(t, corr.tail_cutoff),
+                     epsabs=1e-10, floor=1e-8)
     return float(np.exp(-(dq ** 2 / hbar ** 2) * integral))
 
 
-def _quad_weighted(f, upper, omega, kind):
+def _quad(what, f, upper, epsabs, floor, **weight):
+    """scipy quad of f over [0, upper]; IntegrationError unless it converged
+    to a finite value within max(floor, 1e-6 |integral|)."""
     import scipy.integrate
 
-    if omega == 0.0:
-        result = scipy.integrate.quad(
-            f, 0.0, upper, epsabs=1e-12, epsrel=1e-10, limit=400, full_output=True
-        )
-    else:
-        result = scipy.integrate.quad(
-            f, 0.0, upper, weight=kind, wvar=omega,
-            epsabs=1e-12, epsrel=1e-10, limit=400, full_output=True,
-        )
+    result = scipy.integrate.quad(
+        f, 0.0, upper, epsabs=epsabs, epsrel=1e-10, limit=400, full_output=True, **weight
+    )
     integral, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > max(1e-9, 1e-6 * abs(integral)):
-        raise IntegrationError(
-            f"golden-rule quadrature did not converge (abserr={abserr:.3g})"
-        )
+    if len(result) > 3 or not math.isfinite(integral) or abserr > max(floor, 1e-6 * abs(integral)):
+        raise IntegrationError(f"{what} quadrature did not converge (abserr={abserr:.3g})")
     return integral
+
+
+def _quad_weighted(f, upper, omega, kind):
+    weight = {} if omega == 0.0 else {"weight": kind, "wvar": omega}
+    return _quad("golden-rule", f, upper, epsabs=1e-12, floor=1e-9, **weight)
 
 
 def golden_rule_times(corr, sys, dq):
@@ -386,10 +354,9 @@ def golden_rule_times(corr, sys, dq):
     Integrals are truncated at corr.tail_cutoff (which must be finite),
     where the correlations are zero by contract.
     """
-    require_finite(dq=dq)
+    require_real(dq=dq)
     upper = corr.tail_cutoff
-    if not math.isfinite(upper):
-        raise ValidationError("golden_rule_times requires a finite tail_cutoff")
+    require_positive(tail_cutoff=upper)  # positive already; this rejects inf
     omega = sys.omega
 
     i_dec = _quad_weighted(lambda s: 0.5 * corr.sym(s), upper, omega, "cos")
@@ -413,7 +380,8 @@ def golden_rule_times(corr, sys, dq):
 
 def transition_separation(dp, hbar):
     """Position separation sqrt(hbar |dp|) below which E^Q dominance is lost."""
-    require_finite(dp=dp, hbar=hbar)
+    require_real(dp=dp)
+    require_positive(hbar=hbar)
     if dp == 0:
         raise ValidationError("transition_separation requires dp != 0")
     return math.sqrt(hbar * abs(dp))
@@ -425,9 +393,6 @@ def flo_time(sigma, d, v):
     sigma is the position variance (width squared); the literature writes
     this sigma^2 / (d v) with sigma denoting the width itself.
     """
-    require_real(sigma=sigma, d=d, v=v)
-    if not d > 0:
-        raise ValidationError("d must be positive")
-    if not v > 0:
-        raise ValidationError("v must be positive")
+    require_nonnegative(sigma=sigma)
+    require_positive(d=d, v=v)
     return sigma / (d * v)

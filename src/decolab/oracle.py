@@ -53,13 +53,9 @@ import numpy as np
 
 from ._linalg import expm_phase_stack
 from .errors import (
-    DimensionCapError,
-    FitWindowError,
-    StepSizeError,
-    ValidationError,
-    is_int,
-    require_finite,
-    require_real,
+    DimensionCapError, FitWindowError, StepSizeError, ValidationError, _float_range_checked,
+    is_int, require_finite, require_nonnegative, require_positive, require_real,
+    require_real_array, require_times,
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
@@ -71,12 +67,6 @@ JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
 MAX_UNIQUE_EIGENVALUES = 1 << 16
 SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
-
-
-def _check_hbar(hbar):
-    require_finite(hbar=hbar)
-    if not hbar > 0:
-        raise ValidationError("hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,18 +182,12 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 
     omegas may be a scalar (shared frequency) or a sequence of length m.
     """
-    if not is_int(m):
-        raise ValidationError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    require_real(var_total=var_total)
-    if var_total < 0:
-        raise ValidationError("var_total must be nonnegative")
+    if not (is_int(m) and m >= 1):
+        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
+    require_nonnegative(var_total=var_total)
+    require_real_array(omegas=omegas)
     g = math.sqrt(var_total / m)
-    try:
-        omegas = np.asarray(omegas, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError("omegas must be a number or a sequence of numbers") from None
+    omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim == 0:
         omegas = np.full(m, omegas)
     if omegas.shape != (m,):
@@ -250,7 +234,7 @@ def bath_statistics(bath, hbar=1.0):
     correlation is a sum of cosines, sym(s) = sum_i 2 g_i^2 cos(omega_i s);
     Fock-state oscillators contribute 2 g^2 (2n+1) cos(omega s).
     """
-    _check_hbar(hbar)
+    require_positive(hbar=hbar)
     terms = [
         (_component_statistics(c, l), c.g, c.omega)
         for c, l in zip(bath.components, bath.initial)
@@ -280,7 +264,7 @@ def build_bath_operators(bath, hbar=1.0):
     bath dimension of 4096 even when the model's own cap was raised (the
     evolution paths never need these matrices at such sizes).
     """
-    _check_hbar(hbar)
+    require_positive(hbar=hbar)
     dim = bath.dimension
     if dim > min(bath.dimension_cap, DENSE_BATH_LIMIT):
         raise DimensionCapError(
@@ -345,14 +329,11 @@ class GridParticle:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass != math.inf:
-            require_real(mass=self.mass)
-        if not self.mass > 0:
-            raise ValidationError("mass must be positive (math.inf allowed)")
-        if self.potential_omega is not None and math.isinf(self.mass):
-            raise ValidationError("harmonic potential requires finite mass")
-        require_finite(potential_omega=self.potential_omega)
-        _check_hbar(self.hbar)
+        if self.mass != math.inf or self.potential_omega is not None:
+            require_positive(mass=self.mass)  # a harmonic potential needs a finite mass
+        if self.potential_omega is not None:
+            require_real(potential_omega=self.potential_omega)
+        require_positive(hbar=self.hbar)
 
     def potential(self):
         q = self.grid.points
@@ -370,9 +351,8 @@ class SpinSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        spin_matrices(self.j)  # validates j
-        require_finite(omega=self.omega)
-        _check_hbar(self.hbar)
+        spin_matrices(self.j, self.hbar)  # validates j and hbar
+        require_real(omega=self.omega)
 
 
 SystemSpec = Union[GridParticle, SpinSystem]
@@ -387,15 +367,13 @@ class NormCurve:
     fingerprint: str
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _check_times(self.times)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.shape != values.shape:
+        if times.shape != values.shape:
             raise ValidationError("times and values must be matching 1-d arrays")
-        require_finite(times=times, values=values)
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly ascending")
+        require_finite(values=values)
         if np.any(values < -1e-9) or np.any(values > 1.0 + 1e-9):
             raise ValidationError("norm values must lie in [0, 1] (within 1e-9)")
 
@@ -416,7 +394,7 @@ def grid_packet_state(packet, grid):
 
 def position_eigenstate(grid, q):
     """Delta state at the grid point nearest q; returns (state, snapped q)."""
-    require_finite(q=q)
+    require_real(q=q)
     idx = int(np.argmin(np.abs(grid.points - q)))
     vec = np.zeros(grid.n_points, dtype=complex)
     vec[idx] = 1.0
@@ -438,10 +416,10 @@ def _fingerprint(sys, bath, branch1, branch2, times, dt):
 
 
 def _normalized_branch(vec, dim, name):
+    require_finite(**{name: vec})
     v = np.asarray(vec, dtype=complex).ravel()
     if v.size != dim:
         raise ValidationError(f"{name} has length {v.size}, expected {dim}")
-    require_finite(**{name: v})
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValidationError(f"{name} is the zero vector")
@@ -449,14 +427,12 @@ def _normalized_branch(vec, dim, name):
 
 
 def _check_times(times):
-    require_finite(times=times)
-    if np.iscomplexobj(times):
-        raise ValidationError("times must be real")
+    require_times(times=times)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValidationError("times must be ascending and nonnegative")
+    if np.any(np.diff(t) <= 0):
+        raise ValidationError("times must be strictly ascending")
     return t
 
 
@@ -739,9 +715,7 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     """
     times = _check_times(times)
     if dt is not None:
-        require_real(dt=dt)
-        if not dt > 0:
-            raise ValidationError("dt must be finite and positive")
+        require_positive(dt=dt)
     if isinstance(sys, SpinSystem):
         dim = int(round(2 * sys.j)) + 1
     elif isinstance(sys, GridParticle):
@@ -770,6 +744,7 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 # Closed-form oracle limits and fits
 
 
+@_float_range_checked
 def static_bath_norm(d, bath, t, hbar=1.0):
     """Exact norm for frozen system and bath: N(t) = prod_i cos^2(d g_i t / hbar).
 
@@ -779,9 +754,10 @@ def static_bath_norm(d, bath, t, hbar=1.0):
     for comp in bath.components:
         if comp.kind != "spin-half":
             raise ValidationError("static_bath_norm requires spin-half components")
+    require_real(d=d)
+    require_times(t=t)
+    require_positive(hbar=hbar)
     t = np.asarray(t, dtype=float)
-    require_finite(d=d, t=t)
-    _check_hbar(hbar)
     gs = np.array([c.g for c in bath.components])
     result = np.prod(np.cos(np.multiply.outer(t, gs) * d / hbar) ** 2, axis=-1)
     return result if result.ndim else float(result)
@@ -789,8 +765,8 @@ def static_bath_norm(d, bath, t, hbar=1.0):
 
 def bath_characteristic(bath, lam):
     """Exact characteristic function <e^{i lam B}> of the initial state."""
+    require_real_array(lam=lam)
     lam = np.asarray(lam, dtype=float)
-    require_finite(lam=lam)
     result = np.ones(lam.shape, dtype=complex)
     for comp, label in zip(bath.components, bath.initial):
         if comp.kind == "spin-half":

@@ -16,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatchError,
-    ResolutionError,
-    ValidationError,
-    is_int,
-    require_finite,
-    require_real,
+    GridMismatchError, ResolutionError, ValidationError, is_int, require_complex,
+    require_positive, require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -43,11 +39,8 @@ class GaussianPacket:
     hbar: float = 1.0
 
     def __post_init__(self):
-        require_finite(q0=self.q0, p0=self.p0, sigma=self.sigma, hbar=self.hbar)
-        if not self.sigma > 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not self.hbar > 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
+        require_real(q0=self.q0, p0=self.p0)
+        require_positive(sigma=self.sigma, hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class Superposition:
     def __post_init__(self):
         if self.packet1.sigma != self.packet2.sigma or self.packet1.hbar != self.packet2.hbar:
             raise ValidationError("superposed packets must share sigma and hbar")
-        require_finite(c1=self.c1, c2=self.c2)
+        require_complex(c1=self.c1, c2=self.c2)
         total = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"|c1|^2 + |c2|^2 = {total}, expected 1")
@@ -130,8 +123,8 @@ class DensityBlock:
 
 def position_amplitude(packet, q):
     """Position-representation amplitude phi(q); broadcasts over q."""
+    require_real_array(q=q)
     q = np.asarray(q, dtype=float)
-    require_finite(q=q)
     norm = (2.0 * np.pi * packet.sigma) ** -0.25
     phase = np.exp(1j * packet.p0 * (q - packet.q0) / packet.hbar)
     envelope = np.exp(-((q - packet.q0) ** 2) / (4.0 * packet.sigma))
@@ -145,8 +138,8 @@ def momentum_amplitude(packet, p):
     which evaluates to
     (2 pi sigma)^(1/4) (pi hbar)^(-1/2) e^{-i p q0 / hbar} e^{-sigma (p - p0)^2 / hbar^2}.
     """
+    require_real_array(p=p)
     p = np.asarray(p, dtype=float)
-    require_finite(p=p)
     norm = (2.0 * np.pi * packet.sigma) ** 0.25 / np.sqrt(np.pi * packet.hbar)
     phase = np.exp(-1j * p * packet.q0 / packet.hbar)
     envelope = np.exp(-packet.sigma * (p - packet.p0) ** 2 / packet.hbar ** 2)

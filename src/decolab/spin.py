@@ -26,11 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBathError, ValidationError, is_int, require_finite
+from .errors import (
+    DegenerateBathError, ValidationError, _float_range_checked, is_int, require_complex,
+    require_positive, require_real, require_times,
+)
 
 
 def _check_j(j):
-    require_finite(j=j)
+    require_real(j=j)
     two_j = 2.0 * j
     if two_j < 1 or abs(two_j - round(two_j)) > 1e-12:
         raise ValidationError(f"j must be a half-integer >= 1/2, got {j}")
@@ -44,6 +47,7 @@ def spin_matrices(j, hbar=1.0):
     m = j - n.  Satisfies [Jx, Jy] = i hbar Jz to machine precision.
     """
     two_j = _check_j(j)
+    require_positive(hbar=hbar)
     dim = two_j + 1
     m = j - np.arange(dim)
     jz = hbar * np.diag(m).astype(complex)
@@ -71,10 +75,8 @@ class SpinCoherent:
 
     def __post_init__(self):
         _check_j(self.j)
-        if not (cmath.isfinite(self.alpha)):
-            raise ValidationError("alpha must be finite (theta = pi is excluded)")
-        if not self.hbar > 0:
-            raise ValidationError("hbar must be positive")
+        require_complex(alpha=self.alpha)
+        require_positive(hbar=self.hbar)
 
     @property
     def theta(self):
@@ -93,17 +95,21 @@ def _log_binomials(two_j):
     )
 
 
+def _ket(two_j, alpha, log_norm):
+    """sum_n sqrt(C(2j,n)) alpha^n |j, j-n> / e^log_norm, in the log domain."""
+    if alpha == 0:
+        ket = np.zeros(two_j + 1, dtype=complex)
+        ket[0] = 1.0
+        return ket
+    n = np.arange(two_j + 1)
+    log_mag = 0.5 * _log_binomials(two_j) + n * math.log(abs(alpha)) - log_norm
+    return np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
+
+
 def unnormalized_ket(j, alpha):
     """Holomorphic ket ||alpha> = sum_n sqrt(C(2j,n)) alpha^n |j, j-n>."""
-    two_j = _check_j(j)
-    alpha = complex(alpha)
-    if alpha == 0:
-        comps = np.zeros(two_j + 1, dtype=complex)
-        comps[0] = 1.0
-        return comps
-    n = np.arange(two_j + 1)
-    mag = np.exp(0.5 * _log_binomials(two_j) + n * math.log(abs(alpha)))
-    return mag * np.exp(1j * n * cmath.phase(alpha))
+    require_complex(alpha=alpha)
+    return _ket(_check_j(j), complex(alpha), 0.0)
 
 
 def coherent_vector(state):
@@ -115,16 +121,8 @@ def coherent_vector(state):
     """
     if state.j > 200:
         raise ValidationError("coherent_vector supports j <= 200")
-    two_j = _check_j(state.j)
     alpha = complex(state.alpha)
-    n = np.arange(two_j + 1)
-    log_norm = state.j * math.log1p(abs(alpha) ** 2)
-    if alpha == 0:
-        vec = np.zeros(two_j + 1, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    log_mag = 0.5 * _log_binomials(two_j) + n * math.log(abs(alpha)) - log_norm
-    return np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
+    return _ket(_check_j(state.j), alpha, state.j * math.log1p(abs(alpha) ** 2))
 
 
 def coherent_means(state):
@@ -164,8 +162,8 @@ def special_pair(alpha, case_id):
     The fourth case listed alongside these is exposed only as the predicate
     is_special_case_iv because its printed condition appears corrupted.
     """
+    require_complex(alpha=alpha)
     alpha = complex(alpha)
-    require_finite(alpha=alpha)
     if case_id == "ii":
         return alpha.conjugate()
     if case_id in ("i", "iii"):
@@ -182,8 +180,8 @@ def is_special_case_iv(alpha, beta, tol=1e-9):
     The mixed angle pairing looks typographical; the condition is exposed
     as printed rather than guessed at, and no constructor is provided.
     """
+    require_complex(alpha=alpha, beta=beta)
     alpha, beta = complex(alpha), complex(beta)
-    require_finite(alpha=alpha, beta=beta)
     phi_a = cmath.phase(alpha) if alpha != 0 else 0.0
     phi_b = cmath.phase(beta) if beta != 0 else 0.0
     theta_b = 2.0 * math.atan(abs(beta))
@@ -208,12 +206,13 @@ def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
     angle-resolved expressions.  Channels whose separation (or, for y and
     z, the precession frequency) vanishes get math.inf.
     """
-    require_finite(omega=omega, hbar=hbar)
+    require_real(omega=omega)
     if not bath.var_B > 0:
         raise DegenerateBathError("spin decoherence times require var_B > 0")
     v = bath.var_B
     d = separations(j, alpha, beta, hbar)
-    tau_x = hbar / (abs(d.d_x) * math.sqrt(v)) if d.d_x != 0 else math.inf
+    rate_x = abs(d.d_x) * math.sqrt(v)
+    tau_x = hbar / rate_x if rate_x > 0 else math.inf
     rate_y4 = d.d_y ** 2 * omega ** 2 * v / (4.0 * hbar ** 2)
     tau_y = rate_y4 ** -0.25 if rate_y4 > 0 else math.inf
     rate_z6 = d.d_z ** 2 * omega ** 2 * v ** 2 / (36.0 * hbar ** 2)
@@ -240,6 +239,7 @@ def _regime_norm(t, seps, times):
     return np.ones_like(t)
 
 
+@_float_range_checked
 def spin_coherence_norm(
     t, j, alpha, beta, omega, bath, hbar=1.0, mode="regime",
     samples=100_000, seed=0,
@@ -254,10 +254,9 @@ def spin_coherence_norm(
     -based RNG makes results reproducible for a given seed.  samples (at
     least 10000) and seed (in [0, 2**128)) must be integers.
     """
+    require_times(t=t)
+    require_real(omega=omega)
     t_arr = np.asarray(t, dtype=float)
-    require_finite(t=t_arr)
-    if np.any(t_arr < 0):
-        raise ValidationError("t must be >= 0")
     seps = separations(j, alpha, beta, hbar)
     if mode == "regime":
         times = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
@@ -316,12 +315,13 @@ def verify_holomorphic_identities(j, alpha, step=1e-5):
     Returns the largest vector-norm residual relative to ||alpha>'s norm;
     it shrinks as O(step^2).
     """
+    require_real(step=step)
     if not (1e-7 <= step <= 1e-3):
         raise ValidationError("step must lie in [1e-7, 1e-3]")
-    alpha = complex(alpha)
     hbar = 1.0
     jx, jy, jz = spin_matrices(j, hbar)
     ket = unnormalized_ket(j, alpha)
+    alpha = complex(alpha)
     d_ket = (unnormalized_ket(j, alpha + step) - unnormalized_ket(j, alpha - step)) / (
         2.0 * step
     )

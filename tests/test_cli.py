@@ -314,6 +314,26 @@ class TestExperiments:
         assert main(["times", "--config", cfg]) == 2
         assert "numerical" in capsys.readouterr().err
 
+    def test_underflowing_rate_gives_infinite_time(self, tmp_path):
+        cfg = write(tmp_path, "t.ini", TIMES_CFG.replace("dp = 0.0", "dp = 1e-200"))
+        out = str(tmp_path / "out.csv")
+        assert main(["times", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out)
+        assert rows[0]["tau_p"] == "inf"
+
+    @pytest.mark.parametrize("experiment, text", [
+        # a short-time exponent that overflows float64 (NumericalError)
+        ("norm", TEMPLATES["norm"].replace("q1 = 1.0\np1 = 0.0\nq2 = -1.0\np2 = 0.0",
+                                           "q1 = 1e160\np1 = 1e160\nq2 = -1e160\np2 = -1e160")),
+        # hbar^2 overflows a Python float in the closed-form times (OverflowError)
+        ("times", TIMES_CFG.replace("dp = 0.0", "dp = 1.0").replace("hbar = 1.0", "hbar = 1e200")),
+    ], ids=["norm", "times"])
+    def test_overflow_maps_to_exit_two(self, tmp_path, capsys, experiment, text):
+        cfg = write(tmp_path, "o.ini", text)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("decolab: error: numerical:") and err.count("\n") == 1
+
     def test_linalg_error_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
         import decolab.cli as cli
 

@@ -1,0 +1,169 @@
+"""The input contract of decolab.errors, checked at the public entry points.
+
+Each row of PROBES is a call that, before the shared validators, returned a
+wrong value or raised an exception outside the decolab hierarchy.  The
+hypothesis property checks that the closed-form norms either return values
+in [0, 1] or raise a DecolabError for any finite real input.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import decolab as dl
+from decolab.errors import DecolabError, ValidationError
+
+PACKET = dl.GaussianPacket(1.0, 0.0, 0.01)
+SUP = dl.Superposition(PACKET, dl.GaussianPacket(-1.0, 0.0, 0.01))
+SYS = dl.SystemParams(mass=1.0)
+BATH = dl.BathMoments(1.0)
+MC_BATH = dl.BathMoments(1.0, var_Bdot=1.0)
+H = dl.ExpandedHamiltonian(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           np.zeros((2, 2)))
+MATS = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)))
+GRID = dl.PositionGrid(-4.0, 4.0, 64)
+WIDE = dl.GaussianPacket(0.0, 0.0, 1.0)
+BLOCK = dl.density_block(WIDE, WIDE, dl.PositionGrid(-16.0, 16.0, 256))
+
+PROBES = {
+    # silently wrong results
+    "two_reservoir_norm-negative-var_bq": lambda: dl.two_reservoir_norm(1, 1, 0, -1, 1, 1),
+    "two_reservoir_norm-negative-var_bp": lambda: dl.two_reservoir_norm(1, 0, 1, 1, -1, 1),
+    "two_reservoir_norm-zero-hbar": lambda: dl.two_reservoir_norm(1, 1, 0, 1, 1, 0),
+    "static_bath_norm-complex-d": lambda: dl.static_bath_norm(1j, dl.spin_bath(2, 1.0), 1.0),
+    "transition_separation-complex-dp": lambda: dl.transition_separation(1j, 1.0),
+    "time_ordered_propagator-negative-t": lambda: dl.time_ordered_propagator(H.at, -1.0, 4),
+    "time_ordered_propagator-complex-t": lambda: dl.time_ordered_propagator(H.at, 1j, 4),
+    "verify_holomorphic_identities-nan-alpha":
+        lambda: dl.verify_holomorphic_identities(1.0, math.nan),
+    "unnormalized_ket-nan-alpha": lambda: dl.unnormalized_ket(1.0, math.nan),
+    "SpinCoherent-inf-hbar": lambda: dl.SpinCoherent(1.0, 0.5, hbar=math.inf),
+    "spin_matrices-nan-hbar": lambda: dl.spin_matrices(1.0, hbar=math.nan),
+    "ExpandedHamiltonian-zero-hbar": lambda: dl.ExpandedHamiltonian(*MATS, hbar=0.0),
+    "ExpandedHamiltonian-nan-hbar": lambda: dl.ExpandedHamiltonian(*MATS, hbar=math.nan),
+    "GaussianPacket-complex-q0": lambda: dl.GaussianPacket(1j, 0.0, 0.01),
+    "SpinSystem-complex-omega": lambda: dl.SpinSystem(1.0, 1j),
+    "GridParticle-complex-potential_omega":
+        lambda: dl.GridParticle(GRID, 1.0, potential_omega=1j),
+    "position_eigenstate-complex-q": lambda: dl.position_eigenstate(GRID, 1j),
+    "flo_time-negative-sigma": lambda: dl.flo_time(-1.0, 1.0, 1.0),
+    "particle_generators-negative-mass":
+        lambda: dl.particle_generators(MATS[0], MATS[1], MATS[0], MATS[1], mass=-1.0),
+    "spin_coherence_norm-montecarlo-complex-omega":
+        lambda: dl.spin_coherence_norm(0.5, 1.0, 1.0, -1.0, 1j, MC_BATH, mode="montecarlo",
+                                       samples=10_000),
+    # exceptions outside the decolab hierarchy
+    "two_reservoir_norm-complex-t": lambda: dl.two_reservoir_norm(1j, 1, 0, 1, 1, 1),
+    "coherence_norm_short_time-complex-t":
+        lambda: dl.coherence_norm_short_time(1j, SUP, SYS, BATH),
+    "BathMoments-complex-var_B": lambda: dl.BathMoments(1j),
+    "spin_decoherence_times-complex-omega":
+        lambda: dl.spin_decoherence_times(10.0, 1.0, -1.0, 1j, BATH),
+    "golden_rule_times-complex-dq":
+        lambda: dl.golden_rule_times(dl.exponential_correlation(1.0, 1.0), SYS, 1j),
+    "Superposition-None-c1":
+        lambda: dl.Superposition(PACKET, dl.GaussianPacket(-1.0, 0.0, 0.01), None, 0.5),
+    "magnus_exponent-complex-t": lambda: dl.magnus_exponent(H, 1j),
+    "expansion_error-complex-t": lambda: dl.expansion_error(H, H.at, 1j),
+    "spin_coherence_norm-complex-t":
+        lambda: dl.spin_coherence_norm(1j, 1.0, 1.0, -1.0, 1.0, BATH),
+    "spin_coherence_norm-complex-omega":
+        lambda: dl.spin_coherence_norm(0.5, 1.0, 1.0, -1.0, 1j, BATH),
+    "spin_matrices-complex-j": lambda: dl.spin_matrices(1j),
+    "SpinCoherent-complex-j": lambda: dl.SpinCoherent(1j, 0.5),
+    "SpinCoherent-complex-hbar": lambda: dl.SpinCoherent(1.0, 0.5, 1j),
+    "SpinCoherent-None-alpha": lambda: dl.SpinCoherent(1.0, None),
+    "verify_holomorphic_identities-complex-step":
+        lambda: dl.verify_holomorphic_identities(1.0, 0.5, step=1j),
+    "exponential_correlation-complex-var_b": lambda: dl.exponential_correlation(1j, 1.0),
+    "bath_characteristic-complex-lam":
+        lambda: dl.bath_characteristic(dl.spin_bath(2, 1.0), 1j),
+    "special_pair-None-alpha": lambda: dl.special_pair(None, "i"),
+    "position_amplitude-complex-q": lambda: dl.position_amplitude(PACKET, 1j),
+    "momentum_amplitude-complex-p": lambda: dl.momentum_amplitude(PACKET, 1j),
+    "evolve_density_short_time-complex-t":
+        lambda: dl.evolve_density_short_time(BLOCK, 1j, SYS, BATH),
+    "time_ordered_propagator-zero-hbar":
+        lambda: dl.time_ordered_propagator(H.at, 1.0, 4, hbar=0.0),
+    "memory_kernel_norm-zero-hbar":
+        lambda: dl.memory_kernel_norm(1.0, 1.0, 0.0, dl.constant_correlation(1.0)),
+    "transition_separation-negative-hbar": lambda: dl.transition_separation(1.0, -1.0),
+    # a non-integer step count used to integrate to the wrong time
+    "time_ordered_propagator-fractional-n_steps":
+        lambda: dl.time_ordered_propagator(H.at, 1.0, 2.5),
+    "time_ordered_propagator-bool-n_steps":
+        lambda: dl.time_ordered_propagator(H.at, 1.0, True),
+}
+
+
+@pytest.mark.parametrize("call", PROBES.values(), ids=PROBES.keys())
+def test_probe_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_integer_step_counts_still_pass():
+    for n_steps in (1, np.int64(3)):
+        u = dl.time_ordered_propagator(H.at, 0.5, n_steps)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+
+
+# Finite inputs, mostly inside each argument's domain so that the call
+# computes; the PROBES table covers out-of-domain input.
+FINITE = st.floats(-1e300, 1e300)
+TIME = st.floats(0.0, 1e300)
+VAR = st.floats(0.0, 1e300)
+SCALE = st.floats(1e-300, 1e300)
+COMPLEX = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+
+
+def _in_unit_interval_or_decolab_error(call):
+    try:
+        values = np.asarray(call(), dtype=float)
+    except DecolabError:
+        return
+    assert np.all(np.isfinite(values)), values
+    assert np.all((values >= 0.0) & (values <= 1.0)), values
+
+
+class TestClosedFormNormsStayInUnitInterval:
+    @settings(deadline=None, max_examples=150)
+    @given(t=TIME, q1=FINITE, p1=FINITE, q2=FINITE, p2=FINITE, sigma=SCALE,
+           hbar=SCALE, mass=SCALE, var=VAR)
+    # dq t + dp t^2 / 2M = 0 up to rounding: the cross term used to lift N above 1
+    @example(t=3.1, q1=7.1, p1=-0.4580645161290322, q2=0.0, p2=0.0, sigma=1e-30, hbar=1.0,
+             mass=0.1, var=1.0)
+    def test_short_time(self, t, q1, p1, q2, p2, sigma, hbar, mass, var):
+        def call():
+            packets = [dl.GaussianPacket(q, p, sigma, hbar) for q, p in ((q1, p1), (q2, p2))]
+            sys_p = dl.SystemParams(mass=mass, hbar=hbar)
+            return dl.coherence_norm_short_time(t, dl.Superposition(*packets), sys_p,
+                                                dl.BathMoments(var))
+        _in_unit_interval_or_decolab_error(call)
+
+    @settings(deadline=None, max_examples=150)
+    @given(t=TIME, dq=FINITE, dp=FINITE, var_bq=VAR, var_bp=VAR, hbar=SCALE)
+    def test_two_reservoir(self, t, dq, dp, var_bq, var_bp, hbar):
+        _in_unit_interval_or_decolab_error(
+            lambda: dl.two_reservoir_norm(t, dq, dp, var_bq, var_bp, hbar))
+
+    @settings(deadline=None, max_examples=150)
+    @given(t=TIME, j=st.sampled_from([0.5, 1.0, 2.5, 10.0]), alpha=COMPLEX, beta=COMPLEX,
+           omega=FINITE, var=VAR, hbar=SCALE)
+    def test_spin_regime(self, t, j, alpha, beta, omega, var, hbar):
+        _in_unit_interval_or_decolab_error(
+            lambda: dl.spin_coherence_norm(t, j, alpha, beta, omega, dl.BathMoments(var), hbar))
+
+    @settings(deadline=None, max_examples=150)
+    @given(d=FINITE, m=st.integers(1, 6), var=VAR, t=TIME, hbar=SCALE)
+    def test_static_bath(self, d, m, var, t, hbar):
+        _in_unit_interval_or_decolab_error(
+            lambda: dl.static_bath_norm(d, dl.spin_bath(m, var), t, hbar))
+
+    @settings(deadline=None, max_examples=150)
+    @given(t=TIME, dq=FINITE, hbar=SCALE, var=VAR)
+    def test_memory_kernel_constant_correlation(self, t, dq, hbar, var):
+        _in_unit_interval_or_decolab_error(
+            lambda: dl.memory_kernel_norm(t, dq, hbar, dl.constant_correlation(var)))
