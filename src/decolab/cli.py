@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._linalg import spectral_norm
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .laws import (
     BathMoments,
     SystemParams,
@@ -47,7 +47,6 @@ from .packets import GaussianPacket, PositionGrid, Superposition
 from .expansion import ExpandedHamiltonian, expansion_error
 from .spin import special_pair, spin_coherence_norm, spin_decoherence_times
 from .oracle import (
-    DEFAULT_DIMENSION_CAP,
     GridParticle,
     bath_characteristic,
     bath_statistics,
@@ -143,8 +142,7 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
     }),
     "oracle-compare": ("exact finite-bath oracle against a closed-form law", {
         "bath-model": {"m": Key(int, REQUIRED, "12"), "var_total": Key(float, 1.0, "1.0"),
-                       "omega": Key(_frequencies, 0.0, "0", note="scalar or linear:<lo>:<hi>"),
-                       "cap": Key(int, DEFAULT_DIMENSION_CAP, "4096")},
+                       "omega": Key(_frequencies, 0.0, "0", note="scalar or linear:<lo>:<hi>")},
         "compare": {"d": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0"),
                     "protocol": Key(str, "static", "frozen", ("static", "frozen")),
                     "law": Key(str, "gaussian", "gaussian", ("gaussian", "memory"))},
@@ -267,16 +265,18 @@ class ScalingFit(NamedTuple):
     stderr: float
 
 
-def fit_scaling(axis_values, taus, axis="hbar"):
+def fit_scaling(axis_values, taus, axis="hbar", target="tau"):
     """Log-log least-squares exponent of tau against a swept axis.
 
     Sign convention: tau ~ hbar^mu / d^nu, so the returned exponent is the
     raw slope for axis="hbar" and its negation for the distance-like axes
     ("distance", "dp", "j"), making the reported mu and nu positive for the
-    physical laws.
+    physical laws.  A non-finite value (an infinite time: the channel does
+    not decay) raises ValidationError naming the axis or the target.
     """
     x = np.asarray(axis_values, dtype=float)
     y = np.asarray(taus, dtype=float)
+    require_finite(**{axis: x, target: y})
     if x.size < 4:
         raise ValidationError("fit_scaling needs at least 4 sweep points")
     if np.any(x <= 0) or np.any(y <= 0):
@@ -381,21 +381,17 @@ def run_sweep(c, args):
         return getattr(taus, target)
 
     taus = [tau_at(v) for v in values]
-    fit = fit_scaling(values, taus, axis)
+    fit = fit_scaling(values, taus, axis, target)
     rows = [[v, tau] for v, tau in zip(values, taus)]
     extras = {"fit-axis": axis, "fit-exponent": fit.exponent, "fit-stderr": fit.stderr}
     return [axis, target], rows, extras
 
 
-def _bath_model_from(model):
+def run_oracle_compare(c, args):
+    model, compare = c["bath-model"], c["compare"]
     m, omega = model["m"], model["omega"]
     omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
-    return spin_bath(m, model["var_total"], omegas, dimension_cap=model["cap"])
-
-
-def run_oracle_compare(c, args):
-    bath = _bath_model_from(c["bath-model"])
-    compare = c["compare"]
+    bath = spin_bath(m, model["var_total"], omegas)
     d, hbar, protocol, law = compare["d"], compare["hbar"], compare["protocol"], compare["law"]
     times = time_grid(c["times"])
     moments, corr = bath_statistics(bath, hbar)
@@ -482,8 +478,7 @@ def run_clt(c, args):
     gauss = np.exp(-(lam ** 2) * var_b / 2.0)
 
     def sup_distance(m):
-        bath = spin_bath(m, var_b, dimension_cap=max(DEFAULT_DIMENSION_CAP, 2 ** m))
-        return float(np.abs(bath_characteristic(bath, lam) - gauss).max())
+        return float(np.abs(bath_characteristic(spin_bath(m, var_b), lam) - gauss).max())
 
     dists = [sup_distance(m) for m in m_values]
     rows = [[m, dist] for m, dist in zip(m_values, dists)]

@@ -23,6 +23,7 @@ it, so an optional argument is checked once it is set.
 """
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -94,7 +95,7 @@ class DegenerateBathError(ValidationError):
 
 
 class DimensionCapError(ValidationError):
-    """A composite Hilbert space would exceed the configured dimension cap."""
+    """An array would exceed the size limit of the code that allocates it."""
 
 
 class NumericalError(DecolabError):
@@ -137,3 +138,22 @@ def _float_range_checked(func):
         return result
 
     return checked
+
+
+def _decay_time(rate, time):
+    """time(rate()) for a decay rate > 0, math.inf for a rate <= 0.
+
+    Both run under _float_range_checked's float64 checks: an overflow or a
+    division by an underflowed 0, or a time that underflows to 0, raises
+    NumericalError.  np.float64 operands make an overflowing product raise
+    too (a Python float silently becomes inf); an infinite mass stays inf.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            r = rate()
+            tau = float(time(r)) if r > 0 else math.inf
+    except ArithmeticError as exc:
+        raise NumericalError(f"decay time leaves the float64 range ({exc})") from exc
+    if tau == 0.0:
+        raise NumericalError("decay time underflows to 0")
+    return tau

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, IntegrationError, ResolutionError, ValidationError,
+    DegenerateBathError, IntegrationError, ResolutionError, ValidationError, _decay_time,
     _float_range_checked, require_nonnegative, require_positive, require_real, require_times,
 )
 from .packets import BLOCK_CHUNK, DensityBlock
@@ -95,22 +95,22 @@ def constant_correlation(var_b, tail_cutoff=math.inf):
     )
 
 
-def exponential_correlation(var_b, gamma, tail_cutoff=None):
-    """sym(s) = 2 var_b exp(-gamma s)."""
+def exponential_correlation(var_b, gamma):
+    """sym(s) = 2 var_b exp(-gamma s), cut off at 46 / gamma (exp(-46) ~ 1e-20)."""
     require_positive(gamma=gamma)
     return CorrelationFunction(
         sym=lambda s: 2.0 * var_b * math.exp(-gamma * s),
-        tail_cutoff=46.0 / gamma if tail_cutoff is None else tail_cutoff,  # exp(-46) ~ 1e-20
+        tail_cutoff=46.0 / gamma,
         moments=BathMoments(var_b),
     )
 
 
-def gaussian_correlation(var_b, tau, tail_cutoff=None):
-    """sym(s) = 2 var_b exp(-s^2 / 2 tau^2)."""
+def gaussian_correlation(var_b, tau):
+    """sym(s) = 2 var_b exp(-s^2 / 2 tau^2), cut off at 10 tau (exp(-50) ~ 2e-22)."""
     require_positive(tau=tau)
     return CorrelationFunction(
         sym=lambda s: 2.0 * var_b * math.exp(-0.5 * (s / tau) ** 2),
-        tail_cutoff=10.0 * tau if tail_cutoff is None else tail_cutoff,
+        tail_cutoff=10.0 * tau,
         moments=BathMoments(var_b),
     )
 
@@ -170,18 +170,18 @@ def decoherence_times(dq, dp, sys, bath):
     tau_p  = (4 M^2 hbar^2 / (dp^2 <B^2>))^(1/4)
 
     A channel whose rate (the denominator) is zero, also by underflow of a
-    nonzero separation, gets math.inf.
+    nonzero separation, gets math.inf, as do tau_qp and tau_p for an
+    infinite mass; a time outside the float64 range raises NumericalError.
     """
     require_real(dq=dq, dp=dp)
     if not bath.var_B > 0:
         raise DegenerateBathError("decoherence times require var_B > 0")
-    v = bath.var_B
-    hbar, mass = sys.hbar, sys.mass
-    rate_q, rate_qp, rate_p = abs(dq) * math.sqrt(v), abs(dq * dp) * v, dp ** 2 * v
-    tau_q = hbar / rate_q if rate_q > 0 else math.inf
-    tau_qp = (mass * hbar ** 2 / rate_qp) ** (1.0 / 3.0) if rate_qp > 0 else math.inf
-    tau_p = (4.0 * mass ** 2 * hbar ** 2 / rate_p) ** 0.25 if rate_p > 0 else math.inf
-    return DecoherenceTimes(tau_q, tau_qp, tau_p)
+    dq, dp, v, hbar, mass = map(np.float64, (dq, dp, bath.var_B, sys.hbar, sys.mass))
+    return DecoherenceTimes(
+        _decay_time(lambda: abs(dq) * math.sqrt(v), lambda r: hbar / r),
+        _decay_time(lambda: abs(dq * dp) * v, lambda r: (mass * hbar ** 2 / r) ** (1.0 / 3.0)),
+        _decay_time(lambda: dp ** 2 * v, lambda r: (4.0 * mass ** 2 * hbar ** 2 / r) ** 0.25),
+    )
 
 
 @_float_range_checked
@@ -352,7 +352,8 @@ def golden_rule_times(corr, sys, dq):
     1/tau_diss = (1/M Omega)   integral_0^inf resp(s) sin(Omega s) ds
 
     Integrals are truncated at corr.tail_cutoff (which must be finite),
-    where the correlations are zero by contract.
+    where the correlations are zero by contract.  A rate <= 0 gives an
+    infinite time; a time outside the float64 range raises NumericalError.
     """
     require_real(dq=dq)
     upper = corr.tail_cutoff
@@ -360,8 +361,7 @@ def golden_rule_times(corr, sys, dq):
     omega = sys.omega
 
     i_dec = _quad_weighted(lambda s: 0.5 * corr.sym(s), upper, omega, "cos")
-    rate_dec = dq ** 2 / sys.hbar ** 2 * i_dec
-    tau_dec = 1.0 / rate_dec if rate_dec > 0 else math.inf
+    tau_dec = _decay_time(lambda: dq ** 2 / sys.hbar ** 2 * i_dec, lambda r: 1.0 / r)
 
     if omega == 0.0:
         probes = np.linspace(0.0, upper, 7)
@@ -372,8 +372,7 @@ def golden_rule_times(corr, sys, dq):
         tau_diss = math.inf
     else:
         i_diss = _quad_weighted(corr.resp, upper, omega, "sin")
-        rate_diss = i_diss / (sys.mass * omega)
-        tau_diss = 1.0 / rate_diss if rate_diss > 0 else math.inf
+        tau_diss = _decay_time(lambda: i_diss / (np.float64(sys.mass) * omega), lambda r: 1.0 / r)
 
     return GoldenRuleTimes(tau_dec, tau_diss, abs(float(corr.sym(upper))))
 

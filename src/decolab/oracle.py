@@ -35,8 +35,12 @@ ones share one loop that checks unitarity at every sample.
 The two back ends that hold a joint bath state (Krylov and the dynamic-bath
 split step) use the bath's permutation symmetry: spin-halves with equal g,
 omega and initial sigma_z state stay in their symmetric (Dicke) subspace,
-so k of them evolve as one spin k/2 of dimension k + 1 instead of 2^k.  The
-dimension limits of those back ends apply to this reduced bath.
+so k of them evolve as one spin k/2 of dimension k + 1 instead of 2^k.
+
+A bath model sets no size limit.  Before each allocation that grows with
+the bath, ``_check_entries`` refuses an array above the limit of the code
+making it (the constants below say what each limit counts and where it
+applies) with DimensionCapError naming the array and its entry count.
 
 Only the sparse Krylov back end and build_bath_operators load scipy
 (scipy.sparse, on first call); the other back ends, the closed forms and
@@ -61,12 +65,20 @@ from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
 from .spin import spin_matrices
 
-DEFAULT_DIMENSION_CAP = 4096
-DENSE_BATH_LIMIT = 4096          # largest bath materialized as dense matrices
-JOINT_DIMENSION_LIMIT = 1 << 21  # largest system x bath state vector
-MAX_UNIQUE_EIGENVALUES = 1 << 16
+# levels of a dense bath vector, squared for a matrix: component and Dicke-factor
+# operators, BathModel.initial_state and build_bath_operators
+DENSE_BATH_LIMIT = 4096
+MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static back ends
+JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, static-bath grid
+STACK_BUDGET = 1 << 22  # per-point or per-eigenvalue matrix stack: dense, static spin, frozen
 SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
+
+
+def _check_entries(array, entries, limit):
+    """Raise DimensionCapError before allocating an array of more than limit entries."""
+    if entries > limit:
+        raise DimensionCapError(f"{array} would hold {entries} entries, above the limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,7 @@ class BathComponent:
             raise ValidationError("spin-half components have exactly 2 levels")
         if self.kind == "oscillator" and self.levels < 2:
             raise ValidationError("oscillator components need levels >= 2")
+        _check_entries("component coupling operator", self.levels ** 2, DENSE_BATH_LIMIT ** 2)
 
     def coupling_operator(self):
         """Local coupling operator including the strength g."""
@@ -130,14 +143,14 @@ class BathModel:
     """Ordered bath components with a pure product initial state.
 
     Every component's initial state must have a vanishing coupling mean
-    (checked numerically), and the total bath dimension must respect
-    ``dimension_cap`` (default 4096; raise it deliberately for models that
-    are only ever used through closed-form or factorized paths).
+    (checked numerically).  The size limits live in the oracle paths (see
+    the module docstring); ``dimension_cap``, when given, is an explicit
+    ceiling on the full dimension, the product of the components' levels.
     """
 
     components: Tuple[BathComponent, ...]
     initial: Tuple[Union[str, int], ...]
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
+    dimension_cap: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -146,14 +159,10 @@ class BathModel:
             raise ValidationError("one initial-state label per component is required")
         if not self.components:
             raise ValidationError("bath needs at least one component")
-        if not (is_int(self.dimension_cap) and self.dimension_cap >= 1):
-            raise ValidationError(
-                f"dimension_cap must be a positive integer, got {self.dimension_cap!r}"
-            )
-        if self.dimension > self.dimension_cap:
-            raise DimensionCapError(
-                f"bath dimension {self.dimension} exceeds cap {self.dimension_cap}"
-            )
+        cap = self.dimension_cap
+        if cap is not None and not (is_int(cap) and cap >= 1):
+            raise ValidationError(f"dimension_cap must be a positive integer, got {cap!r}")
+        _check_entries("bath state", self.dimension, math.inf if cap is None else cap)
         for comp, label in zip(self.components, self.initial):
             vec = comp.initial_vector(label)
             mean = vec.conj() @ comp.coupling_operator() @ vec
@@ -173,6 +182,7 @@ class BathModel:
         return all(comp.omega == 0.0 for comp in self.components)
 
     def initial_state(self):
+        _check_entries("bath initial state", self.dimension, DENSE_BATH_LIMIT)
         vecs = [c.initial_vector(l) for c, l in zip(self.components, self.initial)]
         return reduce(np.kron, vecs)
 
@@ -181,6 +191,8 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
     """Equal-coupling spin-half bath with <B^2> = var_total, all spins up.
 
     omegas may be a scalar (shared frequency) or a sequence of length m.
+    Any m is accepted: only the dense paths form the 2^m levels, and they
+    refuse more than DENSE_BATH_LIMIT.
     """
     if not (is_int(m) and m >= 1):
         raise ValidationError(f"m must be an integer >= 1, got {m!r}")
@@ -193,8 +205,7 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
     if omegas.shape != (m,):
         raise ValidationError("omegas must be scalar or of length m")
     comps = tuple(BathComponent("spin-half", g, float(w)) for w in omegas)
-    kwargs = {} if dimension_cap is None else {"dimension_cap": dimension_cap}
-    return BathModel(comps, ("up",) * m, **kwargs)
+    return BathModel(comps, ("up",) * m, dimension_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +271,13 @@ def build_bath_operators(bath, hbar=1.0):
     """Dense B, Bdot, Bddot, H_res plus exact moments and correlations.
 
     B and H_res are ``_sparse_bath_ops`` made dense; Bdot and Bddot are the
-    nested commutators (i/hbar)[H_res, .] applied to B.  Refused above a
-    bath dimension of 4096 even when the model's own cap was raised (the
-    evolution paths never need these matrices at such sizes).
+    nested commutators (i/hbar)[H_res, .] applied to B, each a full-bath
+    dimension x dimension matrix: refused above DENSE_BATH_LIMIT (4096,
+    12 spin-halves) levels.
     """
     require_positive(hbar=hbar)
     dim = bath.dimension
-    if dim > min(bath.dimension_cap, DENSE_BATH_LIMIT):
-        raise DimensionCapError(
-            f"dense bath operators refused at dimension {dim}"
-        )
+    _check_entries("dense bath operator", dim * dim, DENSE_BATH_LIMIT ** 2)
     b_sp, hres_diag = _sparse_bath_ops(_bath_factors(bath, dicke=False), hbar)
     b_total = b_sp.toarray()
     h_res = np.diag(hres_diag).astype(complex)
@@ -307,10 +315,7 @@ def bath_eigen_decomposition(bath):
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-12 * scale)
         values = values[starts]
         weights = np.add.reduceat(weights, starts)
-        if values.size > MAX_UNIQUE_EIGENVALUES:
-            raise DimensionCapError(
-                f"bath spectrum exceeds {MAX_UNIQUE_EIGENVALUES} distinct eigenvalues"
-            )
+        _check_entries("distinct eigenvalues of B", values.size, MAX_UNIQUE_EIGENVALUES)
     keep = weights > 1e-300
     return values[keep], weights[keep]
 
@@ -475,6 +480,7 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
     the system state evolved under H_sys + b_m Jx."""
     bvals, weights = bath_eigen_decomposition(bath)
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
+    _check_entries("static spin eigenvector stack", bvals.size * jx.size, STACK_BUDGET)
     w, v = np.linalg.eigh(sys.omega * jz + bvals[:, None, None] * jx)
     c = _dagger(v) @ np.stack([branch1, branch2], axis=-1)
     c = (np.sqrt(weights)[:, None, None] * c).transpose(2, 0, 1)  # (branch, M, d)
@@ -514,6 +520,7 @@ def _bath_factors(bath, dicke=True):
             factors.append((comp.coupling_operator(), comp.frequency_operator(),
                             comp.initial_vector(label)))
             continue
+        _check_entries("Dicke factor coupling operator", (k + 1) ** 2, DENSE_BATH_LIMIT ** 2)
         jx, _, jz = spin_matrices(0.5 * k)
         vec = np.zeros(k + 1, dtype=complex)
         vec[0 if label == "up" else k] = 1.0
@@ -560,10 +567,7 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     factors = _bath_factors(bath)
     dim_s = branch1.size
     dim_b = math.prod(chi.size for _, _, chi in factors)
-    if dim_s * dim_b > JOINT_DIMENSION_LIMIT:
-        raise DimensionCapError(
-            f"joint dimension {dim_s * dim_b} exceeds {JOINT_DIMENSION_LIMIT}"
-        )
+    _check_entries("Krylov joint state", dim_s * dim_b, JOINT_DIMENSION_LIMIT)
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
     b_sp, hres_diag = _sparse_bath_ops(factors, sys.hbar)
     eye_b = scipy.sparse.identity(dim_b, format="csr")
@@ -595,6 +599,8 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
     factors = _bath_factors(bath, dicke=False)
+    _check_entries("frozen eigenvector stacks", qs.size * sum(c.size for c, _, _ in factors),
+                   STACK_BUDGET)
     eigen = []
     for c, f, chi in factors:  # per pointer q: q coupling + hbar frequency
         w, v = np.linalg.eigh(qs[:, None, None] * c + sys.hbar * f)
@@ -645,6 +651,7 @@ def _strang_advance(sys, dt, potential):
 def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
     """Static bath in B's eigenbasis: column m of each branch carries sqrt(W_m)."""
     bvals, weights = bath_eigen_decomposition(bath)
+    _check_entries("static grid columns", sys.grid.n_points * bvals.size, JOINT_DIMENSION_LIMIT)
     pot = sys.potential()[None, :] + bvals[:, None] * sys.grid.points[None, :]  # (bath, grid)
 
     def potential(delta):
@@ -660,11 +667,7 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
     n = sys.grid.n_points
     factors = _bath_factors(bath)
     dim_b = math.prod(chi.size for _, _, chi in factors)
-    if n * dim_b ** 2 > (1 << 22):
-        raise DimensionCapError(
-            "per-point bath propagators would exceed the memory budget; "
-            "use a static bath, a smaller grid, or an infinite-mass particle"
-        )
+    _check_entries("per-point bath propagators", n * dim_b ** 2, STACK_BUDGET)
     local = [sys.grid.points[:, None, None] * c + sys.hbar * f for c, f, _ in factors]
     v_pot = sys.potential()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, ValidationError, _float_range_checked, is_int, require_complex,
-    require_positive, require_real, require_times,
+    DegenerateBathError, ValidationError, _decay_time, _float_range_checked, is_int,
+    require_complex, require_positive, require_real, require_times,
 )
 
 
@@ -204,20 +204,21 @@ def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
     tau_x uses the reciprocal form hbar / (|d_x| sqrt(<B^2>)), which is the
     dimensionally consistent reading and reproduces the explicit
     angle-resolved expressions.  Channels whose separation (or, for y and
-    z, the precession frequency) vanishes get math.inf.
+    z, the precession frequency) vanishes get math.inf; a time outside the
+    float64 range raises NumericalError.
     """
     require_real(omega=omega)
     if not bath.var_B > 0:
         raise DegenerateBathError("spin decoherence times require var_B > 0")
     v = bath.var_B
     d = separations(j, alpha, beta, hbar)
-    rate_x = abs(d.d_x) * math.sqrt(v)
-    tau_x = hbar / rate_x if rate_x > 0 else math.inf
-    rate_y4 = d.d_y ** 2 * omega ** 2 * v / (4.0 * hbar ** 2)
-    tau_y = rate_y4 ** -0.25 if rate_y4 > 0 else math.inf
-    rate_z6 = d.d_z ** 2 * omega ** 2 * v ** 2 / (36.0 * hbar ** 2)
-    tau_z = rate_z6 ** (-1.0 / 6.0) if rate_z6 > 0 else math.inf
-    return SpinDecoherenceTimes(tau_x, tau_y, tau_z)
+    return SpinDecoherenceTimes(
+        _decay_time(lambda: abs(d.d_x) * math.sqrt(v), lambda r: hbar / r),
+        _decay_time(lambda: d.d_y ** 2 * omega ** 2 * v / (4.0 * hbar ** 2),
+                    lambda r: r ** -0.25),
+        _decay_time(lambda: d.d_z ** 2 * omega ** 2 * v ** 2 / (36.0 * hbar ** 2),
+                    lambda r: r ** (-1.0 / 6.0)),
+    )
 
 
 class MonteCarloNorm(NamedTuple):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -135,6 +136,8 @@ class TestFitScaling:
             fit_scaling([1.0, 2.0, 4.0, -8.0], [1.0] * 4)  # nonpositive
         with pytest.raises(ValidationError):
             fit_scaling([1.0, 2.0, 3.0, 4.0], [1.0] * 4)  # not log-spaced
+        with pytest.raises(ValidationError, match="tau_p"):
+            fit_scaling([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, math.inf, 1.0], target="tau_p")
 
 
 class TestExperiments:
@@ -159,7 +162,7 @@ class TestExperiments:
     def test_unknown_experiment(self, capsys):
         assert main(["frobnicate", "--config", "/nonexistent"]) == 1
 
-    def test_cap_exceeding_config_rejected_before_allocation(self, tmp_path, capsys):
+    def test_cap_key_is_unknown(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
             "o.ini",
@@ -168,7 +171,36 @@ class TestExperiments:
             "[times]\nstart = 0.01\nstop = 1.0\nnum = 10\n",
         )
         assert main(["oracle-compare", "--config", cfg]) == 1
-        assert "cap" in capsys.readouterr().err
+        assert "unknown key 'cap' in section [bath-model]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["static", "frozen"])
+    def test_large_bath_needs_no_cap(self, tmp_path, protocol):
+        cfg = write(
+            tmp_path,
+            "o.ini",
+            "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 200\n"
+            f"var_total = 1.0\nomega = 0\n[compare]\nd = 1.0\nprotocol = {protocol}\n"
+            "[times]\nstart = 0.01\nstop = 1.0\nnum = 10\n",
+        )
+        out = str(tmp_path / "o.csv")
+        assert main(["oracle-compare", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out)
+        t = np.array([float(r["t"]) for r in rows])
+        np.testing.assert_allclose([float(r["n_oracle"]) for r in rows],
+                                   dl.static_bath_norm(1.0, dl.spin_bath(200, 1.0), t),
+                                   rtol=0, atol=1e-12)
+
+    def test_sweep_of_a_channel_that_never_decays_is_rejected(self, tmp_path, capsys):
+        # dp = 0 makes every tau_qp infinite, which used to fit to nan
+        cfg = write(
+            tmp_path,
+            "s.ini",
+            "[experiment]\nkind = sweep\n[sweep]\naxis = hbar\ntarget = tau_qp\n"
+            "start = 0.25\nstop = 4.0\nnum = 8\n[base]\ndq = 2.0\ndp = 0.0\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decolab: error: validation:") and "tau_qp" in err
 
     def test_sweep_fit_header(self, tmp_path):
         cfg = write(
@@ -187,7 +219,7 @@ class TestExperiments:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 6\n"
-            "var_total = 1.0\nomega = linear:0.6:1.8\ncap = 4096\n[compare]\n"
+            "var_total = 1.0\nomega = linear:0.6:1.8\n[compare]\n"
             "d = 1.0\nprotocol = frozen\nlaw = memory\n[times]\n"
             "start = 0.02\nstop = 1.5\nnum = 12\n",
         )
@@ -204,7 +236,7 @@ class TestExperiments:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 16\n"
-            "var_total = 1.0\nomega = 0\ncap = 65536\n[compare]\nd = 2.0\n"
+            "var_total = 1.0\nomega = 0\n[compare]\nd = 2.0\n"
             "protocol = static\nlaw = gaussian\n[times]\n"
             "start = 0.0\nstop = 0.8\nnum = 100\n",
         )
@@ -325,7 +357,7 @@ class TestExperiments:
         # a short-time exponent that overflows float64 (NumericalError)
         ("norm", TEMPLATES["norm"].replace("q1 = 1.0\np1 = 0.0\nq2 = -1.0\np2 = 0.0",
                                            "q1 = 1e160\np1 = 1e160\nq2 = -1e160\np2 = -1e160")),
-        # hbar^2 overflows a Python float in the closed-form times (OverflowError)
+        # hbar^2 overflows float64 in the closed-form times (NumericalError)
         ("times", TIMES_CFG.replace("dp = 0.0", "dp = 1.0").replace("hbar = 1.0", "hbar = 1e200")),
     ], ids=["norm", "times"])
     def test_overflow_maps_to_exit_two(self, tmp_path, capsys, experiment, text):
@@ -353,7 +385,7 @@ class TestOracleCompareFrozen:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 12\n"
-            f"var_total = 1.0\nomega = 0\ncap = 4096\n[compare]\nd = {d!r}\n"
+            f"var_total = 1.0\nomega = 0\n[compare]\nd = {d!r}\n"
             "protocol = frozen\nlaw = gaussian\n[times]\n"
             "start = 0.01\nstop = 1.2\nnum = 40\n",
         )

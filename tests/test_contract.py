@@ -1,7 +1,8 @@
 """The input contract of decolab.errors, checked at the public entry points.
 
 Each row of PROBES is a call that, before the shared validators, returned a
-wrong value or raised an exception outside the decolab hierarchy.  The
+wrong value or raised an exception outside the decolab hierarchy; each row
+of RANGE_PROBES leaves the float64 range and must raise NumericalError.  The
 hypothesis property checks that the closed-form norms either return values
 in [0, 1] or raise a DecolabError for any finite real input.
 """
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import decolab as dl
-from decolab.errors import DecolabError, ValidationError
+from decolab.errors import DecolabError, NumericalError, ValidationError
 
 PACKET = dl.GaussianPacket(1.0, 0.0, 0.01)
 SUP = dl.Superposition(PACKET, dl.GaussianPacket(-1.0, 0.0, 0.01))
@@ -101,6 +102,28 @@ PROBES = {
 @pytest.mark.parametrize("call", PROBES.values(), ids=PROBES.keys())
 def test_probe_is_a_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+# Closed-form decay times whose arithmetic leaves the float64 range at
+# finite input; each used to raise a Python ArithmeticError or, for a time
+# that underflows to 0, a ValidationError.
+RANGE_PROBES = {
+    "decoherence_times-overflowing-hbar":
+        lambda: dl.decoherence_times(2.0, 1.0, dl.SystemParams(1.0, hbar=1e200), BATH),
+    "spin_decoherence_times-overflowing-omega":
+        lambda: dl.spin_decoherence_times(1.0, 1.0, 1j, 1e200, BATH),
+    "golden_rule_times-underflowing-hbar":
+        lambda: dl.golden_rule_times(dl.exponential_correlation(1.0, 1.0),
+                                     dl.SystemParams(1.0, hbar=1e-200), 1.0),
+    "decoherence_times-time-underflows-to-zero":
+        lambda: dl.decoherence_times(1e300, 0.0, dl.SystemParams(1.0, hbar=1e-300), BATH),
+}
+
+
+@pytest.mark.parametrize("call", RANGE_PROBES.values(), ids=RANGE_PROBES.keys())
+def test_range_probe_is_a_numerical_error(call):
+    with pytest.raises(NumericalError):
         call()
 
 

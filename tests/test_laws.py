@@ -375,6 +375,12 @@ class TestMemoryKernel:
         with pytest.raises(ValidationError):
             dl.gaussian_correlation(1.0, None)
 
+    def test_derived_tail_cutoffs(self):
+        assert dl.exponential_correlation(1.0, 2.0).tail_cutoff == 23.0  # 46 / gamma
+        assert dl.gaussian_correlation(1.0, 0.5).tail_cutoff == 5.0  # 10 tau
+        with pytest.raises(TypeError):
+            dl.exponential_correlation(1.0, 2.0, tail_cutoff=1.0)
+
     def test_tail_cutoff_rejects_text(self):
         with pytest.raises(ValidationError):
             dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff="x")

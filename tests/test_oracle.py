@@ -18,10 +18,13 @@ from helpers import frozen_position_curve, momentum_separation_curve
 
 class TestBathModel:
     def test_dimension_cap_default(self):
+        # no cap by default; an explicit one still refuses a larger bath
+        bath = dl.spin_bath(13, 1.0)
+        assert bath.dimension_cap is None and bath.dimension == 8192
         with pytest.raises(DimensionCapError):
-            dl.spin_bath(13, 1.0)  # 8192 > 4096
-        bath = dl.spin_bath(13, 1.0, dimension_cap=1 << 13)
-        assert bath.dimension == 8192
+            dl.spin_bath(13, 1.0, dimension_cap=1 << 12)
+        with pytest.raises(DimensionCapError):
+            dl.build_bath_operators(bath)
 
     def test_component_validation(self):
         with pytest.raises(ValidationError):
@@ -228,6 +231,59 @@ def _unmerged_strang_norms(sys_p, bath, branch1, branch2, times, dt):
         t_prev = t
         norms.append(np.sum(np.abs(psi[0] @ psi[1].conj().T) ** 2))
     return np.array(norms)
+
+
+def _distinct_spins(m):
+    """m spin-halves with generic couplings: B has 2^m distinct eigenvalues."""
+    gs = np.random.default_rng(5).uniform(0.5, 1.5, m) / math.sqrt(m)
+    return dl.BathModel(tuple(dl.BathComponent("spin-half", float(g)) for g in gs), ("up",) * m)
+
+
+class TestSizeLimits:
+    """Each array that grows with the bath is refused before it is allocated.
+
+    The sizes are chosen so that the refused array would hold millions of
+    entries or more; a refusal is immediate.
+    """
+
+    def test_component_levels(self):
+        with pytest.raises(DimensionCapError, match="component coupling operator"):
+            dl.BathComponent("oscillator", 1.0, 1.0, levels=1 << 40)
+
+    def test_initial_state(self):
+        with pytest.raises(DimensionCapError, match=f"bath initial state would hold {1 << 200}"):
+            dl.spin_bath(200, 1.0).initial_state()
+
+    def test_static_spin_stack(self):
+        # 16 eigenvalues of B x 601^2 entries per spin-300 eigenvector matrix
+        bath = _distinct_spins(4)
+        assert dl.bath_eigen_decomposition(bath)[0].size == 16
+        branch = np.eye(601)[0]
+        with pytest.raises(DimensionCapError, match="static spin eigenvector stack"):
+            dl.evolve_norm(dl.SpinSystem(300.0, 0.7), bath, branch, branch, [0.1])
+
+    def test_static_grid_columns(self):
+        # 64 grid points x 2^16 eigenvalues of B
+        grid = dl.PositionGrid(-4.0, 4.0, 64)
+        b1, _ = dl.position_eigenstate(grid, 1.0)
+        b2, _ = dl.position_eigenstate(grid, -1.0)
+        with pytest.raises(DimensionCapError, match="static grid columns"):
+            dl.evolve_norm(dl.GridParticle(grid, 1.0), _distinct_spins(16), b1, b2, [0.1])
+
+    def test_frozen_stacks(self):
+        # 8192 occupied pointers x 200 components x 2^2 levels
+        grid = dl.PositionGrid(-4.0, 4.0, 8192)
+        branch = np.ones(grid.n_points)
+        with pytest.raises(DimensionCapError, match="frozen eigenvector stacks"):
+            dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(200, 1.0),
+                           branch, branch, [0.1])
+
+    def test_dicke_factor(self):
+        # 5000 equal spins merge into one factor of 5001 levels
+        bath = dl.spin_bath(5000, 1.0, omegas=1.0)
+        a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
+        with pytest.raises(DimensionCapError, match="Dicke factor"):
+            dl.evolve_norm(dl.SpinSystem(0.5, 0.7), bath, a, a, [0.1])
 
 
 class TestEvolveNorm:
@@ -503,6 +559,23 @@ class TestEvolveNorm:
         )
         assert static.values[-1] < 0.5
         np.testing.assert_allclose(dynamic.values, static.values, rtol=0, atol=1e-12)
+
+    def test_two_hundred_spins_run_frozen_and_static_spin_paths(self):
+        bath = dl.spin_bath(200, 1.0)
+        times = np.linspace(0.0, 2.0, 12)
+        grid = dl.PositionGrid(-4.0, 4.0, 16)
+        b1, q1 = dl.position_eigenstate(grid, 0.5)
+        b2, q2 = dl.position_eigenstate(grid, -0.5)
+        frozen = dl.evolve_norm(dl.GridParticle(grid, mass=math.inf), bath, b1, b2, times)
+        np.testing.assert_allclose(frozen.values, dl.static_bath_norm(q1 - q2, bath, times),
+                                   rtol=0, atol=1e-12)
+        a = dl.coherent_vector(dl.SpinCoherent(1.5, 1.0))
+        b = dl.coherent_vector(dl.SpinCoherent(1.5, -1.0))
+        sys_s = dl.SpinSystem(1.5, 0.7)
+        static = dl.evolve_norm(sys_s, bath, a, b, times)
+        dicke = dl.evolve_norm(sys_s, dl.spin_bath(200, 1.0, omegas=1e-30), a, b, times)
+        assert static.values[-1] < 0.5
+        np.testing.assert_allclose(static.values, dicke.values, rtol=0, atol=1e-12)
 
     def test_krylov_refuses_distinct_spins_above_joint_limit(self):
         # distinct frequencies leave no symmetry: the joint dimension is 3 x 2^20
