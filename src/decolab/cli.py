@@ -125,8 +125,8 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
         "two-reservoir": {"dq": Key(float), "dp": Key(float), "var_bq": Key(float),
                           "var_bp": Key(float), "hbar": Key(float, 1.0)},
         "memory": {"correlation": Key(str, choices=("constant", "exponential", "gaussian")),
-                   "var_b": Key(float), "tail_cutoff": Key(float, math.inf), "gamma": Key(float),
-                   "tau_c": Key(float), "dq": Key(float), "hbar": Key(float, 1.0)},
+                   "var_b": Key(float), "gamma": Key(float), "tau_c": Key(float),
+                   "dq": Key(float), "hbar": Key(float, 1.0)},
     }),
     "sweep": ("log-spaced parameter sweep with a scaling-exponent fit", {
         "sweep": {"axis": Key(str, REQUIRED, "hbar", ("hbar", "distance", "dp", "j")),
@@ -210,8 +210,7 @@ def _cast(section, key, row, raw):
         raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
     if row.choices and value not in row.choices:
         raise ConfigError(f"[{section}] {key} must be one of {' | '.join(row.choices)}, got {raw!r}")
-    # a non-finite number is accepted only as the key's own default ([memory] tail_cutoff = inf)
-    if row.type in (float, complex) and not np.isfinite(value) and value != row.default:
+    if row.type in (float, complex) and not np.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
     return value
 
@@ -316,7 +315,7 @@ def run_times(c, args):
 def _correlation_from(memory):
     kind, var_b = memory["correlation"], memory["var_b"]
     if kind == "constant":
-        return constant_correlation(var_b, tail_cutoff=memory["tail_cutoff"])
+        return constant_correlation(var_b)
     if kind == "exponential":
         return exponential_correlation(var_b, memory["gamma"])
     return gaussian_correlation(var_b, memory["tau_c"])

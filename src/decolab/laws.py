@@ -88,11 +88,9 @@ class CorrelationFunction:
                 )
 
 
-def constant_correlation(var_b, tail_cutoff=math.inf):
+def constant_correlation(var_b):
     """sym(s) = 2 var_b for all s (the zero-memory limit)."""
-    return CorrelationFunction(
-        sym=lambda s: 2.0 * var_b, tail_cutoff=tail_cutoff, moments=BathMoments(var_b)
-    )
+    return CorrelationFunction(sym=lambda s: 2.0 * var_b, moments=BathMoments(var_b))
 
 
 def exponential_correlation(var_b, gamma):

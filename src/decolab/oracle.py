@@ -12,6 +12,12 @@ by the pure-state sandwich: the two branches, held on axis 0 as system x
 bath matrices A1, A2, give rho^{12} = A1 A2^dagger after the bath
 contraction and N_12 = ||A1 A2^dagger||_F^2, never the full density matrix.
 
+The bath statistics (moments of B and its correlation functions) are read
+off the same component operators the back ends evolve: out of its initial
+level n, a component with coupling operator c has spectral lines of weight
+|<k|c|n>|^2 at frequency omega_k - omega_n, so no component kind needs its
+own formula.
+
 Evolution strategies by model structure:
 
 * static bath (all component frequencies zero): B is diagonalized once and
@@ -225,42 +231,33 @@ class OracleBathOperators:
     initial_state: np.ndarray = field(repr=False, default=None)
 
 
-def _component_statistics(comp, label):
-    """(variance factor c, response coefficient r, kappa contribution k1).
-
-    sym_i(s) = 2 g^2 c cos(omega s); resp_i(s) = r sin(omega s) * (g^2/hbar);
-    kappa_i = k1 * g^2 omega / hbar.
-    """
-    if comp.kind == "spin-half":
-        z = 1.0 if label == "up" else -1.0
-        return 1.0, -2.0 * z, -2.0 * z
-    n = int(label)
-    return 2.0 * n + 1.0, 2.0, 2.0
-
-
 def bath_statistics(bath, hbar=1.0):
-    """Exact (moments, corr) of the coupling agent, from component spectra.
+    """Exact (moments, corr) of the coupling agent, from its spectral lines.
 
-    For spin-half components in sigma_z eigenstates the symmetric
-    correlation is a sum of cosines, sym(s) = sum_i 2 g_i^2 cos(omega_i s);
-    Fock-state oscillators contribute 2 g^2 (2n+1) cos(omega s).
+    Each component starts in a storage-basis state |n> (true of every
+    component kind), so out of it the component's coupling operator c has
+    lines of weight a = |<k|c|n>|^2 at the frequencies nu = omega_k - omega_n
+    of its frequency operator; zero-weight lines are skipped.  Then
+    <B^2> = sum a, <Bdot^2> = sum a nu^2, kappa = (2/hbar) sum a nu,
+    sym(s) = 2 sum a cos(nu s) and resp(s) = (2/hbar) sum a sin(nu s).
     """
     require_positive(hbar=hbar)
-    terms = [
-        (_component_statistics(c, l), c.g, c.omega)
-        for c, l in zip(bath.components, bath.initial)
-    ]
-    var_b = sum(c * g * g for (c, _, _), g, _ in terms)
-    var_bdot = sum(c * (g * w) ** 2 for (c, _, _), g, w in terms)
-    kappa = sum(k1 * g * g * w for (_, _, k1), g, w in terms) / hbar
+    lines = []
+    for c, f, chi in _bath_factors(bath, dicke=False):
+        n = int(np.argmax(np.abs(chi)))
+        levels = np.real(np.diag(f))
+        weights = np.abs(c[:, n]) ** 2
+        lines += [(float(weights[k]), float(levels[k] - levels[n]))
+                  for k in np.flatnonzero(weights)]
+    var_b = sum(a for a, _ in lines)
+    var_bdot = sum(a * nu * nu for a, nu in lines)
+    kappa = sum(2.0 * a * nu for a, nu in lines) / hbar
 
     def sym(s):
-        return sum(2.0 * c * g * g * math.cos(w * s) for (c, _, _), g, w in terms)
+        return sum(2.0 * a * math.cos(nu * s) for a, nu in lines)
 
     def resp(s):
-        return sum(
-            r * g * g * math.sin(w * s) / hbar for (_, r, _), g, w in terms
-        )
+        return sum(2.0 * a * math.sin(nu * s) / hbar for a, nu in lines)
 
     moments = BathMoments(var_b, var_bdot, kappa)
     corr = CorrelationFunction(sym=sym, resp=resp, moments=moments)
@@ -271,21 +268,23 @@ def build_bath_operators(bath, hbar=1.0):
     """Dense B, Bdot, Bddot, H_res plus exact moments and correlations.
 
     B and H_res are ``_sparse_bath_ops`` made dense; Bdot and Bddot are the
-    nested commutators (i/hbar)[H_res, .] applied to B, each a full-bath
-    dimension x dimension matrix: refused above DENSE_BATH_LIMIT (4096,
-    12 spin-halves) levels.
+    nested commutators (i/hbar)[H_res, .] applied to B.  H_res is diagonal
+    in the storage basis, so each commutator is the elementwise product
+    (i/hbar)(h_k - h_l) X_kl, with no matrix product.  Each operator is a
+    full-bath dimension x dimension matrix: refused above DENSE_BATH_LIMIT
+    (4096, 12 spin-halves) levels.
     """
     require_positive(hbar=hbar)
     dim = bath.dimension
     _check_entries("dense bath operator", dim * dim, DENSE_BATH_LIMIT ** 2)
     b_sp, hres_diag = _sparse_bath_ops(_bath_factors(bath, dicke=False), hbar)
     b_total = b_sp.toarray()
-    h_res = np.diag(hres_diag).astype(complex)
-    bdot = (1j / hbar) * (h_res @ b_total - b_total @ h_res)
-    bddot = (1j / hbar) * (h_res @ bdot - bdot @ h_res)
+    gaps = (1j / hbar) * np.subtract.outer(hres_diag, hres_diag)
+    bdot = gaps * b_total
+    bddot = np.multiply(gaps, bdot, out=gaps)  # gaps' last use: reuse its memory
     moments, corr = bath_statistics(bath, hbar)
     return OracleBathOperators(
-        B=b_total, Bdot=bdot, Bddot=bddot, H_res=h_res,
+        B=b_total, Bdot=bdot, Bddot=bddot, H_res=np.diag(hres_diag).astype(complex),
         moments=moments, corr=corr, initial_state=bath.initial_state(),
     )
 
@@ -489,17 +488,6 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
     return np.concatenate([_sandwich_norm(*psi.transpose(1, 0, 3, 2)) for (psi,) in chunks])
 
 
-def _sparse_embed(local_ops, index):
-    import scipy.sparse
-
-    mats = [
-        scipy.sparse.csr_matrix(local_ops[k]) if k == index
-        else scipy.sparse.identity(local_ops[k].shape[0], format="csr")
-        for k in range(len(local_ops))
-    ]
-    return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
-
-
 def _bath_factors(bath, dicke=True):
     """The bath as independent factors (coupling, frequency operator, initial vector).
 
@@ -530,14 +518,19 @@ def _bath_factors(bath, dicke=True):
 
 def _sparse_bath_ops(factors, hbar):
     """Sparse coupling agent B and the (diagonal) H_res of a product of factors."""
-    coupling = [c for c, _, _ in factors]
-    b_sp = sum(_sparse_embed(coupling, i) for i in range(len(coupling)))
-    # Local frequency operators are diagonal in the storage basis.
-    diag = np.zeros(b_sp.shape[0])
-    for i, (_, freq, _) in enumerate(factors):
-        pattern = [np.ones(c.shape[0]) for c in coupling]
-        pattern[i] = np.real(np.diag(freq))
-        diag += reduce(np.kron, pattern)
+    import scipy.sparse
+
+    def embed(index, op):  # op on factor index, identity on the others
+        mats = [scipy.sparse.csr_matrix(op) if k == index
+                else scipy.sparse.identity(chi.size, format="csr")
+                for k, (_, _, chi) in enumerate(factors)]
+        return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
+
+    b_sp = sum(embed(i, c) for i, (c, _, _) in enumerate(factors))
+    # Local frequency operators are diagonal in the storage basis, so H_res
+    # is the Kronecker sum of their diagonals.
+    diag = reduce(lambda a, b: np.add.outer(a, b).ravel(),
+                  [np.real(np.diag(f)) for _, f, _ in factors])
     return b_sp, hbar * diag
 
 
@@ -593,14 +586,16 @@ def _grid_frozen_curve(sys, bath, branch1, branch2, times):
     Exact because q B + H_res is a sum of commuting single-component terms
     and the initial bath state is a product; each factor comes from the
     eigendecomposition of one component's levels x levels Hamiltonian.  The
-    Q x Q overlaps (Q occupied grid points) are reduced one sampler chunk
-    at a time, so memory stays O(Q^2).
+    Q x Q overlaps (Q occupied grid points, refused above STACK_BUDGET
+    entries) are reduced one sampler chunk at a time, so memory stays
+    O(Q^2).
     """
     occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
     qs = sys.grid.points[occupied]
     factors = _bath_factors(bath, dicke=False)
     _check_entries("frozen eigenvector stacks", qs.size * sum(c.size for c, _, _ in factors),
                    STACK_BUDGET)
+    _check_entries("frozen pointer overlaps", qs.size * qs.size, STACK_BUDGET)
     eigen = []
     for c, f, chi in factors:  # per pointer q: q coupling + hbar frequency
         w, v = np.linalg.eigh(qs[:, None, None] * c + sys.hbar * f)
@@ -761,8 +756,11 @@ def static_bath_norm(d, bath, t, hbar=1.0):
     require_times(t=t)
     require_positive(hbar=hbar)
     t = np.asarray(t, dtype=float)
-    gs = np.array([c.g for c in bath.components])
-    result = np.prod(np.cos(np.multiply.outer(t, gs) * d / hbar) ** 2, axis=-1)
+    # a running product over the distinct couplings keeps memory O(times)
+    gs, counts = np.unique([c.g for c in bath.components], return_counts=True)
+    result = np.ones_like(t)
+    for g, k in zip(gs, counts):
+        result *= np.cos(t * g * d / hbar) ** (2 * k)
     return result if result.ndim else float(result)
 
 

@@ -36,6 +36,8 @@ MISCONFIGS = {
     "axis-not-in-law": ("sweep", "axis = hbar", "axis = j", "axis"),
     "beta-and-case": ("spin", "[spin]\n", "[spin]\ncase = ii\n", "case"),
     "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
+    "dropped-key": ("norm", "spacing = linear\n", "spacing = linear\n[memory]\ntail_cutoff = inf\n",
+                    "tail_cutoff"),
 }
 
 EXPERIMENTS = ("times", "norm", "sweep", "oracle-compare", "spin", "expansion-check", "clt")

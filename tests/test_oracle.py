@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import decolab as dl
 from decolab import oracle
@@ -112,7 +112,62 @@ class TestBathModel:
         assert model.dimension == 4
 
 
+def _mixed_bath(data):
+    """A bath of 1-4 spin-halves and oscillators with random labels, and an hbar.
+
+    The dense references diagonalize H_res, so the bath stays under 300 levels.
+    """
+    comps, labels = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        g = math.copysign(data.draw(st.floats(0.1, 0.6)), data.draw(st.sampled_from([1, -1])))
+        omega = data.draw(st.floats(-2.0, 2.0))
+        if data.draw(st.booleans()):
+            comps.append(dl.BathComponent("spin-half", g, omega))
+            labels.append(data.draw(st.sampled_from(["up", "down"])))
+        else:
+            levels = data.draw(st.integers(3, 6))
+            comps.append(dl.BathComponent("oscillator", g, omega, levels))
+            labels.append(data.draw(st.integers(0, levels - 2)))
+    bath = dl.BathModel(tuple(comps), tuple(labels))
+    assume(bath.dimension < 300)
+    return bath, data.draw(st.floats(0.5, 2.0))
+
+
 class TestBathOperators:
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_statistics_match_dense_expectations(self, data):
+        # reference: expectation values in the initial state of products of
+        # the dense B, Bdot = (i/hbar)[H_res, B] and B(s) = U(s)^dagger B U(s)
+        bath, hbar = _mixed_bath(data)
+        moments, corr = dl.bath_statistics(bath, hbar)
+        ops = dl.build_bath_operators(bath, hbar)
+        b, h, chi = ops.B, ops.H_res, ops.initial_state
+        b_chi = b @ chi
+        bdot_chi = (1j / hbar) * (h @ b_chi - b @ (h @ chi))
+        assert moments.var_B == pytest.approx(np.vdot(b_chi, b_chi).real, abs=1e-12)
+        assert moments.var_Bdot == pytest.approx(np.vdot(bdot_chi, bdot_chi).real, abs=1e-12)
+        # <[B, Bdot]> = i hbar kappa
+        assert moments.kappa == pytest.approx(2.0 * np.vdot(b_chi, bdot_chi).imag / hbar,
+                                              abs=1e-12)
+        for s in data.draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)):
+            u = expm_phase(h, s / hbar)
+            bs_chi = u @ (b @ (u.conj().T @ chi))
+            cross = np.vdot(bs_chi, b_chi)  # <B(s) B>; <B B(s)> is its conjugate
+            assert corr.sym(s) == pytest.approx(2.0 * cross.real, abs=1e-12)
+            assert corr.resp(s) == pytest.approx(-2.0 * cross.imag / hbar, abs=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_derivatives_match_matmul_commutators(self, data):
+        bath, hbar = _mixed_bath(data)
+        ops = dl.build_bath_operators(bath, hbar)
+        h = ops.H_res
+        bdot = (1j / hbar) * (h @ ops.B - ops.B @ h)
+        bddot = (1j / hbar) * (h @ bdot - bdot @ h)
+        assert np.abs(ops.Bdot - bdot).max() <= 1e-12 * np.abs(bdot).max()
+        assert np.abs(ops.Bddot - bddot).max() <= 1e-12 * np.abs(bddot).max()
+
     def test_moments_pauli_algebra(self):
         gs = [0.3, 0.5, 0.7]
         comps = tuple(dl.BathComponent("spin-half", g) for g in gs)
@@ -276,6 +331,14 @@ class TestSizeLimits:
         branch = np.ones(grid.n_points)
         with pytest.raises(DimensionCapError, match="frozen eigenvector stacks"):
             dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(200, 1.0),
+                           branch, branch, [0.1])
+
+    def test_frozen_pointer_overlaps(self):
+        # 4096 occupied pointers: 4096^2 overlaps per sampled time
+        grid = dl.PositionGrid(-4.0, 4.0, 4096)
+        branch = np.ones(grid.n_points)
+        with pytest.raises(DimensionCapError, match=f"frozen pointer overlaps would hold {1 << 24}"):
+            dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(2, 1.0),
                            branch, branch, [0.1])
 
     def test_dicke_factor(self):
@@ -740,6 +803,28 @@ class TestFrozenMemory:
         proc = subprocess.run([sys.executable, "-c", FROZEN_MEMORY_PROBE],
                               capture_output=True, text=True, env=env, check=True)
         assert int(proc.stdout.split()[-1]) / 1024 < 400
+
+
+STATIC_NORM_MEMORY_PROBE = textwrap.dedent("""
+    import numpy as np
+    import decolab as dl
+
+    dl.static_bath_norm(1.0, dl.spin_bath(5000, 1.0), np.linspace(0.0, 2.0, 2000))
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+""")
+
+
+class TestStaticBathNormMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_many_components_stay_small(self):
+        # one (times, components) array would hold 2000 x 5000 floats (76 MiB)
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", STATIC_NORM_MEMORY_PROBE],
+                              capture_output=True, text=True, env=env, check=True)
+        assert int(proc.stdout.split()[-1]) / 1024 < 80
 
 
 class TestSandwichNorm:
