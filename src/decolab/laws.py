@@ -32,8 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, IntegrationError, ResolutionError, ValidationError, _decay_time,
-    _float_range_checked, require_nonnegative, require_positive, require_real, require_times,
+    DegenerateBathError, IntegrationError, NumericalError, ResolutionError, ValidationError,
+    _decay_time, _float_range_checked, require_nonnegative, require_positive, require_real,
+    require_times,
 )
 from .packets import BLOCK_CHUNK, DensityBlock
 
@@ -214,6 +215,7 @@ def coherence_norm_short_time(t, sup, sys, bath):
     return result if result.ndim else float(result)
 
 
+@_float_range_checked
 def _short_time_factors(t, mass, hbar, var_b):
     """Gaussian suppression scales of the single-block decoherence factor.
 
@@ -234,7 +236,8 @@ def evolve_density_short_time(block, t, sys, bath):
     exp(-K^2 <B^2> t^4 / 8 M^2) in the mixed (k, K) representation, K being
     the Fourier conjugate of the center of mass qbar.  The norm of the
     result reproduces the closed-form coherence norm: the two code paths
-    cross-check each other.
+    cross-check each other.  A factor or a transform that leaves the
+    float64 range raises NumericalError.
     """
     require_nonnegative(t=t)
     grid = block.grid
@@ -268,21 +271,39 @@ def evolve_density_short_time(block, t, sys, bath):
     # diagonal.  A chunk holds BLOCK_CHUNK entries, so temporaries stay a few
     # MiB at any n.  b^2 = 4ac makes the joint exponent the perfect square
     # -(sqrt(a) k + sqrt(c) K)^2, which never exceeds zero.
+    #
+    # Only the diagonals that cross the block's nonzero bounding box, rows
+    # r0..r1 by columns c0..c1, are transformed: d runs over r0 - c1 ..
+    # r1 - c0.  Every other diagonal holds exact zeros, which FFT, the real
+    # filter and IFFT keep zero, so skipping them changes no output bit.  A
+    # processed diagonal still takes its full length-n FFT, because the
+    # circular transform defines the result and its tails outside the box.
     padded = np.zeros((n + 2, n), dtype=complex)
     out = padded[1:-1]
-    out[...] = block.values
+    rows_nz = np.flatnonzero(block.values.any(axis=1))
+    cols_nz = np.flatnonzero(block.values.any(axis=0))
+    if rows_nz.size == 0:
+        return DensityBlock(grid, out)
+    (r0, r1), (c0, c1) = rows_nz[[0, -1]], cols_nz[[0, -1]]
+    out[r0 : r1 + 1, c0 : c1 + 1] = block.values[r0 : r1 + 1, c0 : c1 + 1]
+    d_lo = r0 - c1
     flat, step = padded.reshape(-1), padded.itemsize
     K = np.sqrt(c) * 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     cols = np.arange(n)
     rows = max(1, BLOCK_CHUNK // n)
-    for d_hi in range(n - 1, -n, -rows):
-        d = np.arange(d_hi, max(d_hi - rows, -n), -1)[:, None]
-        view = np.lib.stride_tricks.as_strided(flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
-        valid = (cols >= d) & (cols < n + d)
-        spec = np.fft.fft(np.where(valid, view, 0.0), axis=1)
-        arg = np.sqrt(a) * h * d + K
-        spec *= np.exp(-arg * arg)
-        np.copyto(view, np.fft.ifft(spec, axis=1), where=valid)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # entries near the float64 limit
+            for d_hi in range(r1 - c0, d_lo - 1, -rows):
+                d = np.arange(d_hi, max(d_hi - rows, d_lo - 1), -1)[:, None]
+                view = np.lib.stride_tricks.as_strided(
+                    flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
+                valid = (cols >= d) & (cols < n + d)
+                spec = np.fft.fft(np.where(valid, view, 0.0), axis=1)
+                arg = np.sqrt(a) * h * d + K
+                spec *= np.exp(-arg * arg)
+                np.copyto(view, np.fft.ifft(spec, axis=1), where=valid)
+    except FloatingPointError as exc:
+        raise NumericalError(f"density-block transform leaves the float64 range ({exc})") from exc
     return DensityBlock(grid, out)
 
 

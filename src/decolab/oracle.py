@@ -109,27 +109,39 @@ class BathComponent:
         _check_entries("component coupling operator", self.levels ** 2, DENSE_BATH_LIMIT ** 2)
 
     def coupling_operator(self):
-        """Local coupling operator including the strength g."""
-        if self.kind == "spin-half":
-            return self.g * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        """Local coupling operator g (a + a^dagger); for two levels that is g sigma_x."""
         n = np.arange(self.levels - 1)
         a = np.zeros((self.levels, self.levels), dtype=complex)
         a[n, n + 1] = np.sqrt(n + 1.0)
         return self.g * (a + a.conj().T)
 
+    def coupling_column(self, n):
+        """Column n of coupling_operator(), bit for bit, in O(levels)."""
+        if not (is_int(n) and 0 <= n < self.levels):
+            raise ValidationError(f"level must be an integer in [0, {self.levels}), got {n!r}")
+        col = np.zeros(self.levels, dtype=complex)
+        if n > 0:
+            col[n - 1] = np.sqrt(float(n))
+        if n + 1 < self.levels:
+            col[n + 1] = np.sqrt(n + 1.0)
+        return self.g * col
+
+    def level_frequencies(self):
+        """Diagonal of frequency_operator(), as reals."""
+        if self.kind == "spin-half":
+            return np.array([0.5 * self.omega, -0.5 * self.omega])
+        return self.omega * (np.arange(self.levels) + 0.5)
+
     def frequency_operator(self):
         """Local H / hbar (diagonal in the storage basis)."""
-        if self.kind == "spin-half":
-            return np.diag([0.5 * self.omega, -0.5 * self.omega]).astype(complex)
-        return np.diag(self.omega * (np.arange(self.levels) + 0.5)).astype(complex)
+        return np.diag(self.level_frequencies()).astype(complex)
 
-    def initial_vector(self, label):
+    def initial_level(self, label):
+        """Storage-basis index of the initial state named by label."""
         if self.kind == "spin-half":
-            if label == "up":
-                return np.array([1.0, 0.0], dtype=complex)
-            if label == "down":
-                return np.array([0.0, 1.0], dtype=complex)
-            raise ValidationError(f"spin-half initial state must be 'up'/'down', got {label!r}")
+            if label not in ("up", "down"):
+                raise ValidationError(f"spin-half initial state must be 'up'/'down', got {label!r}")
+            return ("up", "down").index(label)
         if not is_int(label):
             raise ValidationError(f"oscillator initial state must be a Fock index, got {label!r}")
         n = int(label)
@@ -139,8 +151,11 @@ class BathComponent:
             raise ValidationError(
                 f"oscillator initial Fock index must be in [0, levels-2], got {label!r}"
             )
+        return n
+
+    def initial_vector(self, label):
         vec = np.zeros(self.levels, dtype=complex)
-        vec[n] = 1.0
+        vec[self.initial_level(label)] = 1.0
         return vec
 
 
@@ -170,8 +185,8 @@ class BathModel:
             raise ValidationError(f"dimension_cap must be a positive integer, got {cap!r}")
         _check_entries("bath state", self.dimension, math.inf if cap is None else cap)
         for comp, label in zip(self.components, self.initial):
-            vec = comp.initial_vector(label)
-            mean = vec.conj() @ comp.coupling_operator() @ vec
+            n = comp.initial_level(label)
+            mean = comp.coupling_column(n)[n]
             if abs(mean) > 1e-12 * max(1.0, abs(comp.g)):
                 raise ValidationError(
                     f"initial state {label!r} has nonzero coupling mean {mean:.3g}"
@@ -243,10 +258,10 @@ def bath_statistics(bath, hbar=1.0):
     """
     require_positive(hbar=hbar)
     lines = []
-    for c, f, chi in _bath_factors(bath, dicke=False):
-        n = int(np.argmax(np.abs(chi)))
-        levels = np.real(np.diag(f))
-        weights = np.abs(c[:, n]) ** 2
+    for comp, label in zip(bath.components, bath.initial):
+        n = comp.initial_level(label)
+        levels = comp.level_frequencies()
+        weights = np.abs(comp.coupling_column(n)) ** 2
         lines += [(float(weights[k]), float(levels[k] - levels[n]))
                   for k in np.flatnonzero(weights)]
     var_b = sum(a for a, _ in lines)

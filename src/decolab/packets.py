@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (
     GridMismatchError, ResolutionError, ValidationError, is_int, require_complex,
-    require_positive, require_real, require_real_array,
+    require_finite, require_positive, require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -105,12 +105,17 @@ class PositionGrid:
 
 @dataclass(frozen=True)
 class DensityBlock:
-    """One block rho^{ij}(q, q') of a density operator, sampled on grid x grid."""
+    """One block rho^{ij}(q, q') of a density operator, sampled on grid x grid.
+
+    ``values`` must be numeric and finite; a nested list is taken as an array.
+    """
 
     grid: PositionGrid
     values: np.ndarray
 
     def __post_init__(self):
+        require_finite(values=self.values)
+        object.__setattr__(self, "values", np.asarray(self.values))
         n = self.grid.n_points
         if self.values.shape != (n, n):
             raise ValidationError(

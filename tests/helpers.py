@@ -1,8 +1,30 @@
-"""Shared builders for oracle test scenarios."""
+"""Shared builders for oracle test scenarios and the memory probes."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 import decolab as dl
+
+
+def peak_memory_mib(script):
+    """Run script in a fresh interpreter that imports this decolab; its VmHWM in MiB.
+
+    VmHWM is the child address space's own peak; ru_maxrss would also count
+    the memory of the forking test process.
+    """
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += (
+        "\nwith open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    return int(proc.stdout.split()[-1]) / 1024  # VmHWM is in KiB
 
 
 def momentum_separation_curve(dp, m_bath=8, var=1.0, mass=1.0, hbar=1.0,

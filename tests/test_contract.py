@@ -3,8 +3,9 @@
 Each row of PROBES is a call that, before the shared validators, returned a
 wrong value or raised an exception outside the decolab hierarchy; each row
 of RANGE_PROBES leaves the float64 range and must raise NumericalError.  The
-hypothesis property checks that the closed-form norms either return values
-in [0, 1] or raise a DecolabError for any finite real input.
+hypothesis properties check that the closed-form norms either return values
+in [0, 1] or raise a DecolabError for any finite real input, and that the
+density-block kernel never grows a block's Frobenius norm.
 """
 
 import math
@@ -86,6 +87,10 @@ PROBES = {
     "momentum_amplitude-complex-p": lambda: dl.momentum_amplitude(PACKET, 1j),
     "evolve_density_short_time-complex-t":
         lambda: dl.evolve_density_short_time(BLOCK, 1j, SYS, BATH),
+    # one NaN entry spread to 30 and coherence_norm returned nan
+    "DensityBlock-nan-entry":
+        lambda: dl.DensityBlock(GRID, np.where(np.eye(64) > 0, math.nan, 0.0)),
+    "DensityBlock-nested-list": lambda: dl.DensityBlock(GRID, [[0.0, "a"]] * 64),
     "time_ordered_propagator-zero-hbar":
         lambda: dl.time_ordered_propagator(H.at, 1.0, 4, hbar=0.0),
     "memory_kernel_norm-zero-hbar":
@@ -190,3 +195,28 @@ class TestClosedFormNormsStayInUnitInterval:
     def test_memory_kernel_constant_correlation(self, t, dq, hbar, var):
         _in_unit_interval_or_decolab_error(
             lambda: dl.memory_kernel_norm(t, dq, hbar, dl.constant_correlation(var)))
+
+
+class TestDensityKernelContract:
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.sampled_from([16, 32]), compact=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           exponent=st.integers(-300, 308), t=TIME, mass=SCALE, var=VAR, hbar=SCALE)
+    def test_output_finite_and_norm_never_grows(self, n, compact, seed, exponent, t, mass, var,
+                                                hbar):
+        # every diagonal's filter exp(-(sqrt(a) k + sqrt(c) K)^2) has modulus <= 1
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        if compact:
+            r0, r1 = np.sort(rng.integers(0, n, 2))
+            c0, c1 = np.sort(rng.integers(0, n, 2))
+            values[:r0] = values[r1 + 1 :] = values[:, :c0] = values[:, c1 + 1 :] = 0.0
+        values *= 10.0 ** (exponent - 1)  # finite entries whose row FFTs may overflow
+        block = dl.DensityBlock(dl.PositionGrid(-n / 8, n / 8, n), values)
+        try:
+            out = dl.evolve_density_short_time(block, t, dl.SystemParams(mass=mass, hbar=hbar),
+                                               dl.BathMoments(var)).values
+        except DecolabError:
+            return
+        assert np.all(np.isfinite(out))
+        scale = np.abs(values.view(float)).max() or 1.0  # the norms themselves may overflow
+        assert np.linalg.norm(out / scale) <= np.linalg.norm(values / scale) * (1 + 1e-12)

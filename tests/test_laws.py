@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 import textwrap
 
@@ -10,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import decolab as dl
 from decolab.errors import DegenerateBathError, ResolutionError, ValidationError
+from helpers import peak_memory_mib
 
 SYS = dl.SystemParams(mass=1.0)
 BATH = dl.BathMoments(1.0)
@@ -159,9 +158,33 @@ DENSITY_MEMORY_PROBE = textwrap.dedent("""
     out = dl.evolve_density_short_time(block, 0.05, dl.SystemParams(mass=8.0),
                                        dl.BathMoments(1.0))
     dl.coherence_norm(out, out)
-    with open("/proc/self/status") as fh:
-        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
 """)
+
+
+@pytest.fixture(scope="module")
+def density_pipeline_peak_mib():
+    if sys.platform != "linux":
+        pytest.skip("reads /proc/self/status")
+    return peak_memory_mib(DENSITY_MEMORY_PROBE)
+
+
+def _support_block(draw_int, n, shape):
+    """(r0, r1, c0, c1) of a support rectangle of the named shape, or None if empty."""
+    corners = {"corner-low": (n - 1, n - 1, 0, 0), "corner-high": (0, 0, n - 1, n - 1)}
+    if shape == "empty":
+        return None
+    if shape == "full":
+        return 0, n - 1, 0, n - 1
+    if shape in corners:
+        return corners[shape]
+    r0, c0 = draw_int(0, n - 1), draw_int(0, n - 1)
+    if shape == "point":
+        return r0, r0, c0, c0
+    if shape == "thin-row":
+        return r0, r0, c0, draw_int(c0, n - 1)
+    if shape == "thin-col":
+        return r0, draw_int(r0, n - 1), c0, c0
+    return r0, draw_int(r0, n - 1), c0, draw_int(c0, n - 1)
 
 
 class TestEvolveDensity:
@@ -273,16 +296,49 @@ class TestEvolveDensity:
             assert abs(out[corner] - ref[corner]) <= 1e-12 * scale
             assert out[corner] != values[corner]  # the corner diagonals were evolved
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    def test_block_pipeline_peak_memory(self):
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.sampled_from([16, 32, 64, 128]),
+           shape=st.sampled_from(["empty", "corner-low", "corner-high", "point", "thin-row",
+                                  "thin-col", "rect", "full"]),
+           t=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), v=st.floats(0.1, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_support_restriction_matches_reference(self, n, shape, t, mass, v, seed, data):
+        # only the diagonals crossing the nonzero bounding box are
+        # transformed; the result must not depend on that
+        rng = np.random.default_rng(seed)
+        grid = dl.PositionGrid(-n / 8, n / 8, n)
+        values = np.zeros((n, n), dtype=complex)
+        box = _support_block(lambda lo, hi: data.draw(st.integers(lo, hi)), n, shape)
+        if box is not None:
+            r0, r1, c0, c1 = box
+            size = (r1 - r0 + 1, c1 - c0 + 1)
+            values[r0 : r1 + 1, c0 : c1 + 1] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        try:
+            out = dl.evolve_density_short_time(
+                dl.DensityBlock(grid, values), t, dl.SystemParams(mass=mass), dl.BathMoments(v)
+            ).values
+        except ResolutionError:
+            assume(False)
+        if box is None:
+            assert not out.any()
+            return
+        ref = per_diagonal_reference(
+            values, grid.spacing, v * t ** 2 / 2, v * t ** 3 / (2 * mass), v * t ** 4 / (8 * mass ** 2)
+        )
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        d = np.subtract.outer(np.arange(n), np.arange(n))
+        assert not out[(d < r0 - c1) | (d > r1 - c0)].any()
+
+    def test_block_pipeline_peak_memory(self, density_pipeline_peak_mib):
         # input and output blocks are 128 MiB together; the kernel and the
         # norm may add chunk-sized temporaries, not whole blocks
-        src = os.path.dirname(os.path.dirname(dl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", DENSITY_MEMORY_PROBE],
-                              capture_output=True, text=True, env=env, check=True)
-        assert int(proc.stdout.split()[-1]) / 1024 < 256
+        assert density_pipeline_peak_mib < 256
+
+    def test_block_pipeline_touches_only_the_support(self, density_pipeline_peak_mib):
+        # the diagonals crossing the block's nonzero box hold 9% of its
+        # entries: the zero-padded output buffer is written only there, so
+        # most of its pages are never touched (the parent peaked at 172 MiB)
+        assert density_pipeline_peak_mib < 155
 
 
 class TestTwoReservoir:

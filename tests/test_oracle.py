@@ -1,8 +1,7 @@
 import math
-import os
-import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,15 @@ import decolab as dl
 from decolab import oracle
 from decolab._linalg import expm_phase
 from decolab.errors import DimensionCapError, FitWindowError, ValidationError, require_finite
-from helpers import frozen_position_curve, momentum_separation_curve
+from helpers import frozen_position_curve, momentum_separation_curve, peak_memory_mib
+
+
+LARGE_OSCILLATOR_PROBE = textwrap.dedent("""
+    import decolab as dl
+
+    comp = dl.BathComponent("oscillator", 0.5, 1.0, levels=4096)
+    dl.bath_statistics(dl.BathModel((comp,), (0,)))
+""")
 
 
 class TestBathModel:
@@ -110,6 +117,29 @@ class TestBathModel:
             dl.BathModel((comp,), (3,))  # top level: <B^2> would be truncated
         model = dl.BathModel((comp,), (2,))
         assert model.dimension == 4
+
+    def test_coupling_column_matches_operator(self):
+        for comp in (dl.BathComponent("spin-half", -0.7, 0.3),
+                     dl.BathComponent("oscillator", 0.45, 1.2, levels=7)):
+            dense = comp.coupling_operator()
+            for n in range(comp.levels):
+                np.testing.assert_array_equal(comp.coupling_column(n), dense[:, n])
+            np.testing.assert_array_equal(np.diag(comp.frequency_operator()).real,
+                                          comp.level_frequencies())
+            for n in (-1, comp.levels, 1.0, True):
+                with pytest.raises(ValidationError):
+                    comp.coupling_column(n)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_oscillator_statistics_fast_and_small(self):
+        # the mean check and the spectral lines read one column of the
+        # coupling operator; the dense 4096 x 4096 matrix is 256 MiB
+        comp = dl.BathComponent("oscillator", 0.5, 1.0, levels=4096)
+        start = time.perf_counter()
+        moments, _ = dl.bath_statistics(dl.BathModel((comp,), (3,)))
+        assert time.perf_counter() - start < 0.1
+        assert moments.var_B == pytest.approx(0.25 * (3 + 4), rel=1e-15)
+        assert peak_memory_mib(LARGE_OSCILLATOR_PROBE) < 80
 
 
 def _mixed_bath(data):
@@ -785,10 +815,6 @@ FROZEN_MEMORY_PROBE = textwrap.dedent("""
     b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
     dl.evolve_norm(dl.GridParticle(grid, mass=float("inf")), dl.spin_bath(4, 1.0, omegas=1.0),
                    b1, b2, np.linspace(0.0, 2.0, 40))
-    # VmHWM is this address space's own peak; ru_maxrss would also count
-    # the memory of the forking test process
-    with open("/proc/self/status") as fh:
-        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
 """)
 
 
@@ -797,12 +823,7 @@ class TestFrozenMemory:
     def test_wide_packets_on_fine_grid_stay_small(self):
         # the packets cover all Q = 1024 grid points, so one (times, Q, Q)
         # overlap array would hold 40 x 1024^2 complex entries (640 MiB)
-        src = os.path.dirname(os.path.dirname(dl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", FROZEN_MEMORY_PROBE],
-                              capture_output=True, text=True, env=env, check=True)
-        assert int(proc.stdout.split()[-1]) / 1024 < 400
+        assert peak_memory_mib(FROZEN_MEMORY_PROBE) < 400
 
 
 STATIC_NORM_MEMORY_PROBE = textwrap.dedent("""
@@ -810,8 +831,6 @@ STATIC_NORM_MEMORY_PROBE = textwrap.dedent("""
     import decolab as dl
 
     dl.static_bath_norm(1.0, dl.spin_bath(5000, 1.0), np.linspace(0.0, 2.0, 2000))
-    with open("/proc/self/status") as fh:
-        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
 """)
 
 
@@ -819,12 +838,7 @@ class TestStaticBathNormMemory:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_many_components_stay_small(self):
         # one (times, components) array would hold 2000 x 5000 floats (76 MiB)
-        src = os.path.dirname(os.path.dirname(dl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", STATIC_NORM_MEMORY_PROBE],
-                              capture_output=True, text=True, env=env, check=True)
-        assert int(proc.stdout.split()[-1]) / 1024 < 80
+        assert peak_memory_mib(STATIC_NORM_MEMORY_PROBE) < 80
 
 
 class TestSandwichNorm:
