@@ -84,6 +84,9 @@ class PositionGrid:
         n = self.n_points
         if not is_int(n) or n < 16 or (n & (n - 1)) != 0:
             raise ValidationError(f"n_points must be a power of two >= 16, got {n!r}")
+        # In Python floats a span past the float64 range is inf (numpy would
+        # warn), and a span of a few subnormals gives a spacing of 0.
+        require_positive(spacing=(float(self.q_max) - float(self.q_min)) / n)
 
     @property
     def spacing(self):
@@ -199,10 +202,15 @@ def coherence_norm(block_a, block_b):
     w = block_a.grid.weights
     a, b = block_a.values, block_b.values
     # Tr(a b^dag) = sum_{q,q'} a(q,q') conj(b(q,q')) with quadrature weights,
-    # over row chunks so that conj(b) is never a block-sized temporary.
+    # over row chunks so that conj(b) is never a block-sized temporary.  A
+    # chunk with no row nonzero in both blocks adds an exact 0 and is skipped.
+    live = a.any(axis=1)
+    if b is not a:
+        live &= b.any(axis=1)
     rows = max(1, BLOCK_CHUNK // w.size)
     acc = sum(
         np.einsum("i,ij,ij,j->", w[s : s + rows], a[s : s + rows], b[s : s + rows].conj(), w)
         for s in range(0, w.size, rows)
+        if live[s : s + rows].any()
     )
     return float(acc.real)

@@ -20,6 +20,7 @@ the commutator [B, Bdot] replaced by i hbar kappa.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -240,6 +241,21 @@ def _regime_norm(t, seps, times):
     return np.ones_like(t)
 
 
+@functools.lru_cache(maxsize=1)
+def _gaussian_draws(seed, samples, var_b, var_bdot):
+    """Read-only B ~ N(0, var_b) and Bdot ~ N(0, var_bdot) samples for one key.
+
+    Only the last key's draws are kept.  Keys that compare equal draw the
+    same arrays: abs maps a variance of -0.0, equal to 0.0, onto it (numpy
+    rejects a scale of -0.0).
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    b = rng.normal(0.0, math.sqrt(abs(var_b)), size=samples)
+    bdot = rng.normal(0.0, math.sqrt(abs(var_bdot)), size=samples)
+    b.flags.writeable = bdot.flags.writeable = False
+    return b, bdot
+
+
 @_float_range_checked
 def spin_coherence_norm(
     t, j, alpha, beta, omega, bath, hbar=1.0, mode="regime",
@@ -251,9 +267,12 @@ def spin_coherence_norm(
     matching closed form (broadcasting over t).  mode="montecarlo" samples
     the full leading-order-in-j exponent with B ~ N(0, var_B) and
     Bdot ~ N(0, var_Bdot) independent, the commutator replaced by
-    i hbar kappa, and returns a MonteCarloNorm(value, stderr); the counter
-    -based RNG makes results reproducible for a given seed.  samples (at
-    least 10000) and seed (in [0, 2**128)) must be integers.
+    i hbar kappa, and returns a MonteCarloNorm(value, stderr).  samples (at
+    least 10000) and seed (in [0, 2**128)) must be integers.  The draws
+    are a pure function of (seed, samples, var_B, var_Bdot) from a
+    counter-based RNG, so results are reproducible for a given seed; the
+    last key's draws (16 x samples bytes) are kept, and the calls of one
+    curve, one per time, draw once.
     """
     require_times(t=t)
     require_real(omega=omega)
@@ -276,9 +295,7 @@ def spin_coherence_norm(
     if not np.isscalar(t):
         raise ValidationError("montecarlo mode evaluates one time per call")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    b = rng.normal(0.0, math.sqrt(bath.var_B), size=samples)
-    bdot = rng.normal(0.0, math.sqrt(bath.var_Bdot), size=samples)
+    b, bdot = _gaussian_draws(seed, samples, bath.var_B, bath.var_Bdot)
 
     mxa = coherent_means(SpinCoherent(j, alpha, hbar))[0]
     mxb = coherent_means(SpinCoherent(j, beta, hbar))[0]

@@ -11,6 +11,7 @@ import pytest
 import decolab as dl
 from decolab.cli import SCHEMA, TEMPLATES, fit_scaling, main
 from decolab.errors import ValidationError
+from decolab.spin import _gaussian_draws
 
 TIMES_CFG = """\
 [experiment]
@@ -290,6 +291,24 @@ class TestExperiments:
         header, rows = read_rows(out1)
         assert header == ["t", "norm", "stderr"]
         assert all(float(r["stderr"]) > 0 for r in rows)
+
+    def test_spin_montecarlo_equals_cold_calls(self, tmp_path):
+        # one curve draws once; each row must equal a call with an empty draw cache
+        template = TEMPLATES["spin"].replace("mode = regime", "mode = montecarlo", 1)
+        template = template.replace("samples = 100000", "samples = 10000", 1)
+        template = template.replace("num = 40", "num = 5", 1)
+        cfg = write(tmp_path, "mc.ini", template.replace("seed = 0", "seed = 6", 1))
+        out = str(tmp_path / "mc.csv")
+        assert main(["spin", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 5
+        bath = dl.BathMoments(1.0, var_Bdot=0.0)
+        for row in rows:
+            _gaussian_draws.cache_clear()
+            est = dl.spin_coherence_norm(float(row["t"]), 15.0, 1.0, -1.0, 1.0, bath,
+                                         mode="montecarlo", samples=10_000, seed=6)
+            assert [float(row["norm"]).hex(), float(row["stderr"]).hex()] == [
+                est.value.hex(), est.stderr.hex()]
 
     def test_templates_parse_and_run(self, tmp_path, capsys):
         # every emitted template must itself be a runnable config

@@ -46,6 +46,8 @@ PROBES = {
     "ExpandedHamiltonian-zero-hbar": lambda: dl.ExpandedHamiltonian(*MATS, hbar=0.0),
     "ExpandedHamiltonian-nan-hbar": lambda: dl.ExpandedHamiltonian(*MATS, hbar=math.nan),
     "GaussianPacket-complex-q0": lambda: dl.GaussianPacket(1j, 0.0, 0.01),
+    "PositionGrid-overflowing-span": lambda: dl.PositionGrid(-1e308, 1e308, 16),
+    "PositionGrid-zero-spacing": lambda: dl.PositionGrid(0.0, 5e-324, 16),
     "SpinSystem-complex-omega": lambda: dl.SpinSystem(1.0, 1j),
     "GridParticle-complex-potential_omega":
         lambda: dl.GridParticle(GRID, 1.0, potential_omega=1j),

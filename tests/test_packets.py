@@ -176,6 +176,25 @@ class TestCoherenceNorm:
         b12 = dl.density_block(p1, p2, grid)
         assert dl.coherence_norm(b12, b12) == pytest.approx(1.0, abs=1e-6)
 
+    def test_blocks_with_zero_rows(self):
+        # 8 row chunks at n = 1024; the first chunk is live only in its last row
+        n = 1024
+        grid = dl.PositionGrid(-8.0, 8.0, n)
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        rows_a = np.r_[127, 300:400, 1023]
+        rows_b = np.r_[127, 350:900]
+        a, b = np.zeros((2, n, n), dtype=complex)
+        a[rows_a], b[rows_b] = values[0, rows_a], values[1, rows_b]
+        w = grid.weights
+        block_a, block_b = dl.DensityBlock(grid, a), dl.DensityBlock(grid, b)
+        for x, y in ((block_a, block_b), (block_b, block_a), (block_a, block_a)):
+            exact = (w @ (x.values * y.values.conj()) @ w).real
+            assert dl.coherence_norm(x, y) == pytest.approx(exact, rel=1e-12)
+        disjoint = np.zeros((n, n), dtype=complex)
+        disjoint[128:300] = values[1, 128:300]
+        assert dl.coherence_norm(block_a, dl.DensityBlock(grid, disjoint)) == 0.0
+
     def test_grid_mismatch(self):
         pk = dl.GaussianPacket(0.0, 0.0, 1.0)
         b1 = dl.density_block(pk, pk, std_grid(n=256))

@@ -7,6 +7,7 @@ import pytest
 import decolab as dl
 from decolab.cli import fit_scaling
 from decolab.errors import DegenerateBathError, ValidationError
+from decolab.spin import _gaussian_draws
 
 
 class TestSpinMatrices:
@@ -293,6 +294,55 @@ class TestSpinCoherenceNorm:
         for pair in [(1.0, -1.0), (1j, -1j), (0.5, dl.special_pair(0.5, "i"))]:
             vals = dl.spin_coherence_norm(ts, 12.0, pair[0], pair[1], 1.0, bath)
             assert np.all(np.diff(vals) <= 1e-15)
+
+
+class TestMonteCarloDraws:
+    """spin_coherence_norm keeps the last key's draws; a warm call equals a cold one."""
+
+    BATH = dl.BathMoments(1.0, var_Bdot=0.5)
+    CHANGED = {
+        "var_B": (dl.BathMoments(0.7, var_Bdot=0.5), 10_000),
+        "var_Bdot": (dl.BathMoments(1.0, var_Bdot=0.3), 10_000),
+        "samples": (BATH, 10_001),
+    }
+
+    @staticmethod
+    def norm(bath, samples=10_000, seed=5):
+        # d_x and d_y both nonzero, so both draws enter the exponent
+        est = dl.spin_coherence_norm(0.05, 15.0, 1.0, 1j, 1.0, bath, mode="montecarlo",
+                                     samples=samples, seed=seed)
+        return tuple(x.hex() for x in est)
+
+    def cold(self, *args, **kwargs):
+        _gaussian_draws.cache_clear()
+        return self.norm(*args, **kwargs)
+
+    def test_warm_call_equals_cold(self):
+        cold = self.cold(self.BATH)
+        assert self.norm(self.BATH) == cold
+        assert _gaussian_draws.cache_info().hits >= 1
+
+    def test_seeds_in_turn_equal_cold(self):
+        cold = {seed: self.cold(self.BATH, seed=seed) for seed in (11, 12)}
+        assert [self.norm(self.BATH, seed=seed) for seed in (11, 12, 11)] == [
+            cold[11], cold[12], cold[11]]
+
+    @pytest.mark.parametrize("bath, samples", CHANGED.values(), ids=CHANGED.keys())
+    def test_warm_call_with_changed_key_equals_cold(self, bath, samples):
+        cold = self.cold(bath, samples=samples)
+        self.cold(self.BATH)  # the cache now holds the unchanged key
+        assert self.norm(bath, samples=samples) == cold
+
+    def test_negative_zero_variances_draw_as_zero(self):
+        # numpy rejects a scale of -0.0; the variance -0.0 equals 0.0 and draws as it
+        zero = dl.BathMoments(0.0, var_Bdot=0.0)
+        cold = self.cold(dl.BathMoments(-0.0, var_Bdot=-0.0))
+        assert self.norm(zero) == cold == self.cold(zero)
+
+    def test_draws_are_read_only(self):
+        for draws in _gaussian_draws(5, 10_000, 1.0, 0.5):
+            with pytest.raises(ValueError):
+                draws[0] = 0.0
 
 
 class TestHolomorphicIdentities:
