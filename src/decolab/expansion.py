@@ -9,13 +9,17 @@ propagator satisfies
 This module builds Phi, supplies the expanded generators for a particle
 coupled through its position and for a spin precessing about z while
 coupled through Jx, and measures the O(t^4) remainder against a converged
-midpoint-product reference propagator.
+reference propagator: the fourth-order commutator-free Magnus product of
+Blanes and Moan (Appl. Numer. Math. 56, 1519 (2006)), Richardson-extrapolated
+with 1/15.  That extrapolation assumes a smooth h_of_t.  The second-order
+midpoint product, time_ordered_propagator, stays public as an independent
+referee.
 
 Every generator is Hermitian, so every exponential is one eigendecomposition.
-ExpandedHamiltonian, particle_generators, spin_generators and (for its whole
-stack of midpoint generators) time_ordered_propagator check this once with
-``_linalg.as_hermitian``: non-square, non-finite or non-Hermitian input raises
-ValidationError.
+ExpandedHamiltonian, particle_generators, spin_generators and (for their whole
+stack of sampled generators) time_ordered_propagator and the fourth-order
+reference check this once with ``_linalg.as_hermitian``: non-square,
+non-finite or non-Hermitian input raises ValidationError.
 """
 
 from dataclasses import dataclass
@@ -35,6 +39,10 @@ from .errors import (
 )
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
+# Gauss-point offsets 1/2 -+ sqrt(3)/6 and weights (3 -+ 2 sqrt(3))/12 of the
+# commutator-free fourth-order Magnus step
+_CF4_NODES = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
+_CF4_WEIGHTS = (3.0 + np.array([-2.0, 2.0]) * np.sqrt(3.0)) / 12.0
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,27 @@ def time_ordered_propagator(h_of_t, t, n_steps, hbar=1.0):
     return ordered_product(expm_phase_stack(hs, -delta / hbar))
 
 
+def _cf4_propagator(h_of_t, t, n_steps, hbar):
+    """Commutator-free fourth-order Magnus reference; error O(delta^4).
+
+    Each step of length delta samples H1, H2 at the Gauss points
+    t_k + c_{1,2} delta and applies exp(-i delta (a2 H1 + a1 H2) / hbar)
+    first, then exp(-i delta (a1 H1 + a2 H2) / hbar); swapping the two
+    factors drops the step to second order.  t > 0 and n_steps >= 1 are
+    the caller's to ensure.
+    """
+    delta = t / n_steps
+    nodes = (np.arange(n_steps)[:, None] + _CF4_NODES) * delta
+    hs = as_hermitian([[h_of_t(float(s)) for s in pair] for pair in nodes], "h_of_t")
+    if hs.ndim != 4:
+        raise ValidationError(f"h_of_t must return one matrix, got shape {hs.shape[2:]}")
+    a1, a2 = _CF4_WEIGHTS
+    first = a2 * hs[:, 0] + a1 * hs[:, 1]
+    second = a1 * hs[:, 0] + a2 * hs[:, 1]
+    factors = np.stack([first, second], axis=1).reshape(2 * n_steps, *hs.shape[2:])
+    return ordered_product(expm_phase_stack(factors, -delta / hbar))
+
+
 def particle_generators(Q, P, B, Bdot, mass, hbar=1.0):
     """Expanded generators for H_int = Q B with free system motion.
 
@@ -152,20 +181,27 @@ def spin_generators(Jx, Jy, B, Bdot, Bddot, omega, hbar=1.0):
 def expansion_error(h, h_of_t, t):
     """Spectral-norm distance between the O(t^4) propagator and a converged reference.
 
-    The reference step count is doubled until its own Richardson error
-    estimate is below REL_SELF_ERROR times the reported distance.
+    The reference is the fourth-order commutator-free Magnus product
+    (_cf4_propagator), Richardson-extrapolated with 1/15; h_of_t must be
+    smooth on [0, t] for that extrapolation to hold.  Its step count starts
+    at 1 and doubles until its own Richardson error estimate is below
+    REL_SELF_ERROR times the reported distance.
     """
     require_nonnegative(t=t)
     if t == 0:
         return 0.0
     approx = short_time_propagator(h, t)
-    n = 32
-    coarse = time_ordered_propagator(h_of_t, t, n, h.hbar)
+    n = 1
+    coarse = _cf4_propagator(h_of_t, t, n, h.hbar)
+    if coarse.shape != approx.shape:
+        raise ValidationError(
+            f"h_of_t must return {h.dim} x {h.dim} matrices, got shape {coarse.shape}"
+        )
     while True:
         n *= 2
-        fine = time_ordered_propagator(h_of_t, t, n, h.hbar)
-        estimate = spectral_norm(fine - coarse) / 3.0
-        reference = fine + (fine - coarse) / 3.0
+        fine = _cf4_propagator(h_of_t, t, n, h.hbar)
+        estimate = spectral_norm(fine - coarse) / 15.0
+        reference = fine + (fine - coarse) / 15.0
         distance = spectral_norm(reference - approx)
         if estimate <= REL_SELF_ERROR * distance:
             return distance

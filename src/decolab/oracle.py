@@ -235,7 +235,12 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 
 @dataclass(frozen=True)
 class OracleBathOperators:
-    """Dense bath operators plus the derived moments and correlations."""
+    """Dense bath operators plus the derived moments and correlations.
+
+    B, Bdot and Bddot are dimension x dimension matrices; H_res is the real
+    diagonal of the bath Hamiltonian in the storage basis (a vector), since
+    it is diagonal there by construction.
+    """
 
     B: np.ndarray
     Bdot: np.ndarray
@@ -280,14 +285,14 @@ def bath_statistics(bath, hbar=1.0):
 
 
 def build_bath_operators(bath, hbar=1.0):
-    """Dense B, Bdot, Bddot, H_res plus exact moments and correlations.
+    """Dense B, Bdot, Bddot, the diagonal of H_res, moments and correlations.
 
-    B and H_res are ``_sparse_bath_ops`` made dense; Bdot and Bddot are the
-    nested commutators (i/hbar)[H_res, .] applied to B.  H_res is diagonal
-    in the storage basis, so each commutator is the elementwise product
-    (i/hbar)(h_k - h_l) X_kl, with no matrix product.  Each operator is a
-    full-bath dimension x dimension matrix: refused above DENSE_BATH_LIMIT
-    (4096, 12 spin-halves) levels.
+    B is ``_sparse_bath_ops`` made dense; Bdot and Bddot are the nested
+    commutators (i/hbar)[H_res, .] applied to B.  H_res is diagonal in the
+    storage basis and is returned as that real diagonal h, so each
+    commutator is the elementwise product (i/hbar)(h_k - h_l) X_kl, with no
+    matrix product.  B, Bdot and Bddot are full-bath dimension x dimension
+    matrices: refused above DENSE_BATH_LIMIT (4096, 12 spin-halves) levels.
     """
     require_positive(hbar=hbar)
     dim = bath.dimension
@@ -299,7 +304,7 @@ def build_bath_operators(bath, hbar=1.0):
     bddot = np.multiply(gaps, bdot, out=gaps)  # gaps' last use: reuse its memory
     moments, corr = bath_statistics(bath, hbar)
     return OracleBathOperators(
-        B=b_total, Bdot=bdot, Bddot=bddot, H_res=np.diag(hres_diag).astype(complex),
+        B=b_total, Bdot=bdot, Bddot=bddot, H_res=hres_diag,
         moments=moments, corr=corr, initial_state=bath.initial_state(),
     )
 

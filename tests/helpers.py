@@ -7,6 +7,8 @@ import sys
 import numpy as np
 
 import decolab as dl
+from decolab._linalg import spectral_norm
+from decolab.expansion import REL_SELF_ERROR
 
 
 def peak_memory_mib(script):
@@ -66,3 +68,26 @@ def frozen_position_curve(bath, d, times, hbar=1.0, box_half=4.0, n=64):
     b2, q2 = dl.position_eigenstate(grid, -d / 2)
     curve = dl.evolve_norm(sys_p, bath, b1, b2, times)
     return curve, q1 - q2
+
+
+def midpoint_expansion_error(h, h_of_t, t):
+    """expansion_error with a second-order reference: the midpoint product,
+    doubled from 32 steps and Richardson-extrapolated with 1/3, under the
+    same self-error rule and roundoff floor.  An independent referee for the
+    fourth-order reference that expansion_error uses.
+    """
+    if t == 0:
+        return 0.0
+    approx = dl.short_time_propagator(h, t)
+    n = 32
+    coarse = dl.time_ordered_propagator(h_of_t, t, n, h.hbar)
+    while True:
+        n *= 2
+        fine = dl.time_ordered_propagator(h_of_t, t, n, h.hbar)
+        estimate = spectral_norm(fine - coarse) / 3.0
+        distance = spectral_norm(fine + (fine - coarse) / 3.0 - approx)
+        if estimate <= REL_SELF_ERROR * distance or distance <= 1e-10:
+            return distance
+        if n >= (1 << 18):
+            raise AssertionError(f"midpoint reference not converged at n_steps={n}")
+        coarse = fine

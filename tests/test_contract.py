@@ -71,6 +71,16 @@ PROBES = {
         lambda: dl.Superposition(PACKET, dl.GaussianPacket(-1.0, 0.0, 0.01), None, 0.5),
     "magnus_exponent-complex-t": lambda: dl.magnus_exponent(H, 1j),
     "expansion_error-complex-t": lambda: dl.expansion_error(H, H.at, 1j),
+    # the fourth-order reference validates its own stack of Gauss-point generators
+    "expansion_error-non-hermitian-h_of_t":
+        lambda: dl.expansion_error(H, lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0),
+    "expansion_error-nan-h_of_t":
+        lambda: dl.expansion_error(H, lambda s: np.full((2, 2), math.nan), 1.0),
+    "expansion_error-h_of_t-wrong-dimension":
+        lambda: dl.expansion_error(H, lambda s: np.eye(3), 1.0),
+    # one step on [0, 1] samples s = 0.21 and s = 0.79
+    "expansion_error-h_of_t-shape-changes":
+        lambda: dl.expansion_error(H, lambda s: H.at(s) if s < 0.5 else np.eye(3), 1.0),
     "spin_coherence_norm-complex-t":
         lambda: dl.spin_coherence_norm(1j, 1.0, 1.0, -1.0, 1.0, BATH),
     "spin_coherence_norm-complex-omega":

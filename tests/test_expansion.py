@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 import decolab as dl
 from decolab._linalg import expm_phase, spectral_norm
 from decolab.errors import ValidationError
+from decolab.expansion import _cf4_propagator
+
+from helpers import midpoint_expansion_error
 
 
 def random_hermitian(dim, rng, unit_norm=True):
@@ -277,3 +280,57 @@ class TestExpansionError:
             dl.ExpandedHamiltonian(
                 random_hermitian(4, rng), random_hermitian(2, rng), np.zeros((4, 4))
             )
+
+
+class TestFourthOrderReference:
+    def test_cf4_converges_at_fourth_order(self, rng):
+        # swapping the two factors of a step leaves a second-order product
+        # (ratio 4) that the O(t^4) checks above cannot tell apart
+        h0, h1 = random_hermitian(4, rng), random_hermitian(4, rng)
+
+        def h_of_t(s):
+            return h0 + np.sin(2.0 * s) * h1
+
+        t = 1.0
+        coarse = dl.time_ordered_propagator(h_of_t, t, 1 << 13)
+        fine = dl.time_ordered_propagator(h_of_t, t, 1 << 14)
+        limit = fine + (fine - coarse) / 3.0  # Richardson
+        errors = [spectral_norm(_cf4_propagator(h_of_t, t, n, 1.0) - limit) for n in (4, 8, 16)]
+        for coarse_error, fine_error in zip(errors, errors[1:]):
+            assert coarse_error / fine_error == pytest.approx(16.0, rel=0.2)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        kind=st.sampled_from(["triple", "particle", "spin"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        hnorm_t=st.floats(0.02, 0.1),
+        dim=st.integers(2, 5),
+        scale=st.floats(0.25, 2.0),
+    )
+    def test_agrees_with_midpoint_referee(self, kind, seed, hnorm_t, dim, scale):
+        # scale sizes h1, h2 for a triple and the bath frequencies for the
+        # particle and spin cases
+        rng = np.random.default_rng(seed)
+        if kind == "triple":
+            h0, h1, h2 = (random_hermitian(dim, rng) for _ in range(3))
+            h = dl.ExpandedHamiltonian(h0, scale * h1, scale * h2)
+            h_exact = h.at
+        elif kind == "particle":
+            q, p = random_hermitian(dim, rng), random_hermitian(dim, rng)
+            _, b, bdot, _, b_of_t = bath_pair(rng, dim=2, omega_scale=scale)
+            h = dl.particle_generators(q, p, b, bdot, mass=1.5)
+
+            def h_exact(s):
+                return np.kron(q + p * (s / 1.5), b_of_t(s))
+        else:
+            jx, jy, _ = dl.spin_matrices(0.5 * (dim - 1))
+            _, b, bdot, bddot, b_of_t = bath_pair(rng, dim=2, omega_scale=scale)
+            omega = 0.9
+            h = dl.spin_generators(jx, jy, b, bdot, bddot, omega)
+
+            def h_exact(s):
+                return np.kron(jx * np.cos(omega * s) - jy * np.sin(omega * s), b_of_t(s))
+
+        t = hnorm_t / spectral_norm(h.h0)
+        expected = midpoint_expansion_error(h, h_exact, t)
+        assert dl.expansion_error(h, h_exact, t) == pytest.approx(expected, rel=1e-5)

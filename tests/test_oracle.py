@@ -172,7 +172,7 @@ class TestBathOperators:
         bath, hbar = _mixed_bath(data)
         moments, corr = dl.bath_statistics(bath, hbar)
         ops = dl.build_bath_operators(bath, hbar)
-        b, h, chi = ops.B, ops.H_res, ops.initial_state
+        b, h, chi = ops.B, np.diag(ops.H_res), ops.initial_state
         b_chi = b @ chi
         bdot_chi = (1j / hbar) * (h @ b_chi - b @ (h @ chi))
         assert moments.var_B == pytest.approx(np.vdot(b_chi, b_chi).real, abs=1e-12)
@@ -192,7 +192,7 @@ class TestBathOperators:
     def test_derivatives_match_matmul_commutators(self, data):
         bath, hbar = _mixed_bath(data)
         ops = dl.build_bath_operators(bath, hbar)
-        h = ops.H_res
+        h = np.diag(ops.H_res)
         bdot = (1j / hbar) * (h @ ops.B - ops.B @ h)
         bddot = (1j / hbar) * (h @ bdot - bdot @ h)
         assert np.abs(ops.Bdot - bdot).max() <= 1e-12 * np.abs(bdot).max()
@@ -207,6 +207,15 @@ class TestBathOperators:
         assert abs(chi.conj() @ ops.B @ chi) < 1e-12
         assert ops.moments.var_B == pytest.approx(sum(g * g for g in gs), rel=1e-14)
 
+    def test_h_res_is_the_real_storage_basis_diagonal(self):
+        bath = dl.BathModel((dl.BathComponent("spin-half", 0.3, 1.7),
+                             dl.BathComponent("spin-half", 0.5, 0.4)), ("up", "down"))
+        ops = dl.build_bath_operators(bath, hbar=2.0)
+        assert ops.H_res.shape == (4,) and np.isrealobj(ops.H_res)
+        # hbar (+-omega_1 +- omega_2) / 2 in the storage basis, up first
+        np.testing.assert_allclose(ops.H_res, 2.0 * np.array([1.05, 0.65, -0.65, -1.05]),
+                                   rtol=1e-15)
+
     def test_static_bath_has_zero_bdot(self):
         bath = dl.spin_bath(1, 1.0)
         ops = dl.build_bath_operators(bath)
@@ -219,7 +228,7 @@ class TestBathOperators:
         ops = dl.build_bath_operators(bath, hbar)
         chi = ops.initial_state
         for s in (0.0, 0.4, 1.1):
-            u = expm_phase(ops.H_res, s / hbar)
+            u = expm_phase(np.diag(ops.H_res), s / hbar)
             b_t = u @ ops.B @ u.conj().T
             sym_dense = float(np.real(chi.conj() @ (b_t @ ops.B + ops.B @ b_t) @ chi))
             resp_dense = float(
@@ -295,7 +304,8 @@ def _unmerged_strang_norms(sys_p, bath, branch1, branch2, times, dt):
     q = sys_p.grid.points
     k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys_p.grid.spacing)
     eye_b = np.eye(bath.dimension)
-    h = sys_p.potential()[:, None, None] * eye_b + q[:, None, None] * ops.B + ops.H_res
+    h_res = np.diag(ops.H_res)
+    h = sys_p.potential()[:, None, None] * eye_b + q[:, None, None] * ops.B + h_res
     w, v = np.linalg.eigh(h)
     psi = np.multiply.outer(np.stack([branch1, branch2]), ops.initial_state)
     norms, t_prev = [], 0.0
@@ -457,7 +467,7 @@ class TestEvolveNorm:
         expected = []
         for t in times:
             chis = np.array([
-                scipy.linalg.expm(-1j * t * (q * ops.B + ops.H_res) / hbar)
+                scipy.linalg.expm(-1j * t * (q * ops.B + np.diag(ops.H_res)) / hbar)
                 @ ops.initial_state
                 for q in grid.points[occupied]
             ])
@@ -611,7 +621,7 @@ class TestEvolveNorm:
         eye_b = np.eye(bath.dimension)
         h = (
             sys_s.omega * np.kron(jz, eye_b)
-            + np.kron(np.eye(dim_s), ops.H_res)
+            + np.kron(np.eye(dim_s), np.diag(ops.H_res))
             + np.kron(jx, ops.B)
         )
         w, v = np.linalg.eigh(h)
