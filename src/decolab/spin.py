@@ -264,14 +264,16 @@ def spin_coherence_norm(
     """Coherence norm of a two-coherent-state superposition under Jx B coupling.
 
     mode="regime" dispatches on which separation survives and returns the
-    matching closed form (broadcasting over t).  mode="montecarlo" samples
-    the full leading-order-in-j exponent with B ~ N(0, var_B) and
-    Bdot ~ N(0, var_Bdot) independent, the commutator replaced by
-    i hbar kappa, and returns a MonteCarloNorm(value, stderr).  samples (at
-    least 10000) and seed (in [0, 2**128)) must be integers.  The draws
-    are a pure function of (seed, samples, var_B, var_Bdot) from a
-    counter-based RNG, so results are reproducible for a given seed; the
-    last key's draws (16 x samples bytes) are kept, and the calls of one
+    matching closed form (broadcasting over t).  mode="montecarlo" samples the
+    leading-order-in-j phase phi = u B + v Bdot + w B^2 + c, with B ~ N(0, var_B)
+    and Bdot ~ N(0, var_Bdot) independent, and returns MonteCarloNorm(value,
+    stderr): the bias-corrected |mean exp(-i phi)|^2, which can fall a few
+    stderr below 0 where the norm is near 0, and its delta-method standard
+    error.  kappa (the commutator [B, Bdot] replaced by i hbar kappa) enters
+    only the global phase c, so at this order it moves neither.  samples (at
+    least 10000) and seed (in [0, 2**128)) must be integers.  The draws are a
+    pure function of (seed, samples, var_B, var_Bdot) from a counter-based RNG;
+    the last key's draws (16 x samples bytes) are kept, and the calls of one
     curve, one per time, draw once.
     """
     require_times(t=t)
@@ -296,27 +298,25 @@ def spin_coherence_norm(
         raise ValidationError("montecarlo mode evaluates one time per call")
 
     b, bdot = _gaussian_draws(seed, samples, bath.var_B, bath.var_Bdot)
-
-    mxa = coherent_means(SpinCoherent(j, alpha, hbar))[0]
-    mxb = coherent_means(SpinCoherent(j, beta, hbar))[0]
-    # Leading-order-in-j exponent; the second bath derivative carries no
-    # variance in BathMoments and is omitted from the t^3 coefficient.
-    phi = (
-        seps.d_x * (b * t + bdot * t ** 2 / 2.0 - omega ** 2 * b * t ** 3 / 6.0)
-        - omega * seps.d_y * (b * t ** 2 / 2.0 + bdot * t ** 3 / 3.0)
-        + omega * seps.d_z * b ** 2 * t ** 3 / 12.0
-        - (mxa ** 2 - mxb ** 2) * bath.kappa * t ** 3 / 12.0
-    ) / hbar
-    z = np.exp(-1j * phi)
-    zbar = z.mean()
-    var_re = z.real.var(ddof=1) / samples
-    var_im = z.imag.var(ddof=1) / samples
-    cov = np.cov(z.real, z.imag, ddof=1)[0, 1] / samples
-    value = abs(zbar) ** 2 - (var_re + var_im)  # bias-corrected |E z|^2
-    grad = np.array([2.0 * zbar.real, 2.0 * zbar.imag])
-    cov_mat = np.array([[var_re, cov], [cov, var_im]])
-    stderr = float(np.sqrt(max(grad @ cov_mat @ grad, 0.0)))
-    return MonteCarloNorm(float(value), stderr)
+    mxa, mxb = (coherent_means(SpinCoherent(j, s, hbar))[0] for s in (alpha, beta))
+    # The second bath derivative has no variance in BathMoments and is left out
+    # of the t^3 terms; float64 coefficients overflow under the errstate.
+    t = np.float64(t)
+    u = (seps.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * seps.d_y * t ** 2 / 2.0) / hbar
+    v = (seps.d_x * t ** 2 / 2.0 - omega * seps.d_y * t ** 3 / 3.0) / hbar
+    w = omega * seps.d_z * t ** 3 / 12.0 / hbar
+    c = -(mxa ** 2 - mxb ** 2) * bath.kappa * t ** 3 / 12.0 / hbar
+    phi = (w * b + u) * b + v * bdot + c
+    # Re z = cos phi and Im z = -sin phi; that sign drops out of every moment.
+    cos, sin = np.cos(phi), np.sin(phi, out=phi)
+    mean_c, mean_s = cos.mean(), sin.mean()
+    cos -= mean_c
+    sin -= mean_s
+    scale = 1.0 / ((samples - 1) * samples)
+    var_c, var_s, cov = cos @ cos * scale, sin @ sin * scale, cos @ sin * scale
+    value = mean_c ** 2 + mean_s ** 2 - (var_c + var_s)  # bias-corrected |E z|^2
+    delta_var = 4.0 * (mean_c ** 2 * var_c + 2.0 * mean_c * mean_s * cov + mean_s ** 2 * var_s)
+    return MonteCarloNorm(float(value), float(np.sqrt(max(delta_var, 0.0))))
 
 
 def verify_holomorphic_identities(j, alpha, step=1e-5):

@@ -1,5 +1,6 @@
 """Shared builders for oracle test scenarios and the memory probes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -91,3 +92,20 @@ def midpoint_expansion_error(h, h_of_t, t):
         if n >= (1 << 18):
             raise AssertionError(f"midpoint reference not converged at n_steps={n}")
         coarse = fine
+
+
+def exact_mc_spin_norm(t, j, alpha, beta, omega, bath, hbar=1.0):
+    """Exact |E exp(-i phi)|^2 for the phase spin_coherence_norm samples.
+
+    With phi hbar = u B + v Bdot + w B^2 + c and independent Gaussian B, Bdot,
+    |E z|^2 = (1 + 4 w~^2 s^2)^(-1/2) exp(-u~^2 s / (1 + 4 w~^2 s^2))
+    exp(-v~^2 s_d), where u~, v~, w~ are u, v, w over hbar and s, s_d are
+    var_B and var_Bdot; the global phase c (the kappa term) drops out.
+    """
+    d = dl.separations(j, alpha, beta, hbar)
+    u = (d.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * d.d_y * t ** 2 / 2.0) / hbar
+    v = (d.d_x * t ** 2 / 2.0 - omega * d.d_y * t ** 3 / 3.0) / hbar
+    w = omega * d.d_z * t ** 3 / 12.0 / hbar
+    s, s_d = bath.var_B, bath.var_Bdot
+    spread = 1.0 + 4.0 * w ** 2 * s ** 2
+    return spread ** -0.5 * math.exp(-(u ** 2) * s / spread - v ** 2 * s_d)

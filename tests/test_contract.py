@@ -135,6 +135,9 @@ RANGE_PROBES = {
                                      dl.SystemParams(1.0, hbar=1e-200), 1.0),
     "decoherence_times-time-underflows-to-zero":
         lambda: dl.decoherence_times(1e300, 0.0, dl.SystemParams(1.0, hbar=1e-300), BATH),
+    "spin_coherence_norm-montecarlo-overflowing-t":
+        lambda: dl.spin_coherence_norm(1e103, 15.0, 1.0, -1.0, 1.0, MC_BATH, mode="montecarlo",
+                                       samples=10_000),
 }
 
 

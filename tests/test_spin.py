@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import decolab as dl
 from decolab.cli import fit_scaling
 from decolab.errors import DegenerateBathError, ValidationError
 from decolab.spin import _gaussian_draws
+
+from helpers import exact_mc_spin_norm
 
 
 class TestSpinMatrices:
@@ -343,6 +346,65 @@ class TestMonteCarloDraws:
         for draws in _gaussian_draws(5, 10_000, 1.0, 0.5):
             with pytest.raises(ValueError):
                 draws[0] = 0.0
+
+
+def _time_at_norm(exact, level):
+    """A t > 0 where exact(t) crosses level: the first fall below it on a
+    geometric scan, refined by bisection; None if it never falls."""
+    lo = 0.0
+    for hi in np.geomspace(1e-4, 1e4, 81):
+        if exact(hi) <= level:
+            break
+        lo = hi
+    else:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact(mid) > level else (lo, mid)
+    return hi
+
+
+CASE_I_ALPHA = math.tan(math.pi / 6)
+
+
+class TestMonteCarloExactReferee:
+    """The sampled norm against its exact Gaussian expectation (tests/helpers.py)."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(j=st.sampled_from([1.5, 5.0, 15.0]),
+           alpha=st.complex_numbers(max_magnitude=3.0),
+           beta=st.complex_numbers(max_magnitude=3.0),
+           omega=st.floats(-2.0, 2.0), var_b=st.floats(0.1, 2.0),
+           var_bdot=st.floats(0.0, 2.0), kappa=st.floats(0.0, 50.0),
+           level=st.floats(0.06, 0.94), seed=st.integers(0, 2 ** 31))
+    @example(j=15.0, alpha=CASE_I_ALPHA, beta=dl.special_pair(CASE_I_ALPHA, "i"),
+             omega=1.0, var_b=1.0, var_bdot=0.5, kappa=0.7, level=0.5, seed=3)
+    @example(j=15.0, alpha=1j, beta=dl.special_pair(1j, "ii"), omega=1.0, var_b=1.0,
+             var_bdot=0.5, kappa=0.7, level=0.3, seed=4)
+    def test_within_five_stderr_of_exact(self, j, alpha, beta, omega, var_b, var_bdot,
+                                         kappa, level, seed):
+        bath = dl.BathMoments(var_b, var_Bdot=var_bdot, kappa=kappa)
+        def exact(t):
+            return exact_mc_spin_norm(t, j, alpha, beta, omega, bath)
+        t = _time_at_norm(exact, level)
+        assume(t is not None)
+        assert 0.05 <= exact(t) <= 0.95
+        est = dl.spin_coherence_norm(t, j, alpha, beta, omega, bath, mode="montecarlo",
+                                     seed=seed)
+        assert abs(est.value - exact(t)) <= 5.0 * est.stderr
+
+    def test_kappa_moves_neither_value_nor_stderr(self):
+        # kappa enters only the global phase; the pair has mx(alpha)^2 != mx(beta)^2
+        def norm(kappa):
+            bath = dl.BathMoments(1.0, var_Bdot=0.5, kappa=kappa)
+            return dl.spin_coherence_norm(0.07, 15.0, 0.5, 2j, 1.0, bath, mode="montecarlo",
+                                          seed=8)
+        ref = norm(0.0)
+        assert 0.2 < ref.value < 0.8
+        for kappa in (0.7, 50.0):
+            est = norm(kappa)
+            assert est.value == pytest.approx(ref.value, rel=1e-12)
+            assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
 
 
 class TestHolomorphicIdentities:
