@@ -2,8 +2,7 @@
 
 Usage:
 
-    decolab <experiment> --config cfg.ini [--out results.csv] [--json results.json]
-                         [--seed N] [--emit-config]
+    decolab <experiment> --config cfg.ini [--out results.csv] [--json results.json] [--emit-config]
 
 Experiments: times, norm, sweep, oracle-compare, spin, expansion-check, clt.
 Configs are INI files.  One schema table per experiment (``SCHEMA``) gives
@@ -12,8 +11,9 @@ a config into typed values and rejects an unknown section or key, a value
 outside its choices or a non-finite number, and ``--emit-config`` prints
 the commented template generated from the table.  Results are CSV
 (one row per point, fixed header) with the config hash embedded in comment
-lines, plus an optional JSON mirror.  Runs are deterministic: rerunning a
-config (same seed) reproduces the output byte for byte.
+lines, plus an optional JSON mirror.  The config is the whole input (seeds
+included), so its hash identifies the run, and rerunning a config
+reproduces the output byte for byte.
 
 Exit codes: 0 success, 1 validation error, 2 numerical error.
 """
@@ -102,17 +102,14 @@ def _frequencies(text):
     return float(lo), float(hi)
 
 
-def _bath(var_bdot=None, kappa=None):
-    return {"var_b": Key(float, REQUIRED, "1.0"), "var_bdot": Key(float, None, var_bdot),
-            "kappa": Key(float, 0.0, kappa)}
+_VAR_B = Key(float, REQUIRED, "1.0")
 
 
 SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
     "times": ("decoherence time table from the closed-form laws", {
         "separation": {"dq": Key(float, REQUIRED, "2.0"), "dp": Key(float, 0.0, "0.0")},
-        "system": {"mass": Key(float, REQUIRED, "1.0"), "omega": Key(float, 0.0, "0.0"),
-                   "hbar": Key(float, 1.0, "1.0")},
-        "bath": _bath(),
+        "system": {"mass": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0")},
+        "bath": {"var_b": _VAR_B},
     }),
     "norm": ("closed-form coherence-norm curve", {
         "law": {"kind": Key(str, REQUIRED, "short-time", ("short-time", "two-reservoir", "memory"))},
@@ -120,7 +117,7 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
                     "q2": Key(float, REQUIRED, "-1.0"), "p2": Key(float, REQUIRED, "0.0"),
                     "sigma": Key(float, REQUIRED, "0.01"), "hbar": Key(float, 1.0, "1.0")},
         "system": {"mass": Key(float, REQUIRED, "1.0")},
-        "bath": _bath(),
+        "bath": {"var_b": _VAR_B},
         "times": _times("0.0", "1.0", "101"),
         "two-reservoir": {"dq": Key(float), "dp": Key(float), "var_bq": Key(float),
                           "var_bp": Key(float), "hbar": Key(float, 1.0)},
@@ -153,7 +150,8 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
                  "beta": Key(complex, REQUIRED, "-1+0j", note="or set case = i | ii | iii instead"),
                  "case": Key(str, None, choices=("i", "ii", "iii")),
                  "omega": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0")},
-        "bath": _bath("0.0", "0.0"),
+        "bath": {"var_b": _VAR_B, "var_bdot": Key(float, None, "0.0"),
+                 "kappa": Key(float, 0.0, "0.0")},
         "norm": {"mode": Key(str, "regime", "regime", ("regime", "montecarlo")),
                  "samples": Key(int, 100_000, "100000"), "seed": Key(int, 0, "0")},
         "times": _times("0.001", "0.1", "40"),
@@ -297,15 +295,10 @@ def fit_scaling(axis_values, taus, axis="hbar", target="tau"):
 # Experiment implementations; each returns (columns, rows, extras)
 
 
-def _bath_moments(bath):
-    return BathMoments(bath["var_b"], bath["var_bdot"], bath["kappa"])
-
-
-def run_times(c, args):
+def run_times(c):
     dq, dp = c["separation"]["dq"], c["separation"]["dp"]
-    system = c["system"]
-    sysp = SystemParams(mass=system["mass"], omega=system["omega"], hbar=system["hbar"])
-    bath = _bath_moments(c["bath"])
+    sysp = SystemParams(mass=c["system"]["mass"], hbar=c["system"]["hbar"])
+    bath = BathMoments(c["bath"]["var_b"])
     taus = decoherence_times(dq, dp, sysp, bath)
     columns = ["dq", "dp", "mass", "hbar", "var_b", "tau_q", "tau_qp", "tau_p"]
     rows = [[dq, dp, sysp.mass, sysp.hbar, bath.var_B, taus.tau_q, taus.tau_qp, taus.tau_p]]
@@ -321,7 +314,7 @@ def _correlation_from(memory):
     return gaussian_correlation(var_b, memory["tau_c"])
 
 
-def run_norm(c, args):
+def run_norm(c):
     law = c["law"]["kind"]
     times = time_grid(c["times"])
     if law == "short-time":
@@ -332,7 +325,7 @@ def run_norm(c, args):
             GaussianPacket(packets["q2"], packets["p2"], sigma, hbar),
         )
         sysp = SystemParams(mass=c["system"]["mass"], hbar=hbar)
-        values = coherence_norm_short_time(times, sup, sysp, _bath_moments(c["bath"]))
+        values = coherence_norm_short_time(times, sup, sysp, BathMoments(c["bath"]["var_b"]))
     elif law == "two-reservoir":
         two = c["two-reservoir"]
         values = two_reservoir_norm(
@@ -346,7 +339,7 @@ def run_norm(c, args):
     return ["t", "norm"], [[t, v] for t, v in zip(times, np.atleast_1d(values))], {}
 
 
-def run_sweep(c, args):
+def run_sweep(c):
     sweep = c["sweep"]
     axis, target = sweep["axis"], sweep["target"]
     law_inputs = {  # the axes each target's closed-form law depends on
@@ -386,7 +379,7 @@ def run_sweep(c, args):
     return [axis, target], rows, extras
 
 
-def run_oracle_compare(c, args):
+def run_oracle_compare(c):
     model, compare = c["bath-model"], c["compare"]
     m, omega = model["m"], model["omega"]
     omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
@@ -418,7 +411,7 @@ def run_oracle_compare(c, args):
     return ["t", "n_oracle", "n_law", "abs_diff"], rows, {"protocol": protocol, "law": law}
 
 
-def run_spin(c, args):
+def run_spin(c):
     spin, norm = c["spin"], c["norm"]
     j, alpha, case = spin["j"], spin["alpha"], spin["case"]
     if case is None:
@@ -428,9 +421,8 @@ def run_spin(c, args):
     else:
         beta = special_pair(alpha, case)
     omega, hbar = spin["omega"], spin["hbar"]
-    bath = _bath_moments(c["bath"])
-    mode, samples = norm["mode"], norm["samples"]
-    seed = args.seed if args.seed is not None else norm["seed"]
+    bath = BathMoments(c["bath"]["var_b"], c["bath"]["var_bdot"], c["bath"]["kappa"])
+    mode, samples, seed = norm["mode"], norm["samples"], norm["seed"]
     times = time_grid(c["times"])
     taus = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
     rows = []
@@ -448,10 +440,10 @@ def run_spin(c, args):
     return ["t", "norm", "stderr"], rows, extras
 
 
-def run_expansion_check(c, args):
+def run_expansion_check(c):
     expansion = c["expansion"]
     dim, trials, hnorm_t = expansion["dim"], expansion["trials"], expansion["hnorm_t"]
-    seed = args.seed if args.seed is not None else expansion["seed"]
+    seed = expansion["seed"]
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def random_hermitian():
@@ -469,7 +461,7 @@ def run_expansion_check(c, args):
     return ["trial", "t", "error_t", "error_half", "ratio"], rows, {"seed": seed}
 
 
-def run_clt(c, args):
+def run_clt(c):
     clt = c["clt"]
     m_values = clt["m_values"]
     var_b, sigmas, points = clt["var_b"], clt["lambda_sigmas"], clt["lambda_points"]
@@ -552,7 +544,6 @@ def build_parser():
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--json", dest="json_path", help="optional JSON mirror path")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
         "--emit-config", action="store_true", help="print a config template and exit"
     )
@@ -589,7 +580,7 @@ def main(argv=None):
         cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cfg.read_string(raw.decode())
         values = parse_config(cfg, args.experiment)
-        columns, rows, extras = EXPERIMENTS[args.experiment](values, args)
+        columns, rows, extras = EXPERIMENTS[args.experiment](values)
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"decolab: error: numerical: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from ._linalg import (
 )
 from .errors import (
     ConvergenceError, ValidationError, is_int, require_nonnegative, require_positive,
+    require_real,
 )
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
@@ -163,6 +164,7 @@ def spin_generators(Jx, Jy, B, Bdot, Bddot, omega, hbar=1.0):
     h1 = Jx (x) Bdot - Omega Jy (x) B,
     h2 = -Omega^2 Jx (x) B - 2 Omega Jy (x) Bdot + Jx (x) Bddot.
     """
+    require_real(omega=omega)
     Jx, Jy = as_hermitian(Jx, "Jx"), as_hermitian(Jy, "Jy")
     B, Bdot = as_hermitian(B, "B"), as_hermitian(Bdot, "Bdot")
     Bddot = as_hermitian(Bddot, "Bddot")

@@ -729,7 +729,7 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         Split-step size for finite-mass grid particles (default: total
         span / 4096); must be finite and positive when given.  Ignored by
         the factorized and Krylov back ends, which are exact in the step
-        size.
+        size; the fingerprint hashes the step used, None on those back ends.
     """
     times = _check_times(times)
     if dt is not None:
@@ -742,20 +742,18 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         raise ValidationError(f"unsupported system spec {type(sys).__name__}")
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
+    step = None  # the split step the back end used; the fingerprint hashes it
     if isinstance(sys, SpinSystem):
         curve = _spin_static_curve if bath.is_static() else _spin_sparse_curve
         values = curve(sys, bath, b1, b2, times)
+    elif math.isinf(sys.mass):
+        values = _grid_frozen_curve(sys, bath, b1, b2, times)
     else:
-        if dt is None:
-            dt = max(times[-1], 1e-30) / 4096.0
-        if math.isinf(sys.mass):
-            values = _grid_frozen_curve(sys, bath, b1, b2, times)
-        elif bath.is_static():
-            values = _grid_static_curve(sys, bath, b1, b2, times, dt)
-        else:
-            values = _grid_dense_curve(sys, bath, b1, b2, times, dt)
+        step = dt if dt is not None else max(times[-1], 1e-30) / 4096.0
+        curve = _grid_static_curve if bath.is_static() else _grid_dense_curve
+        values = curve(sys, bath, b1, b2, times, step)
     values = np.clip(values, 0.0, None)
-    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times, dt))
+    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times, step))
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +803,10 @@ def fit_decay_exponent(curve, window=(0.05, 0.95)):
     Only samples with window[0] < N < window[1] and t > 0 participate; the
     curve must be strictly decreasing there and provide at least 8 points.
     """
-    lo, hi = window
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValidationError(f"fit window must be a pair (lo, hi), got {window!r}") from None
     require_real(lo=lo, hi=hi)
     if not 0 <= lo < hi <= 1:
         raise ValidationError(f"fit window must satisfy 0 <= lo < hi <= 1, got {window}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatchError, ResolutionError, ValidationError, is_int, require_complex,
-    require_finite, require_positive, require_real, require_real_array,
+    GridMismatchError, ResolutionError, ValidationError, is_int, require_finite, require_positive,
+    require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -45,20 +45,18 @@ class GaussianPacket:
 
 @dataclass(frozen=True)
 class Superposition:
-    """Normalized two-branch superposition c1 |phi1> + c2 |phi2>."""
+    """Two-branch superposition of |phi1> and |phi2>.
+
+    The laws depend only on the branches' separations, not on how the
+    branches are weighted, so no amplitudes are stored.
+    """
 
     packet1: GaussianPacket
     packet2: GaussianPacket
-    c1: complex = 2.0 ** -0.5
-    c2: complex = 2.0 ** -0.5
 
     def __post_init__(self):
         if self.packet1.sigma != self.packet2.sigma or self.packet1.hbar != self.packet2.hbar:
             raise ValidationError("superposed packets must share sigma and hbar")
-        require_complex(c1=self.c1, c2=self.c2)
-        total = abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"|c1|^2 + |c2|^2 = {total}, expected 1")
 
     @property
     def dq(self):
@@ -125,9 +123,6 @@ class DensityBlock:
                 f"values shape {self.values.shape} does not match grid ({n}, {n})"
             )
 
-    def dagger(self):
-        return DensityBlock(self.grid, self.values.conj().T)
-
 
 def position_amplitude(packet, q):
     """Position-representation amplitude phi(q); broadcasts over q."""
@@ -182,7 +177,7 @@ def density_block(packet_i, packet_j, grid):
 
 
 def superposition_blocks(sup, grid):
-    """All four blocks rho^{ij} of a two-branch superposition, keyed (i, j)."""
+    """All four blocks rho^{ij} = |phi_i><phi_j| of a two-branch superposition, keyed (i, j)."""
     packets = {1: sup.packet1, 2: sup.packet2}
     return {
         (i, j): density_block(packets[i], packets[j], grid)

@@ -79,14 +79,6 @@ class SpinCoherent:
         require_complex(alpha=self.alpha)
         require_positive(hbar=self.hbar)
 
-    @property
-    def theta(self):
-        return 2.0 * math.atan(abs(self.alpha))
-
-    @property
-    def phi(self):
-        return cmath.phase(self.alpha) if self.alpha != 0 else 0.0
-
 
 def _log_binomials(two_j):
     n = np.arange(two_j + 1)
@@ -174,9 +166,14 @@ def special_pair(alpha, case_id):
     raise ValidationError(f"case_id must be one of 'i', 'ii', 'iii', got {case_id!r}")
 
 
-def is_special_case_iv(alpha, beta, tol=1e-9):
+# Absolute tolerance of the two equalities in is_special_case_iv.
+CASE_IV_TOL = 1e-9
+
+
+def is_special_case_iv(alpha, beta):
     """Predicate for the fourth d_x = 0 case, recorded verbatim:
-    cos(phi_alpha) = sin(theta_beta) and cos(phi_beta) = sin(phi_alpha).
+    cos(phi_alpha) = sin(theta_beta) and cos(phi_beta) = sin(phi_alpha),
+    each to within CASE_IV_TOL.
 
     The mixed angle pairing looks typographical; the condition is exposed
     as printed rather than guessed at, and no constructor is provided.
@@ -187,8 +184,8 @@ def is_special_case_iv(alpha, beta, tol=1e-9):
     phi_b = cmath.phase(beta) if beta != 0 else 0.0
     theta_b = 2.0 * math.atan(abs(beta))
     return (
-        abs(math.cos(phi_a) - math.sin(theta_b)) <= tol
-        and abs(math.cos(phi_b) - math.sin(phi_a)) <= tol
+        abs(math.cos(phi_a) - math.sin(theta_b)) <= CASE_IV_TOL
+        and abs(math.cos(phi_b) - math.sin(phi_a)) <= CASE_IV_TOL
     )
 
 

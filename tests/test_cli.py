@@ -27,7 +27,8 @@ var_b = 1.0
 """
 
 # Misconfigured templates: (experiment, template text, replacement, name
-# the error must give).  Each used to run, or fail for another reason.
+# the error must give[, extra command-line arguments]).  Each used to run,
+# or fail for another reason.
 MISCONFIGS = {
     "misspelt-key": ("oracle-compare", "protocol = frozen", "protocl = frozen", "protocl"),
     "unknown-section": ("times", "[bath]\n", "[bogus]\n[bath]\n", "bogus"),
@@ -39,6 +40,11 @@ MISCONFIGS = {
     "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
     "dropped-key": ("norm", "spacing = linear\n", "spacing = linear\n[memory]\ntail_cutoff = inf\n",
                     "tail_cutoff"),
+    # decoherence_times ignores omega, and only spin reads var_bdot and kappa
+    "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
+    "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
+    # the config, whose hash each output records, is the whole input
+    "seed-flag": ("spin", "", "", "--seed", ("--seed", "4")),
 }
 
 EXPERIMENTS = ("times", "norm", "sweep", "oracle-compare", "spin", "expansion-check", "clt")
@@ -286,7 +292,7 @@ class TestExperiments:
         )
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["spin", "--config", cfg, "--out", out1]) == 0
-        assert main(["spin", "--config", cfg, "--out", out2, "--seed", "4"]) == 0
+        assert main(["spin", "--config", cfg, "--out", out2]) == 0
         assert open(out1).read() == open(out2).read()
         header, rows = read_rows(out1)
         assert header == ["t", "norm", "stderr"]
@@ -321,12 +327,13 @@ class TestExperiments:
             out = str(tmp_path / f"{experiment}.csv")
             assert main([experiment, "--config", cfg, "--out", out]) == 0, experiment
 
-    @pytest.mark.parametrize("experiment, old, new, named", MISCONFIGS.values(), ids=MISCONFIGS)
-    def test_misconfig_rejected(self, tmp_path, capsys, experiment, old, new, named):
+    @pytest.mark.parametrize("experiment, old, new, named, flags",
+                             [(*row, ())[:5] for row in MISCONFIGS.values()], ids=MISCONFIGS)
+    def test_misconfig_rejected(self, tmp_path, capsys, experiment, old, new, named, flags):
         template = TEMPLATES[experiment]
         assert old in template
         cfg = write(tmp_path, "c.ini", template.replace(old, new, 1))
-        assert main([experiment, "--config", cfg]) == 1
+        assert main([experiment, "--config", cfg, *flags]) == 1
         assert named in capsys.readouterr().err
 
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
@@ -359,7 +366,7 @@ class TestExperiments:
         import decolab.cli as cli
         from decolab.errors import IntegrationError
 
-        def broken(cfg, args):
+        def broken(cfg):
             raise IntegrationError("synthetic failure")
 
         monkeypatch.setitem(cli.EXPERIMENTS, "times", broken)
@@ -390,7 +397,7 @@ class TestExperiments:
     def test_linalg_error_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
         import decolab.cli as cli
 
-        def broken(cfg, args):
+        def broken(cfg):
             raise np.linalg.LinAlgError("synthetic eigensolver failure")
 
         monkeypatch.setitem(cli.EXPERIMENTS, "times", broken)
@@ -422,11 +429,17 @@ class TestOracleCompareFrozen:
         np.testing.assert_allclose(n_law, np.exp(-(d ** 2) * t ** 2), rtol=0, atol=1e-12)
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
 class TestReadme:
+    def test_library_quick_start_runs(self):
+        section = open(README).read().split("## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md quick start", "exec"), {})
+
     def test_omitted_keys_table_matches_schema(self):
-        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                              "README.md")
-        text = open(readme).read()
+        text = open(README).read()
         table = text.split("Known keys the templates leave\nout:\n\n", 1)[1].split("\n\n", 1)[0]
         listed = set()
         for line in table.splitlines()[2:]:

@@ -28,6 +28,7 @@ MATS = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2
 GRID = dl.PositionGrid(-4.0, 4.0, 64)
 WIDE = dl.GaussianPacket(0.0, 0.0, 1.0)
 BLOCK = dl.density_block(WIDE, WIDE, dl.PositionGrid(-16.0, 16.0, 256))
+CURVE = dl.NormCurve(np.linspace(0.1, 1.0, 10), np.linspace(0.9, 0.1, 10), "synthetic")
 
 PROBES = {
     # silently wrong results
@@ -67,8 +68,6 @@ PROBES = {
         lambda: dl.spin_decoherence_times(10.0, 1.0, -1.0, 1j, BATH),
     "golden_rule_times-complex-dq":
         lambda: dl.golden_rule_times(dl.exponential_correlation(1.0, 1.0), SYS, 1j),
-    "Superposition-None-c1":
-        lambda: dl.Superposition(PACKET, dl.GaussianPacket(-1.0, 0.0, 0.01), None, 0.5),
     "magnus_exponent-complex-t": lambda: dl.magnus_exponent(H, 1j),
     "expansion_error-complex-t": lambda: dl.expansion_error(H, H.at, 1j),
     # the fourth-order reference validates its own stack of Gauss-point generators
@@ -113,6 +112,13 @@ PROBES = {
         lambda: dl.time_ordered_propagator(H.at, 1.0, 2.5),
     "time_ordered_propagator-bool-n_steps":
         lambda: dl.time_ordered_propagator(H.at, 1.0, True),
+    "fit_decay_exponent-scalar-window": lambda: dl.fit_decay_exponent(CURVE, window=5),
+    "fit_decay_exponent-three-entry-window":
+        lambda: dl.fit_decay_exponent(CURVE, window=(0.1, 0.5, 0.9)),
+    "spin_generators-text-omega": lambda: dl.spin_generators(*MATS[:2], *MATS, omega="x"),
+    # these two were reported as a fault of h1, not of omega
+    "spin_generators-nan-omega": lambda: dl.spin_generators(*MATS[:2], *MATS, omega=math.nan),
+    "spin_generators-complex-omega": lambda: dl.spin_generators(*MATS[:2], *MATS, omega=1j),
 }
 
 

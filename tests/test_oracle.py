@@ -815,6 +815,26 @@ class TestEvolveNorm:
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
 
+    def test_fingerprint_hashes_the_step_used(self):
+        # the exact back ends ignore dt, so it must not move their fingerprints
+        bath = dl.spin_bath(3, 1.0)
+        times = np.linspace(0.0, 0.2, 4)
+        spin = dl.SpinSystem(1.0, 0.0)
+        s1 = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
+        s2 = dl.coherent_vector(dl.SpinCoherent(1.0, -1.0))
+        grid = dl.PositionGrid(-8.0, 8.0, 64)
+        g1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        g2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        frozen = dl.GridParticle(grid, mass=math.inf)
+        for sys_p, b1, b2 in ((spin, s1, s2), (frozen, g1, g2)):
+            plain = dl.evolve_norm(sys_p, bath, b1, b2, times)
+            stepped = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=0.01)
+            np.testing.assert_array_equal(plain.values, stepped.values)
+            assert plain.fingerprint == stepped.fingerprint
+        split = dl.GridParticle(grid, mass=1.0)
+        fine, coarse = (dl.evolve_norm(split, bath, g1, g2, times, dt=dt) for dt in (0.01, 0.02))
+        assert fine.fingerprint != coarse.fingerprint
+
 
 FROZEN_MEMORY_PROBE = textwrap.dedent("""
     import numpy as np
