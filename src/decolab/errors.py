@@ -19,7 +19,9 @@ it, so an optional argument is checked once it is set.
 * require_nonnegative: one finite real >= 0 (variances, a single time);
 * require_real_array, require_times: a real number or array, all finite,
   and for times all >= 0;
-* is_int: an integer, not a bool (counts).
+* is_int: an integer, not a bool (counts);
+* require_instance: a decolab object of the given class (packets, grids,
+  blocks, systems, baths), not an AttributeError deep inside a call.
 """
 
 import functools
@@ -75,6 +77,17 @@ require_nonnegative = _validator(lambda v: isinstance(v, numbers.Real) and v >= 
 require_real_array = _validator(lambda v: not np.iscomplexobj(v), "real")
 require_times = _validator(lambda v: not np.iscomplexobj(v) and np.all(np.asarray(v) >= 0),
                            "real and >= 0")
+
+
+def require_instance(**values):
+    """Raise ValidationError for the first keyword whose value is not of its class.
+
+    Each keyword maps to a pair (value, cls); cls may be a tuple of classes.
+    """
+    for name, (value, cls) in values.items():
+        if not isinstance(value, cls):
+            names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+            raise ValidationError(f"{name} must be a {names}, got {type(value).__name__}")
 
 
 def is_int(value):

@@ -33,10 +33,10 @@ import numpy as np
 
 from .errors import (
     DegenerateBathError, IntegrationError, NumericalError, ResolutionError, ValidationError,
-    _decay_time, _float_range_checked, require_nonnegative, require_positive, require_real,
-    require_times,
+    _decay_time, _float_range_checked, require_instance, require_nonnegative, require_positive,
+    require_real, require_times,
 )
-from .packets import BLOCK_CHUNK, DensityBlock
+from .packets import BLOCK_CHUNK, DensityBlock, Superposition, _nonzero_span
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,7 @@ def coherence_norm_short_time(t, sup, sys, bath):
     higher in t, so the law holds for t << min(tau_sys, tau_res).  For the
     reservoir side at longer times use memory_kernel_norm.
     """
+    require_instance(sup=(sup, Superposition), sys=(sys, SystemParams), bath=(bath, BathMoments))
     hbar = sup.packet1.hbar
     if sys.hbar != hbar:
         raise ValidationError("SystemParams.hbar differs from the packets' hbar")
@@ -238,7 +239,15 @@ def evolve_density_short_time(block, t, sys, bath):
     result reproduces the closed-form coherence norm: the two code paths
     cross-check each other.  A factor or a transform that leaves the
     float64 range raises NumericalError.
+
+    Only the diagonals that cross the block's nonzero bounding box are
+    transformed, each still by its full length-n circular FFT.  The input is
+    read only inside that box (after one row scan of the block), the output
+    is written only on those diagonals, and every chunk of diagonals reuses
+    one set of preallocated buffers for its gather, FFT, filter and IFFT.
     """
+    require_instance(block=(block, DensityBlock), sys=(sys, SystemParams),
+                     bath=(bath, BathMoments))
     require_nonnegative(t=t)
     grid = block.grid
     n = grid.n_points
@@ -260,17 +269,9 @@ def evolve_density_short_time(block, t, sys, bath):
         )
 
     # Shear each diagonal d = i - j (k = d h, exact and unwrapped) into one
-    # row, FFT it along the center-of-mass direction, multiply, transform
-    # back.  The block is the middle n rows of a zero-padded (n + 2, n)
-    # buffer, in which entry (i, i - d) lies i (n + 1) - d entries past
-    # out[0, 0]: a chunk of diagonals d_hi, d_hi - 1, ... is a copy-free view
-    # with strides (1, n + 1) entries, and the padding rows keep its
-    # addresses inside the buffer.  Positions with i - d outside [0, n) alias
-    # other entries, so the mask zero-fills them on the read and skips them
-    # on the write: each entry is read and written once, by its own
-    # diagonal.  A chunk holds BLOCK_CHUNK entries, so temporaries stay a few
-    # MiB at any n.  b^2 = 4ac makes the joint exponent the perfect square
-    # -(sqrt(a) k + sqrt(c) K)^2, which never exceeds zero.
+    # row, indexed by i, FFT it along the center-of-mass direction,
+    # multiply, transform back.  b^2 = 4ac makes the joint exponent the
+    # perfect square -(sqrt(a) k + sqrt(c) K)^2, which never exceeds zero.
     #
     # Only the diagonals that cross the block's nonzero bounding box, rows
     # r0..r1 by columns c0..c1, are transformed: d runs over r0 - c1 ..
@@ -278,30 +279,55 @@ def evolve_density_short_time(block, t, sys, bath):
     # filter and IFFT keep zero, so skipping them changes no output bit.  A
     # processed diagonal still takes its full length-n FFT, because the
     # circular transform defines the result and its tails outside the box.
+    # Each diagonal's input is its segment inside the box, entries
+    # i = max(r0, c0 + d) .. min(r1, c1 + d), copied into a zeroed row.
+    #
+    # The output is the middle n rows of a zero-padded (n + 2, n) buffer, in
+    # which entry (i, i - d) lies i (n + 1) - d entries past out[0, 0]: a
+    # chunk of diagonals d_hi, d_hi - 1, ... is a copy-free view with
+    # strides (1, n + 1) entries, and the padding rows keep its addresses
+    # inside the buffer.  Positions with i - d outside [0, n) alias other
+    # entries, so the mask skips them on the write: each entry is written
+    # once, by its own diagonal.  A chunk holds BLOCK_CHUNK entries, and its
+    # buffers are allocated once, so their pages are faulted in once per
+    # call and the temporaries stay a few MiB at any n.
     padded = np.zeros((n + 2, n), dtype=complex)
     out = padded[1:-1]
-    rows_nz = np.flatnonzero(block.values.any(axis=1))
-    cols_nz = np.flatnonzero(block.values.any(axis=0))
-    if rows_nz.size == 0:
+    row_span = _nonzero_span(block.values.any(axis=1))
+    if row_span.start == row_span.stop:
         return DensityBlock(grid, out)
-    (r0, r1), (c0, c1) = rows_nz[[0, -1]], cols_nz[[0, -1]]
-    out[r0 : r1 + 1, c0 : c1 + 1] = block.values[r0 : r1 + 1, c0 : c1 + 1]
+    col_span = _nonzero_span(block.values[row_span].any(axis=0))
+    box = block.values[row_span, col_span]
+    r0, r1 = row_span.start, row_span.stop - 1
+    c0, c1 = col_span.start, col_span.stop - 1
     d_lo = r0 - c1
     flat, step = padded.reshape(-1), padded.itemsize
     K = np.sqrt(c) * 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     cols = np.arange(n)
     rows = max(1, BLOCK_CHUNK // n)
+    gathered = np.zeros((rows, n), dtype=complex)
+    spec = np.empty_like(gathered)
+    arg = np.empty((rows, n))
     try:
         with np.errstate(over="raise", invalid="raise"):  # entries near the float64 limit
             for d_hi in range(r1 - c0, d_lo - 1, -rows):
                 d = np.arange(d_hi, max(d_hi - rows, d_lo - 1), -1)[:, None]
+                g, f, x = gathered[: d.size], spec[: d.size], arg[: d.size]
+                g[:, r0 : r1 + 1] = 0.0
+                for row, dk in zip(g, d[:, 0]):
+                    segment = box.diagonal(r0 - c0 - dk)
+                    i0 = max(r0, c0 + dk)
+                    row[i0 : i0 + segment.size] = segment
+                np.fft.fft(g, axis=1, out=f)
+                np.add(np.sqrt(a) * h * d, K, out=x)
+                np.multiply(x, x, out=x)
+                np.negative(x, out=x)
+                np.exp(x, out=x)
+                f *= x
+                np.fft.ifft(f, axis=1, out=f)
                 view = np.lib.stride_tricks.as_strided(
                     flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
-                valid = (cols >= d) & (cols < n + d)
-                spec = np.fft.fft(np.where(valid, view, 0.0), axis=1)
-                arg = np.sqrt(a) * h * d + K
-                spec *= np.exp(-arg * arg)
-                np.copyto(view, np.fft.ifft(spec, axis=1), where=valid)
+                np.copyto(view, f, where=(cols >= d) & (cols < n + d))
     except FloatingPointError as exc:
         raise NumericalError(f"density-block transform leaves the float64 range ({exc})") from exc
     return DensityBlock(grid, out)

@@ -64,7 +64,7 @@ import numpy as np
 from ._linalg import expm_phase_stack
 from .errors import (
     DimensionCapError, FitWindowError, StepSizeError, ValidationError, _float_range_checked,
-    is_int, require_finite, require_nonnegative, require_positive, require_real,
+    is_int, require_finite, require_instance, require_nonnegative, require_positive, require_real,
     require_real_array, require_times,
 )
 from .laws import BathMoments, CorrelationFunction
@@ -734,12 +734,8 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     times = _check_times(times)
     if dt is not None:
         require_positive(dt=dt)
-    if isinstance(sys, SpinSystem):
-        dim = int(round(2 * sys.j)) + 1
-    elif isinstance(sys, GridParticle):
-        dim = sys.grid.n_points
-    else:
-        raise ValidationError(f"unsupported system spec {type(sys).__name__}")
+    require_instance(sys=(sys, (SpinSystem, GridParticle)), bath=(bath, BathModel))
+    dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
     step = None  # the split step the back end used; the fingerprint hashes it

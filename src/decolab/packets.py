@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatchError, ResolutionError, ValidationError, is_int, require_finite, require_positive,
-    require_real, require_real_array,
+    GridMismatchError, ResolutionError, ValidationError, is_int, require_finite, require_instance,
+    require_positive, require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -55,6 +55,8 @@ class Superposition:
     packet2: GaussianPacket
 
     def __post_init__(self):
+        require_instance(packet1=(self.packet1, GaussianPacket),
+                         packet2=(self.packet2, GaussianPacket))
         if self.packet1.sigma != self.packet2.sigma or self.packet1.hbar != self.packet2.hbar:
             raise ValidationError("superposed packets must share sigma and hbar")
 
@@ -115,6 +117,7 @@ class DensityBlock:
     values: np.ndarray
 
     def __post_init__(self):
+        require_instance(grid=(self.grid, PositionGrid))
         require_finite(values=self.values)
         object.__setattr__(self, "values", np.asarray(self.values))
         n = self.grid.n_points
@@ -165,19 +168,38 @@ def _check_grid_resolves(grid, packets):
         )
 
 
+def _nonzero_span(values):
+    """slice(first, last + 1) over the nonzero entries of a 1-d array; empty if none."""
+    idx = np.flatnonzero(values)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
 def density_block(packet_i, packet_j, grid):
-    """Block rho^{ij}(q, q') = phi_i(q) phi_j(q')* on grid x grid."""
+    """Block rho^{ij}(q, q') = phi_i(q) phi_j(q')* on grid x grid.
+
+    A packet's amplitude underflows to exact zeros far from its center, so
+    the outer product is taken only over the rows where phi_i and the
+    columns where phi_j is nonzero, into a fresh zero block: the pages
+    outside that rectangle are never touched.  Every entry equals
+    np.outer(phi_i, phi_j.conj()).
+    """
+    require_instance(packet_i=(packet_i, GaussianPacket), packet_j=(packet_j, GaussianPacket),
+                     grid=(grid, PositionGrid))
     if packet_i.sigma != packet_j.sigma or packet_i.hbar != packet_j.hbar:
         raise ValidationError("density_block requires packets sharing sigma and hbar")
     _check_grid_resolves(grid, (packet_i, packet_j))
     qs = grid.points
     phi_i = position_amplitude(packet_i, qs)
     phi_j = position_amplitude(packet_j, qs)
-    return DensityBlock(grid, np.outer(phi_i, phi_j.conj()))
+    values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    rows, cols = _nonzero_span(phi_i), _nonzero_span(phi_j)
+    values[rows, cols] = np.outer(phi_i[rows], phi_j[cols].conj())
+    return DensityBlock(grid, values)
 
 
 def superposition_blocks(sup, grid):
     """All four blocks rho^{ij} = |phi_i><phi_j| of a two-branch superposition, keyed (i, j)."""
+    require_instance(sup=(sup, Superposition))
     packets = {1: sup.packet1, 2: sup.packet2}
     return {
         (i, j): density_block(packets[i], packets[j], grid)
@@ -191,21 +213,32 @@ def coherence_norm(block_a, block_b):
 
     For b = a this is the coherence norm N = Tr(rho^{ij} rho^{ij dagger});
     it equals 1 at t = 0 for blocks built from normalized packets.
+
+    Only the live rectangle is summed: the rows nonzero in both blocks, and
+    within them the columns nonzero in both.  Every entry outside it adds an
+    exact 0.  The row scan reads each block once; the column scan reads only
+    the live rows.
     """
+    require_instance(block_a=(block_a, DensityBlock), block_b=(block_b, DensityBlock))
     if block_a.grid != block_b.grid:
         raise GridMismatchError("coherence_norm requires blocks on the same grid")
     w = block_a.grid.weights
     a, b = block_a.values, block_b.values
-    # Tr(a b^dag) = sum_{q,q'} a(q,q') conj(b(q,q')) with quadrature weights,
-    # over row chunks so that conj(b) is never a block-sized temporary.  A
-    # chunk with no row nonzero in both blocks adds an exact 0 and is skipped.
     live = a.any(axis=1)
     if b is not a:
         live &= b.any(axis=1)
-    rows = max(1, BLOCK_CHUNK // w.size)
+    rows = _nonzero_span(live)
+    live = a[rows].any(axis=0)
+    if b is not a:
+        live &= b[rows].any(axis=0)
+    cols = _nonzero_span(live)
+    a, b, w_rows, w_cols = a[rows, cols], b[rows, cols], w[rows], w[cols]
+    # Tr(a b^dag) = sum_{q,q'} a(q,q') conj(b(q,q')) with quadrature weights,
+    # over row chunks so that conj(b) is never a block-sized temporary.
+    chunk = max(1, BLOCK_CHUNK // w.size)
     acc = sum(
-        np.einsum("i,ij,ij,j->", w[s : s + rows], a[s : s + rows], b[s : s + rows].conj(), w)
-        for s in range(0, w.size, rows)
-        if live[s : s + rows].any()
+        np.einsum("i,ij,ij,j->", w_rows[s : s + chunk], a[s : s + chunk],
+                  b[s : s + chunk].conj(), w_cols)
+        for s in range(0, w_rows.size, chunk)
     )
     return float(acc.real)

@@ -1,4 +1,4 @@
-"""Shared builders for oracle test scenarios and the memory probes."""
+"""Shared builders for oracle test scenarios, density-block supports and the memory probes."""
 
 import math
 import os
@@ -28,6 +28,39 @@ def peak_memory_mib(script):
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, check=True)
     return int(proc.stdout.split()[-1]) / 1024  # VmHWM is in KiB
+
+
+SUPPORT_SHAPES = ("empty", "corner-low", "corner-high", "point", "thin-row", "thin-col", "rect",
+                  "full")
+
+
+def support_box(draw_int, n, shape):
+    """(r0, r1, c0, c1) of a support rectangle of the named shape, or None if empty."""
+    corners = {"corner-low": (n - 1, n - 1, 0, 0), "corner-high": (0, 0, n - 1, n - 1)}
+    if shape == "empty":
+        return None
+    if shape == "full":
+        return 0, n - 1, 0, n - 1
+    if shape in corners:
+        return corners[shape]
+    r0, c0 = draw_int(0, n - 1), draw_int(0, n - 1)
+    if shape == "point":
+        return r0, r0, c0, c0
+    if shape == "thin-row":
+        return r0, r0, c0, draw_int(c0, n - 1)
+    if shape == "thin-col":
+        return r0, draw_int(r0, n - 1), c0, c0
+    return r0, draw_int(r0, n - 1), c0, draw_int(c0, n - 1)
+
+
+def support_values(rng, n, box):
+    """An n x n complex array, standard normal inside box (r0, r1, c0, c1) and 0 elsewhere."""
+    values = np.zeros((n, n), dtype=complex)
+    if box is not None:
+        r0, r1, c0, c1 = box
+        size = (r1 - r0 + 1, c1 - c0 + 1)
+        values[r0 : r1 + 1, c0 : c1 + 1] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return values
 
 
 def momentum_separation_curve(dp, m_bath=8, var=1.0, mass=1.0, hbar=1.0,

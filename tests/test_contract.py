@@ -119,6 +119,24 @@ PROBES = {
     # these two were reported as a fault of h1, not of omega
     "spin_generators-nan-omega": lambda: dl.spin_generators(*MATS[:2], *MATS, omega=math.nan),
     "spin_generators-complex-omega": lambda: dl.spin_generators(*MATS[:2], *MATS, omega=1j),
+    # an argument of the wrong type used to raise AttributeError
+    "Superposition-text-packet2": lambda: dl.Superposition(PACKET, "x"),
+    "density_block-text-packet_j": lambda: dl.density_block(PACKET, "x", GRID),
+    "density_block-text-grid": lambda: dl.density_block(PACKET, PACKET, "g"),
+    "superposition_blocks-text-sup": lambda: dl.superposition_blocks("sup", GRID),
+    "DensityBlock-text-grid": lambda: dl.DensityBlock("g", BLOCK.values),
+    "coherence_norm-text-block_b": lambda: dl.coherence_norm(BLOCK, "x"),
+    "evolve_density_short_time-text-block":
+        lambda: dl.evolve_density_short_time("x", 0.1, SYS, BATH),
+    "evolve_density_short_time-text-sys":
+        lambda: dl.evolve_density_short_time(BLOCK, 0.1, "sys", BATH),
+    "evolve_density_short_time-text-bath":
+        lambda: dl.evolve_density_short_time(BLOCK, 0.1, SYS, "bath"),
+    "coherence_norm_short_time-text-sup":
+        lambda: dl.coherence_norm_short_time(0.1, "sup", SYS, BATH),
+    "evolve_norm-text-bath":
+        lambda: dl.evolve_norm(dl.SpinSystem(1.0, 0.0), "bath", [1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0], [0.0, 0.1]),
 }
 
 

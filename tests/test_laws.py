@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import decolab as dl
 from decolab.errors import DegenerateBathError, ResolutionError, ValidationError
-from helpers import peak_memory_mib
+from helpers import SUPPORT_SHAPES, peak_memory_mib, support_box, support_values
 
 SYS = dl.SystemParams(mass=1.0)
 BATH = dl.BathMoments(1.0)
@@ -168,25 +168,6 @@ def density_pipeline_peak_mib():
     return peak_memory_mib(DENSITY_MEMORY_PROBE)
 
 
-def _support_block(draw_int, n, shape):
-    """(r0, r1, c0, c1) of a support rectangle of the named shape, or None if empty."""
-    corners = {"corner-low": (n - 1, n - 1, 0, 0), "corner-high": (0, 0, n - 1, n - 1)}
-    if shape == "empty":
-        return None
-    if shape == "full":
-        return 0, n - 1, 0, n - 1
-    if shape in corners:
-        return corners[shape]
-    r0, c0 = draw_int(0, n - 1), draw_int(0, n - 1)
-    if shape == "point":
-        return r0, r0, c0, c0
-    if shape == "thin-row":
-        return r0, r0, c0, draw_int(c0, n - 1)
-    if shape == "thin-col":
-        return r0, draw_int(r0, n - 1), c0, c0
-    return r0, draw_int(r0, n - 1), c0, draw_int(c0, n - 1)
-
-
 class TestEvolveDensity:
     def make_block(self, sigma=1.0, q=3.0, n=256):
         p1 = dl.GaussianPacket(q, 0.0, sigma)
@@ -298,8 +279,7 @@ class TestEvolveDensity:
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.sampled_from([16, 32, 64, 128]),
-           shape=st.sampled_from(["empty", "corner-low", "corner-high", "point", "thin-row",
-                                  "thin-col", "rect", "full"]),
+           shape=st.sampled_from(SUPPORT_SHAPES),
            t=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), v=st.floats(0.1, 4.0),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_support_restriction_matches_reference(self, n, shape, t, mass, v, seed, data):
@@ -307,12 +287,8 @@ class TestEvolveDensity:
         # transformed; the result must not depend on that
         rng = np.random.default_rng(seed)
         grid = dl.PositionGrid(-n / 8, n / 8, n)
-        values = np.zeros((n, n), dtype=complex)
-        box = _support_block(lambda lo, hi: data.draw(st.integers(lo, hi)), n, shape)
-        if box is not None:
-            r0, r1, c0, c1 = box
-            size = (r1 - r0 + 1, c1 - c0 + 1)
-            values[r0 : r1 + 1, c0 : c1 + 1] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        box = support_box(lambda lo, hi: data.draw(st.integers(lo, hi)), n, shape)
+        values = support_values(rng, n, box)
         try:
             out = dl.evolve_density_short_time(
                 dl.DensityBlock(grid, values), t, dl.SystemParams(mass=mass), dl.BathMoments(v)
@@ -326,6 +302,7 @@ class TestEvolveDensity:
             values, grid.spacing, v * t ** 2 / 2, v * t ** 3 / (2 * mass), v * t ** 4 / (8 * mass ** 2)
         )
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        r0, r1, c0, c1 = box
         d = np.subtract.outer(np.arange(n), np.arange(n))
         assert not out[(d < r0 - c1) | (d > r1 - c0)].any()
 

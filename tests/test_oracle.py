@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import decolab as dl
 from decolab import oracle
@@ -142,25 +142,26 @@ class TestBathModel:
         assert peak_memory_mib(LARGE_OSCILLATOR_PROBE) < 80
 
 
-def _mixed_bath(data):
+@st.composite
+def mixed_baths(draw):
     """A bath of 1-4 spin-halves and oscillators with random labels, and an hbar.
 
     The dense references diagonalize H_res, so the bath stays under 300 levels.
     """
     comps, labels = [], []
-    for _ in range(data.draw(st.integers(1, 4))):
-        g = math.copysign(data.draw(st.floats(0.1, 0.6)), data.draw(st.sampled_from([1, -1])))
-        omega = data.draw(st.floats(-2.0, 2.0))
-        if data.draw(st.booleans()):
+    for _ in range(draw(st.integers(1, 4))):
+        g = math.copysign(draw(st.floats(0.1, 0.6)), draw(st.sampled_from([1, -1])))
+        omega = draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):
             comps.append(dl.BathComponent("spin-half", g, omega))
-            labels.append(data.draw(st.sampled_from(["up", "down"])))
+            labels.append(draw(st.sampled_from(["up", "down"])))
         else:
-            levels = data.draw(st.integers(3, 6))
+            levels = draw(st.integers(3, 6))
             comps.append(dl.BathComponent("oscillator", g, omega, levels))
-            labels.append(data.draw(st.integers(0, levels - 2)))
+            labels.append(draw(st.integers(0, levels - 2)))
     bath = dl.BathModel(tuple(comps), tuple(labels))
     assume(bath.dimension < 300)
-    return bath, data.draw(st.floats(0.5, 2.0))
+    return bath, draw(st.floats(0.5, 2.0))
 
 
 class TestBathOperators:
@@ -169,7 +170,7 @@ class TestBathOperators:
     def test_statistics_match_dense_expectations(self, data):
         # reference: expectation values in the initial state of products of
         # the dense B, Bdot = (i/hbar)[H_res, B] and B(s) = U(s)^dagger B U(s)
-        bath, hbar = _mixed_bath(data)
+        bath, hbar = data.draw(mixed_baths())
         moments, corr = dl.bath_statistics(bath, hbar)
         ops = dl.build_bath_operators(bath, hbar)
         b, h, chi = ops.B, np.diag(ops.H_res), ops.initial_state
@@ -188,15 +189,21 @@ class TestBathOperators:
             assert corr.resp(s) == pytest.approx(-2.0 * cross.imag / hbar, abs=1e-12)
 
     @settings(deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_derivatives_match_matmul_commutators(self, data):
-        bath, hbar = _mixed_bath(data)
+    @given(case=mixed_baths())
+    # a subnormal frequency: |i[H, B]|max = 1.1e-313, where 1e-12 of it is
+    # below the float64 spacing (5e-324) and one rounding used to fail
+    @example(case=(dl.BathModel((dl.BathComponent("spin-half", 0.5, 2.2250738585e-313),),
+                                ("up",)), 1.0))
+    def test_derivatives_match_matmul_commutators(self, case):
+        bath, hbar = case
         ops = dl.build_bath_operators(bath, hbar)
         h = np.diag(ops.H_res)
         bdot = (1j / hbar) * (h @ ops.B - ops.B @ h)
         bddot = (1j / hbar) * (h @ bdot - bdot @ h)
-        assert np.abs(ops.Bdot - bdot).max() <= 1e-12 * np.abs(bdot).max()
-        assert np.abs(ops.Bddot - bddot).max() <= 1e-12 * np.abs(bddot).max()
+        for got, want in ((ops.Bdot, bdot), (ops.Bddot, bddot)):
+            scale = np.abs(want).max()
+            # 1e-12 relative; the floor of 4 spacings binds only at subnormal scales
+            assert np.abs(got - want).max() <= max(1e-12 * scale, 4 * np.spacing(scale))
 
     def test_moments_pauli_algebra(self):
         gs = [0.3, 0.5, 0.7]

@@ -1,8 +1,14 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import decolab as dl
 from decolab.errors import GridMismatchError, ResolutionError, ValidationError
+from decolab.packets import BOX_MARGIN_WIDTHS, MAX_SPACING_WIDTHS
+from helpers import SUPPORT_SHAPES, peak_memory_mib, support_box, support_values
 
 
 def std_grid(sigma=1.0, centers=(0.0,), n=256, margin=10.0):
@@ -134,6 +140,47 @@ class TestDensityBlock:
                 std_grid(),
             )
 
+    @settings(deadline=None, max_examples=80)
+    @given(n=st.sampled_from([16, 64, 256, 1024]), log_sigma=st.floats(-4.0, 1.0),
+           fill=st.floats(0.05, 1.0), q_min=st.floats(-10.0, 10.0), u1=st.floats(0.0, 1.0),
+           u2=st.floats(0.0, 1.0), p1=st.floats(-5.0, 5.0), p2=st.floats(-5.0, 5.0))
+    # the amplitudes underflow to 0 inside the box, far from both grid edges
+    @example(n=1024, log_sigma=-2.0, fill=1.0, q_min=-3.0, u1=0.5, u2=0.6, p1=1.0, p2=-2.0)
+    # the box is 16 widths: both amplitudes are nonzero up to the grid edges
+    @example(n=64, log_sigma=0.0, fill=1.0, q_min=0.0, u1=0.0, u2=1.0, p1=0.0, p2=3.0)
+    def test_values_are_the_outer_product(self, n, log_sigma, fill, q_min, u1, u2, p1, p2):
+        sigma = 10.0 ** log_sigma
+        width = math.sqrt(sigma)
+        span = n * fill * MAX_SPACING_WIDTHS * width
+        margin = BOX_MARGIN_WIDTHS * width
+        assume(span > 2.0 * margin)
+        q1, q2 = (q_min + margin + u * (span - 2.0 * margin) for u in (u1, u2))
+        grid = dl.PositionGrid(q_min, q_min + span, n)
+        pk1, pk2 = dl.GaussianPacket(q1, p1, sigma), dl.GaussianPacket(q2, p2, sigma)
+        try:
+            block = dl.density_block(pk1, pk2, grid)
+        except ResolutionError:  # the rounded box misses a margin by an ulp
+            assume(False)
+        qs = grid.points
+        outer = np.outer(dl.position_amplitude(pk1, qs), dl.position_amplitude(pk2, qs).conj())
+        assert np.array_equal(block.values, outer)
+
+    def test_block_touches_only_its_support(self):
+        # n = 2048 as in the kernels benchmark: a full complex block is 64 MiB,
+        # and the rows by columns where both amplitudes are nonzero hold 5% of it
+        if sys.platform != "linux":
+            pytest.skip("reads /proc/self/status")
+        setup = (
+            "import math\n"
+            "import decolab as dl\n"
+            "sigma = 5e-3\n"
+            "grid = dl.PositionGrid(-10.9, 10.9, 2048)\n"
+            "pk1, pk2 = dl.GaussianPacket(10.0, 0.0, sigma), dl.GaussianPacket(-10.0, 0.0, sigma)\n"
+        )
+        base = peak_memory_mib(setup)
+        peak = peak_memory_mib(setup + "block = dl.density_block(pk1, pk2, grid)\n")
+        assert peak - base < 32  # a whole-block outer product peaks 68 MiB above base
+
     def test_superposition_blocks_structure(self):
         sup = dl.Superposition(
             dl.GaussianPacket(2.0, 0.5, 1.0), dl.GaussianPacket(-2.0, 0.0, 1.0)
@@ -194,6 +241,28 @@ class TestCoherenceNorm:
         disjoint = np.zeros((n, n), dtype=complex)
         disjoint[128:300] = values[1, 128:300]
         assert dl.coherence_norm(block_a, dl.DensityBlock(grid, disjoint)) == 0.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.sampled_from([16, 32, 64, 128]), shape_a=st.sampled_from(SUPPORT_SHAPES),
+           shape_b=st.sampled_from(SUPPORT_SHAPES + ("same", "disjoint")),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_live_rectangle_matches_dense_sum(self, n, shape_a, shape_b, seed, data):
+        # only the rows, then the columns, nonzero in both blocks are summed
+        rng = np.random.default_rng(seed)
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        grid = dl.PositionGrid(-n / 8, n / 8, n)
+        a = support_values(rng, n, support_box(draw, n, shape_a))
+        if shape_b == "same":
+            b = a
+        elif shape_b == "disjoint":  # nonzero everywhere a is 0, so every product is 0
+            b = np.where(a == 0, support_values(rng, n, (0, n - 1, 0, n - 1)), 0.0)
+        else:
+            b = support_values(rng, n, support_box(draw, n, shape_b))
+        w = grid.weights
+        exact = (w @ (a * b.conj()) @ w).real
+        magnitude = w @ np.abs(a * b) @ w
+        got = dl.coherence_norm(dl.DensityBlock(grid, a), dl.DensityBlock(grid, b))
+        assert abs(got - exact) <= 1e-12 * magnitude
 
     def test_grid_mismatch(self):
         pk = dl.GaussianPacket(0.0, 0.0, 1.0)
