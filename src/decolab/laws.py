@@ -36,7 +36,7 @@ from .errors import (
     _decay_time, _float_range_checked, require_instance, require_nonnegative, require_positive,
     require_real, require_times,
 )
-from .packets import BLOCK_CHUNK, DensityBlock, Superposition, _nonzero_span
+from .packets import BLOCK_CHUNK, DensityBlock, Superposition, _built_block, _nonzero_span
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,8 @@ def evolve_density_short_time(block, t, sys, bath):
     read only inside that box (after one row scan of the block), the output
     is written only on those diagonals, and every chunk of diagonals reuses
     one set of preallocated buffers for its gather, FFT, filter and IFFT.
+    The input block is finite, and every step that could leave the float64
+    range raises, so the output is not rescanned.
     """
     require_instance(block=(block, DensityBlock), sys=(sys, SystemParams),
                      bath=(bath, BathMoments))
@@ -253,7 +255,7 @@ def evolve_density_short_time(block, t, sys, bath):
     n = grid.n_points
     h = grid.spacing
     if t == 0:
-        return DensityBlock(grid, block.values.copy())
+        return _built_block(grid, block.values.copy())
 
     a, c = _short_time_factors(t, sys.mass, sys.hbar, bath.var_B)
     if a > 0 and a ** -0.5 < 2.0 * h:
@@ -288,14 +290,17 @@ def evolve_density_short_time(block, t, sys, bath):
     # strides (1, n + 1) entries, and the padding rows keep its addresses
     # inside the buffer.  Positions with i - d outside [0, n) alias other
     # entries, so the mask skips them on the write: each entry is written
-    # once, by its own diagonal.  A chunk holds BLOCK_CHUNK entries, and its
-    # buffers are allocated once, so their pages are faulted in once per
-    # call and the temporaries stay a few MiB at any n.
+    # once, by its own diagonal.  The mask of diagonal d is
+    # inside[n - d : 2n - d], where inside is true on [n, 2n) of 3n entries,
+    # so a chunk's mask is a copy-free view of it with strides (1, 1).  A
+    # chunk holds BLOCK_CHUNK entries, and its buffers are allocated once, so
+    # their pages are faulted in once per call and the temporaries stay a few
+    # MiB at any n.
     padded = np.zeros((n + 2, n), dtype=complex)
     out = padded[1:-1]
     row_span = _nonzero_span(block.values.any(axis=1))
     if row_span.start == row_span.stop:
-        return DensityBlock(grid, out)
+        return _built_block(grid, out)
     col_span = _nonzero_span(block.values[row_span].any(axis=0))
     box = block.values[row_span, col_span]
     r0, r1 = row_span.start, row_span.stop - 1
@@ -303,7 +308,8 @@ def evolve_density_short_time(block, t, sys, bath):
     d_lo = r0 - c1
     flat, step = padded.reshape(-1), padded.itemsize
     K = np.sqrt(c) * 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    cols = np.arange(n)
+    inside = np.zeros(3 * n, dtype=bool)
+    inside[n : 2 * n] = True
     rows = max(1, BLOCK_CHUNK // n)
     gathered = np.zeros((rows, n), dtype=complex)
     spec = np.empty_like(gathered)
@@ -327,10 +333,12 @@ def evolve_density_short_time(block, t, sys, bath):
                 np.fft.ifft(f, axis=1, out=f)
                 view = np.lib.stride_tricks.as_strided(
                     flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
-                np.copyto(view, f, where=(cols >= d) & (cols < n + d))
+                mask = np.lib.stride_tricks.as_strided(
+                    inside[n - d_hi :], (d.size, n), (1, 1))
+                np.copyto(view, f, where=mask)
     except FloatingPointError as exc:
         raise NumericalError(f"density-block transform leaves the float64 range ({exc})") from exc
-    return DensityBlock(grid, out)
+    return _built_block(grid, out)
 
 
 @_float_range_checked

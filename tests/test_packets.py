@@ -132,6 +132,20 @@ class TestDensityBlock:
         with pytest.raises(ResolutionError):
             dl.density_block(pk, pk, dl.PositionGrid(-10.0, 10.0, 64))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_user_block_with_non_finite_entry_rejected(self, bad):
+        values = np.zeros((16, 16), dtype=complex)
+        values[3, 11] = bad
+        with pytest.raises(ValidationError):
+            dl.DensityBlock(dl.PositionGrid(-1.0, 1.0, 16), values)
+
+    def test_overflowing_phase_rejected(self):
+        # p0 (q - q0) / hbar overflows, so the amplitudes would hold NaN
+        fast = dl.GaussianPacket(0.0, 1e300, 1.0, hbar=1e-10)
+        grid = std_grid(centers=(0.0, 1.0))
+        with np.errstate(all="ignore"), pytest.raises(ValidationError):
+            dl.density_block(fast, dl.GaussianPacket(1.0, 0.0, 1.0, hbar=1e-10), grid)
+
     def test_mismatched_packets_rejected(self):
         with pytest.raises(ValidationError):
             dl.density_block(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,62 @@ class TestMonteCarloExactReferee:
             est = norm(kappa)
             assert est.value == pytest.approx(ref.value, rel=1e-12)
             assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
+
+
+def _cos_sin_mc_norm(t, j, alpha, beta, omega, bath, samples, seed):
+    """(value, stderr) of the Monte-Carlo norm from np.cos and np.sin of the
+    same draws and phase, with the sampler's two-pass moments."""
+    b, bdot = _gaussian_draws(seed, samples, bath.var_B, bath.var_Bdot)
+    d = dl.separations(j, alpha, beta)
+    mxa, mxb = (dl.coherent_means(dl.SpinCoherent(j, s))[0] for s in (alpha, beta))
+    u = d.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * d.d_y * t ** 2 / 2.0
+    v = d.d_x * t ** 2 / 2.0 - omega * d.d_y * t ** 3 / 3.0
+    w = omega * d.d_z * t ** 3 / 12.0
+    c = -(mxa ** 2 - mxb ** 2) * bath.kappa * t ** 3 / 12.0
+    phi = (w * b + u) * b + v * bdot + c
+    cos, sin = np.cos(phi), np.sin(phi)
+    mean_c, mean_s = cos.mean(), sin.mean()
+    cos -= mean_c
+    sin -= mean_s
+    scale = 1.0 / ((samples - 1) * samples)
+    var_c, var_s, cov = cos @ cos * scale, sin @ sin * scale, cos @ sin * scale
+    value = mean_c ** 2 + mean_s ** 2 - (var_c + var_s)
+    delta_var = 4.0 * (mean_c ** 2 * var_c + 2.0 * mean_c * mean_s * cov + mean_s ** 2 * var_s)
+    return value, math.sqrt(max(delta_var, 0.0)), phi
+
+
+ODD_PI = st.integers(-15_915_494, 15_915_494).map(lambda k: (2 * k + 1) * math.pi)
+
+
+class TestMonteCarloHalfAngle:
+    """cos phi and sin phi from tan(phi / 2) give the np.cos / np.sin estimate."""
+
+    @settings(deadline=None, max_examples=12)
+    @given(center=st.one_of(st.floats(-1e8, 1e8), ODD_PI), spread=st.floats(1e-9, 10.0),
+           omega=st.sampled_from([0.0, 0.8]), bdot_share=st.sampled_from([0.0, 1.0]),
+           seed=st.integers(0, 2 ** 31))
+    @example(center=1e8, spread=1e-9, omega=0.0, bdot_share=0.0, seed=1)
+    @example(center=31_415_927 * math.pi, spread=1e-6, omega=0.8, bdot_share=0.0, seed=2)
+    @example(center=math.pi, spread=3.0, omega=0.8, bdot_share=1.0, seed=3)
+    def test_matches_cos_sin_of_the_same_draws(self, center, spread, omega, bdot_share, seed):
+        # at t = 1, phi is centred on c (set through kappa), with spread u sqrt(var_B)
+        # from B and bdot_share times that from Bdot
+        t, j, alpha, beta, samples = 1.0, 15.0, 0.5, 2j, 10_000
+        d = dl.separations(j, alpha, beta)
+        mxa, mxb = (dl.coherent_means(dl.SpinCoherent(j, s))[0] for s in (alpha, beta))
+        u = d.d_x * (1.0 - omega ** 2 / 6.0) - omega * d.d_y / 2.0
+        v = d.d_x / 2.0 - omega * d.d_y / 3.0
+        kappa = -12.0 * center / (mxa ** 2 - mxb ** 2)
+        bath = dl.BathMoments((spread / u) ** 2, var_Bdot=bdot_share * (spread / v) ** 2,
+                              kappa=kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = dl.spin_coherence_norm(t, j, alpha, beta, omega, bath, mode="montecarlo",
+                                         samples=samples, seed=seed)
+            value, stderr, phi = _cos_sin_mc_norm(t, j, alpha, beta, omega, bath, samples, seed)
+        assert abs(np.median(phi) - center) <= 1e-15 * abs(center) + 10.0 * spread
+        assert abs(est.value - value) <= 1e-14
+        assert abs(est.stderr - stderr) <= 1e-14
 
 
 class TestHolomorphicIdentities:
