@@ -18,25 +18,25 @@ level n, a component with coupling operator c has spectral lines of weight
 |<k|c|n>|^2 at frequency omega_k - omega_n, so no component kind needs its
 own formula.
 
-Evolution strategies by model structure:
+Evolution strategies, by what the Hamiltonian conserves:
 
-* static bath (all component frequencies zero): B is diagonalized once and
-  the bath is written in its eigenbasis as one factor with amplitude
-  sqrt(W_m) on each distinct eigenvalue, which is exact;
-* spin system with a dynamic bath: sparse Krylov propagation
-  (``expm_multiply``);
-* grid particle: symmetric split-step Fourier, with the half-potentials of
-  adjacent steps merged and the FFTs along a contiguous grid axis; a dynamic
-  bath's per-point half-step is a Kronecker product of per-factor
-  propagators;
-* frozen particle (infinite mass): the position is a conserved pointer, so
+* the system's coupling operator, when H_sys = 0 (a frozen particle of
+  infinite mass, or a spin with Omega = 0): its eigenvalues q are pointers,
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
-  over components of levels x levels evolutions, with no joint bath.
+  over components of levels x levels evolutions, with no joint bath;
+* otherwise B, when the bath is static (all component frequencies zero):
+  B is diagonalized once and the bath is written in its eigenbasis as one
+  factor with amplitude sqrt(W_m) on each distinct eigenvalue, which is exact;
+* otherwise the joint state is stepped: a spin by sparse Krylov propagation
+  (``expm_multiply``), a grid particle by symmetric split-step Fourier, with
+  the half-potentials of adjacent steps merged and the FFTs along a
+  contiguous grid axis; a dynamic bath's per-point half-step is a Kronecker
+  product of per-factor propagators.
 
-The exact back ends (spin system in a static bath, frozen particle) share
-one sampler of v e^{-i w t / hbar} c over chunks of times; the stepping
-ones share one loop that checks unitarity at every sample.
+The exact back ends (pointer, spin system in a static bath) share one
+sampler of v e^{-i w t / hbar} c over chunks of times; the stepping ones
+share one loop that checks unitarity at every sample.
 
 The two back ends that hold a joint bath state (Krylov and the dynamic-bath
 split step) use the bath's permutation symmetry: spin-halves with equal g,
@@ -76,7 +76,7 @@ from .spin import spin_matrices
 DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static back ends
 JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, static-bath grid
-STACK_BUDGET = 1 << 22  # per-point or per-eigenvalue matrix stack: dense, static spin, frozen
+STACK_BUDGET = 1 << 22  # per-point or per-eigenvalue matrix stack: dense, static spin, pointer
 SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
 
@@ -127,14 +127,10 @@ class BathComponent:
         return self.g * col
 
     def level_frequencies(self):
-        """Diagonal of frequency_operator(), as reals."""
+        """Local H / hbar as its real diagonal (it is diagonal in the storage basis)."""
         if self.kind == "spin-half":
             return np.array([0.5 * self.omega, -0.5 * self.omega])
         return self.omega * (np.arange(self.levels) + 0.5)
-
-    def frequency_operator(self):
-        """Local H / hbar (diagonal in the storage basis)."""
-        return np.diag(self.level_frequencies()).astype(complex)
 
     def initial_level(self, label):
         """Storage-basis index of the initial state named by label."""
@@ -509,7 +505,7 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
 
 
 def _bath_factors(bath, dicke=True):
-    """The bath as independent factors (coupling, frequency operator, initial vector).
+    """The bath as independent factors (coupling, level frequencies, initial vector).
 
     With dicke=False there is one factor per component.  With dicke=True,
     spin-halves sharing g, omega and initial label are merged: k of them
@@ -525,14 +521,14 @@ def _bath_factors(bath, dicke=True):
     factors = []
     for comp, label, k in groups.values():
         if k == 1:
-            factors.append((comp.coupling_operator(), comp.frequency_operator(),
+            factors.append((comp.coupling_operator(), comp.level_frequencies(),
                             comp.initial_vector(label)))
             continue
         _check_entries("Dicke factor coupling operator", (k + 1) ** 2, DENSE_BATH_LIMIT ** 2)
         jx, _, jz = spin_matrices(0.5 * k)
         vec = np.zeros(k + 1, dtype=complex)
         vec[0 if label == "up" else k] = 1.0
-        factors.append((2.0 * comp.g * jx, comp.omega * jz, vec))
+        factors.append((2.0 * comp.g * jx, comp.omega * jz.diagonal().real, vec))
     return factors
 
 
@@ -547,10 +543,8 @@ def _sparse_bath_ops(factors, hbar):
         return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
 
     b_sp = sum(embed(i, c) for i, (c, _, _) in enumerate(factors))
-    # Local frequency operators are diagonal in the storage basis, so H_res
-    # is the Kronecker sum of their diagonals.
-    diag = reduce(lambda a, b: np.add.outer(a, b).ravel(),
-                  [np.real(np.diag(f)) for _, f, _ in factors])
+    # H_res is diagonal in the storage basis: the Kronecker sum of level frequencies
+    diag = reduce(lambda a, b: np.add.outer(a, b).ravel(), [f for _, f, _ in factors])
     return b_sp, hbar * diag
 
 
@@ -600,30 +594,29 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     return _propagate(times, branch1, branch2, chi0, advance)
 
 
-def _grid_frozen_curve(sys, bath, branch1, branch2, times):
-    """Pointer overlaps <chi_q(t)|chi_q'(t)> = prod_i <chi_{q,i}(t)|chi_{q',i}(t)>.
+def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
+    """N = sum |amp1_q amp2_q'|^2 |<chi_q(t)|chi_q'(t)>|^2 for a conserved coupling operator.
 
-    Exact because q B + H_res is a sum of commuting single-component terms
-    and the initial bath state is a product; each factor comes from the
-    eigendecomposition of one component's levels x levels Hamiltonian.  The
-    Q x Q overlaps (Q occupied grid points, refused above STACK_BUDGET
-    entries) are reduced one sampler chunk at a time, so memory stays
-    O(Q^2).
+    pointers are its eigenvalues q, amp1 and amp2 the branches in its
+    eigenbasis.  <chi_q(t)|chi_q'(t)> = prod_i <chi_{q,i}(t)|chi_{q',i}(t)>,
+    exact because q B + H_res is a sum of commuting single-component terms
+    and the initial bath state is a product.  The Q x Q overlaps (Q occupied
+    pointers, refused above STACK_BUDGET entries) are reduced one sampler
+    chunk at a time, so memory stays O(Q^2).
     """
-    occupied = np.flatnonzero((np.abs(branch1) > 1e-14) | (np.abs(branch2) > 1e-14))
-    qs = sys.grid.points[occupied]
+    occupied = np.flatnonzero((np.abs(amp1) > 1e-14) | (np.abs(amp2) > 1e-14))
+    qs = pointers[occupied]
     factors = _bath_factors(bath, dicke=False)
-    _check_entries("frozen eigenvector stacks", qs.size * sum(c.size for c, _, _ in factors),
+    _check_entries("pointer eigenvector stacks", qs.size * sum(c.size for c, _, _ in factors),
                    STACK_BUDGET)
-    _check_entries("frozen pointer overlaps", qs.size * qs.size, STACK_BUDGET)
+    _check_entries("pointer overlaps", qs.size * qs.size, STACK_BUDGET)
     eigen = []
-    for c, f, chi in factors:  # per pointer q: q coupling + hbar frequency
-        w, v = np.linalg.eigh(qs[:, None, None] * c + sys.hbar * f)
+    for c, f, chi in factors:  # per pointer q: q coupling + hbar level frequencies
+        w, v = np.linalg.eigh(qs[:, None, None] * c + hbar * np.diag(f))
         eigen.append((w, v, _dagger(v) @ chi))
-    w1 = np.abs(branch1[occupied]) ** 2
-    w2 = np.abs(branch2[occupied]) ** 2
+    w1, w2 = (np.abs(amp[occupied]) ** 2 for amp in (amp1, amp2))
     norms = []
-    for chis in _eigen_phase_chunks(times, sys.hbar, eigen, qs.size ** 2):
+    for chis in _eigen_phase_chunks(times, hbar, eigen, qs.size ** 2):
         # chi has axes (t, q, level); the overlaps are (t, q, q').
         overlaps = reduce(np.multiply, (chi.conj() @ chi.transpose(0, 2, 1) for chi in chis))
         norms.append((np.abs(overlaps) ** 2 @ w1) @ w2)
@@ -683,7 +676,7 @@ def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
     factors = _bath_factors(bath)
     dim_b = math.prod(chi.size for _, _, chi in factors)
     _check_entries("per-point bath propagators", n * dim_b ** 2, STACK_BUDGET)
-    local = [sys.grid.points[:, None, None] * c + sys.hbar * f for c, f, _ in factors]
+    local = [sys.grid.points[:, None, None] * c + sys.hbar * np.diag(f) for c, f, _ in factors]
     v_pot = sys.potential()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
 
@@ -728,8 +721,11 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     dt : float, optional
         Split-step size for finite-mass grid particles (default: total
         span / 4096); must be finite and positive when given.  Ignored by
-        the factorized and Krylov back ends, which are exact in the step
-        size; the fingerprint hashes the step used, None on those back ends.
+        the pointer, static-spin and Krylov back ends, which are exact in
+        the step size; the fingerprint hashes the step used, None on those.
+
+    The back end follows what is conserved (see the module docstring): an
+    infinite mass or omega == 0 conserves the coupling operator (pointers).
     """
     times = _check_times(times)
     if dt is not None:
@@ -739,11 +735,14 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
     step = None  # the split step the back end used; the fingerprint hashes it
-    if isinstance(sys, SpinSystem):
+    if isinstance(sys, SpinSystem) and sys.omega == 0:
+        w, v = np.linalg.eigh(spin_matrices(sys.j, sys.hbar)[0])
+        values = _pointer_curve(w, _dagger(v) @ b1, _dagger(v) @ b2, bath, sys.hbar, times)
+    elif isinstance(sys, SpinSystem):
         curve = _spin_static_curve if bath.is_static() else _spin_sparse_curve
         values = curve(sys, bath, b1, b2, times)
     elif math.isinf(sys.mass):
-        values = _grid_frozen_curve(sys, bath, b1, b2, times)
+        values = _pointer_curve(sys.grid.points, b1, b2, bath, sys.hbar, times)
     else:
         step = dt if dt is not None else max(times[-1], 1e-30) / 4096.0
         curve = _grid_static_curve if bath.is_static() else _grid_dense_curve

@@ -145,9 +145,11 @@ def position_amplitude(packet, q):
     require_real_array(q=q)
     q = np.asarray(q, dtype=float)
     norm = (2.0 * np.pi * packet.sigma) ** -0.25
-    phase = np.exp(1j * packet.p0 * (q - packet.q0) / packet.hbar)
-    envelope = np.exp(-((q - packet.q0) ** 2) / (4.0 * packet.sigma))
-    return norm * phase * envelope
+    with np.errstate(all="ignore"):  # a phase p0 (q - q0) / hbar past float64 gives NaN
+        phi = norm * np.exp(1j * packet.p0 * (q - packet.q0) / packet.hbar) * np.exp(
+            -((q - packet.q0) ** 2) / (4.0 * packet.sigma))
+    require_finite(amplitude=phi)
+    return phi
 
 
 def momentum_amplitude(packet, p):
@@ -160,9 +162,11 @@ def momentum_amplitude(packet, p):
     require_real_array(p=p)
     p = np.asarray(p, dtype=float)
     norm = (2.0 * np.pi * packet.sigma) ** 0.25 / np.sqrt(np.pi * packet.hbar)
-    phase = np.exp(-1j * p * packet.q0 / packet.hbar)
-    envelope = np.exp(-packet.sigma * (p - packet.p0) ** 2 / packet.hbar ** 2)
-    return norm * phase * envelope
+    with np.errstate(all="ignore"):  # a phase p q0 / hbar past float64 gives NaN
+        phi = norm * np.exp(-1j * p * packet.q0 / packet.hbar) * np.exp(
+            -packet.sigma * (p - packet.p0) ** 2 / packet.hbar ** 2)
+    require_finite(amplitude=phi)
+    return phi
 
 
 def _check_grid_resolves(grid, packets):
@@ -203,10 +207,7 @@ def density_block(packet_i, packet_j, grid):
     _check_grid_resolves(grid, (packet_i, packet_j))
     qs = grid.points
     phi_i = position_amplitude(packet_i, qs)
-    phi_j = position_amplitude(packet_j, qs)
-    # A phase p0 (q - q0) / hbar past the float64 range gives NaN amplitudes.
-    # Finite ones are at most (2 pi sigma)^(-1/4) < 1e81, so their products are finite.
-    require_finite(phi_i=phi_i, phi_j=phi_j)
+    phi_j = position_amplitude(packet_j, qs)  # both finite, at most (2 pi sigma)^(-1/4) < 1e81
     values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
     rows, cols = _nonzero_span(phi_i), _nonzero_span(phi_j)
     values[rows, cols] = np.outer(phi_i[rows], phi_j[cols].conj())

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,25 @@ import decolab as dl
 from decolab.errors import GridMismatchError, ResolutionError, ValidationError
 from decolab.packets import BOX_MARGIN_WIDTHS, MAX_SPACING_WIDTHS
 from helpers import SUPPORT_SHAPES, peak_memory_mib, support_box, support_values
+
+
+# (packet, sample points): the benchmark's density-block packet on its n = 2048
+# grid at dq = 20, a moving packet, and one with a tiny hbar and a far-off center
+FORMULA_CASES = [
+    (dl.GaussianPacket(10.0, 0.0, 5e-3),
+     dl.PositionGrid(-10.3 - 8 * math.sqrt(5e-3), 10.3 + 8 * math.sqrt(5e-3), 2048).points),
+    (dl.GaussianPacket(-5.0, -13.0, 2.0, hbar=0.3), np.linspace(-40.0, 40.0, 2001)),
+    (dl.GaussianPacket(1e3, 1e5, 1e-3, hbar=1e-3), np.linspace(990.0, 1010.0, 513)),
+]
+
+
+def past_float64_raises(amplitude, packet, x):
+    """True if amplitude(packet, x) raises ValidationError with RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError):
+            amplitude(packet, x)
+    return True
 
 
 def std_grid(sigma=1.0, centers=(0.0,), n=256, margin=10.0):
@@ -44,6 +64,19 @@ class TestPositionAmplitude:
         for q in (np.nan, [0.0, np.inf]):
             with pytest.raises(ValidationError):
                 dl.position_amplitude(pk, q)
+
+    def test_phase_past_float64_rejected(self):
+        # p0 (q - q0) / hbar = 1e310: a ValidationError, not NaN or a RuntimeWarning
+        fast = dl.GaussianPacket(0.0, 1e300, 1.0, hbar=1e-10)
+        assert past_float64_raises(dl.position_amplitude, fast, [1.0, 2.0])
+
+    @pytest.mark.parametrize("case", range(len(FORMULA_CASES)))
+    def test_finite_amplitudes_follow_the_formula_bit_for_bit(self, case):
+        pk, q = FORMULA_CASES[case]
+        expected = ((2.0 * np.pi * pk.sigma) ** -0.25
+                    * np.exp(1j * pk.p0 * (q - pk.q0) / pk.hbar)
+                    * np.exp(-((q - pk.q0) ** 2) / (4.0 * pk.sigma)))
+        assert np.array_equal(dl.position_amplitude(pk, q), expected)
 
 
 class TestMomentumAmplitude:
@@ -86,6 +119,19 @@ class TestMomentumAmplitude:
         a = np.abs(dl.momentum_amplitude(dl.GaussianPacket(3.0, 0.0, 1.0), p))
         b = np.abs(dl.momentum_amplitude(dl.GaussianPacket(0.0, 0.0, 1.0), p))
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_phase_past_float64_rejected(self):
+        # p q0 / hbar = 1e310
+        far = dl.GaussianPacket(1e300, 0.0, 1.0, hbar=1e-10)
+        assert past_float64_raises(dl.momentum_amplitude, far, [1.0, 2.0])
+
+    @pytest.mark.parametrize("case", range(len(FORMULA_CASES)))
+    def test_finite_amplitudes_follow_the_formula_bit_for_bit(self, case):
+        pk, p = FORMULA_CASES[case]
+        expected = ((2.0 * np.pi * pk.sigma) ** 0.25 / np.sqrt(np.pi * pk.hbar)
+                    * np.exp(-1j * p * pk.q0 / pk.hbar)
+                    * np.exp(-pk.sigma * (p - pk.p0) ** 2 / pk.hbar ** 2))
+        assert np.array_equal(dl.momentum_amplitude(pk, p), expected)
 
     def test_non_finite_p_rejected(self):
         pk = dl.GaussianPacket(0.0, 0.0, 1.0)
