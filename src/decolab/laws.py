@@ -20,21 +20,23 @@ time integral over the symmetric bath correlation function, and the
 golden-rule rates are provided for comparison with the weak-coupling
 regime.
 
-Only the two quadrature-based functions, memory_kernel_norm and
-golden_rule_times, load scipy (scipy.integrate, on first call); everything
-else here needs numpy alone.
+Only the quadratures load scipy (scipy.integrate, on first call):
+golden_rule_times, and memory_kernel_norm for a correlation given as a
+callable alone.  A correlation that carries its spectral lines (as the
+oracle's bath_statistics builds) has a closed-form memory kernel, and
+everything else here needs numpy alone.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     DegenerateBathError, IntegrationError, NumericalError, ResolutionError, ValidationError,
     _decay_time, _float_range_checked, require_instance, require_nonnegative, require_positive,
-    require_real, require_times,
+    require_real, require_real_array, require_times,
 )
 from .packets import BLOCK_CHUNK, DensityBlock, Superposition, _built_block, _nonzero_span
 
@@ -69,17 +71,27 @@ class CorrelationFunction:
     sym(s) is the symmetric correlation <{B~(s), B~(0)}>, resp(s) the
     response <(i/hbar)[B~(s), B]>.  Both are treated as identically zero
     beyond tail_cutoff.  When ``moments`` is supplied, consistency
-    sym(0) = 2 var_B is checked at construction.
+    sym(0) = 2 var_B is checked at construction.  ``lines``, when given,
+    are the (weight a, frequency nu) pairs of a finite cosine sum
+    sym(s) = sum 2 a cos(nu s), which sym must equal, with no tail_cutoff;
+    memory_kernel_norm then integrates in closed form.
     """
 
     sym: Callable[[float], float]
     resp: Callable[[float], float] = _zero
     tail_cutoff: float = math.inf
     moments: Optional[BathMoments] = None
+    lines: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
         if self.tail_cutoff != math.inf:
             require_positive(tail_cutoff=self.tail_cutoff)
+        if self.lines is not None:
+            require_real_array(lines=self.lines)
+            if np.size(self.lines) and np.shape(self.lines)[1:] != (2,):
+                raise ValidationError("lines must be (weight, frequency) pairs")
+            if self.tail_cutoff != math.inf:  # a cosine sum has no tail to cut
+                raise ValidationError("a correlation with lines takes no tail_cutoff")
         if self.moments is not None:
             expected = 2.0 * self.moments.var_B
             got = float(self.sym(0.0))
@@ -366,7 +378,10 @@ def memory_kernel_norm(t, dq, hbar, corr):
 
     exp(-(dq^2/hbar^2) * integral_0^t (t - s) sym(s) ds), valid whenever
     decoherence is fast on system time scales, with no assumption about the
-    bath correlation time.  The integral is evaluated by adaptive
+    bath correlation time.  For a correlation with spectral lines the
+    integral is taken line by line in closed form, integral_0^t (t - s)
+    2 a cos(nu s) ds = a t^2 sinc^2(nu t / 2), which has no cancellation
+    and gives a t^2 at nu = 0; otherwise it is evaluated by adaptive
     quadrature to absolute tolerance 1e-10.
     """
     require_nonnegative(t=t)
@@ -374,8 +389,13 @@ def memory_kernel_norm(t, dq, hbar, corr):
     require_positive(hbar=hbar)
     if t == 0:
         return 1.0
-    integral = _quad("memory-kernel", lambda s: (t - s) * corr.sym(s), min(t, corr.tail_cutoff),
-                     epsabs=1e-10, floor=1e-8)
+    if corr.lines is not None:
+        a, nu = np.reshape(corr.lines, (-1, 2)).T
+        # np.sinc(x) is sin(pi x) / (pi x), 1 at x = 0
+        integral = np.sum(a * (t * np.sinc(nu * t / (2.0 * np.pi))) ** 2)
+    else:
+        integral = _quad("memory-kernel", lambda s: (t - s) * corr.sym(s),
+                         min(t, corr.tail_cutoff), epsabs=1e-10, floor=1e-8)
     return float(np.exp(-(dq ** 2 / hbar ** 2) * integral))
 
 

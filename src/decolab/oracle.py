@@ -28,15 +28,18 @@ Evolution strategies, by what the Hamiltonian conserves:
 * otherwise B, when the bath is static (all component frequencies zero):
   B is diagonalized once and the bath is written in its eigenbasis as one
   factor with amplitude sqrt(W_m) on each distinct eigenvalue, which is exact;
-* otherwise the joint state is stepped: a spin by sparse Krylov propagation
-  (``expm_multiply``), a grid particle by symmetric split-step Fourier, with
-  the half-potentials of adjacent steps merged and the FFTs along a
-  contiguous grid axis; a dynamic bath's per-point half-step is a Kronecker
-  product of per-factor propagators.
+* otherwise the joint state is stepped: a spin by the Chebyshev expansion
+  of its sparse propagator (Tal-Ezer and Kosloff), one sum per sample span
+  cut where its Bessel coefficients fall below 1e-17 (the terms span the
+  Krylov space, hence the back end's name), a grid particle by symmetric
+  split-step Fourier, with the half-potentials of adjacent steps merged
+  and the FFTs along a contiguous grid axis; a dynamic bath's per-point
+  half-step is a Kronecker product of per-factor propagators.
 
 The exact back ends (pointer, spin system in a static bath) share one
-sampler of v e^{-i w t / hbar} c over chunks of times; the stepping ones
-share one loop that checks unitarity at every sample.
+sampler of v e^{-i w t / hbar} c over chunks of times, with the times on
+the last axis of each matrix product; the stepping ones share one loop
+that checks unitarity at every sample.
 
 The two back ends that hold a joint bath state (Krylov and the dynamic-bath
 split step) use the bath's permutation symmetry: spin-halves with equal g,
@@ -48,9 +51,12 @@ the bath, ``_check_entries`` refuses an array above the limit of the code
 making it (the constants below say what each limit counts and where it
 applies) with DimensionCapError naming the array and its entry count.
 
-Only the sparse Krylov back end and build_bath_operators load scipy
-(scipy.sparse, on first call); the other back ends, the closed forms and
-the fits need numpy alone.
+Only the sparse Krylov back end and build_bath_operators load scipy, and
+only scipy.sparse, on first call: the Chebyshev sum and its Bessel
+coefficients need numpy alone, as do the other back ends, the closed forms
+and the fits.  The correlation bath_statistics returns carries its
+spectral lines, so memory_kernel_norm integrates it in closed form with no
+scipy.integrate.
 """
 
 import hashlib
@@ -276,7 +282,7 @@ def bath_statistics(bath, hbar=1.0):
         return sum(2.0 * a * math.sin(nu * s) / hbar for a, nu in lines)
 
     moments = BathMoments(var_b, var_bdot, kappa)
-    corr = CorrelationFunction(sym=sym, resp=resp, moments=moments)
+    corr = CorrelationFunction(sym=sym, resp=resp, moments=moments, lines=tuple(lines))
     return moments, corr
 
 
@@ -480,13 +486,15 @@ def _eigen_phase_chunks(times, hbar, eigen, entries_per_time):
 
     For each (w, v, c) in eigen (eigenvalues, eigenvectors, initial
     coefficients in that eigenbasis) a lazy sequence gives a stack of shape
-    (ts.size,) + c.shape.  A chunk holds SAMPLE_BUDGET // entries_per_time
-    times (at least one), bounding the caller's largest stack.
+    c.shape + (ts.size,): times on the last axis, so each block of v is one
+    matrix product with all the chunk's times, not one per time.  A chunk
+    holds SAMPLE_BUDGET // entries_per_time times (at least one), bounding
+    the caller's largest stack.
     """
     step = max(1, SAMPLE_BUDGET // entries_per_time)
     for start in range(0, times.size, step):
         ts = times[start:start + step]
-        yield ((v @ (np.exp(-1j * np.multiply.outer(ts, w) / hbar) * c)[..., None])[..., 0]
+        yield (v @ (np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
                for w, v, c in eigen)
 
 
@@ -499,9 +507,9 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
     w, v = np.linalg.eigh(sys.omega * jz + bvals[:, None, None] * jx)
     c = _dagger(v) @ np.stack([branch1, branch2], axis=-1)
     c = (np.sqrt(weights)[:, None, None] * c).transpose(2, 0, 1)  # (branch, M, d)
-    # w gains the branch axis; psi is (t, branch, M, d), the sandwich (t, d, M).
+    # w gains the branch axis; psi is (branch, M, d, t), the sandwich (t, d, M).
     chunks = _eigen_phase_chunks(times, sys.hbar, [(w[None], v, c)], c.size)
-    return np.concatenate([_sandwich_norm(*psi.transpose(1, 0, 3, 2)) for (psi,) in chunks])
+    return np.concatenate([_sandwich_norm(*psi.transpose(0, 3, 2, 1)) for (psi,) in chunks])
 
 
 def _bath_factors(bath, dicke=True):
@@ -567,9 +575,68 @@ def _propagate(times, branch1, branch2, bath_state, advance):
     return norms
 
 
+def _bessel_j(r):
+    """J_0(r), ..., J_K(r) for r >= 0, K the last order with |J_K(r)| >= 1e-17.
+
+    Miller's backward recurrence, run on the ratios J_k / J_{k-1} =
+    r / (2k - r J_{k+1} / J_k) so that no step overflows (2k / r does as
+    r -> 0), started at J_{top+1} = 0 past the Airy turning region
+    k ~ r + r^(1/3), where J_top is negligible, and normalized by
+    J_0 + 2 sum_k J_2k = 1.
+    """
+    top = int(r + 20.0 * r ** (1.0 / 3.0)) + 40
+    ratios = np.empty(top)
+    ratio = 0.0
+    for k in range(top, 0, -1):
+        ratio = r / (2.0 * k - r * ratio)
+        ratios[k - 1] = ratio
+    j = np.concatenate(([1.0], np.cumprod(ratios)))  # J_k / J_0
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return j[:np.flatnonzero(np.abs(j) >= 1e-17)[-1] + 1]
+
+
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, by k mod 4
+
+
+def _chebyshev_advance(h, hbar):
+    """advance(psi, span) = exp(-i h span / hbar) psi for a Hermitian sparse h.
+
+    Tal-Ezer and Kosloff's expansion.  The spectrum lies in [lo, hi], from
+    Gershgorin's row sums; h is shifted by the midpoint (a global phase,
+    which cancels in every norm) and scaled by the half-width hw to
+    h~ with spectrum in [-1, 1], so a span is
+    sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(h~) psi with R = hw span / hbar,
+    the T_k psi built by the three-term recurrence T_{k+1} = 2 h~ T_k - T_{k-1}
+    and the sum cut where |J_k(R)| < 1e-17.  The T_k psi span the Krylov
+    space of h and psi.
+    """
+    import scipy.sparse
+
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    hw = max(0.5 * (hi - lo), np.finfo(float).tiny)  # a scalar h gives R = 0
+    h_scaled = ((h - 0.5 * (lo + hi) * scipy.sparse.identity(h.shape[0])) / hw).tocsr()
+
+    def advance(psi, span):
+        coef = _bessel_j(float(hw * span / hbar))
+        coef = coef * _MINUS_I_POWERS[np.arange(coef.size) % 4]
+        coef[1:] *= 2.0
+        prev = np.ascontiguousarray(psi.reshape(2, -1).T)  # T_0 psi, branches as columns
+        out = coef[0] * prev
+        if coef.size > 1:
+            cur = h_scaled @ prev
+            out += coef[1] * cur
+            for c in coef[2:]:
+                prev, cur = cur, np.subtract(2.0 * (h_scaled @ cur), prev, out=prev)
+                out += c * cur
+        return out.T.reshape(psi.shape)
+
+    return advance
+
+
 def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     import scipy.sparse
-    import scipy.sparse.linalg
 
     factors = _bath_factors(bath)
     dim_s = branch1.size
@@ -584,14 +651,8 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
                             scipy.sparse.diags(hres_diag), format="csr")
         + scipy.sparse.kron(scipy.sparse.csr_matrix(jx), b_sp, format="csr")
     )
-    generator = (-1j / sys.hbar) * h.tocsc()
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-
-    def advance(psi, span):
-        cols = scipy.sparse.linalg.expm_multiply(generator * span, psi.reshape(2, -1).T)
-        return cols.T.reshape(psi.shape)
-
-    return _propagate(times, branch1, branch2, chi0, advance)
+    return _propagate(times, branch1, branch2, chi0, _chebyshev_advance(h, sys.hbar))
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -617,8 +678,9 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
     w1, w2 = (np.abs(amp[occupied]) ** 2 for amp in (amp1, amp2))
     norms = []
     for chis in _eigen_phase_chunks(times, hbar, eigen, qs.size ** 2):
-        # chi has axes (t, q, level); the overlaps are (t, q, q').
-        overlaps = reduce(np.multiply, (chi.conj() @ chi.transpose(0, 2, 1) for chi in chis))
+        # chi has axes (q, level, t); the overlaps are (t, q, q').
+        overlaps = reduce(np.multiply, (chi.transpose(2, 0, 1).conj() @ chi.transpose(2, 1, 0)
+                                        for chi in chis))
         norms.append((np.abs(overlaps) ** 2 @ w1) @ w2)
     return np.concatenate(norms)
 

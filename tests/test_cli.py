@@ -67,9 +67,10 @@ TEMPLATES_PROBE = textwrap.dedent("""
     print("scipy-modules", *[m for m in sys.modules if m.split(".")[0] == "scipy"])
 """)
 
-# Calls each scipy-backed function once after a scipy-free import of
-# decolab; prints whether the results are finite and which scipy
-# subpackages were loaded before and after the calls.
+# Calls the oracle and law paths that could load scipy.integrate or
+# scipy.sparse.linalg once each after a scipy-free import of decolab;
+# prints which of the two were loaded after each call and whether the
+# results are finite.
 SCIPY_PATHS_PROBE = textwrap.dedent("""
     import math
     import sys
@@ -80,17 +81,20 @@ SCIPY_PATHS_PROBE = textwrap.dedent("""
         return [m in sys.modules for m in ("scipy.integrate", "scipy.sparse.linalg")]
 
     print(*loaded())
-    # Omega != 0 in a dynamic bath: the Krylov back end.  It runs first, because
-    # importing scipy.integrate loads scipy.sparse.linalg too.
+    # Omega != 0 in a dynamic bath: the Krylov (Chebyshev) back end
     a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
     b = dl.coherent_vector(dl.SpinCoherent(1.0, -1.0))
-    curve = dl.evolve_norm(dl.SpinSystem(1.0, 0.7), dl.spin_bath(3, 1.0, omegas=0.7),
-                           a, b, np.linspace(0.0, 1.0, 5))
+    bath = dl.spin_bath(3, 1.0, omegas=0.7)
+    curve = dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, b, np.linspace(0.0, 1.0, 5))
     print(*loaded())
+    # a bath_statistics correlation carries its lines: closed-form memory kernel
+    line_corr = dl.bath_statistics(bath)[1]
+    values = [dl.memory_kernel_norm(1.0, 1.0, 1.0, line_corr), *curve.values]
+    print(*loaded())
+    # a user-built correlation is integrated by quadrature
     corr = dl.exponential_correlation(1.0, 1.0)
-    values = [dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
-              dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec,
-              *curve.values]
+    values += [dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
+               dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec]
     print(all(map(math.isfinite, values)), *loaded())
 """)
 
@@ -478,7 +482,8 @@ class TestImportPath:
         assert lines[-1] == "scipy-modules"
 
     def test_deferred_scipy_imports_resolve(self):
-        before, krylov, after = run_fresh(SCIPY_PATHS_PROBE).splitlines()
+        before, krylov, lines, after = run_fresh(SCIPY_PATHS_PROBE).splitlines()
         assert before.split() == ["False", "False"]
-        assert krylov.split() == ["False", "True"]
+        assert krylov.split() == ["False", "False"]
+        assert lines.split() == ["False", "False"]
         assert after.split() == ["True", "True", "True"]

@@ -425,6 +425,18 @@ class TestMemoryKernel:
         corr = dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff=math.inf)
         assert corr.tail_cutoff == math.inf
 
+    @pytest.mark.parametrize("lines", [((1.0, math.nan),), ((1.0, 2.0, 3.0),), (1.0, 2.0),
+                                       ((1.0, 2j),), (("a", 1.0),)])
+    def test_lines_must_be_real_pairs(self, lines):
+        with pytest.raises(ValidationError):
+            dl.CorrelationFunction(sym=lambda s: 2.0, lines=lines)
+
+    def test_lines_take_no_tail_cutoff(self):
+        # the closed-form kernel integrates the whole cosine sum, so a cutoff
+        # that quad would honour is refused
+        with pytest.raises(ValidationError, match="tail_cutoff"):
+            dl.CorrelationFunction(sym=lambda s: 2.0, tail_cutoff=1.0, lines=((1.0, 0.0),))
+
 
 class TestGoldenRule:
     def test_exponential_correlation_rate(self):

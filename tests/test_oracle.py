@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import sys
 import textwrap
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,26 @@ LARGE_OSCILLATOR_PROBE = textwrap.dedent("""
     comp = dl.BathComponent("oscillator", 0.5, 1.0, levels=4096)
     dl.bath_statistics(dl.BathModel((comp,), (0,)))
 """)
+
+
+def joint_eigh_norms(sys_s, bath, branches, times):
+    """N_12(t) of a spin in a bath from eigh of the full system x bath H."""
+    hbar = sys_s.hbar
+    ops = dl.build_bath_operators(bath, hbar)
+    jx, _, jz = dl.spin_matrices(sys_s.j, hbar)
+    dim_s = jx.shape[0]
+    h = (
+        sys_s.omega * np.kron(jz, np.eye(bath.dimension))
+        + np.kron(np.eye(dim_s), np.diag(ops.H_res))
+        + np.kron(jx, ops.B)
+    )
+    w, v = np.linalg.eigh(h)
+    starts = [v.conj().T @ np.kron(b / np.linalg.norm(b), ops.initial_state) for b in branches]
+    expected = []
+    for t in times:
+        a1, a2 = ((v @ (np.exp(-1j * w * t / hbar) * c)).reshape(dim_s, -1) for c in starts)
+        expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
+    return expected
 
 
 class TestBathModel:
@@ -242,6 +264,33 @@ class TestBathOperators:
             assert ops.corr.sym(s) == pytest.approx(sym_dense, abs=1e-12)
             assert ops.corr.sym(s) == pytest.approx(2.0 * math.cos(omega * s), abs=1e-12)
             assert ops.corr.resp(s) == pytest.approx(resp_dense, abs=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_line_memory_kernel_matches_quadrature(self, data):
+        # a bath_statistics correlation carries its lines, and memory_kernel_norm
+        # integrates them in closed form; the same correlation without lines
+        # goes to quad.  Frequencies include static lines (nu = 0) and small nu t.
+        frequency = st.just(0.0) | st.floats(1e-9, 1e-6) | st.floats(0.1, 3.0)
+        comps, labels = [], []
+        for _ in range(data.draw(st.integers(1, 5))):
+            g, omega = data.draw(st.floats(0.1, 1.0)), data.draw(frequency)
+            if data.draw(st.booleans()):
+                comps.append(dl.BathComponent("spin-half", g, omega))
+                labels.append(data.draw(st.sampled_from(["up", "down"])))
+            else:
+                levels = data.draw(st.integers(2, 6))
+                comps.append(dl.BathComponent("oscillator", g, omega, levels))
+                labels.append(data.draw(st.integers(0, levels - 2)))
+        hbar = data.draw(st.floats(0.5, 2.0))
+        _, corr = dl.bath_statistics(dl.BathModel(tuple(comps), tuple(labels)), hbar)
+        assert corr.lines
+        by_quadrature = dataclasses.replace(corr, lines=None)
+        dq = data.draw(st.floats(0.1, 1.5))
+        for t in data.draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=4)):
+            exact = dl.memory_kernel_norm(t, dq, hbar, corr)
+            assert exact == pytest.approx(dl.memory_kernel_norm(t, dq, hbar, by_quadrature),
+                                          rel=0, abs=1e-13)
 
     def test_derivative_moments_and_kappa_match_dense(self):
         bath = dl.spin_bath(3, 0.9, omegas=[0.5, 1.0, 1.5])
@@ -620,24 +669,34 @@ class TestEvolveNorm:
         )
         branches = [vec / np.linalg.norm(vec) for vec in (data.draw(vectors), data.draw(vectors))]
         times = sorted(data.draw(st.sets(st.floats(0.1, 2.0), min_size=1, max_size=3)))
-        curve = dl.evolve_norm(sys_s, bath, branches[0], branches[1], times)
+        # a first span below 1e-150 (the Chebyshev sum's R -> 0) and a last
+        # one above 20 (R in the hundreds)
+        if data.draw(st.booleans()):
+            times.insert(0, data.draw(st.floats(1e-300, 1e-150)))
+        if data.draw(st.booleans()):
+            times.append(times[-1] + data.draw(st.floats(20.0, 40.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = dl.evolve_norm(sys_s, bath, branches[0], branches[1], times)
+        expected = joint_eigh_norms(sys_s, bath, branches, times)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
-        ops = dl.build_bath_operators(bath, hbar)
-        jx, _, jz = dl.spin_matrices(j, hbar)
-        eye_b = np.eye(bath.dimension)
-        h = (
-            sys_s.omega * np.kron(jz, eye_b)
-            + np.kron(np.eye(dim_s), np.diag(ops.H_res))
-            + np.kron(jx, ops.B)
-        )
-        w, v = np.linalg.eigh(h)
-        starts = [v.conj().T @ np.kron(b, ops.initial_state) for b in branches]
-        expected = []
-        for t in times:
-            a1, a2 = (
-                (v @ (np.exp(-1j * w * t / hbar) * c)).reshape(dim_s, -1) for c in starts
-            )
-            expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
+    def test_krylov_leaves_global_rng_alone_and_matches_joint_eigh(self):
+        # spans of 20 put R ~ 1e3 in the Chebyshev sum; a complex alpha tells
+        # forward from time-reversed propagation.  The curve draws nothing
+        # from numpy's global random stream.
+        bath = dl.spin_bath(4, 1.0, omegas=np.linspace(0.5, 1.5, 4))
+        sys_s = dl.SpinSystem(15.0, 3.0)
+        branches = [dl.coherent_vector(dl.SpinCoherent(15.0, alpha)) for alpha in (1.0, 0.3 + 0.5j)]
+        times = [0.0, 20.0, 40.0]
+        state = np.random.get_state()
+        try:
+            np.random.seed(0)
+            curve = dl.evolve_norm(sys_s, bath, *branches, times)
+            assert np.random.random() == np.random.RandomState(0).random_sample()
+        finally:
+            np.random.set_state(state)
+        expected = joint_eigh_norms(sys_s, bath, branches, times)
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
     @settings(deadline=None, max_examples=30)
