@@ -19,7 +19,6 @@ The Monte-Carlo mode samples the full exponent with Gaussian B, Bdot and
 the commutator [B, Bdot] replaced by i hbar kappa.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -88,6 +87,11 @@ def _log_binomials(two_j):
     )
 
 
+def _phase(z):
+    """arg z; cmath.phase raises on a subnormal result (arg(2 + 5e-324j))."""
+    return math.atan2(z.imag, z.real)
+
+
 def _ket(two_j, alpha, log_norm):
     """sum_n sqrt(C(2j,n)) alpha^n |j, j-n> / e^log_norm, in the log domain."""
     if alpha == 0:
@@ -96,7 +100,7 @@ def _ket(two_j, alpha, log_norm):
         return ket
     n = np.arange(two_j + 1)
     log_mag = 0.5 * _log_binomials(two_j) + n * math.log(abs(alpha)) - log_norm
-    return np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
+    return np.exp(log_mag) * np.exp(1j * n * _phase(alpha))
 
 
 def unnormalized_ket(j, alpha):
@@ -180,8 +184,8 @@ def is_special_case_iv(alpha, beta):
     """
     require_complex(alpha=alpha, beta=beta)
     alpha, beta = complex(alpha), complex(beta)
-    phi_a = cmath.phase(alpha) if alpha != 0 else 0.0
-    phi_b = cmath.phase(beta) if beta != 0 else 0.0
+    phi_a = _phase(alpha)
+    phi_b = _phase(beta)
     theta_b = 2.0 * math.atan(abs(beta))
     return (
         abs(math.cos(phi_a) - math.sin(theta_b)) <= CASE_IV_TOL

@@ -71,6 +71,12 @@ class TestCoherentStates:
         with pytest.raises(ValidationError):
             dl.coherent_vector(dl.SpinCoherent(201.0, 0.1))
 
+    def test_subnormal_phase(self):
+        # arg(2 + 5e-324j) underflows; the ket is that of the real alpha = 2
+        vec = dl.coherent_vector(dl.SpinCoherent(0.5, 2.0 + 5e-324j))
+        np.testing.assert_allclose(vec, dl.coherent_vector(dl.SpinCoherent(0.5, 2.0)), atol=1e-15)
+        assert not dl.is_special_case_iv(1e-300 + 5e-324j, 1e-300 + 5e-324j)
+
 
 class TestCoherentMeans:
     def test_north_pole(self):
