@@ -27,34 +27,37 @@ Evolution strategies, by what the Hamiltonian conserves:
   over components of levels x levels evolutions, with no joint bath;
 * otherwise B, when the bath is static (all component frequencies zero):
   B is diagonalized once and the bath is written in its eigenbasis as one
-  factor with amplitude sqrt(W_m) on each distinct eigenvalue, which is exact;
-* otherwise the joint state is stepped: a spin by the Chebyshev expansion
-  of its sparse propagator (Tal-Ezer and Kosloff), one sum per sample span
-  cut where its Bessel coefficients fall below 1e-17 (the terms span the
-  Krylov space, hence the back end's name), a grid particle by symmetric
-  split-step Fourier, with the half-potentials of adjacent steps merged
-  and the FFTs along a contiguous grid axis; a dynamic bath's per-point
-  half-step is a Kronecker product of per-factor propagators.
+  factor with amplitude sqrt(W_m) on each distinct eigenvalue, which is
+  exact; a spin then evolves each column from eigh of H_sys + b_m Jx, a
+  grid particle is stepped as below with q B diagonal;
+* otherwise the joint state is stepped by the Chebyshev expansion of its
+  propagator (Tal-Ezer and Kosloff), one sum per sample span cut where its
+  Bessel coefficients fall below 1e-17, which is exact to roundoff in any
+  span: a spin's sparse joint H (the terms span the Krylov space, hence the
+  back end's name), or a grid particle's H = T + V + q B + H_res, with T
+  applied by FFT along the contiguous grid axis of a (bath, branch, grid)
+  state and a dynamic B as one sparse product on the bath axis.
 
 The exact back ends (pointer, spin system in a static bath) share one
 sampler of v e^{-i w t / hbar} c over chunks of times, with the times on
-the last axis of each matrix product; the stepping ones share one loop
-that checks unitarity at every sample.
+the last axis of each matrix product; the stepped ones share one Chebyshev
+driver and one loop that checks unitarity at every sample.
 
-The two back ends that hold a joint bath state (Krylov and the dynamic-bath
-split step) use the bath's permutation symmetry: spin-halves with equal g,
-omega and initial sigma_z state stay in their symmetric (Dicke) subspace,
-so k of them evolve as one spin k/2 of dimension k + 1 instead of 2^k.
+The two back ends that hold a dynamic joint bath state (Krylov and the
+dynamic-bath grid) use the bath's permutation symmetry: spin-halves with
+equal g, omega and initial sigma_z state stay in their symmetric (Dicke)
+subspace, so k of them evolve as one spin k/2 of dimension k + 1 instead
+of 2^k.
 
 A bath model sets no size limit.  Before each allocation that grows with
 the bath, ``_check_entries`` refuses an array above the limit of the code
 making it (the constants below say what each limit counts and where it
 applies) with DimensionCapError naming the array and its entry count.
 
-Only the sparse Krylov back end and build_bath_operators load scipy, and
-only scipy.sparse, on first call: the Chebyshev sum and its Bessel
-coefficients need numpy alone, as do the other back ends, the closed forms
-and the fits.  The correlation bath_statistics returns carries its
+Only the two dynamic-bath stepped back ends and build_bath_operators load
+scipy, and only scipy.sparse, on first call: the Chebyshev sum and its
+Bessel coefficients need numpy alone, as do the other back ends, the closed
+forms and the fits.  The correlation bath_statistics returns carries its
 spectral lines, so memory_kernel_norm integrates it in closed form with no
 scipy.integrate.
 """
@@ -67,7 +70,6 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._linalg import expm_phase_stack
 from .errors import (
     DimensionCapError, FitWindowError, StepSizeError, ValidationError, _float_range_checked,
     is_int, require_finite, require_instance, require_nonnegative, require_positive, require_real,
@@ -81,8 +83,9 @@ from .spin import spin_matrices
 # operators, BathModel.initial_state and build_bath_operators
 DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static back ends
-JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, static-bath grid
-STACK_BUDGET = 1 << 22  # per-point or per-eigenvalue matrix stack: dense, static spin, pointer
+JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, grid
+STACK_BUDGET = 1 << 22           # per-eigenvalue or per-pointer matrix stack: static spin, pointer
+CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev span: Krylov, grid
 SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
 UNITARITY_DRIFT = 1e-8
 
@@ -427,7 +430,7 @@ def position_eigenstate(grid, q):
     return vec, float(grid.points[idx])
 
 
-def _fingerprint(sys, bath, branch1, branch2, times, dt):
+def _fingerprint(sys, bath, branch1, branch2, times):
     payload = "|".join(
         [
             repr(sys),
@@ -435,7 +438,6 @@ def _fingerprint(sys, bath, branch1, branch2, times, dt):
             hashlib.sha256(np.ascontiguousarray(branch1).tobytes()).hexdigest(),
             hashlib.sha256(np.ascontiguousarray(branch2).tobytes()).hexdigest(),
             hashlib.sha256(np.asarray(times, dtype=float).tobytes()).hexdigest(),
-            repr(dt),
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -582,12 +584,14 @@ def _bessel_j(r):
     r / (2k - r J_{k+1} / J_k) so that no step overflows (2k / r does as
     r -> 0), started at J_{top+1} = 0 past the Airy turning region
     k ~ r + r^(1/3), where J_top is negligible, and normalized by
-    J_0 + 2 sum_k J_2k = 1.
+    J_0 + 2 sum_k J_2k = 1.  More than CHEBYSHEV_ORDER_LIMIT ratios are
+    refused before they are allocated.
     """
-    top = int(r + 20.0 * r ** (1.0 / 3.0)) + 40
-    ratios = np.empty(top)
+    top = r + 20.0 * r ** (1.0 / 3.0) + 40.0
+    _check_entries("Chebyshev coefficients", top, CHEBYSHEV_ORDER_LIMIT)
+    ratios = np.empty(int(top))
     ratio = 0.0
-    for k in range(top, 0, -1):
+    for k in range(ratios.size, 0, -1):
         ratio = r / (2.0 * k - r * ratio)
         ratios[k - 1] = ratio
     j = np.concatenate(([1.0], np.cumprod(ratios)))  # J_k / J_0
@@ -598,44 +602,47 @@ def _bessel_j(r):
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, by k mod 4
 
 
-def _chebyshev_advance(h, hbar):
-    """advance(psi, span) = exp(-i h span / hbar) psi for a Hermitian sparse h.
+def _chebyshev_advance(operator, lo, hi, hbar, axes):
+    """advance(psi, span) = exp(-i H span / hbar) psi for a Hermitian H with spectrum in [lo, hi].
 
-    Tal-Ezer and Kosloff's expansion.  The spectrum lies in [lo, hi], from
-    Gershgorin's row sums; h is shifted by the midpoint (a global phase,
-    which cancels in every norm) and scaled by the half-width hw to
-    h~ with spectrum in [-1, 1], so a span is
-    sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(h~) psi with R = hw span / hbar,
-    the T_k psi built by the three-term recurrence T_{k+1} = 2 h~ T_k - T_{k-1}
-    and the sum cut where |J_k(R)| < 1e-17.  The T_k psi span the Krylov
-    space of h and psi.
+    Tal-Ezer and Kosloff's expansion.  H is shifted by the midpoint of
+    [lo, hi] (a global phase, which cancels in every norm) and scaled by the
+    half-width hw to h~ with spectrum in [-1, 1]: operator(mid, hw) returns
+    apply(x, out), which returns h~ x, written into the buffer out (never x)
+    where it can.  A span is sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(h~) psi
+    with R = hw span / hbar, the T_k psi built by the three-term recurrence
+    T_{k+1} = 2 h~ T_k - T_{k-1} in three rotating buffers and the sum cut
+    where |J_k(R)| < 1e-17.  The recurrence runs on psi.transpose(axes),
+    made contiguous, and hands its result back through the inverse
+    transpose, so the next span takes that array over without a copy.
     """
-    import scipy.sparse
-
-    diag = h.diagonal().real
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = np.min(diag - radius), np.max(diag + radius)
-    hw = max(0.5 * (hi - lo), np.finfo(float).tiny)  # a scalar h gives R = 0
-    h_scaled = ((h - 0.5 * (lo + hi) * scipy.sparse.identity(h.shape[0])) / hw).tocsr()
+    hw = max(0.5 * (hi - lo), np.finfo(float).tiny)  # a scalar H gives R = 0
+    apply = operator(0.5 * (lo + hi), hw)
+    inverse = np.argsort(axes)
 
     def advance(psi, span):
         coef = _bessel_j(float(hw * span / hbar))
         coef = coef * _MINUS_I_POWERS[np.arange(coef.size) % 4]
         coef[1:] *= 2.0
-        prev = np.ascontiguousarray(psi.reshape(2, -1).T)  # T_0 psi, branches as columns
+        prev = np.ascontiguousarray(psi.transpose(axes))  # T_0 psi
         out = coef[0] * prev
         if coef.size > 1:
-            cur = h_scaled @ prev
+            cur, spare = apply(prev, np.empty_like(prev)), np.empty_like(prev)
             out += coef[1] * cur
             for c in coef[2:]:
-                prev, cur = cur, np.subtract(2.0 * (h_scaled @ cur), prev, out=prev)
+                nxt = apply(cur, spare)
+                nxt *= 2.0
+                nxt -= prev
+                prev, cur, spare = cur, nxt, prev
                 out += c * cur
-        return out.T.reshape(psi.shape)
+        return out.transpose(inverse)
 
     return advance
 
 
 def _spin_sparse_curve(sys, bath, branch1, branch2, times):
+    """The joint H as one scipy.sparse matrix on a (system, bath, branch)
+    state, its spectral interval from Gershgorin's row sums."""
     import scipy.sparse
 
     factors = _bath_factors(bath)
@@ -651,8 +658,17 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
                             scipy.sparse.diags(hres_diag), format="csr")
         + scipy.sparse.kron(scipy.sparse.csr_matrix(jx), b_sp, format="csr")
     )
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+
+    def operator(mid, hw):
+        h_scaled = ((h - mid * scipy.sparse.identity(h.shape[0])) / hw).tocsr()
+        return lambda x, out: (h_scaled @ x.reshape(h.shape[0], -1)).reshape(x.shape)
+
+    advance = _chebyshev_advance(operator, np.min(diag - radius), np.max(diag + radius),
+                                 sys.hbar, axes=(1, 2, 0))
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-    return _propagate(times, branch1, branch2, chi0, _chebyshev_advance(h, sys.hbar))
+    return _propagate(times, branch1, branch2, chi0, advance)
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -685,87 +701,51 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
     return np.concatenate(norms)
 
 
-def _strang_advance(sys, dt, potential):
-    """Split-step propagation along the grid (system) axis of psi.
+def _grid_curve(sys, bath, branch1, branch2, times):
+    """H = T + V + q B + H_res on a (bath, branch, grid) state, by _chebyshev_advance.
 
-    A span is cut into n = ceil(span / dt) equal symmetric Strang steps
-    P K P, with the half-potential P = exp(-i V delta / 2 hbar) and the
-    kinetic step K = exp(-i T delta / hbar) (FFT, phase, inverse FFT).  The
-    half-potentials of adjacent steps are merged, so a span runs as
-    P (K P^2)^(n-1) K P.  Within a span the state is held bath-major,
-    (branch, bath, grid), so both FFTs run in place along the contiguous
-    last axis.  A span hands the state back as a (branch, grid, bath) view
-    of that array, which the next span takes over in place; only a psi in
-    another layout is copied.  potential(delta) returns the in-place maps
-    (P, P^2) on the bath-major state.
+    T = hbar^2 k^2 / 2M is applied by FFT along the contiguous grid axis.  A
+    static bath is held in B's eigenbasis: B is diagonal, so q B joins the
+    potential, H_res = 0 and the initial bath vector is sqrt(W).  A dynamic
+    bath is held as Dicke factors, with B applied as one sparse product on
+    the bath axis.  With D = V + h_res (plus q b_m when static) and the
+    radius rad = |q| rowsum|B| (zero when static), the spectrum lies in
+    [min(D - rad), max(D + rad) + max T]: Gershgorin for V + q B + H_res,
+    and T >= 0 adds at most max T.
     """
-    k = 2.0 * np.pi * np.fft.fftfreq(sys.grid.n_points, d=sys.grid.spacing)
+    q = sys.grid.points
+    if bath.is_static():
+        bvals, weights = bath_eigen_decomposition(bath)
+        _check_entries("static grid columns", q.size * bvals.size, JOINT_DIMENSION_LIMIT)
+        diag, radius, b_sp, chi0 = bvals[:, None] * q, 0.0, None, np.sqrt(weights)
+    else:
+        factors = _bath_factors(bath)
+        dim_b = math.prod(chi.size for _, _, chi in factors)
+        _check_entries("dynamic grid state", q.size * dim_b, JOINT_DIMENSION_LIMIT)
+        b_sp, hres_diag = _sparse_bath_ops(factors, sys.hbar)
+        diag, radius = hres_diag[:, None], np.abs(q) * np.asarray(abs(b_sp).sum(axis=1))
+        chi0 = reduce(np.kron, [chi for _, _, chi in factors])
+    diag = diag + sys.potential()  # (bath, grid)
+    k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys.grid.spacing)
+    kin = (sys.hbar * k) ** 2 / (2.0 * sys.mass)
 
-    def advance(psi, span):
-        n_steps = max(1, int(math.ceil(span / dt)))
-        delta = span / n_steps
-        kin = np.exp(-1j * sys.hbar * k ** 2 * delta / (2.0 * sys.mass))
-        half, full = potential(delta)
-        x = np.ascontiguousarray(psi.swapaxes(-1, -2))
-        half(x)
-        for step in range(n_steps):
-            np.fft.fft(x, axis=-1, out=x)
-            x *= kin
-            np.fft.ifft(x, axis=-1, out=x)
-            (full if step < n_steps - 1 else half)(x)
-        return x.swapaxes(-1, -2)
+    def operator(mid, hw):
+        kin_s, diag_s, q_s = kin / hw, ((diag - mid) / hw)[:, None, :], q / hw
 
-    return advance
+        def apply(x, out):
+            np.fft.fft(x, axis=-1, out=out)
+            out *= kin_s
+            np.fft.ifft(out, axis=-1, out=out)
+            out += diag_s * x
+            if b_sp is not None:
+                out += q_s * (b_sp @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+            return out
 
+        return apply
 
-def _grid_static_curve(sys, bath, branch1, branch2, times, dt):
-    """Static bath in B's eigenbasis: column m of each branch carries sqrt(W_m)."""
-    bvals, weights = bath_eigen_decomposition(bath)
-    _check_entries("static grid columns", sys.grid.n_points * bvals.size, JOINT_DIMENSION_LIMIT)
-    pot = sys.potential()[None, :] + bvals[:, None] * sys.grid.points[None, :]  # (bath, grid)
-
-    def potential(delta):
-        half = np.exp(-0.5j * pot * delta / sys.hbar)
-        full = half * half
-        return (lambda x: np.multiply(x, half, out=x)), (lambda x: np.multiply(x, full, out=x))
-
-    return _propagate(times, branch1, branch2, np.sqrt(weights),
-                      _strang_advance(sys, dt, potential))
-
-
-def _grid_dense_curve(sys, bath, branch1, branch2, times, dt):
-    n = sys.grid.n_points
-    factors = _bath_factors(bath)
-    dim_b = math.prod(chi.size for _, _, chi in factors)
-    _check_entries("per-point bath propagators", n * dim_b ** 2, STACK_BUDGET)
-    local = [sys.grid.points[:, None, None] * c + sys.hbar * np.diag(f) for c, f, _ in factors]
-    v_pot = sys.potential()
-    chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-
-    def potential(delta):
-        # Per point: the potential phase times the Kronecker product of the
-        # factor propagators, in the factor order of chi0.  P^2 applies this
-        # stack twice, so no second stack is kept.
-        factor = -0.5 * delta / sys.hbar
-        u = np.exp(1j * factor * v_pot)[:, None, None]
-        for h in local:
-            f = expm_phase_stack(h, factor)
-            u = np.einsum("qab,qcd->qacbd", u, f).reshape(n, u.shape[1] * f.shape[1], -1)
-
-        def half(x):
-            # (branch, grid, bath, 1) view of x; numpy buffers an output
-            # that overlaps an input, so the product is written in place
-            cols = x.swapaxes(-1, -2)[..., None]
-            np.matmul(u, cols, out=cols)
-
-        def full(x):
-            half(x)
-            half(x)
-
-        return half, full
-
-    return _propagate(times, branch1, branch2, chi0,
-                      _strang_advance(sys, dt, potential))
+    advance = _chebyshev_advance(operator, np.min(diag - radius),
+                                 np.max(diag + radius) + kin.max(), sys.hbar, axes=(2, 0, 1))
+    return _propagate(times, branch1, branch2, chi0, advance)
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -781,10 +761,9 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     times : array_like
         Ascending sample times starting at >= 0.
     dt : float, optional
-        Split-step size for finite-mass grid particles (default: total
-        span / 4096); must be finite and positive when given.  Ignored by
-        the pointer, static-spin and Krylov back ends, which are exact in
-        the step size; the fingerprint hashes the step used, None on those.
+        Ignored: every back end is exact in the step size, so dt moves no
+        value and no fingerprint.  It is still validated (finite and
+        positive when given) and is due to be removed.
 
     The back end follows what is conserved (see the module docstring): an
     infinite mass or omega == 0 conserves the coupling operator (pointers).
@@ -796,7 +775,6 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
-    step = None  # the split step the back end used; the fingerprint hashes it
     if isinstance(sys, SpinSystem) and sys.omega == 0:
         w, v = np.linalg.eigh(spin_matrices(sys.j, sys.hbar)[0])
         values = _pointer_curve(w, _dagger(v) @ b1, _dagger(v) @ b2, bath, sys.hbar, times)
@@ -806,11 +784,9 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
     elif math.isinf(sys.mass):
         values = _pointer_curve(sys.grid.points, b1, b2, bath, sys.hbar, times)
     else:
-        step = dt if dt is not None else max(times[-1], 1e-30) / 4096.0
-        curve = _grid_static_curve if bath.is_static() else _grid_dense_curve
-        values = curve(sys, bath, b1, b2, times, step)
+        values = _grid_curve(sys, bath, b1, b2, times)
     values = np.clip(values, 0.0, None)
-    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times, step))
+    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times))
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,46 @@ def support_values(rng, n, box):
     return values
 
 
-def momentum_separation_curve(dp, m_bath=8, var=1.0, mass=1.0, hbar=1.0,
-                              n_times=40, dt=2e-4):
+def _joint_eigh_norms(h_sys, coupling, bath, branches, times, hbar):
+    """N_12(t) from eigh of H = h_sys (x) 1 + coupling (x) B + 1 (x) H_res on
+    system (x) bath, with B and H_res from build_bath_operators."""
+    ops = dl.build_bath_operators(bath, hbar)
+    dim_s = h_sys.shape[0]
+    h = (
+        np.kron(h_sys, np.eye(bath.dimension))
+        + np.kron(np.eye(dim_s), np.diag(ops.H_res))
+        + np.kron(coupling, ops.B)
+    )
+    w, v = np.linalg.eigh(h)
+    starts = [v.conj().T @ np.kron(b / np.linalg.norm(b), ops.initial_state) for b in branches]
+    expected = []
+    for t in times:
+        a1, a2 = ((v @ (np.exp(-1j * w * t / hbar) * c)).reshape(dim_s, -1) for c in starts)
+        expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
+    return np.array(expected)
+
+
+def joint_eigh_norms(sys_s, bath, branches, times):
+    """N_12(t) of a spin in a bath from eigh of the full system x bath H."""
+    jx, _, jz = dl.spin_matrices(sys_s.j, sys_s.hbar)
+    return _joint_eigh_norms(sys_s.omega * jz, jx, bath, branches, times, sys_s.hbar)
+
+
+def grid_joint_eigh_norms(sys_p, bath, branches, times):
+    """N_12(t) of a finite-mass grid particle in a bath from eigh of the full joint H.
+
+    The kinetic energy is the circulant matrix whose first column is
+    ifft(hbar^2 k^2 / 2M), the FFT's periodic Laplacian written out densely.
+    """
+    n = sys_p.grid.n_points
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=sys_p.grid.spacing)
+    column = np.fft.ifft((sys_p.hbar * k) ** 2 / (2.0 * sys_p.mass))
+    kinetic = column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    return _joint_eigh_norms(kinetic + np.diag(sys_p.potential()), np.diag(sys_p.grid.points),
+                             bath, branches, times, sys_p.hbar)
+
+
+def momentum_separation_curve(dp, m_bath=8, var=1.0, mass=1.0, hbar=1.0, n_times=40):
     """Oracle curve for a free particle with momentum-separated branches.
 
     The packet width is tuned to the decay window (sigma = t_window / 4M,
@@ -86,7 +124,7 @@ def momentum_separation_curve(dp, m_bath=8, var=1.0, mass=1.0, hbar=1.0,
     b2 = dl.grid_packet_state(dl.GaussianPacket(0.0, -dp / 2, sigma, hbar), grid)
     bath = dl.spin_bath(m_bath, var)
     times = np.linspace(tau_p / 20, t_max, n_times)
-    curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=dt)
+    curve = dl.evolve_norm(sys_p, bath, b1, b2, times)
     return curve, tau_p
 
 

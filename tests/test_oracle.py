@@ -14,7 +14,10 @@ import decolab as dl
 from decolab import oracle
 from decolab._linalg import expm_phase
 from decolab.errors import DimensionCapError, FitWindowError, ValidationError, require_finite
-from helpers import frozen_position_curve, momentum_separation_curve, peak_memory_mib
+from helpers import (
+    frozen_position_curve, grid_joint_eigh_norms, joint_eigh_norms, momentum_separation_curve,
+    peak_memory_mib,
+)
 
 
 LARGE_OSCILLATOR_PROBE = textwrap.dedent("""
@@ -23,26 +26,6 @@ LARGE_OSCILLATOR_PROBE = textwrap.dedent("""
     comp = dl.BathComponent("oscillator", 0.5, 1.0, levels=4096)
     dl.bath_statistics(dl.BathModel((comp,), (0,)))
 """)
-
-
-def joint_eigh_norms(sys_s, bath, branches, times):
-    """N_12(t) of a spin in a bath from eigh of the full system x bath H."""
-    hbar = sys_s.hbar
-    ops = dl.build_bath_operators(bath, hbar)
-    jx, _, jz = dl.spin_matrices(sys_s.j, hbar)
-    dim_s = jx.shape[0]
-    h = (
-        sys_s.omega * np.kron(jz, np.eye(bath.dimension))
-        + np.kron(np.eye(dim_s), np.diag(ops.H_res))
-        + np.kron(jx, ops.B)
-    )
-    w, v = np.linalg.eigh(h)
-    starts = [v.conj().T @ np.kron(b / np.linalg.norm(b), ops.initial_state) for b in branches]
-    expected = []
-    for t in times:
-        a1, a2 = ((v @ (np.exp(-1j * w * t / hbar) * c)).reshape(dim_s, -1) for c in starts)
-        expected.append(np.sum(np.abs(a1 @ a2.conj().T) ** 2))
-    return expected
 
 
 class TestBathModel:
@@ -351,37 +334,6 @@ class TestBathOperators:
         )
 
 
-def _unmerged_strang_norms(sys_p, bath, branch1, branch2, times, dt):
-    """Reference split step: system-major (branch, grid, bath) states on the
-    full joint bath, each Strang step applying both of its half-potentials."""
-    ops = dl.build_bath_operators(bath, sys_p.hbar)
-    q = sys_p.grid.points
-    k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys_p.grid.spacing)
-    eye_b = np.eye(bath.dimension)
-    h_res = np.diag(ops.H_res)
-    h = sys_p.potential()[:, None, None] * eye_b + q[:, None, None] * ops.B + h_res
-    w, v = np.linalg.eigh(h)
-    psi = np.multiply.outer(np.stack([branch1, branch2]), ops.initial_state)
-    norms, t_prev = [], 0.0
-    for t in times:
-        span = t - t_prev
-        if span > 0:
-            n_steps = max(1, math.ceil(span / dt))
-            delta = span / n_steps
-            kin = np.exp(-1j * sys_p.hbar * k ** 2 * delta / (2.0 * sys_p.mass))[:, None]
-            phase = np.exp(-0.5j * w * delta / sys_p.hbar)[:, None, :]
-            u = (v * phase) @ v.conj().swapaxes(-1, -2)
-
-            def half(x):
-                return (u @ x[..., None])[..., 0]
-
-            for _ in range(n_steps):
-                psi = half(np.fft.ifft(kin * np.fft.fft(half(psi), axis=-2), axis=-2))
-        t_prev = t
-        norms.append(np.sum(np.abs(psi[0] @ psi[1].conj().T) ** 2))
-    return np.array(norms)
-
-
 def _distinct_spins(m):
     """m spin-halves with generic couplings: B has 2^m distinct eigenvalues."""
     gs = np.random.default_rng(5).uniform(0.5, 1.5, m) / math.sqrt(m)
@@ -434,6 +386,29 @@ class TestSizeLimits:
         with pytest.raises(DimensionCapError, match=f"pointer overlaps would hold {1 << 24}"):
             dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(2, 1.0),
                            branch, branch, [0.1])
+
+    def test_dynamic_grid_state(self):
+        # 64 grid points x 2^16 levels of distinct spins
+        grid = dl.PositionGrid(-4.0, 4.0, 64)
+        b1, _ = dl.position_eigenstate(grid, 1.0)
+        bath = dl.spin_bath(16, 1.0, omegas=list(np.linspace(0.5, 1.5, 16)))
+        with pytest.raises(DimensionCapError, match=f"dynamic grid state would hold {1 << 22}"):
+            dl.evolve_norm(dl.GridParticle(grid, 1.0), bath, b1, b1, [0.1])
+
+    @pytest.mark.parametrize("backend", ["krylov", "grid"])
+    def test_chebyshev_order(self, backend):
+        # one span of 1e15 would take about 2e15 Bessel coefficients
+        bath = dl.spin_bath(2, 1.0, omegas=1.0)
+        if backend == "krylov":
+            sys_s = dl.SpinSystem(1.5, 1.0)
+            a = dl.coherent_vector(dl.SpinCoherent(1.5, 1.0))
+            b = dl.coherent_vector(dl.SpinCoherent(1.5, -1.0))
+        else:
+            grid = dl.PositionGrid(-4.0, 4.0, 16)
+            sys_s = dl.GridParticle(grid, 1.0)
+            (a, _), (b, _) = dl.position_eigenstate(grid, 1.0), dl.position_eigenstate(grid, -1.0)
+        with pytest.raises(DimensionCapError, match="Chebyshev coefficients"):
+            dl.evolve_norm(sys_s, bath, a, b, [1e15])
 
     def test_dicke_factor(self):
         # 5000 equal spins merge into one factor of 5001 levels
@@ -761,9 +736,9 @@ class TestEvolveNorm:
 
     @pytest.mark.parametrize("m", [4, 10])
     def test_dense_path_with_dicke_bath_matches_frozen(self, m):
-        # 4 equal spins: one spin-2 factor of 5 levels in the dense path;
-        # 10 of them (1024 levels as separate spins) only fit the
-        # per-point budget as one spin-5 factor
+        # 4 equal spins: one spin-2 factor of 5 levels on the dynamic grid
+        # path; 10 of them (1024 levels as separate spins) run as one
+        # spin-5 factor of 11 levels
         grid = dl.PositionGrid(-8, 8, 64)
         b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
         b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
@@ -813,50 +788,67 @@ class TestEvolveNorm:
         with pytest.raises(DimensionCapError):
             dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, a, [0.1])
 
-    def test_split_step_converges_in_dt(self):
-        curve_a, tau = momentum_separation_curve(24.0, n_times=5, dt=4e-4)
-        curve_b, _ = momentum_separation_curve(24.0, n_times=5, dt=2e-4)
-        assert np.abs(curve_a.values - curve_b.values).max() < 1e-6
-
-    @pytest.mark.parametrize("omegas", [0.0, 1.0], ids=["static", "dicke"])
-    def test_merged_strang_matches_unmerged_reference(self, omegas):
-        # dt = 0.25 cuts the spans 0.25, 0.5, 0.75 and 0.6 into 1, 2, 3 and
-        # 3 steps, so both end half-steps of short and long spans count; four
-        # equal spins form one Dicke factor on the dynamic path
-        grid = dl.PositionGrid(-8, 8, 64)
-        sys_p = dl.GridParticle(grid, mass=1.0, potential_omega=1.5)
-        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.5, 0.5), grid)
-        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, -0.5, 0.5), grid)
-        bath = dl.spin_bath(4, 1.0, omegas=omegas)
-        times = [0.0, 0.25, 0.75, 1.5, 2.1]
-        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=0.25)
-        expected = _unmerged_strang_norms(sys_p, bath, b1, b2, times, 0.25)
-        assert expected[-1] < 0.9
-        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
-
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
-    def test_merged_strang_matches_unmerged_reference_random(self, data):
-        n = data.draw(st.sampled_from([16, 32, 64]))
+    def test_grid_curve_matches_joint_eigh(self, data):
+        # static, Dicke and mixed oscillator baths on 16-32 points, joint
+        # dimension <= 256; reference: eigh of the full joint H, with the
+        # FFT's kinetic energy written out as a circulant matrix
+        n = data.draw(st.sampled_from([16, 32]))
         grid = dl.PositionGrid(-6, 6, n)
-        omega_p = data.draw(st.one_of(st.none(), st.floats(0.2, 2.0)))
-        sys_p = dl.GridParticle(grid, data.draw(st.floats(0.5, 4.0)), omega_p,
-                                data.draw(st.floats(0.5, 2.0)))
-        m = data.draw(st.integers(1, 4))
-        omegas = data.draw(st.one_of(
-            st.sampled_from([0.0, 1.0]),
-            st.lists(st.sampled_from([0.0, 0.7, 1.3]), min_size=m, max_size=m),
-        ))
-        bath = dl.spin_bath(m, data.draw(st.floats(0.2, 2.0)), omegas=omegas)
+        hbar = data.draw(st.floats(0.5, 2.0))
+        sys_p = dl.GridParticle(grid, data.draw(st.floats(0.5, 4.0)),
+                                data.draw(st.none() | st.floats(0.2, 2.0)), hbar)
+        kind = data.draw(st.sampled_from(["static", "dicke", "mixed"]))
+        max_dim = 256 // n
+        if kind == "mixed":
+            levels = data.draw(st.integers(2, 3))
+            comps = [dl.BathComponent("oscillator", data.draw(st.floats(0.2, 1.0)),
+                                      data.draw(st.floats(0.1, 2.0)), levels)]
+            labels = [data.draw(st.integers(0, levels - 2))]
+            for _ in range(data.draw(st.integers(0, int(math.log2(max_dim // levels))))):
+                comps.append(dl.BathComponent("spin-half", data.draw(st.floats(0.2, 1.0)),
+                                              data.draw(st.sampled_from([0.0, 0.7, 1.3]))))
+                labels.append(data.draw(st.sampled_from(["up", "down"])))
+            bath = dl.BathModel(tuple(comps), tuple(labels))
+        else:
+            m = data.draw(st.integers(1, int(math.log2(max_dim))))
+            omegas = 0.0 if kind == "static" else data.draw(st.floats(0.1, 2.0))
+            bath = dl.spin_bath(m, data.draw(st.floats(0.2, 2.0)), omegas=omegas)
+        assert n * bath.dimension <= 256
         q0 = data.draw(st.floats(0.3, 1.5))
         p0 = data.draw(st.floats(-1.0, 1.0))
-        b1 = dl.grid_packet_state(dl.GaussianPacket(q0, p0, 0.6, sys_p.hbar), grid)
-        b2 = dl.grid_packet_state(dl.GaussianPacket(-q0, -p0, 0.6, sys_p.hbar), grid)
-        times = sorted(data.draw(st.sets(st.floats(0.01, 1.0), min_size=1, max_size=3)))
-        dt = data.draw(st.floats(0.02, 0.3))
-        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=dt)
-        expected = _unmerged_strang_norms(sys_p, bath, b1, b2, times, dt)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(q0, p0, 0.6, hbar), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-q0, -p0, 0.6, hbar), grid)
+        times = sorted(data.draw(st.sets(st.floats(0.01, 2.0), min_size=1, max_size=3)))
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, times)
+        expected = grid_joint_eigh_norms(sys_p, bath, [b1, b2], times)
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dt", [1.0, None])
+    def test_harmonic_grid_is_exact_at_any_dt(self, dt):
+        # one unit span of a harmonic grid particle in a static bath: exact
+        # whatever dt says
+        grid = dl.PositionGrid(-8, 8, 64)
+        sys_p = dl.GridParticle(grid, mass=1.0, potential_omega=1.5)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        bath = dl.spin_bath(3, 1.0)
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, [1.0], dt=dt)
+        assert curve.values[0] == pytest.approx(0.286839142211318, rel=0, abs=1e-12)
+
+    def test_grid_runs_nine_distinct_spins_as_frozen(self):
+        # 64 points x 2^9 bath levels with no Dicke symmetry; a huge mass
+        # leaves only q B + H_res acting, which the frozen path evolves exactly
+        grid = dl.PositionGrid(-8, 8, 64)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
+        bath = dl.spin_bath(9, 1.0, omegas=list(np.linspace(0.6, 1.8, 9)))
+        times = np.linspace(0.0, 1.5, 10)
+        grid_curve = dl.evolve_norm(dl.GridParticle(grid, mass=1e12), bath, b1, b2, times)
+        frozen = dl.evolve_norm(dl.GridParticle(grid, mass=math.inf), bath, b1, b2, times)
+        assert frozen.values[-1] < 0.9
+        np.testing.assert_allclose(grid_curve.values, frozen.values, rtol=0, atol=1e-12)
 
     def test_spin_gaussian_decay_matches_law(self):
         # CLT-converged product of cosines vs the Gaussian law: fitted tau
@@ -941,24 +933,29 @@ class TestEvolveNorm:
         assert a.fingerprint != c.fingerprint
 
     def test_fingerprint_hashes_the_step_used(self):
-        # the exact back ends ignore dt, so it must not move their fingerprints
-        bath = dl.spin_bath(3, 1.0)
+        # every back end is exact in the step size: dt moves no value and no
+        # fingerprint
+        static, dynamic = dl.spin_bath(3, 1.0), dl.spin_bath(3, 1.0, omegas=[0.5, 1.0, 1.5])
         times = np.linspace(0.0, 0.2, 4)
-        spin = dl.SpinSystem(1.0, 0.0)
         s1 = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
         s2 = dl.coherent_vector(dl.SpinCoherent(1.0, -1.0))
         grid = dl.PositionGrid(-8.0, 8.0, 64)
         g1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.0, 0.5), grid)
         g2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, 0.0, 0.5), grid)
-        frozen = dl.GridParticle(grid, mass=math.inf)
-        for sys_p, b1, b2 in ((spin, s1, s2), (frozen, g1, g2)):
+        cases = [
+            (dl.SpinSystem(1.0, 0.0), static, s1, s2),  # pointer
+            (dl.SpinSystem(1.0, 0.7), static, s1, s2),  # static spin
+            (dl.SpinSystem(1.0, 0.7), dynamic, s1, s2),  # Krylov
+            (dl.GridParticle(grid, mass=math.inf), dynamic, g1, g2),  # pointer
+            (dl.GridParticle(grid, mass=1.0), static, g1, g2),  # static grid
+            (dl.GridParticle(grid, mass=1.0), dynamic, g1, g2),  # dynamic grid
+        ]
+        for sys_p, bath, b1, b2 in cases:
             plain = dl.evolve_norm(sys_p, bath, b1, b2, times)
-            stepped = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=0.01)
-            np.testing.assert_array_equal(plain.values, stepped.values)
-            assert plain.fingerprint == stepped.fingerprint
-        split = dl.GridParticle(grid, mass=1.0)
-        fine, coarse = (dl.evolve_norm(split, bath, g1, g2, times, dt=dt) for dt in (0.01, 0.02))
-        assert fine.fingerprint != coarse.fingerprint
+            for dt in (0.01, 1.0):
+                stepped = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=dt)
+                np.testing.assert_array_equal(plain.values, stepped.values)
+                assert plain.fingerprint == stepped.fingerprint
 
 
 FROZEN_MEMORY_PROBE = textwrap.dedent("""
