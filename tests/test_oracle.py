@@ -788,19 +788,38 @@ class TestEvolveNorm:
         with pytest.raises(DimensionCapError):
             dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, a, [0.1])
 
+    # The grid back end was once a merged Strang split step refereed by an
+    # unmerged one; it is now the Chebyshev expansion, and the referee is
+    # eigh of the full joint H, with the FFT's kinetic energy written out as
+    # a circulant matrix.  dt is still passed: it must move no value.
+
+    @pytest.mark.parametrize("omegas", [0.0, 1.0], ids=["static", "dicke"])
+    def test_merged_strang_matches_unmerged_reference(self, omegas):
+        # spans 0.25, 0.5, 0.75 and 0.6 from t = 0; four equal spins form one
+        # Dicke factor on the dynamic path
+        grid = dl.PositionGrid(-8, 8, 64)
+        sys_p = dl.GridParticle(grid, mass=1.0, potential_omega=1.5)
+        b1 = dl.grid_packet_state(dl.GaussianPacket(1.0, 0.5, 0.5), grid)
+        b2 = dl.grid_packet_state(dl.GaussianPacket(-1.0, -0.5, 0.5), grid)
+        bath = dl.spin_bath(4, 1.0, omegas=omegas)
+        times = [0.0, 0.25, 0.75, 1.5, 2.1]
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=0.25)
+        expected = grid_joint_eigh_norms(sys_p, bath, [b1, b2], times)
+        assert expected[-1] < 0.9
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
-    def test_grid_curve_matches_joint_eigh(self, data):
-        # static, Dicke and mixed oscillator baths on 16-32 points, joint
-        # dimension <= 256; reference: eigh of the full joint H, with the
-        # FFT's kinetic energy written out as a circulant matrix
-        n = data.draw(st.sampled_from([16, 32]))
+    def test_merged_strang_matches_unmerged_reference_random(self, data):
+        # static, Dicke, distinct-frequency and mixed oscillator baths on
+        # 16-64 points, joint dimension <= 1024
+        n = data.draw(st.sampled_from([16, 32, 64]))
         grid = dl.PositionGrid(-6, 6, n)
         hbar = data.draw(st.floats(0.5, 2.0))
         sys_p = dl.GridParticle(grid, data.draw(st.floats(0.5, 4.0)),
                                 data.draw(st.none() | st.floats(0.2, 2.0)), hbar)
-        kind = data.draw(st.sampled_from(["static", "dicke", "mixed"]))
-        max_dim = 256 // n
+        kind = data.draw(st.sampled_from(["static", "dicke", "distinct", "mixed"]))
+        max_dim = 1024 // n
         if kind == "mixed":
             levels = data.draw(st.integers(2, 3))
             comps = [dl.BathComponent("oscillator", data.draw(st.floats(0.2, 1.0)),
@@ -812,16 +831,21 @@ class TestEvolveNorm:
                 labels.append(data.draw(st.sampled_from(["up", "down"])))
             bath = dl.BathModel(tuple(comps), tuple(labels))
         else:
-            m = data.draw(st.integers(1, int(math.log2(max_dim))))
-            omegas = 0.0 if kind == "static" else data.draw(st.floats(0.1, 2.0))
+            m = data.draw(st.integers(1, min(4, int(math.log2(max_dim)))))
+            if kind == "distinct":
+                omegas = data.draw(st.lists(st.sampled_from([0.0, 0.7, 1.3]),
+                                            min_size=m, max_size=m))
+            else:
+                omegas = 0.0 if kind == "static" else data.draw(st.floats(0.1, 2.0))
             bath = dl.spin_bath(m, data.draw(st.floats(0.2, 2.0)), omegas=omegas)
-        assert n * bath.dimension <= 256
+        assert n * bath.dimension <= 1024
         q0 = data.draw(st.floats(0.3, 1.5))
         p0 = data.draw(st.floats(-1.0, 1.0))
         b1 = dl.grid_packet_state(dl.GaussianPacket(q0, p0, 0.6, hbar), grid)
         b2 = dl.grid_packet_state(dl.GaussianPacket(-q0, -p0, 0.6, hbar), grid)
         times = sorted(data.draw(st.sets(st.floats(0.01, 2.0), min_size=1, max_size=3)))
-        curve = dl.evolve_norm(sys_p, bath, b1, b2, times)
+        dt = data.draw(st.none() | st.floats(0.02, 0.3))
+        curve = dl.evolve_norm(sys_p, bath, b1, b2, times, dt=dt)
         expected = grid_joint_eigh_norms(sys_p, bath, [b1, b2], times)
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
