@@ -31,9 +31,10 @@ Evolution strategies, by what the Hamiltonian conserves:
   exact; a spin then evolves each column from eigh of H_sys + b_m Jx, a
   grid particle is stepped as below with q B diagonal;
 * otherwise the joint state is stepped by the Chebyshev expansion of its
-  propagator (Tal-Ezer and Kosloff), one sum per sample span cut where its
-  Bessel coefficients fall below 1e-17, which is exact to roundoff in any
-  span: a spin's sparse joint H (the terms span the Krylov space, hence the
+  propagator (Tal-Ezer and Kosloff), one series per chunk of sample times
+  whose terms every sample of the chunk shares, each sample's sum cut where
+  its Bessel coefficients fall below 1e-17, exact to roundoff at any time
+  offset: a spin's sparse joint H (the terms span the Krylov space, hence the
   back end's name), or a grid particle's H = T + V + q B + H_res, with T
   applied by FFT along the contiguous grid axis of a (bath, branch, grid)
   state and a dynamic B as one sparse product on the bath axis.
@@ -41,7 +42,7 @@ Evolution strategies, by what the Hamiltonian conserves:
 The exact back ends (pointer, spin system in a static bath) share one
 sampler of v e^{-i w t / hbar} c over chunks of times, with the times on
 the last axis of each matrix product; the stepped ones share one Chebyshev
-driver and one loop that checks unitarity at every sample.
+driver, which checks unitarity at every sample.
 
 The two back ends that hold a dynamic joint bath state (Krylov and the
 dynamic-bath grid) use the bath's permutation symmetry: spin-halves with
@@ -85,8 +86,8 @@ DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static back ends
 JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, grid
 STACK_BUDGET = 1 << 22           # per-eigenvalue or per-pointer matrix stack: static spin, pointer
-CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev span: Krylov, grid
-SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack of the eigen-phase sampler
+CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: Krylov, grid
+SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack or Chebyshev coefficient table
 UNITARITY_DRIFT = 1e-8
 
 
@@ -558,86 +559,102 @@ def _sparse_bath_ops(factors, hbar):
     return b_sp, hbar * diag
 
 
-def _propagate(times, branch1, branch2, bath_state, advance):
-    """Step psi = branch_k (x) bath_state (branches on axis 0, system x bath
-    matrices) by advance(psi, span > 0); reduce it and check each branch
-    stays at unit norm at every sample."""
-    psi = np.multiply.outer(np.stack([branch1, branch2]), bath_state)
-    norms = np.empty(times.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        span = t - t_prev
-        if span > 0:
-            psi = advance(psi, span)
-        t_prev = t
-        drift = np.abs(np.linalg.norm(psi.reshape(2, -1), axis=1) - 1.0).max()
-        if drift > UNITARITY_DRIFT:
-            raise StepSizeError(f"unitarity drift {drift:.3g}")
-        norms[i] = _sandwich_norm(psi[0], psi[1])
-    return norms
+def _chebyshev_top(r):
+    """Where Miller's recurrence for J_k(r) starts: past the Airy turning region k ~ r + r^(1/3)."""
+    return r + 20.0 * r ** (1.0 / 3.0) + 40.0
 
 
 def _bessel_j(r):
-    """J_0(r), ..., J_K(r) for r >= 0, K the last order with |J_K(r)| >= 1e-17.
+    """Table of J_k(r_i) for r_i >= 0 (row i, order k) and each row's order K_i.
 
+    K_i is the last order with |J_k(r_i)| >= 1e-17; a row is zero past it.
     Miller's backward recurrence, run on the ratios J_k / J_{k-1} =
     r / (2k - r J_{k+1} / J_k) so that no step overflows (2k / r does as
-    r -> 0), started at J_{top+1} = 0 past the Airy turning region
-    k ~ r + r^(1/3), where J_top is negligible, and normalized by
+    r -> 0), started for every row at J_{top+1} = 0 with top =
+    _chebyshev_top(max r), where J_top is negligible, and normalized by
     J_0 + 2 sum_k J_2k = 1.  More than CHEBYSHEV_ORDER_LIMIT ratios are
     refused before they are allocated.
     """
-    top = r + 20.0 * r ** (1.0 / 3.0) + 40.0
+    top = _chebyshev_top(r.max())
     _check_entries("Chebyshev coefficients", top, CHEBYSHEV_ORDER_LIMIT)
-    ratios = np.empty(int(top))
-    ratio = 0.0
-    for k in range(ratios.size, 0, -1):
+    ratios = np.empty((int(top), r.size))
+    ratio = np.zeros(r.size)
+    for k in range(int(top), 0, -1):
         ratio = r / (2.0 * k - r * ratio)
         ratios[k - 1] = ratio
-    j = np.concatenate(([1.0], np.cumprod(ratios)))  # J_k / J_0
-    j /= j[0] + 2.0 * j[2::2].sum()
-    return j[:np.flatnonzero(np.abs(j) >= 1e-17)[-1] + 1]
+    j = np.vstack((np.ones(r.size), np.cumprod(ratios, axis=0)))  # J_k / J_0
+    j /= j[0] + 2.0 * j[2::2].sum(axis=0)
+    orders = j.shape[0] - 1 - np.argmax(np.abs(j[::-1]) >= 1e-17, axis=0)
+    j[np.arange(j.shape[0])[:, None] > orders] = 0.0
+    return j[:orders.max() + 1].T, orders
 
 
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, by k mod 4
 
 
-def _chebyshev_advance(operator, lo, hi, hbar, axes):
-    """advance(psi, span) = exp(-i H span / hbar) psi for a Hermitian H with spectrum in [lo, hi].
+def _spectral_scale(lo, hi):
+    """(mid, hw) mapping a Hermitian H with spectrum in [lo, hi] to h~ = (H - mid) / hw
+    with spectrum in [-1, 1]; the shift is a global phase, which cancels in every norm."""
+    return 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)  # scalar H: R = 0
 
-    Tal-Ezer and Kosloff's expansion.  H is shifted by the midpoint of
-    [lo, hi] (a global phase, which cancels in every norm) and scaled by the
-    half-width hw to h~ with spectrum in [-1, 1]: operator(mid, hw) returns
-    apply(x, out), which returns h~ x, written into the buffer out (never x)
-    where it can.  A span is sum_k (2 - delta_k0) (-i)^k J_k(R) T_k(h~) psi
-    with R = hw span / hbar, the T_k psi built by the three-term recurrence
-    T_{k+1} = 2 h~ T_k - T_{k-1} in three rotating buffers and the sum cut
-    where |J_k(R)| < 1e-17.  The recurrence runs on psi.transpose(axes),
-    made contiguous, and hands its result back through the inverse
-    transpose, so the next span takes that array over without a copy.
+
+def _chebyshev_advance(times, branch1, branch2, bath_state, apply, hw, hbar, axes):
+    """N_12(times) from psi = branch_k (x) bath_state (branches on axis 0,
+    system x bath matrices) under exp(-i H t / hbar), checking each branch
+    stays at unit norm at every sample.
+
+    Tal-Ezer and Kosloff's expansion, one series per chunk of sample times,
+    for h~ = (H - mid) / hw of _spectral_scale: apply(x, out) writes h~ x
+    into the buffer out (never x).  From the state psi at a chunk's start, the
+    terms T_k(h~) psi of the recurrence T_{k+1} = 2 h~ T_k - T_{k-1} are
+    built once and shared: the sample at offset tau_i is sum_k (2 - delta_k0)
+    (-i)^k J_k(hw tau_i / hbar) T_k psi, each row of coefficients cut where
+    |J_k| < 1e-17.  The last B >= 3 terms are held in a ring, which is also
+    the recurrence's buffer; every B terms are added, as one matrix product,
+    to the samples whose series still runs, a suffix since times ascend.  A
+    chunk holds at least one time and ends before its accumulators or its
+    coefficient table would pass SAMPLE_BUDGET entries, or its next offset's
+    recurrence would pass CHEBYSHEV_ORDER_LIMIT; the next chunk starts from
+    its last sample.  The recurrence runs on psi.transpose(axes), made
+    contiguous, and each sample is reduced through the inverse transpose.
     """
-    hw = max(0.5 * (hi - lo), np.finfo(float).tiny)  # a scalar H gives R = 0
-    apply = operator(0.5 * (lo + hi), hw)
+    shape = tuple(((2,) + branch1.shape + bath_state.shape)[a] for a in axes)
     inverse = np.argsort(axes)
-
-    def advance(psi, span):
-        coef = _bessel_j(float(hw * span / hbar))
-        coef = coef * _MINUS_I_POWERS[np.arange(coef.size) % 4]
-        coef[1:] *= 2.0
-        prev = np.ascontiguousarray(psi.transpose(axes))  # T_0 psi
-        out = coef[0] * prev
-        if coef.size > 1:
-            cur, spare = apply(prev, np.empty_like(prev)), np.empty_like(prev)
-            out += coef[1] * cur
-            for c in coef[2:]:
-                nxt = apply(cur, spare)
-                nxt *= 2.0
-                nxt -= prev
-                prev, cur, spare = cur, nxt, prev
-                out += c * cur
-        return out.transpose(inverse)
-
-    return advance
+    rows = max(1, SAMPLE_BUDGET // math.prod(shape))  # accumulators per chunk
+    ring = np.empty((max(3, rows),) + shape, dtype=complex)
+    ring[0] = np.multiply.outer(np.stack([branch1, branch2]), bath_state).transpose(axes)
+    acc = np.empty((min(rows, times.size), ring[0].size), dtype=complex)
+    norms, start, t0 = np.empty(times.size), 0, 0.0
+    while start < times.size:
+        r = hw * (times[start:start + rows] - t0) / hbar
+        tops = _chebyshev_top(r)
+        fits = (np.arange(1, r.size + 1) * tops <= SAMPLE_BUDGET) & (tops <= CHEBYSHEV_ORDER_LIMIT)
+        coef, orders = _bessel_j(r[:max(1, int(np.cumprod(fits).sum()))])
+        coef = coef * _MINUS_I_POWERS[np.arange(coef.shape[1]) % 4]
+        coef[:, 1:] *= 2.0
+        chunk = acc[:orders.size]
+        chunk[:] = 0.0
+        for k in range(coef.shape[1]):
+            slot = k % len(ring)
+            if k > 0:
+                apply(ring[(k - 1) % len(ring)], ring[slot])
+            if k > 1:
+                ring[slot] *= 2.0
+                ring[slot] -= ring[(k - 2) % len(ring)]
+            if slot == len(ring) - 1 or k == coef.shape[1] - 1:  # add the terms k0..k
+                k0 = k - slot
+                first = int(np.argmax(orders >= k0))  # the samples whose series still runs
+                chunk[first:] += coef[first:, k0:k + 1] @ ring[:slot + 1].reshape(slot + 1, -1)
+        for i, state in enumerate(chunk, start):
+            psi = np.ascontiguousarray(state.reshape(shape).transpose(inverse))
+            drift = max(abs(np.linalg.norm(branch) - 1.0) for branch in psi)
+            if drift > UNITARITY_DRIFT:
+                raise StepSizeError(f"unitarity drift {drift:.3g}")
+            norms[i] = _sandwich_norm(psi[0], psi[1])
+        ring[0] = chunk[-1].reshape(shape)
+        start += orders.size
+        t0 = times[start - 1]
+    return norms
 
 
 def _spin_sparse_curve(sys, bath, branch1, branch2, times):
@@ -660,15 +677,14 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     )
     diag = h.diagonal().real
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-
-    def operator(mid, hw):
-        h_scaled = ((h - mid * scipy.sparse.identity(h.shape[0])) / hw).tocsr()
-        return lambda x, out: (h_scaled @ x.reshape(h.shape[0], -1)).reshape(x.shape)
-
-    advance = _chebyshev_advance(operator, np.min(diag - radius), np.max(diag + radius),
-                                 sys.hbar, axes=(1, 2, 0))
+    mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius))
+    h = h - mid * scipy.sparse.identity(len(diag), format="csr")  # h~ replaces H: one copy
+    h.data /= hw
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-    return _propagate(times, branch1, branch2, chi0, advance)
+    return _chebyshev_advance(
+        times, branch1, branch2, chi0,
+        lambda x, out: np.copyto(out, (h @ x.reshape(len(diag), -1)).reshape(x.shape)),
+        hw, sys.hbar, axes=(1, 2, 0))
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -729,23 +745,18 @@ def _grid_curve(sys, bath, branch1, branch2, times):
     k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys.grid.spacing)
     kin = (sys.hbar * k) ** 2 / (2.0 * sys.mass)
 
-    def operator(mid, hw):
-        kin_s, diag_s, q_s = kin / hw, ((diag - mid) / hw)[:, None, :], q / hw
+    mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius) + kin.max())
+    kin_s, diag_s, q_s = kin / hw, ((diag - mid) / hw)[:, None, :], q / hw
 
-        def apply(x, out):
-            np.fft.fft(x, axis=-1, out=out)
-            out *= kin_s
-            np.fft.ifft(out, axis=-1, out=out)
-            out += diag_s * x
-            if b_sp is not None:
-                out += q_s * (b_sp @ x.reshape(x.shape[0], -1)).reshape(x.shape)
-            return out
+    def apply(x, out):
+        np.fft.fft(x, axis=-1, out=out)
+        out *= kin_s
+        np.fft.ifft(out, axis=-1, out=out)
+        out += diag_s * x
+        if b_sp is not None:
+            out += q_s * (b_sp @ x.reshape(x.shape[0], -1)).reshape(x.shape)
 
-        return apply
-
-    advance = _chebyshev_advance(operator, np.min(diag - radius),
-                                 np.max(diag + radius) + kin.max(), sys.hbar, axes=(2, 0, 1))
-    return _propagate(times, branch1, branch2, chi0, advance)
+    return _chebyshev_advance(times, branch1, branch2, chi0, apply, hw, sys.hbar, axes=(2, 0, 1))
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -767,6 +778,8 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 
     The back end follows what is conserved (see the module docstring): an
     infinite mass or omega == 0 conserves the coupling operator (pointers).
+    A finite-mass grid particle costs about hw t_total / hbar applications
+    of H, hw dominated by hbar^2 k_max^2 / 2M with k_max = pi / spacing.
     """
     times = _check_times(times)
     if dt is not None:

@@ -157,14 +157,15 @@ def momentum_amplitude(packet, p):
 
     Convention: phi~(p) = (2 pi hbar)^(-1/2) * integral dq e^{-i p q / hbar} phi(q),
     which evaluates to
-    (2 pi sigma)^(1/4) (pi hbar)^(-1/2) e^{-i p q0 / hbar} e^{-sigma (p - p0)^2 / hbar^2}.
+    (2 pi sigma)^(1/4) (pi hbar)^(-1/2) e^{-i p q0 / hbar} e^{-sigma ((p - p0) / hbar)^2},
+    the envelope scaled by hbar before squaring so that hbar^2 cannot underflow.
     """
     require_real_array(p=p)
     p = np.asarray(p, dtype=float)
     norm = (2.0 * np.pi * packet.sigma) ** 0.25 / np.sqrt(np.pi * packet.hbar)
     with np.errstate(all="ignore"):  # a phase p q0 / hbar past float64 gives NaN
         phi = norm * np.exp(-1j * p * packet.q0 / packet.hbar) * np.exp(
-            -packet.sigma * (p - packet.p0) ** 2 / packet.hbar ** 2)
+            -packet.sigma * ((p - packet.p0) / packet.hbar) ** 2)
     require_finite(amplitude=phi)
     return phi
 

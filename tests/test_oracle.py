@@ -982,6 +982,96 @@ class TestEvolveNorm:
                 assert plain.fingerprint == stepped.fingerprint
 
 
+class TestChebyshevChunks:
+    """The stepped back ends' one Chebyshev series per chunk of sample times,
+    refereed by eigh of the full joint H."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_chunked_series_match_joint_eigh(self, data):
+        # the Krylov spin, the static-bath grid or the dynamic-bath grid, at
+        # irregular times with and without t = 0 and with a run of offsets in
+        # [1e-300, 1e-150].  A drawn SAMPLE_BUDGET of at most 160 entries
+        # holds at most 4 times of >= 40 coefficients, so 8 or more times
+        # cross several chunks and the ring (budget // state entries, at
+        # least 3 terms) wraps and flushes partial blocks
+        backend = data.draw(st.sampled_from(["krylov", "grid-static", "grid-dynamic"]))
+        hbar = data.draw(st.floats(0.5, 2.0))
+        m = data.draw(st.integers(1, 3))
+        omegas = data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+        if backend == "krylov":
+            j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+            sys_x = dl.SpinSystem(j, data.draw(st.floats(0.2, 1.5)), hbar)
+            amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+            vectors = st.lists(amp, min_size=int(2 * j) + 1, max_size=int(2 * j) + 1).map(
+                np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+            branches = [data.draw(vectors), data.draw(vectors)]
+            referee = joint_eigh_norms
+        else:
+            grid = dl.PositionGrid(-6, 6, data.draw(st.sampled_from([16, 32])))
+            sys_x = dl.GridParticle(grid, data.draw(st.floats(1.0, 4.0)),
+                                    data.draw(st.none() | st.floats(0.2, 2.0)), hbar)
+            q0, p0 = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(-1.0, 1.0))
+            branches = [dl.grid_packet_state(dl.GaussianPacket(s * q0, s * p0, 0.6, hbar), grid)
+                        for s in (1, -1)]
+            omegas = 0.0 if backend == "grid-static" else omegas
+            referee = grid_joint_eigh_norms
+        bath = dl.spin_bath(m, data.draw(st.floats(0.2, 2.0)), omegas=omegas)
+        times = [0.0] if data.draw(st.booleans()) else []
+        times += sorted(data.draw(st.sets(st.floats(1e-300, 1e-150), max_size=3)))
+        spans = data.draw(st.lists(st.floats(0.005, 0.2) | st.floats(1.0, 3.0),
+                                   min_size=8, max_size=30))
+        times += list(np.cumsum(spans))
+        budget = data.draw(st.none() | st.integers(1, 160))
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(oracle, "SAMPLE_BUDGET", budget)
+            curve = dl.evolve_norm(sys_x, bath, branches[0], branches[1], times)
+        expected = referee(sys_x, bath, branches, times)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+    # hw = 3.95 for this spin and bath: a span of 15 gives R = 59, whose
+    # series starts at 177 ratios, and t = 150 in one span would need 929
+    ORDER_LIMIT = 200
+    SPIN, BATH = dl.SpinSystem(1.0, 0.7), dl.spin_bath(3, 1.0, omegas=[0.5, 1.0, 1.5])
+    BRANCHES = [dl.coherent_vector(dl.SpinCoherent(1.0, alpha)) for alpha in (1.0, -1.0 + 0.5j)]
+
+    def test_curve_past_the_order_limit_runs_one_span_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHEBYSHEV_ORDER_LIMIT", self.ORDER_LIMIT)
+        times = np.linspace(0.0, 150.0, 11)
+        curve = dl.evolve_norm(self.SPIN, self.BATH, *self.BRANCHES, times)
+        expected = joint_eigh_norms(self.SPIN, self.BATH, self.BRANCHES, times)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+    def test_one_span_past_the_order_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHEBYSHEV_ORDER_LIMIT", self.ORDER_LIMIT)
+        with pytest.raises(DimensionCapError, match="Chebyshev coefficients"):
+            dl.evolve_norm(self.SPIN, self.BATH, *self.BRANCHES, [0.0, 150.0])
+
+
+KRYLOV_MEMORY_PROBE = textwrap.dedent("""
+    import numpy as np
+    import decolab as dl
+
+    bath = dl.spin_bath(382, 1.0, omegas=[0.5] * 127 + [0.9] * 255)
+    a = dl.coherent_vector(dl.SpinCoherent(1.5, 1.0))
+    b = dl.coherent_vector(dl.SpinCoherent(1.5, -1.0))
+    dl.evolve_norm(dl.SpinSystem(1.5, 0.1), bath, a, b, np.linspace(0.0, 0.01, 40))
+""")
+
+
+class TestKrylovMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_chunked_series_stay_within_the_per_span_driver(self):
+        # two Dicke factors of 128 and 256 levels: a joint state of 4 x 2^15
+        # per branch, 2^18 entries (4 MiB) for both, one time per chunk.
+        # The per-span driver (a scaled copy of H, six states) peaked at
+        # 123.8 MiB (numpy 2.4, scipy 1.17, x86-64 Linux); this driver's
+        # ring of 3 reads 112 MiB, a 16-term ring 134 MiB and one
+        # accumulator per time 424 MiB
+        assert peak_memory_mib(KRYLOV_MEMORY_PROBE) <= 124
+
+
 FROZEN_MEMORY_PROBE = textwrap.dedent("""
     import numpy as np
     import decolab as dl

@@ -130,8 +130,16 @@ class TestMomentumAmplitude:
         pk, p = FORMULA_CASES[case]
         expected = ((2.0 * np.pi * pk.sigma) ** 0.25 / np.sqrt(np.pi * pk.hbar)
                     * np.exp(-1j * p * pk.q0 / pk.hbar)
-                    * np.exp(-pk.sigma * (p - pk.p0) ** 2 / pk.hbar ** 2))
+                    * np.exp(-pk.sigma * ((p - pk.p0) / pk.hbar) ** 2))
         assert np.array_equal(dl.momentum_amplitude(pk, p), expected)
+
+    def test_envelope_survives_an_underflowing_hbar_squared(self):
+        # hbar^2 = 1e-400 underflows to 0: the envelope is scaled by hbar
+        # before squaring, so p = p0 gives e^0 = 1 and not 0 / 0
+        pk = dl.GaussianPacket(0.0, 0.0, 1.0, hbar=1e-200)
+        amp = dl.momentum_amplitude(pk, [0.0, 2.0])
+        peak = (2.0 * np.pi) ** 0.25 / np.sqrt(np.pi * 1e-200)
+        assert amp[0] == pytest.approx(peak, rel=1e-15) and amp[1] == 0.0
 
     def test_non_finite_p_rejected(self):
         pk = dl.GaussianPacket(0.0, 0.0, 1.0)
