@@ -32,12 +32,13 @@ Evolution strategies, by what the Hamiltonian conserves:
   grid particle is stepped as below with q B diagonal;
 * otherwise the joint state is stepped by the Chebyshev expansion of its
   propagator (Tal-Ezer and Kosloff), one series per chunk of sample times
-  whose terms every sample of the chunk shares, each sample's sum cut where
-  its Bessel coefficients fall below 1e-17, exact to roundoff at any time
-  offset: a spin's sparse joint H (the terms span the Krylov space, hence the
-  back end's name), or a grid particle's H = T + V + q B + H_res, with T
-  applied by FFT along the contiguous grid axis of a (bath, branch, grid)
-  state and a dynamic B as one sparse product on the bath axis.
+  whose terms S_k = (-i)^k T_k(h~) psi every sample of the chunk shares,
+  each sample their real combination with coefficients 2 J_k, cut where
+  these fall below 1e-17, exact to roundoff at any time offset: a spin's
+  sparse joint H (the terms span the Krylov space, hence the back end's
+  name), or a grid particle's H = T + V + q B + H_res, with T applied by
+  FFT along the contiguous grid axis of a (bath, branch, grid) state and a
+  dynamic B as one sparse product on the bath axis.
 
 The exact back ends (pointer, spin system in a static bath) share one
 sampler of v e^{-i w t / hbar} c over chunks of times, with the times on
@@ -87,7 +88,7 @@ MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static ba
 JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, grid
 STACK_BUDGET = 1 << 22           # per-eigenvalue or per-pointer matrix stack: static spin, pointer
 CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: Krylov, grid
-SAMPLE_BUDGET = 1 << 16          # entries per time-chunk stack or Chebyshev coefficient table
+SAMPLE_BUDGET = 1 << 17          # entries per time-chunk stack or Chebyshev coefficient table
 UNITARITY_DRIFT = 1e-8
 
 
@@ -449,10 +450,11 @@ def _normalized_branch(vec, dim, name):
     v = np.asarray(vec, dtype=complex).ravel()
     if v.size != dim:
         raise ValidationError(f"{name} has length {v.size}, expected {dim}")
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    peak = np.abs(v).max()
+    if peak == 0:
         raise ValidationError(f"{name} is the zero vector")
-    return v / norm
+    v = v / peak  # so the norm neither overflows nor underflows
+    return v / np.linalg.norm(v)
 
 
 def _check_times(times):
@@ -492,13 +494,15 @@ def _eigen_phase_chunks(times, hbar, eigen, entries_per_time):
     c.shape + (ts.size,): times on the last axis, so each block of v is one
     matrix product with all the chunk's times, not one per time.  A chunk
     holds SAMPLE_BUDGET // entries_per_time times (at least one), bounding
-    the caller's largest stack.
+    the caller's largest stack.  A real v takes half the flops of a complex one.
     """
     step = max(1, SAMPLE_BUDGET // entries_per_time)
     for start in range(0, times.size, step):
         ts = times[start:start + step]
-        yield (v @ (np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
-               for w, v, c in eigen)
+        phased = ((v, np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
+                  for w, v, c in eigen)
+        # a real v multiplies the float view: real and imaginary parts interleave along t
+        yield ((v @ x.view(float)).view(complex) if np.isrealobj(v) else v @ x for v, x in phased)
 
 
 def _spin_static_curve(sys, bath, branch1, branch2, times):
@@ -507,7 +511,8 @@ def _spin_static_curve(sys, bath, branch1, branch2, times):
     bvals, weights = bath_eigen_decomposition(bath)
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
     _check_entries("static spin eigenvector stack", bvals.size * jx.size, STACK_BUDGET)
-    w, v = np.linalg.eigh(sys.omega * jz + bvals[:, None, None] * jx)
+    # Omega Jz + b_m Jx is real symmetric in the Jz basis: v is real
+    w, v = np.linalg.eigh(sys.omega * jz.real + bvals[:, None, None] * jx.real)
     c = _dagger(v) @ np.stack([branch1, branch2], axis=-1)
     c = (np.sqrt(weights)[:, None, None] * c).transpose(2, 0, 1)  # (branch, M, d)
     # w gains the branch axis; psi is (branch, M, d, t), the sandwich (t, d, M).
@@ -536,10 +541,15 @@ def _bath_factors(bath, dicke=True):
                             comp.initial_vector(label)))
             continue
         _check_entries("Dicke factor coupling operator", (k + 1) ** 2, DENSE_BATH_LIMIT ** 2)
-        jx, _, jz = spin_matrices(0.5 * k)
+        # spin_matrices' basis, m = k/2, ..., -k/2, written directly: 2g Jx is real
+        # tridiagonal, g sqrt(j(j+1) - m(m+1)) between m and m + 1, and Jz is m
+        j, m = 0.5 * k, 0.5 * k - np.arange(k + 1)
+        ladder, n = comp.g * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), np.arange(k)
+        coupling = np.zeros((k + 1, k + 1))
+        coupling[n, n + 1] = coupling[n + 1, n] = ladder
         vec = np.zeros(k + 1, dtype=complex)
         vec[0 if label == "up" else k] = 1.0
-        factors.append((2.0 * comp.g * jx, comp.omega * jz.diagonal().real, vec))
+        factors.append((coupling, comp.omega * m, vec))
     return factors
 
 
@@ -589,34 +599,33 @@ def _bessel_j(r):
     return j[:orders.max() + 1].T, orders
 
 
-_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, by k mod 4
-
-
 def _spectral_scale(lo, hi):
     """(mid, hw) mapping a Hermitian H with spectrum in [lo, hi] to h~ = (H - mid) / hw
     with spectrum in [-1, 1]; the shift is a global phase, which cancels in every norm."""
     return 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)  # scalar H: R = 0
 
 
-def _chebyshev_advance(times, branch1, branch2, bath_state, apply, hw, hbar, axes):
+def _chebyshev_advance(times, branch1, branch2, bath_state, step, hw, hbar, axes):
     """N_12(times) from psi = branch_k (x) bath_state (branches on axis 0,
     system x bath matrices) under exp(-i H t / hbar), checking each branch
     stays at unit norm at every sample.
 
     Tal-Ezer and Kosloff's expansion, one series per chunk of sample times,
-    for h~ = (H - mid) / hw of _spectral_scale: apply(x, out) writes h~ x
-    into the buffer out (never x).  From the state psi at a chunk's start, the
-    terms T_k(h~) psi of the recurrence T_{k+1} = 2 h~ T_k - T_{k-1} are
-    built once and shared: the sample at offset tau_i is sum_k (2 - delta_k0)
-    (-i)^k J_k(hw tau_i / hbar) T_k psi, each row of coefficients cut where
-    |J_k| < 1e-17.  The last B >= 3 terms are held in a ring, which is also
-    the recurrence's buffer; every B terms are added, as one matrix product,
-    to the samples whose series still runs, a suffix since times ascend.  A
-    chunk holds at least one time and ends before its accumulators or its
-    coefficient table would pass SAMPLE_BUDGET entries, or its next offset's
-    recurrence would pass CHEBYSHEV_ORDER_LIMIT; the next chunk starts from
-    its last sample.  The recurrence runs on psi.transpose(axes), made
-    contiguous, and each sample is reduced through the inverse transpose.
+    for h~ = (H - mid) / hw of _spectral_scale, run on the terms
+    S_k = (-i)^k T_k(h~) psi: S_1 = -i h~ S_0 and S_{k+1} = -2i h~ S_k + S_{k-1},
+    where step(x, prev, out) writes -2i h~ x + prev into the buffer out (never
+    x or prev).  From the state psi = S_0 at a chunk's start the terms are
+    built once and shared: the sample at offset tau_i is the real-coefficient
+    sum_k (2 - delta_k0) J_k(hw tau_i / hbar) S_k, each row of coefficients
+    cut where |J_k| < 1e-17.  The last B >= 3 terms are held in a ring, which
+    is also the recurrence's buffer; every B terms are added, as one real
+    matrix product on float views, to the samples whose series still runs, a
+    suffix since times ascend.  A chunk holds at least one time and ends
+    before its accumulators or its coefficient table would pass
+    SAMPLE_BUDGET entries, or its next offset's recurrence would pass
+    CHEBYSHEV_ORDER_LIMIT; the next chunk starts from its last sample.  The
+    recurrence runs on psi.transpose(axes), made contiguous, and each sample
+    is reduced through the inverse transpose.
     """
     shape = tuple(((2,) + branch1.shape + bath_state.shape)[a] for a in axes)
     inverse = np.argsort(axes)
@@ -630,21 +639,22 @@ def _chebyshev_advance(times, branch1, branch2, bath_state, apply, hw, hbar, axe
         tops = _chebyshev_top(r)
         fits = (np.arange(1, r.size + 1) * tops <= SAMPLE_BUDGET) & (tops <= CHEBYSHEV_ORDER_LIMIT)
         coef, orders = _bessel_j(r[:max(1, int(np.cumprod(fits).sum()))])
-        coef = coef * _MINUS_I_POWERS[np.arange(coef.shape[1]) % 4]
         coef[:, 1:] *= 2.0
         chunk = acc[:orders.size]
         chunk[:] = 0.0
         for k in range(coef.shape[1]):
             slot = k % len(ring)
-            if k > 0:
-                apply(ring[(k - 1) % len(ring)], ring[slot])
-            if k > 1:
-                ring[slot] *= 2.0
-                ring[slot] -= ring[(k - 2) % len(ring)]
+            if k == 1:  # S_1 = (-2i h~ S_0 + 0) / 2; slot 2 is free until k = 2
+                ring[2] = 0.0
+                step(ring[0], ring[2], ring[1])
+                ring[1] *= 0.5
+            elif k > 1:
+                step(ring[(k - 1) % len(ring)], ring[(k - 2) % len(ring)], ring[slot])
             if slot == len(ring) - 1 or k == coef.shape[1] - 1:  # add the terms k0..k
                 k0 = k - slot
                 first = int(np.argmax(orders >= k0))  # the samples whose series still runs
-                chunk[first:] += coef[first:, k0:k + 1] @ ring[:slot + 1].reshape(slot + 1, -1)
+                terms = ring[:slot + 1].reshape(slot + 1, -1).view(float)
+                chunk.view(float)[first:] += coef[first:, k0:k + 1] @ terms
         for i, state in enumerate(chunk, start):
             psi = np.ascontiguousarray(state.reshape(shape).transpose(inverse))
             drift = max(abs(np.linalg.norm(branch) - 1.0) for branch in psi)
@@ -678,13 +688,15 @@ def _spin_sparse_curve(sys, bath, branch1, branch2, times):
     diag = h.diagonal().real
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
     mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius))
-    h = h - mid * scipy.sparse.identity(len(diag), format="csr")  # h~ replaces H: one copy
-    h.data /= hw
+    h = h - mid * scipy.sparse.identity(len(diag), format="csr")  # -2i h~ replaces H: one copy
+    h.data *= -2j / hw
     chi0 = reduce(np.kron, [chi for _, _, chi in factors])
-    return _chebyshev_advance(
-        times, branch1, branch2, chi0,
-        lambda x, out: np.copyto(out, (h @ x.reshape(len(diag), -1)).reshape(x.shape)),
-        hw, sys.hbar, axes=(1, 2, 0))
+
+    def step(x, prev, out):
+        n = len(diag)
+        np.add(h @ x.reshape(n, -1), prev.reshape(n, -1), out=out.reshape(n, -1))
+
+    return _chebyshev_advance(times, branch1, branch2, chi0, step, hw, sys.hbar, axes=(1, 2, 0))
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -746,17 +758,19 @@ def _grid_curve(sys, bath, branch1, branch2, times):
     kin = (sys.hbar * k) ** 2 / (2.0 * sys.mass)
 
     mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius) + kin.max())
-    kin_s, diag_s, q_s = kin / hw, ((diag - mid) / hw)[:, None, :], q / hw
+    scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
+    kin_s, diag_s, q_s = scale * kin, (scale * (diag - mid))[:, None, :], scale * q
 
-    def apply(x, out):
+    def step(x, prev, out):
         np.fft.fft(x, axis=-1, out=out)
         out *= kin_s
         np.fft.ifft(out, axis=-1, out=out)
         out += diag_s * x
         if b_sp is not None:
             out += q_s * (b_sp @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+        out += prev
 
-    return _chebyshev_advance(times, branch1, branch2, chi0, apply, hw, sys.hbar, axes=(2, 0, 1))
+    return _chebyshev_advance(times, branch1, branch2, chi0, step, hw, sys.hbar, axes=(2, 0, 1))
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -778,13 +792,22 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 
     The back end follows what is conserved (see the module docstring): an
     infinite mass or omega == 0 conserves the coupling operator (pointers).
-    A finite-mass grid particle costs about hw t_total / hbar applications
-    of H, hw dominated by hbar^2 k_max^2 / 2M with k_max = pi / spacing.
+    A stepped back end (Krylov, finite-mass grid) costs about hw t_total / hbar
+    applications of H, plus one Bessel tail of about 20 R^(1/3) + 40 terms per
+    chunk of sample times; on the grid hw is dominated by hbar^2 k_max^2 / 2M
+    with k_max = pi / spacing.
     """
     times = _check_times(times)
     if dt is not None:
         require_positive(dt=dt)
     require_instance(sys=(sys, (SpinSystem, GridParticle)), bath=(bath, BathModel))
+    values = _norm_values(sys, bath, branch1, branch2, times)
+    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times))
+
+
+@_float_range_checked
+def _norm_values(sys, bath, branch1, branch2, times):
+    """evolve_norm's values, from the back end that follows what is conserved."""
     dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
@@ -798,8 +821,8 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
         values = _pointer_curve(sys.grid.points, b1, b2, bath, sys.hbar, times)
     else:
         values = _grid_curve(sys, bath, b1, b2, times)
-    values = np.clip(values, 0.0, None)
-    return NormCurve(times, values, _fingerprint(sys, bath, branch1, branch2, times))
+    # N <= 1: roundoff past it is clipped, a larger excess left for NormCurve to refuse
+    return np.where(values > 1.0 + 1e-9, values, np.clip(values, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

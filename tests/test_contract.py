@@ -259,3 +259,42 @@ class TestDensityKernelContract:
         assert np.all(np.isfinite(out))
         scale = np.abs(values.view(float)).max() or 1.0  # the norms themselves may overflow
         assert np.linalg.norm(out / scale) <= np.linalg.norm(values / scale) * (1 + 1e-12)
+
+
+class TestEvolveNormContract:
+    # Small instances of every back end: the pointer path (a spin with
+    # Omega = 0 or a frozen particle), the static spin, Krylov and the static-
+    # and dynamic-bath grid.  Half the examples take any finite input, most of
+    # which leaves the float64 range; the other half take desk-scale values,
+    # which compute.  CHEBYSHEV_ORDER_LIMIT is patched to 2,000 so a stepped
+    # curve past R ~ 1,900 is refused instead of run.
+    BACKENDS = ("pointer-spin", "pointer-grid", "spin-static", "krylov", "grid-static",
+                "grid-dynamic")
+
+    @settings(deadline=None, max_examples=60)
+    @given(backend=st.sampled_from(BACKENDS), wide=st.booleans(), data=st.data())
+    def test_values_in_unit_interval_or_decolab_error(self, backend, wide, data):
+        real, scale, time, size = (FINITE, SCALE, TIME, SCALE) if wide else (
+            st.floats(-3.0, 3.0), st.floats(0.5, 2.0), st.floats(0.0, 2.0), st.floats(2.0, 8.0))
+        m = data.draw(st.integers(1, 3))
+        static = backend in ("spin-static", "grid-static") or data.draw(st.booleans())
+        omegas = 0.0 if static else data.draw(st.lists(real, min_size=m, max_size=m))
+        bath = dl.spin_bath(m, data.draw(VAR if wide else scale), omegas=omegas)
+        hbar = data.draw(scale)
+        if backend in ("pointer-spin", "spin-static", "krylov"):
+            j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+            omega = 0.0 if backend == "pointer-spin" else data.draw(real.filter(bool))
+            sys_x = dl.SpinSystem(j, omega, hbar)
+            dim = int(2 * j) + 1
+        else:
+            dim = data.draw(st.sampled_from([16, 32]))
+            half = data.draw(size)
+            mass = math.inf if backend == "pointer-grid" else data.draw(scale)
+            potential = None if mass == math.inf else data.draw(st.none() | real)
+            sys_x = dl.GridParticle(dl.PositionGrid(-half, half, dim), mass, potential, hbar)
+        branches = [data.draw(st.lists(COMPLEX, min_size=dim, max_size=dim)) for _ in range(2)]
+        times = sorted(data.draw(st.sets(time, min_size=1, max_size=4)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dl.oracle, "CHEBYSHEV_ORDER_LIMIT", 2000)
+            _in_unit_interval_or_decolab_error(
+                lambda: dl.evolve_norm(sys_x, bath, *branches, times).values)

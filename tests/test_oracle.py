@@ -539,17 +539,20 @@ class TestEvolveNorm:
         )
         np.testing.assert_allclose(static.values, dynamic.values, atol=1e-12)
 
-    def test_spin_static_chunks_match_one_call_per_time(self):
-        # enough times for several sampler chunks: 2 branches x 13 x 41 entries each
-        j, bath = 20.0, dl.spin_bath(12, 0.01)
-        sys_s = dl.SpinSystem(j=j, omega=1.0)
-        a = dl.coherent_vector(dl.SpinCoherent(j, 1j))
-        b = dl.coherent_vector(dl.SpinCoherent(j, -1j))
-        n_times = 3 * (oracle.SAMPLE_BUDGET // (2 * 13 * 41)) + 5
-        times = np.linspace(0.0, 2.0, n_times)
-        curve = dl.evolve_norm(sys_s, bath, a, b, times)
-        single = [dl.evolve_norm(sys_s, bath, a, b, [t]).values[0] for t in times]
+    def test_spin_static_chunks_match_one_call_per_time(self, monkeypatch):
+        # 2 branches x 6 eigenvalues x 7 levels = 84 entries per time, so a
+        # budget of 400 holds 4 times and the 23 times cross 6 sampler chunks
+        monkeypatch.setattr(oracle, "SAMPLE_BUDGET", 400)
+        j, bath = 3.0, dl.spin_bath(5, 1.0)
+        sys_s = dl.SpinSystem(j=j, omega=1.3)
+        branches = [dl.coherent_vector(dl.SpinCoherent(j, alpha))
+                    for alpha in (0.4 + 0.7j, -0.6 + 0.3j)]
+        times = np.linspace(0.0, 2.0, 23)
+        curve = dl.evolve_norm(sys_s, bath, *branches, times)
+        single = [dl.evolve_norm(sys_s, bath, *branches, [t]).values[0] for t in times]
         np.testing.assert_allclose(curve.values, single, rtol=0, atol=1e-14)
+        expected = joint_eigh_norms(sys_s, bath, branches, times)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
     def test_grid_static_agrees_with_dense_path(self):
         grid = dl.PositionGrid(-8, 8, 64)
@@ -1070,6 +1073,27 @@ class TestKrylovMemory:
         # ring of 3 reads 112 MiB, a 16-term ring 134 MiB and one
         # accumulator per time 424 MiB
         assert peak_memory_mib(KRYLOV_MEMORY_PROBE) <= 124
+
+
+DICKE_MEMORY_PROBE = textwrap.dedent("""
+    import numpy as np
+    import decolab as dl
+
+    bath = dl.spin_bath(1023, 1e-2, omegas=0.01)
+    a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
+    b = dl.coherent_vector(dl.SpinCoherent(0.5, -1.0))
+    dl.evolve_norm(dl.SpinSystem(0.5, 1.0), bath, a, b, np.linspace(0.0, 1.0, 5))
+""")
+
+
+class TestDickeMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_merged_factor_holds_only_its_real_coupling(self):
+        # 1,023 equal spins merge into one spin 1023/2 of 1,024 levels.
+        # Built from spin_matrices (three dense complex matrices and their
+        # temporaries) the Krylov curve peaked at 129.5 MiB; its real 2g Jx
+        # alone reads 62-63 MiB (numpy 2.4, scipy 1.17, x86-64 Linux)
+        assert peak_memory_mib(DICKE_MEMORY_PROBE) <= 80
 
 
 FROZEN_MEMORY_PROBE = textwrap.dedent("""
