@@ -241,6 +241,29 @@ def _short_time_factors(t, mass, hbar, var_b):
     return a, c
 
 
+def _diagonal_peaks(box):
+    """max|box[i, j]| on each diagonal, in order of rising i - j.
+
+    Row chunks of |box| are written into a zeroed buffer through a view
+    sheared so that each of its columns holds one diagonal, and reduced
+    down the columns; the last chunk is moved up to end at the last row,
+    since rereading rows leaves a maximum unchanged.
+    """
+    n_rows, n_cols = box.shape
+    m = min(n_rows, max(1, BLOCK_CHUNK // (n_rows + n_cols)))
+    sheared = np.zeros((m, n_cols + m - 1))
+    size = sheared.itemsize
+    view = np.lib.stride_tricks.as_strided(
+        sheared.reshape(-1)[m - 1 :], (m, n_cols), ((n_cols + m - 2) * size, size))
+    peak = np.zeros(n_rows + n_cols - 1)  # index j - i + n_rows - 1
+    for s in range(0, n_rows, m):
+        s = min(s, n_rows - m)
+        np.abs(box[s : s + m], out=view)
+        part = peak[n_rows - m - s : n_rows - s + n_cols - 1]
+        np.maximum(part, sheared.max(axis=0), out=part)
+    return peak[::-1]
+
+
 def evolve_density_short_time(block, t, sys, bath):
     """Apply the short-time decoherence factor D_Q(t) to a density block.
 
@@ -252,13 +275,16 @@ def evolve_density_short_time(block, t, sys, bath):
     cross-check each other.  A factor or a transform that leaves the
     float64 range raises NumericalError.
 
-    Only the diagonals that cross the block's nonzero bounding box are
-    transformed, each still by its full length-n circular FFT.  The input is
-    read only inside that box (after one row scan of the block), the output
-    is written only on those diagonals, and every chunk of diagonals reuses
-    one set of preallocated buffers for its gather, FFT, filter and IFFT.
-    The input block is finite, and every step that could leave the float64
-    range raises, so the output is not rescanned.
+    Only diagonals d = i - j that cross the block's nonzero bounding box
+    are transformed, each still by its full length-n circular FFT, and of
+    those only the run that can move the output: each diagonal left out
+    could change no output entry by more than eps max|out|, eps being the
+    float64 machine epsilon, and stays exactly zero.  The input is read
+    only inside that box (after one row scan of the block), the output is
+    written only on the transformed diagonals, and every chunk of diagonals
+    reuses one set of preallocated buffers for its gather, FFT, filter and
+    IFFT.  The input block is finite, and every step that could leave the
+    float64 range raises, so the output is not rescanned.
     """
     require_instance(block=(block, DensityBlock), sys=(sys, SystemParams),
                      bath=(bath, BathMoments))
@@ -288,13 +314,26 @@ def evolve_density_short_time(block, t, sys, bath):
     # perfect square -(sqrt(a) k + sqrt(c) K)^2, which never exceeds zero.
     #
     # Only the diagonals that cross the block's nonzero bounding box, rows
-    # r0..r1 by columns c0..c1, are transformed: d runs over r0 - c1 ..
+    # r0..r1 by columns c0..c1, can be nonzero: d runs over r0 - c1 ..
     # r1 - c0.  Every other diagonal holds exact zeros, which FFT, the real
-    # filter and IFFT keep zero, so skipping them changes no output bit.  A
-    # processed diagonal still takes its full length-n FFT, because the
+    # filter and IFFT keep zero.  Diagonal d's input is its segment g_d
+    # inside the box, entries i = max(r0, c0 + d) .. min(r1, c1 + d), copied
+    # into a zeroed row; it still takes its full length-n FFT, because the
     # circular transform defines the result and its tails outside the box.
-    # Each diagonal's input is its segment inside the box, entries
-    # i = max(r0, c0 + d) .. min(r1, c1 + d), copied into a zeroed row.
+    # By Parseval no output entry of diagonal d exceeds
+    #
+    #     B_d = sqrt(len_d) max|g_d| max_K exp(-(sqrt(a) k + sqrt(c) K)^2),
+    #
+    # kept as its logarithm, so that neither an entry near the float64 limit
+    # nor a filter below its range can lose it.  The diagonal with the
+    # largest B_d is transformed first; the largest entry it writes, M0, is a
+    # lower bound on max|out|.  Then only the run from the first to the last
+    # diagonal with B_d > eps M0 is transformed, and every diagonal outside
+    # it stays zero, off by at most eps max|out|.  The floor comes from the
+    # output, not the input: a block whose large entries sit on a strongly
+    # damped diagonal can peak, after the filter, on a small undamped one.
+    # For a narrow packet's block the run leaves out most of the Gaussian
+    # tails, whose rows of subnormal numbers are also the slowest to FFT.
     #
     # The output is the middle n rows of a zero-padded (n + 2, n) buffer, in
     # which entry (i, i - d) lies i (n + 1) - d entries past out[0, 0]: a
@@ -317,7 +356,6 @@ def evolve_density_short_time(block, t, sys, bath):
     box = block.values[row_span, col_span]
     r0, r1 = row_span.start, row_span.stop - 1
     c0, c1 = col_span.start, col_span.stop - 1
-    d_lo = r0 - c1
     flat, step = padded.reshape(-1), padded.itemsize
     K = np.sqrt(c) * 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     inside = np.zeros(3 * n, dtype=bool)
@@ -326,28 +364,50 @@ def evolve_density_short_time(block, t, sys, bath):
     gathered = np.zeros((rows, n), dtype=complex)
     spec = np.empty_like(gathered)
     arg = np.empty((rows, n))
+
+    def transform(d_hi, count):
+        """Evolve diagonals d_hi, d_hi - 1, ..., d_hi - count + 1 into out."""
+        d = np.arange(d_hi, d_hi - count, -1)[:, None]
+        g, f, x = gathered[:count], spec[:count], arg[:count]
+        g[:, r0 : r1 + 1] = 0.0
+        for row, dk in zip(g, d[:, 0]):
+            segment = box.diagonal(r0 - c0 - dk)
+            i0 = max(r0, c0 + dk)
+            row[i0 : i0 + segment.size] = segment
+        np.fft.fft(g, axis=1, out=f)
+        np.add(np.sqrt(a) * h * d, K, out=x)
+        np.multiply(x, x, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        f *= x
+        np.fft.ifft(f, axis=1, out=f)
+        view = np.lib.stride_tricks.as_strided(
+            flat[n - d_hi :], (count, n), (step, (n + 1) * step))
+        mask = np.lib.stride_tricks.as_strided(
+            inside[n - d_hi :], (count, n), (1, 1))
+        np.copyto(view, f, where=mask)
+
+    d = np.arange(r0 - c1, r1 - c0 + 1)
+    length = np.minimum(r1, c1 + d) - np.maximum(r0, c0 + d) + 1
+    # the smallest |sqrt(a) k + sqrt(c) K| over the K grid, from the K values
+    # on either side of -sqrt(a) k
+    shift = np.sqrt(a) * h * d
+    k_sorted = np.sort(K)
+    j = np.searchsorted(k_sorted, -shift).clip(1, n - 1)
+    gap = np.minimum(np.abs(shift + k_sorted[j - 1]), np.abs(shift + k_sorted[j]))
     try:
         with np.errstate(over="raise", invalid="raise"):  # entries near the float64 limit
-            for d_hi in range(r1 - c0, d_lo - 1, -rows):
-                d = np.arange(d_hi, max(d_hi - rows, d_lo - 1), -1)[:, None]
-                g, f, x = gathered[: d.size], spec[: d.size], arg[: d.size]
-                g[:, r0 : r1 + 1] = 0.0
-                for row, dk in zip(g, d[:, 0]):
-                    segment = box.diagonal(r0 - c0 - dk)
-                    i0 = max(r0, c0 + dk)
-                    row[i0 : i0 + segment.size] = segment
-                np.fft.fft(g, axis=1, out=f)
-                np.add(np.sqrt(a) * h * d, K, out=x)
-                np.multiply(x, x, out=x)
-                np.negative(x, out=x)
-                np.exp(x, out=x)
-                f *= x
-                np.fft.ifft(f, axis=1, out=f)
-                view = np.lib.stride_tricks.as_strided(
-                    flat[n - d_hi :], (d.size, n), (step, (n + 1) * step))
-                mask = np.lib.stride_tricks.as_strided(
-                    inside[n - d_hi :], (d.size, n), (1, 1))
-                np.copyto(view, f, where=mask)
+            with np.errstate(over="ignore", divide="ignore"):  # log 0 and log inf are kept
+                peak = _diagonal_peaks(box)
+                log_bound = 0.5 * np.log(length) + np.log(peak) - gap ** 2
+            top = int(d[np.argmax(log_bound)])
+            transform(top, 1)
+            with np.errstate(divide="ignore"):  # M0 = 0 keeps every nonzero diagonal
+                floor = np.log(np.finfo(float).eps * np.abs(out.diagonal(-top)).max())
+            kept = d[log_bound > floor]
+            first, last = (kept[0], kept[-1]) if kept.size else (top, top)
+            for d_hi in range(last, first - 1, -rows):
+                transform(d_hi, min(rows, d_hi - first + 1))
     except FloatingPointError as exc:
         raise NumericalError(f"density-block transform leaves the float64 range ({exc})") from exc
     return _built_block(grid, out)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatchError, ResolutionError, ValidationError, is_int, require_finite, require_instance,
-    require_positive, require_real, require_real_array,
+    GridMismatchError, ResolutionError, ValidationError, _float_range_checked, is_int,
+    require_finite, require_instance, require_positive, require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -226,11 +226,14 @@ def superposition_blocks(sup, grid):
     }
 
 
+@_float_range_checked
 def coherence_norm(block_a, block_b):
     """Tr(a . b^dagger) by two-dimensional trapezoidal quadrature.
 
     For b = a this is the coherence norm N = Tr(rho^{ij} rho^{ij dagger});
-    it equals 1 at t = 0 for blocks built from normalized packets.
+    it equals 1 at t = 0 for blocks built from normalized packets.  A sum
+    that leaves the float64 range, such as that of a finite block whose
+    squared entries overflow, raises NumericalError.
 
     Only the live rectangle is summed: the rows nonzero in both blocks, and
     within them the columns nonzero in both.  Every entry outside it adds an

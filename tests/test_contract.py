@@ -4,8 +4,10 @@ Each row of PROBES is a call that, before the shared validators, returned a
 wrong value or raised an exception outside the decolab hierarchy; each row
 of RANGE_PROBES leaves the float64 range and must raise NumericalError.  The
 hypothesis properties check that the closed-form norms either return values
-in [0, 1] or raise a DecolabError for any finite real input, and that the
-density-block kernel never grows a block's Frobenius norm.
+in [0, 1] or raise a DecolabError for any finite real input, that the
+density-block kernel never grows a block's Frobenius norm, and that the
+coherence norm of a finite block is finite and >= 0 or raises
+NumericalError.
 """
 
 import math
@@ -259,6 +261,23 @@ class TestDensityKernelContract:
         assert np.all(np.isfinite(out))
         scale = np.abs(values.view(float)).max() or 1.0  # the norms themselves may overflow
         assert np.linalg.norm(out / scale) <= np.linalg.norm(values / scale) * (1 + 1e-12)
+
+
+class TestCoherenceNormContract:
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.sampled_from([16, 32]), seed=st.integers(0, 2 ** 32 - 1),
+           exponent=st.integers(-320, 308))
+    # squared entries of 1e200 overflow: the norm used to return inf
+    @example(n=16, seed=0, exponent=200)
+    def test_finite_and_nonnegative_or_numerical_error(self, n, seed, exponent):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        block = dl.DensityBlock(dl.PositionGrid(-8.0, 8.0, n), values * 10.0 ** exponent)
+        try:
+            norm = dl.coherence_norm(block, block)
+        except NumericalError:
+            return
+        assert math.isfinite(norm) and norm >= 0.0
 
 
 class TestEvolveNormContract:

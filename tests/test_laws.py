@@ -306,6 +306,49 @@ class TestEvolveDensity:
         d = np.subtract.outer(np.arange(n), np.arange(n))
         assert not out[(d < r0 - c1) | (d > r1 - c0)].any()
 
+    @settings(deadline=None, max_examples=20)
+    @given(width=st.floats(1.0, 1.2), q1=st.floats(-6.0, 6.0), q2=st.floats(-6.0, 6.0),
+           p1=st.floats(-100.0, 100.0), p2=st.floats(-100.0, 100.0), t=st.floats(0.01, 1.0),
+           mass=st.floats(1.0, 5.0), v=st.floats(0.1, 4.0))
+    def test_trimmed_gaussian_tails_match_reference(self, width, q1, q2, p1, p2, t, mass, v):
+        # narrow packets, widths and centers in units of 1/64, on [-1, 1]:
+        # the block's tails underflow, and diagonals that hold nonzero
+        # entries but whose bound falls below eps max|out| are left at zero
+        n = 512
+        grid = dl.PositionGrid(-1.0, 1.0, n)
+        sigma = (width / 64) ** 2
+        values = dl.density_block(dl.GaussianPacket(q1 / 64, p1, sigma),
+                                  dl.GaussianPacket(q2 / 64, p2, sigma), grid).values
+        try:
+            out = dl.evolve_density_short_time(
+                dl.DensityBlock(grid, values), t, dl.SystemParams(mass=mass), dl.BathMoments(v)
+            ).values
+        except ResolutionError:
+            assume(False)
+        ref = per_diagonal_reference(
+            values, grid.spacing, v * t ** 2 / 2, v * t ** 3 / (2 * mass), v * t ** 4 / (8 * mass ** 2)
+        )
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        d = np.subtract.outer(np.arange(n), np.arange(n))
+        assert np.setdiff1d(d[values != 0], d[out != 0]).size
+
+    def test_output_floor_beats_a_damped_input(self):
+        # entries of 1 on diagonal d = 20, which the filter damps by
+        # exp(-69) ~ 1e-30, and of 1e-17 on the undamped d = -1, 0, 1: the
+        # output peaks on the small diagonals.  A floor of eps max|input|
+        # would keep only the top-bound diagonal; eps max|out| keeps all four.
+        n = 64
+        grid = dl.PositionGrid(-n / 8, n / 8, n)
+        small = np.eye(n, k=-1) + np.eye(n) + np.eye(n, k=1)
+        values = np.eye(n, k=-20, dtype=complex) + 1e-17 * small
+        a = 69.0 / (20 * grid.spacing) ** 2
+        out = dl.evolve_density_short_time(dl.DensityBlock(grid, values), math.sqrt(2 * a),
+                                           dl.SystemParams(mass=math.inf), BATH).values
+        ref = per_diagonal_reference(values, grid.spacing, a, 0.0, 0.0)
+        assert np.abs(ref).max() == np.abs(np.diagonal(ref)).max()
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(np.diagonal(out, -20)).max() > 0
+
     def test_block_pipeline_peak_memory(self, density_pipeline_peak_mib):
         # input and output blocks are 128 MiB together; the kernel and the
         # norm may add chunk-sized temporaries, not whole blocks
@@ -313,9 +356,10 @@ class TestEvolveDensity:
 
     def test_block_pipeline_touches_only_the_support(self, density_pipeline_peak_mib):
         # the diagonals crossing the block's nonzero box hold 9% of its
-        # entries: the zero-padded output buffer is written only there, so
-        # most of its pages are never touched.  The probe peaks at 80 MiB;
-        # the bound leaves 40 MiB, less than one more whole 64 MiB block.
+        # entries, and the run of them that can move the output 0.9%: the
+        # zero-padded output buffer is written only there, so most of its
+        # pages are never touched.  The probe peaks at 62 MiB; the bound
+        # leaves 58 MiB, less than one more whole 64 MiB block.
         assert density_pipeline_peak_mib < 120
 
 
