@@ -15,7 +15,6 @@ from .errors import (  # noqa: F401
     DimensionCapError,
     FitWindowError,
     GridMismatchError,
-    IntegrationError,
     NumericalError,
     ResolutionError,
     StepSizeError,

@@ -307,6 +307,9 @@ def run_times(c):
 
 def _correlation_from(memory):
     kind, var_b = memory["correlation"], memory["var_b"]
+    for key, family in (("gamma", "exponential"), ("tau_c", "gaussian")):
+        if key in memory and kind != family:
+            raise ConfigError(f"[memory] {key} is not a parameter of correlation = {kind}")
     if kind == "constant":
         return constant_correlation(var_b)
     if kind == "exponential":

@@ -115,10 +115,6 @@ class NumericalError(DecolabError):
     """A numerical procedure failed to converge or lost accuracy."""
 
 
-class IntegrationError(NumericalError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class StepSizeError(NumericalError):
     """Time stepping lost unitarity beyond the allowed drift."""
 

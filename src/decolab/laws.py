@@ -17,24 +17,21 @@ exceeds one even when the cross term transiently does.
 
 The finite-memory generalization replaces the first exponential by a double
 time integral over the symmetric bath correlation function, and the
-golden-rule rates are provided for comparison with the weak-coupling
-regime.
-
-Only the quadratures load scipy (scipy.integrate, on first call):
-golden_rule_times, and memory_kernel_norm for a correlation given as a
-callable alone.  A correlation that carries its spectral lines (as the
-oracle's bath_statistics builds) has a closed-form memory kernel, and
-everything else here needs numpy alone.
+golden-rule rate is provided for comparison with the weak-coupling
+regime.  A correlation is held as its spectrum (spectral lines, as the
+oracle's bath_statistics builds, or an exponential or Gaussian family), so
+its memory kernel, and the golden-rule rate of a decaying family, are
+taken in closed form, and everything here needs numpy alone.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, IntegrationError, NumericalError, ResolutionError, ValidationError,
+    DegenerateBathError, NumericalError, ResolutionError, ValidationError,
     _decay_time, _float_range_checked, require_instance, require_nonnegative, require_positive,
     require_real, require_real_array, require_times,
 )
@@ -60,70 +57,63 @@ class BathMoments:
             require_nonnegative(var_Bdot=self.var_Bdot)
 
 
-def _zero(s):
-    return 0.0
-
-
 @dataclass(frozen=True)
 class CorrelationFunction:
-    """Time-domain bath correlations.
+    """The symmetric bath correlation sym(s) = <{B~(s), B~(0)}>, held as its spectrum.
 
-    sym(s) is the symmetric correlation <{B~(s), B~(0)}>, resp(s) the
-    response <(i/hbar)[B~(s), B]>.  Both are treated as identically zero
-    beyond tail_cutoff.  When ``moments`` is supplied, consistency
-    sym(0) = 2 var_B is checked at construction.  ``lines``, when given,
-    are the (weight a, frequency nu) pairs of a finite cosine sum
-    sym(s) = sum 2 a cos(nu s), which sym must equal, with no tail_cutoff;
-    memory_kernel_norm then integrates in closed form.
+    ``kind`` names the family and ``params`` holds its parameters:
+
+    * "lines": (weight a, frequency nu) pairs, sym(s) = sum 2 a cos(nu s);
+    * "exponential": (v, gamma), sym(s) = 2 v exp(-gamma |s|), gamma > 0;
+    * "gaussian": (v, tau), sym(s) = 2 v exp(-s^2 / 2 tau^2), tau > 0.
+
+    v is <B^2> >= 0.  Every family has a closed-form memory kernel; the
+    exponential and Gaussian ones also have a golden-rule rate.
     """
 
-    sym: Callable[[float], float]
-    resp: Callable[[float], float] = _zero
-    tail_cutoff: float = math.inf
-    moments: Optional[BathMoments] = None
-    lines: Optional[Tuple[Tuple[float, float], ...]] = None
+    kind: str
+    params: tuple
 
     def __post_init__(self):
-        if self.tail_cutoff != math.inf:
-            require_positive(tail_cutoff=self.tail_cutoff)
-        if self.lines is not None:
-            require_real_array(lines=self.lines)
-            if np.size(self.lines) and np.shape(self.lines)[1:] != (2,):
+        if self.kind == "lines":
+            require_real_array(lines=self.params)
+            if np.size(self.params) and np.shape(self.params)[1:] != (2,):
                 raise ValidationError("lines must be (weight, frequency) pairs")
-            if self.tail_cutoff != math.inf:  # a cosine sum has no tail to cut
-                raise ValidationError("a correlation with lines takes no tail_cutoff")
-        if self.moments is not None:
-            expected = 2.0 * self.moments.var_B
-            got = float(self.sym(0.0))
-            if not math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValidationError(
-                    f"sym(0) = {got} inconsistent with 2 var_B = {expected}"
-                )
+            return
+        scale = {"exponential": "gamma", "gaussian": "tau"}.get(self.kind)
+        if scale is None:
+            raise ValidationError(
+                f"kind must be lines, exponential or gaussian, got {self.kind!r}")
+        if np.shape(self.params) != (2,):
+            raise ValidationError(f"an {self.kind} correlation takes (var_b, {scale})")
+        require_nonnegative(var_b=self.params[0])
+        require_positive(**{scale: self.params[1]})
+
+    def sym(self, s):
+        """sym(s) at the time lag s."""
+        if self.kind == "lines":
+            a, nu = np.reshape(self.params, (-1, 2)).T
+            return float(2.0 * np.sum(a * np.cos(nu * s)))
+        v, scale = self.params
+        if self.kind == "exponential":
+            return 2.0 * v * math.exp(-scale * abs(s))
+        return 2.0 * v * math.exp(-0.5 * (s / scale) ** 2)
 
 
 def constant_correlation(var_b):
-    """sym(s) = 2 var_b for all s (the zero-memory limit)."""
-    return CorrelationFunction(sym=lambda s: 2.0 * var_b, moments=BathMoments(var_b))
+    """sym(s) = 2 var_b for all s (the zero-memory limit): one line at nu = 0."""
+    require_nonnegative(var_b=var_b)
+    return CorrelationFunction("lines", ((var_b, 0.0),))
 
 
 def exponential_correlation(var_b, gamma):
-    """sym(s) = 2 var_b exp(-gamma s), cut off at 46 / gamma (exp(-46) ~ 1e-20)."""
-    require_positive(gamma=gamma)
-    return CorrelationFunction(
-        sym=lambda s: 2.0 * var_b * math.exp(-gamma * s),
-        tail_cutoff=46.0 / gamma,
-        moments=BathMoments(var_b),
-    )
+    """sym(s) = 2 var_b exp(-gamma |s|)."""
+    return CorrelationFunction("exponential", (var_b, gamma))
 
 
 def gaussian_correlation(var_b, tau):
-    """sym(s) = 2 var_b exp(-s^2 / 2 tau^2), cut off at 10 tau (exp(-50) ~ 2e-22)."""
-    require_positive(tau=tau)
-    return CorrelationFunction(
-        sym=lambda s: 2.0 * var_b * math.exp(-0.5 * (s / tau) ** 2),
-        tail_cutoff=10.0 * tau,
-        moments=BathMoments(var_b),
-    )
+    """sym(s) = 2 var_b exp(-s^2 / 2 tau^2)."""
+    return CorrelationFunction("gaussian", (var_b, tau))
 
 
 @dataclass(frozen=True)
@@ -161,16 +151,9 @@ class DecoherenceTimes:
 
 @dataclass(frozen=True)
 class GoldenRuleTimes:
-    """Golden-rule decoherence/dissipation times plus a truncation diagnostic.
-
-    tail_residual is |sym(tail_cutoff)|; the correlation function is treated
-    as exactly zero beyond the cutoff, so this measures how sharply it was
-    cut rather than an integration error.
-    """
+    """Golden-rule decoherence time, for comparison with the weak-coupling regime."""
 
     tau_dec: float
-    tau_diss: float
-    tail_residual: float = 0.0
 
 
 def decoherence_times(dq, dp, sys, bath):
@@ -438,76 +421,68 @@ def memory_kernel_norm(t, dq, hbar, corr):
 
     exp(-(dq^2/hbar^2) * integral_0^t (t - s) sym(s) ds), valid whenever
     decoherence is fast on system time scales, with no assumption about the
-    bath correlation time.  For a correlation with spectral lines the
-    integral is taken line by line in closed form, integral_0^t (t - s)
-    2 a cos(nu s) ds = a t^2 sinc^2(nu t / 2), which has no cancellation
-    and gives a t^2 at nu = 0; otherwise it is evaluated by adaptive
-    quadrature to absolute tolerance 1e-10.
+    bath correlation time.  The integral is taken in closed form:
+
+    * lines: sum a t^2 sinc^2(nu t / 2), with no cancellation, a t^2 at nu = 0;
+    * exponential: (2 v / gamma^2) (x + expm1(-x)) with x = gamma t, or, for
+      x < 0.1, where that sum cancels, its series 2 v t^2 sum_{n=2..11}
+      (-x)^(n-2) / n!, whose first omitted term is below 1e-18 relative;
+    * gaussian: 2 v [t tau sqrt(pi/2) erf(t / sqrt(2) tau)
+      + tau^2 expm1(-t^2 / 2 tau^2)].
+
+    A step that leaves the float64 range raises NumericalError.
     """
     require_nonnegative(t=t)
     require_real(dq=dq)
     require_positive(hbar=hbar)
+    require_instance(corr=(corr, CorrelationFunction))
     if t == 0:
         return 1.0
-    if corr.lines is not None:
-        a, nu = np.reshape(corr.lines, (-1, 2)).T
+    t = np.float64(t)
+    if corr.kind == "lines":
+        a, nu = np.reshape(corr.params, (-1, 2)).T
         # np.sinc(x) is sin(pi x) / (pi x), 1 at x = 0
         integral = np.sum(a * (t * np.sinc(nu * t / (2.0 * np.pi))) ** 2)
+    elif corr.kind == "exponential":
+        v, gamma = corr.params
+        x = gamma * t
+        if x < 0.1:
+            integral = 2.0 * v * t ** 2 * sum((-x) ** (n - 2) / math.factorial(n)
+                                              for n in range(2, 12))
+        else:
+            integral = 2.0 * v / gamma ** 2 * (x + np.expm1(-x))
     else:
-        integral = _quad("memory-kernel", lambda s: (t - s) * corr.sym(s),
-                         min(t, corr.tail_cutoff), epsabs=1e-10, floor=1e-8)
+        v, tau = corr.params
+        y = t / tau
+        integral = 2.0 * v * tau ** 2 * (
+            y * math.sqrt(0.5 * math.pi) * math.erf(y / math.sqrt(2.0)) + np.expm1(-0.5 * y * y))
     return float(np.exp(-(dq ** 2 / hbar ** 2) * integral))
 
 
-def _quad(what, f, upper, epsabs, floor, **weight):
-    """scipy quad of f over [0, upper]; IntegrationError unless it converged
-    to a finite value within max(floor, 1e-6 |integral|)."""
-    import scipy.integrate
-
-    result = scipy.integrate.quad(
-        f, 0.0, upper, epsabs=epsabs, epsrel=1e-10, limit=400, full_output=True, **weight
-    )
-    integral, abserr = result[0], result[1]
-    if len(result) > 3 or not math.isfinite(integral) or abserr > max(floor, 1e-6 * abs(integral)):
-        raise IntegrationError(f"{what} quadrature did not converge (abserr={abserr:.3g})")
-    return integral
-
-
-def _quad_weighted(f, upper, omega, kind):
-    weight = {} if omega == 0.0 else {"weight": kind, "wvar": omega}
-    return _quad("golden-rule", f, upper, epsabs=1e-12, floor=1e-9, **weight)
-
-
 def golden_rule_times(corr, sys, dq):
-    """Golden-rule decoherence and dissipation times for comparison.
+    """Golden-rule decoherence time for comparison.
 
-    1/tau_dec  = (dq^2/hbar^2) integral_0^inf (sym(s)/2) cos(Omega s) ds
-    1/tau_diss = (1/M Omega)   integral_0^inf resp(s) sin(Omega s) ds
-
-    Integrals are truncated at corr.tail_cutoff (which must be finite),
-    where the correlations are zero by contract.  A rate <= 0 gives an
-    infinite time; a time outside the float64 range raises NumericalError.
+    1/tau_dec = (dq^2/hbar^2) integral_0^inf (sym(s)/2) cos(Omega s) ds, in
+    closed form: v gamma / (gamma^2 + Omega^2) for the exponential family and
+    v tau sqrt(pi/2) exp(-Omega^2 tau^2 / 2) for the Gaussian one.  A lines
+    correlation, whose integral does not converge, raises ValidationError.
+    A rate <= 0 gives an infinite time; a time outside the float64 range
+    raises NumericalError.
     """
     require_real(dq=dq)
-    upper = corr.tail_cutoff
-    require_positive(tail_cutoff=upper)  # positive already; this rejects inf
-    omega = sys.omega
+    require_instance(corr=(corr, CorrelationFunction), sys=(sys, SystemParams))
+    if corr.kind == "lines":
+        raise ValidationError("golden_rule_times needs a decaying correlation, not lines")
+    v, scale = map(np.float64, corr.params)
+    omega = np.float64(sys.omega)
 
-    i_dec = _quad_weighted(lambda s: 0.5 * corr.sym(s), upper, omega, "cos")
-    tau_dec = _decay_time(lambda: dq ** 2 / sys.hbar ** 2 * i_dec, lambda r: 1.0 / r)
+    def spectrum():
+        if corr.kind == "exponential":
+            return v * scale / (scale ** 2 + omega ** 2)
+        return v * scale * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (omega * scale) ** 2)
 
-    if omega == 0.0:
-        probes = np.linspace(0.0, upper, 7)
-        if any(abs(corr.resp(float(s))) > 0 for s in probes):
-            raise ValidationError(
-                "dissipation time undefined: Omega = 0 with nonzero response"
-            )
-        tau_diss = math.inf
-    else:
-        i_diss = _quad_weighted(corr.resp, upper, omega, "sin")
-        tau_diss = _decay_time(lambda: i_diss / (np.float64(sys.mass) * omega), lambda r: 1.0 / r)
-
-    return GoldenRuleTimes(tau_dec, tau_diss, abs(float(corr.sym(upper))))
+    tau_dec = _decay_time(lambda: dq ** 2 / sys.hbar ** 2 * spectrum(), lambda r: 1.0 / r)
+    return GoldenRuleTimes(tau_dec)
 
 
 def transition_separation(dp, hbar):

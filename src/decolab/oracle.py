@@ -59,9 +59,7 @@ applies) with DimensionCapError naming the array and its entry count.
 Only the two dynamic-bath stepped back ends and build_bath_operators load
 scipy, and only scipy.sparse, on first call: the Chebyshev sum and its
 Bessel coefficients need numpy alone, as do the other back ends, the closed
-forms and the fits.  The correlation bath_statistics returns carries its
-spectral lines, so memory_kernel_norm integrates it in closed form with no
-scipy.integrate.
+forms and the fits.
 """
 
 import hashlib
@@ -265,8 +263,9 @@ def bath_statistics(bath, hbar=1.0):
     component kind), so out of it the component's coupling operator c has
     lines of weight a = |<k|c|n>|^2 at the frequencies nu = omega_k - omega_n
     of its frequency operator; zero-weight lines are skipped.  Then
-    <B^2> = sum a, <Bdot^2> = sum a nu^2, kappa = (2/hbar) sum a nu,
-    sym(s) = 2 sum a cos(nu s) and resp(s) = (2/hbar) sum a sin(nu s).
+    <B^2> = sum a, <Bdot^2> = sum a nu^2, kappa = (2/hbar) sum a nu and
+    <B~(s) B> = sum a exp(-i nu s); corr holds the lines, so
+    sym(s) = 2 sum a cos(nu s).
     """
     require_positive(hbar=hbar)
     lines = []
@@ -279,16 +278,7 @@ def bath_statistics(bath, hbar=1.0):
     var_b = sum(a for a, _ in lines)
     var_bdot = sum(a * nu * nu for a, nu in lines)
     kappa = sum(2.0 * a * nu for a, nu in lines) / hbar
-
-    def sym(s):
-        return sum(2.0 * a * math.cos(nu * s) for a, nu in lines)
-
-    def resp(s):
-        return sum(2.0 * a * math.sin(nu * s) / hbar for a, nu in lines)
-
-    moments = BathMoments(var_b, var_bdot, kappa)
-    corr = CorrelationFunction(sym=sym, resp=resp, moments=moments, lines=tuple(lines))
-    return moments, corr
+    return BathMoments(var_b, var_bdot, kappa), CorrelationFunction("lines", tuple(lines))
 
 
 def build_bath_operators(bath, hbar=1.0):

@@ -40,6 +40,10 @@ MISCONFIGS = {
     "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
     "dropped-key": ("norm", "spacing = linear\n", "spacing = linear\n[memory]\ntail_cutoff = inf\n",
                     "tail_cutoff"),
+    # an exponential correlation takes no tau_c, which used to run and change only the hash
+    "memory-foreign-parameter": ("norm", "kind = short-time",
+                                 "kind = memory\n[memory]\ncorrelation = exponential\nvar_b = 1.0\n"
+                                 "gamma = 2.0\ndq = 1.0\ntau_c = 5.0", "tau_c"),
     # decoherence_times ignores omega, and only spin reads var_bdot and kappa
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
@@ -67,10 +71,9 @@ TEMPLATES_PROBE = textwrap.dedent("""
     print("scipy-modules", *[m for m in sys.modules if m.split(".")[0] == "scipy"])
 """)
 
-# Calls the oracle and law paths that could load scipy.integrate or
-# scipy.sparse.linalg once each after a scipy-free import of decolab;
-# prints which of the two were loaded after each call and whether the
-# results are finite.
+# Calls the oracle and law paths once each after a scipy-free import of
+# decolab; prints which of scipy.integrate and scipy.sparse.linalg were
+# loaded after each call and whether the results are finite.
 SCIPY_PATHS_PROBE = textwrap.dedent("""
     import math
     import sys
@@ -91,7 +94,7 @@ SCIPY_PATHS_PROBE = textwrap.dedent("""
     line_corr = dl.bath_statistics(bath)[1]
     values = [dl.memory_kernel_norm(1.0, 1.0, 1.0, line_corr), *curve.values]
     print(*loaded())
-    # a user-built correlation is integrated by quadrature
+    # the exponential family: closed-form memory kernel and golden-rule rate
     corr = dl.exponential_correlation(1.0, 1.0)
     values += [dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
                dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec]
@@ -371,10 +374,10 @@ class TestExperiments:
 
     def test_numerical_error_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
         import decolab.cli as cli
-        from decolab.errors import IntegrationError
+        from decolab.errors import NumericalError
 
         def broken(cfg):
-            raise IntegrationError("synthetic failure")
+            raise NumericalError("synthetic failure")
 
         monkeypatch.setitem(cli.EXPERIMENTS, "times", broken)
         cfg = write(tmp_path, "t.ini", TIMES_CFG)
@@ -486,4 +489,4 @@ class TestImportPath:
         assert before.split() == ["False", "False"]
         assert krylov.split() == ["False", "False"]
         assert lines.split() == ["False", "False"]
-        assert after.split() == ["True", "True", "True"]
+        assert after.split() == ["True", "False", "False"]

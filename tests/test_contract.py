@@ -5,6 +5,7 @@ wrong value or raised an exception outside the decolab hierarchy; each row
 of RANGE_PROBES leaves the float64 range and must raise NumericalError.  The
 hypothesis properties check that the closed-form norms either return values
 in [0, 1] or raise a DecolabError for any finite real input, that the
+golden-rule time is > 0 (inf included) or raises one, that the
 density-block kernel never grows a block's Frobenius norm, and that the
 coherence norm of a finite block is finite and >= 0 or raises
 NumericalError.
@@ -159,6 +160,8 @@ RANGE_PROBES = {
     "golden_rule_times-underflowing-hbar":
         lambda: dl.golden_rule_times(dl.exponential_correlation(1.0, 1.0),
                                      dl.SystemParams(1.0, hbar=1e-200), 1.0),
+    "memory_kernel_norm-gaussian-overflowing-t-tau":
+        lambda: dl.memory_kernel_norm(1e200, 1.0, 1.0, dl.gaussian_correlation(1.0, 1e200)),
     "decoherence_times-time-underflows-to-zero":
         lambda: dl.decoherence_times(1e300, 0.0, dl.SystemParams(1.0, hbar=1e-300), BATH),
     "spin_coherence_norm-montecarlo-overflowing-t":
@@ -232,10 +235,27 @@ class TestClosedFormNormsStayInUnitInterval:
             lambda: dl.static_bath_norm(d, dl.spin_bath(m, var), t, hbar))
 
     @settings(deadline=None, max_examples=150)
-    @given(t=TIME, dq=FINITE, hbar=SCALE, var=VAR)
-    def test_memory_kernel_constant_correlation(self, t, dq, hbar, var):
-        _in_unit_interval_or_decolab_error(
-            lambda: dl.memory_kernel_norm(t, dq, hbar, dl.constant_correlation(var)))
+    @given(t=TIME, dq=FINITE, hbar=SCALE, var=VAR,
+           kind=st.sampled_from(["constant", "exponential", "gaussian"]), scale=SCALE)
+    # t tau and tau^2 overflow: the Gaussian form's inf - inf
+    @example(t=1e200, dq=1.0, hbar=1.0, var=1.0, kind="gaussian", scale=1e200)
+    def test_memory_kernel_constant_correlation(self, t, dq, hbar, var, kind, scale):
+        corr = (dl.constant_correlation(var) if kind == "constant"
+                else dl.CorrelationFunction(kind, (var, scale)))
+        _in_unit_interval_or_decolab_error(lambda: dl.memory_kernel_norm(t, dq, hbar, corr))
+
+
+class TestGoldenRuleContract:
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(["exponential", "gaussian"]), var=VAR, scale=SCALE,
+           omega=FINITE, hbar=SCALE, dq=FINITE)
+    def test_time_positive_or_decolab_error(self, kind, var, scale, omega, hbar, dq):
+        corr = dl.CorrelationFunction(kind, (var, scale))
+        try:
+            tau = dl.golden_rule_times(corr, dl.SystemParams(1.0, omega, hbar), dq).tau_dec
+        except DecolabError:
+            return
+        assert tau > 0 and not math.isnan(tau), tau
 
 
 class TestDensityKernelContract:

@@ -4,11 +4,13 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import decolab as dl
 from decolab.errors import DegenerateBathError, ResolutionError, ValidationError
-from helpers import SUPPORT_SHAPES, peak_memory_mib, support_box, support_values
+from helpers import (
+    SUPPORT_SHAPES, peak_memory_mib, quad_memory_kernel, support_box, support_values,
+)
 
 SYS = dl.SystemParams(mass=1.0)
 BATH = dl.BathMoments(1.0)
@@ -435,12 +437,6 @@ class TestMemoryKernel:
         b = dl.memory_kernel_norm(1.5 * t, dq, 1.0, corr)
         assert b <= a + 1e-12
 
-    def test_correlation_consistency_check(self):
-        with pytest.raises(ValidationError):
-            dl.CorrelationFunction(
-                sym=lambda s: 1.0, moments=dl.BathMoments(1.0)
-            )
-
     def test_complex_time_rejected(self):
         with pytest.raises(ValidationError):
             dl.memory_kernel_norm(1j, 1.0, 1.0, dl.constant_correlation(1.0))
@@ -453,33 +449,45 @@ class TestMemoryKernel:
         with pytest.raises(ValidationError):
             dl.gaussian_correlation(1.0, None)
 
-    def test_derived_tail_cutoffs(self):
-        assert dl.exponential_correlation(1.0, 2.0).tail_cutoff == 23.0  # 46 / gamma
-        assert dl.gaussian_correlation(1.0, 0.5).tail_cutoff == 5.0  # 10 tau
-        with pytest.raises(TypeError):
-            dl.exponential_correlation(1.0, 2.0, tail_cutoff=1.0)
-
-    def test_tail_cutoff_rejects_text(self):
-        with pytest.raises(ValidationError):
-            dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff="x")
-
-    def test_tail_cutoff_rejects_nan_and_keeps_inf(self):
-        with pytest.raises(ValidationError):
-            dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff=math.nan)
-        corr = dl.CorrelationFunction(sym=lambda s: 1.0, tail_cutoff=math.inf)
-        assert corr.tail_cutoff == math.inf
-
     @pytest.mark.parametrize("lines", [((1.0, math.nan),), ((1.0, 2.0, 3.0),), (1.0, 2.0),
                                        ((1.0, 2j),), (("a", 1.0),)])
     def test_lines_must_be_real_pairs(self, lines):
         with pytest.raises(ValidationError):
-            dl.CorrelationFunction(sym=lambda s: 2.0, lines=lines)
+            dl.CorrelationFunction("lines", lines)
 
-    def test_lines_take_no_tail_cutoff(self):
-        # the closed-form kernel integrates the whole cosine sum, so a cutoff
-        # that quad would honour is refused
-        with pytest.raises(ValidationError, match="tail_cutoff"):
-            dl.CorrelationFunction(sym=lambda s: 2.0, tail_cutoff=1.0, lines=((1.0, 0.0),))
+    @pytest.mark.parametrize("kind, params", [
+        ("spectrum", (1.0, 1.0)), ("exponential", (1.0,)), ("exponential", (-1.0, 1.0)),
+        ("exponential", (1.0, 0.0)), ("gaussian", (1.0, math.nan)), ("gaussian", (1.0, "a"))])
+    def test_family_parameters_validated(self, kind, params):
+        with pytest.raises(ValidationError):
+            dl.CorrelationFunction(kind, params)
+
+    def test_sym_is_the_family_correlation(self):
+        lines = dl.CorrelationFunction("lines", ((0.3, 2.0), (0.2, 0.0)))
+        for s in (0.0, 0.4, 2.5):
+            assert dl.constant_correlation(0.7).sym(s) == 1.4
+            assert dl.exponential_correlation(0.7, 1.3).sym(s) == pytest.approx(
+                1.4 * math.exp(-1.3 * s), rel=1e-15)
+            assert dl.gaussian_correlation(0.7, 0.6).sym(s) == pytest.approx(
+                1.4 * math.exp(-s * s / 0.72), rel=1e-15)
+            assert lines.sym(s) == pytest.approx(0.6 * math.cos(2.0 * s) + 0.4, rel=1e-15)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["exponential", "gaussian"]),
+           x=st.floats(1e-3, 0.1) | st.floats(0.1, 40.0), t=st.floats(0.01, 10.0),
+           v=st.floats(0.1, 2.0), exponent=st.floats(0.05, 5.0), hbar=st.floats(0.5, 2.0))
+    # just below x = 1e-2, where a four-term series for x + expm1(-x) is off by 1e-11 in N
+    @example(kind="exponential", x=0.0099, t=1.0, v=1.0, exponent=1.0, hbar=1.0)
+    def test_closed_forms_match_quadrature(self, kind, x, t, v, exponent, hbar):
+        # x is gamma t or t / tau, drawn on both sides of the exponential
+        # form's series switch at 0.1; dq puts the exponent of N near
+        # `exponent`, where N is sensitive to the integral
+        scale = x / t if kind == "exponential" else t / x
+        corr = dl.CorrelationFunction(kind, (v, scale))
+        reference = quad_memory_kernel(t, corr)
+        dq = hbar * math.sqrt(exponent / reference)
+        assert dl.memory_kernel_norm(t, dq, hbar, corr) == pytest.approx(
+            math.exp(-(dq / hbar) ** 2 * reference), rel=0, abs=1e-12)
 
 
 class TestGoldenRule:
@@ -490,11 +498,6 @@ class TestGoldenRule:
         gr = dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.0), d)
         assert gr.tau_dec == pytest.approx(gamma / (d ** 2 * v), abs=1e-8)
 
-    def test_zero_response_infinite_dissipation(self):
-        corr = dl.exponential_correlation(1.0, 1.0)
-        gr = dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.7), 1.0)
-        assert math.isinf(gr.tau_diss)
-
     def test_rate_scales_as_distance_squared(self):
         corr = dl.exponential_correlation(1.0, 1.0)
         sysp = dl.SystemParams(1.0, omega=0.0)
@@ -504,15 +507,27 @@ class TestGoldenRule:
         ]
         np.testing.assert_allclose(products, products[0], rtol=1e-12)
 
-    def test_omega_zero_with_response_rejected(self):
-        corr = dl.CorrelationFunction(
-            sym=lambda s: 2.0 * math.exp(-s),
-            resp=lambda s: math.sin(s),
-            tail_cutoff=46.0,
-            moments=dl.BathMoments(1.0),
-        )
-        with pytest.raises(ValidationError):
-            dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.0), 1.0)
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["exponential", "gaussian"]), v=st.floats(0.01, 10.0),
+           scale=st.floats(0.05, 5.0), omega=st.floats(-5.0, 5.0), dq=st.floats(0.1, 5.0),
+           hbar=st.floats(0.5, 2.0))
+    def test_closed_forms_match_analytic_rates(self, kind, v, scale, omega, dq, hbar):
+        # 1/tau_dec = (dq^2/hbar^2) Re integral_0^inf (sym(s)/2) exp(i Omega s) ds: the
+        # Laplace transform v / (gamma - i Omega), and half the Fourier transform of
+        # a Gaussian, which stays above the float64 normal range for |Omega tau| <= 25
+        if kind == "exponential":
+            spectrum = (v / complex(scale, -omega)).real
+        else:
+            fourier = scale * math.sqrt(2.0 * math.pi) * math.exp(-0.5 * (omega * scale) ** 2)
+            spectrum = 0.5 * v * fourier
+        corr = dl.CorrelationFunction(kind, (v, scale))
+        gr = dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=omega, hbar=hbar), dq)
+        assert gr.tau_dec == pytest.approx(hbar ** 2 / (dq ** 2 * spectrum), rel=1e-12)
+
+    def test_lines_refused(self):
+        # a cosine sum does not decay, so its golden-rule integral does not converge
+        with pytest.raises(ValidationError, match="lines"):
+            dl.golden_rule_times(dl.constant_correlation(1.0), SYS, 1.0)
 
     def test_non_finite_separation_rejected(self):
         corr = dl.exponential_correlation(1.0, 1.0)

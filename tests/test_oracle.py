@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import textwrap
@@ -16,7 +15,7 @@ from decolab._linalg import expm_phase
 from decolab.errors import DimensionCapError, FitWindowError, ValidationError, require_finite
 from helpers import (
     frozen_position_curve, grid_joint_eigh_norms, joint_eigh_norms, momentum_separation_curve,
-    peak_memory_mib,
+    peak_memory_mib, quad_memory_kernel,
 )
 
 
@@ -184,12 +183,14 @@ class TestBathOperators:
         # <[B, Bdot]> = i hbar kappa
         assert moments.kappa == pytest.approx(2.0 * np.vdot(b_chi, bdot_chi).imag / hbar,
                                               abs=1e-12)
+        a, nu = np.reshape(corr.params, (-1, 2)).T
         for s in data.draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)):
             u = expm_phase(h, s / hbar)
             bs_chi = u @ (b @ (u.conj().T @ chi))
             cross = np.vdot(bs_chi, b_chi)  # <B(s) B>; <B B(s)> is its conjugate
+            # the lines, each frequency with its sign, give <B(s) B> = sum a exp(-i nu s)
+            assert abs(np.sum(a * np.exp(-1j * nu * s)) - cross) <= 1e-12
             assert corr.sym(s) == pytest.approx(2.0 * cross.real, abs=1e-12)
-            assert corr.resp(s) == pytest.approx(-2.0 * cross.imag / hbar, abs=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(case=mixed_baths())
@@ -232,28 +233,27 @@ class TestBathOperators:
         assert np.abs(ops.Bdot).max() == 0.0
 
     def test_correlation_matches_heisenberg_evolution(self):
-        # closed-form sym/resp against dense 2x2 Heisenberg evolution
+        # the lines' sym and <B(s) B> against dense 2x2 Heisenberg evolution
         omega, g, hbar = 1.7, 1.0, 1.0
         bath = dl.BathModel((dl.BathComponent("spin-half", g, omega),), ("up",))
         ops = dl.build_bath_operators(bath, hbar)
         chi = ops.initial_state
+        a, nu = np.reshape(ops.corr.params, (-1, 2)).T
         for s in (0.0, 0.4, 1.1):
             u = expm_phase(np.diag(ops.H_res), s / hbar)
             b_t = u @ ops.B @ u.conj().T
             sym_dense = float(np.real(chi.conj() @ (b_t @ ops.B + ops.B @ b_t) @ chi))
-            resp_dense = float(
-                np.real(chi.conj() @ ((1j / hbar) * (b_t @ ops.B - ops.B @ b_t)) @ chi)
-            )
+            cross_dense = chi.conj() @ b_t @ ops.B @ chi  # <B(s) B>
             assert ops.corr.sym(s) == pytest.approx(sym_dense, abs=1e-12)
             assert ops.corr.sym(s) == pytest.approx(2.0 * math.cos(omega * s), abs=1e-12)
-            assert ops.corr.resp(s) == pytest.approx(resp_dense, abs=1e-12)
+            assert abs(np.sum(a * np.exp(-1j * nu * s)) - cross_dense) <= 1e-12
 
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_line_memory_kernel_matches_quadrature(self, data):
         # a bath_statistics correlation carries its lines, and memory_kernel_norm
-        # integrates them in closed form; the same correlation without lines
-        # goes to quad.  Frequencies include static lines (nu = 0) and small nu t.
+        # integrates them in closed form; the referee integrates their sym by
+        # quad.  Frequencies include static lines (nu = 0) and small nu t.
         frequency = st.just(0.0) | st.floats(1e-9, 1e-6) | st.floats(0.1, 3.0)
         comps, labels = [], []
         for _ in range(data.draw(st.integers(1, 5))):
@@ -267,12 +267,11 @@ class TestBathOperators:
                 labels.append(data.draw(st.integers(0, levels - 2)))
         hbar = data.draw(st.floats(0.5, 2.0))
         _, corr = dl.bath_statistics(dl.BathModel(tuple(comps), tuple(labels)), hbar)
-        assert corr.lines
-        by_quadrature = dataclasses.replace(corr, lines=None)
+        assert corr.kind == "lines" and corr.params
         dq = data.draw(st.floats(0.1, 1.5))
         for t in data.draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=4)):
             exact = dl.memory_kernel_norm(t, dq, hbar, corr)
-            assert exact == pytest.approx(dl.memory_kernel_norm(t, dq, hbar, by_quadrature),
+            assert exact == pytest.approx(math.exp(-(dq / hbar) ** 2 * quad_memory_kernel(t, corr)),
                                           rel=0, abs=1e-13)
 
     def test_derivative_moments_and_kappa_match_dense(self):
