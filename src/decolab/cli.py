@@ -191,9 +191,10 @@ TEMPLATES = {experiment: _template(experiment) for experiment in SCHEMA}
 class _Values(dict):
     """Typed config values; reading an absent section or required key raises."""
 
-    def __init__(self, section=None):
+    def __init__(self, section=None, given=frozenset()):
         super().__init__()
         self.section = section
+        self.given = given  # the keys the config sets, not filled from defaults
 
     def __missing__(self, key):
         if self.section is None:
@@ -232,7 +233,7 @@ def parse_config(cfg, experiment):
             if key not in schema[section]:
                 origin = " (set in [DEFAULT])" if key in cfg.defaults() else ""
                 raise ConfigError(f"unknown key {key!r} in section [{section}]{origin}")
-        values[section] = typed = _Values(section)
+        values[section] = typed = _Values(section, frozenset(cfg[section]))
         for key, row in schema[section].items():
             if key in cfg[section]:
                 typed[key] = _cast(section, key, row, cfg[section][key])
@@ -358,12 +359,16 @@ def run_sweep(c):
     if start <= 0 or stop <= start:
         raise ConfigError("sweep needs 0 < start < stop")
     values = np.geomspace(start, stop, num)
-    base = c["base"]
+    base, spin_targets = c["base"], ("tau_x", "tau_y", "tau_z")
+    for name, targets in (("gamma", ("tau_gr",)), ("j", spin_targets), ("alpha", spin_targets),
+                          ("beta", spin_targets)):  # [base] keys only some laws read
+        if name in base.given and target not in targets:
+            raise ConfigError(f"[base] {name} is not an input of target = {target}")
     key = "dq" if axis == "distance" else axis
 
     def tau_at(value):
         p = dict(base, **{key: value})
-        if target in ("tau_x", "tau_y", "tau_z"):
+        if target in spin_targets:
             taus = spin_decoherence_times(
                 p["j"], p["alpha"], p["beta"], p["omega"], BathMoments(p["var_b"]), p["hbar"]
             )

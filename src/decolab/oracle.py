@@ -24,42 +24,40 @@ Evolution strategies, by what the Hamiltonian conserves:
   infinite mass, or a spin with Omega = 0): its eigenvalues q are pointers,
   q B + H_res is a sum of commuting single-component terms and each
   pointer's bath state stays a product; the pointer overlaps are products
-  over components of levels x levels evolutions, with no joint bath;
-* otherwise B, when the bath is static (all component frequencies zero):
-  B is diagonalized once and the bath is written in its eigenbasis as one
-  factor with amplitude sqrt(W_m) on each distinct eigenvalue, which is
-  exact; a spin then evolves each column from eigh of H_sys + b_m Jx, a
-  grid particle is stepped as below with q B diagonal;
+  over components of levels x levels evolutions, with no joint bath, from
+  one sampler of v e^{-i w t / hbar} c over chunks of times;
 * otherwise the joint state is stepped by the Chebyshev expansion of its
   propagator (Tal-Ezer and Kosloff), one series per chunk of sample times
   whose terms S_k = (-i)^k T_k(h~) psi every sample of the chunk shares,
   each sample their real combination with coefficients 2 J_k, cut where
-  these fall below 1e-17, exact to roundoff at any time offset: a spin's
-  sparse joint H (the terms span the Krylov space, hence the back end's
-  name), or a grid particle's H = T + V + q B + H_res, with T applied by
-  FFT along the contiguous grid axis of a (bath, branch, grid) state and a
-  dynamic B as one sparse product on the bath axis.
+  these fall below 1e-17, exact to roundoff at any time offset.  One
+  driver serves a spin (H = Omega Jz + Jx B + H_res; the terms span the
+  Krylov space, hence the "Krylov" names) and a grid particle
+  (H = T + V + q B + H_res, with T applied by FFT along the contiguous grid
+  axis), and checks unitarity at every sample.
 
-The exact back ends (pointer, spin system in a static bath) share one
-sampler of v e^{-i w t / hbar} c over chunks of times, with the times on
-the last axis of each matrix product; the stepped ones share one Chebyshev
-driver, which checks unitarity at every sample.
+How a stepped back end holds the bath:
 
-The two back ends that hold a dynamic joint bath state (Krylov and the
-dynamic-bath grid) use the bath's permutation symmetry: spin-halves with
-equal g, omega and initial sigma_z state stay in their symmetric (Dicke)
-subspace, so k of them evolve as one spin k/2 of dimension k + 1 instead
-of 2^k.
+* a static bath (all component frequencies zero) in B's eigenbasis, one
+  axis with amplitude sqrt(W_m) on each distinct eigenvalue b_m, which is
+  exact: B is diagonal and H_res = 0;
+* a dynamic bath as its independent factors, one axis each.  Every
+  coupling decolab builds (g sigma_x, g (a + a^dagger), the Dicke 2g Jx) is
+  real symmetric tridiagonal with a zero diagonal, and so is the spin's
+  Jx: each is applied along its own axis as two shifted multiply-adds with
+  its off-diagonal, H_res and Omega Jz as one diagonal multiply, and the
+  Gershgorin bounds come from the factors' row sums.  Spin-halves with
+  equal g, omega and initial sigma_z state stay in their symmetric (Dicke)
+  subspace, so k of them evolve as one spin k/2 of dimension k + 1 instead
+  of 2^k.
 
 A bath model sets no size limit.  Before each allocation that grows with
 the bath, ``_check_entries`` refuses an array above the limit of the code
 making it (the constants below say what each limit counts and where it
 applies) with DimensionCapError naming the array and its entry count.
 
-Only the two dynamic-bath stepped back ends and build_bath_operators load
-scipy, and only scipy.sparse, on first call: the Chebyshev sum and its
-Bessel coefficients need numpy alone, as do the other back ends, the closed
-forms and the fits.
+Every back end, bath operator, closed form and fit here needs numpy
+alone.
 """
 
 import hashlib
@@ -82,10 +80,10 @@ from .spin import spin_matrices
 # levels of a dense bath vector, squared for a matrix: component and Dicke-factor
 # operators, BathModel.initial_state and build_bath_operators
 DENSE_BATH_LIMIT = 4096
-MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for the static back ends
-JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: Krylov, grid
-STACK_BUDGET = 1 << 22           # per-eigenvalue or per-pointer matrix stack: static spin, pointer
-CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: Krylov, grid
+MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for a static bath's eigenbasis
+JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: stepped spin, grid
+STACK_BUDGET = 1 << 22           # per-pointer matrix stack: pointer
+CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: stepped spin, grid
 SAMPLE_BUDGET = 1 << 17          # entries per time-chunk stack or Chebyshev coefficient table
 UNITARITY_DRIFT = 1e-8
 
@@ -284,9 +282,10 @@ def bath_statistics(bath, hbar=1.0):
 def build_bath_operators(bath, hbar=1.0):
     """Dense B, Bdot, Bddot, the diagonal of H_res, moments and correlations.
 
-    B is ``_sparse_bath_ops`` made dense; Bdot and Bddot are the nested
-    commutators (i/hbar)[H_res, .] applied to B.  H_res is diagonal in the
-    storage basis and is returned as that real diagonal h, so each
+    B is the Kronecker sum of the components' tridiagonal couplings, its
+    nonzeros written straight into the dense matrix; Bdot and Bddot are the
+    nested commutators (i/hbar)[H_res, .] applied to B.  H_res is diagonal in
+    the storage basis and is returned as that real diagonal h, so each
     commutator is the elementwise product (i/hbar)(h_k - h_l) X_kl, with no
     matrix product.  B, Bdot and Bddot are full-bath dimension x dimension
     matrices: refused above DENSE_BATH_LIMIT (4096, 12 spin-halves) levels.
@@ -294,8 +293,15 @@ def build_bath_operators(bath, hbar=1.0):
     require_positive(hbar=hbar)
     dim = bath.dimension
     _check_entries("dense bath operator", dim * dim, DENSE_BATH_LIMIT ** 2)
-    b_sp, hres_diag = _sparse_bath_ops(_bath_factors(bath, dicke=False), hbar)
-    b_total = b_sp.toarray()
+    factors = _bath_factors(bath, dicke=False)
+    b_total = np.zeros((dim, dim), dtype=complex)
+    after = dim
+    for off, _, chi in factors:  # level n -> n + 1 of this factor is a step of `after`
+        before, after = dim // after, after // chi.size
+        lower = (np.arange(before)[:, None, None] * chi.size + np.arange(off.size)[:, None]) * after
+        lower = lower + np.arange(after)
+        b_total[lower, lower + after] = b_total[lower + after, lower] = off[:, None]
+    hres_diag = hbar * _kron_sum([f for _, f, _ in factors])
     gaps = (1j / hbar) * np.subtract.outer(hres_diag, hres_diag)
     bdot = gaps * b_total
     bddot = np.multiply(gaps, bdot, out=gaps)  # gaps' last use: reuse its memory
@@ -461,15 +467,23 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
+def _float_rows(x):
+    """x with its last two axes flattened, as floats (real and imaginary parts interleaved)."""
+    return x.reshape(x.shape[:-2] + (-1,)).view(float)
+
+
 def _sandwich_norm(a, b):
     """N = ||A B^dagger||_F^2 = tr(A^dagger A B^dagger B) for system x bath A, B.
 
     Contracts the longer matrix axis, so the product formed is the smaller
-    square (B^dagger B is Hermitian); leading axes are batched.
+    square (B^dagger B is Hermitian); leading axes are batched.  The final
+    sum of Re x Re y + Im x Im y is one dot product on float views.
     """
     if a.shape[-2] <= a.shape[-1]:
-        return np.sum(np.abs(a @ _dagger(b)) ** 2, axis=(-2, -1))
-    return np.sum((_dagger(a) @ a) * (_dagger(b) @ b).conj(), axis=(-2, -1)).real
+        x = y = a @ _dagger(b)
+    else:
+        x, y = _dagger(a) @ a, _dagger(b) @ b
+    return np.einsum("...i,...i->...", _float_rows(x), _float_rows(y))
 
 
 # ---------------------------------------------------------------------------
@@ -484,41 +498,27 @@ def _eigen_phase_chunks(times, hbar, eigen, entries_per_time):
     c.shape + (ts.size,): times on the last axis, so each block of v is one
     matrix product with all the chunk's times, not one per time.  A chunk
     holds SAMPLE_BUDGET // entries_per_time times (at least one), bounding
-    the caller's largest stack.  A real v takes half the flops of a complex one.
+    the caller's largest stack.
     """
     step = max(1, SAMPLE_BUDGET // entries_per_time)
     for start in range(0, times.size, step):
         ts = times[start:start + step]
-        phased = ((v, np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
-                  for w, v, c in eigen)
-        # a real v multiplies the float view: real and imaginary parts interleave along t
-        yield ((v @ x.view(float)).view(complex) if np.isrealobj(v) else v @ x for v, x in phased)
-
-
-def _spin_static_curve(sys, bath, branch1, branch2, times):
-    """Static bath in B's eigenbasis: column m of a branch is sqrt(W_m) times
-    the system state evolved under H_sys + b_m Jx."""
-    bvals, weights = bath_eigen_decomposition(bath)
-    jx, _, jz = spin_matrices(sys.j, sys.hbar)
-    _check_entries("static spin eigenvector stack", bvals.size * jx.size, STACK_BUDGET)
-    # Omega Jz + b_m Jx is real symmetric in the Jz basis: v is real
-    w, v = np.linalg.eigh(sys.omega * jz.real + bvals[:, None, None] * jx.real)
-    c = _dagger(v) @ np.stack([branch1, branch2], axis=-1)
-    c = (np.sqrt(weights)[:, None, None] * c).transpose(2, 0, 1)  # (branch, M, d)
-    # w gains the branch axis; psi is (branch, M, d, t), the sandwich (t, d, M).
-    chunks = _eigen_phase_chunks(times, sys.hbar, [(w[None], v, c)], c.size)
-    return np.concatenate([_sandwich_norm(*psi.transpose(0, 3, 2, 1)) for (psi,) in chunks])
+        yield (v @ (np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
+               for w, v, c in eigen)
 
 
 def _bath_factors(bath, dicke=True):
-    """The bath as independent factors (coupling, level frequencies, initial vector).
+    """The bath as independent factors (off-diagonal, level frequencies, initial vector).
 
-    With dicke=False there is one factor per component.  With dicke=True,
-    spin-halves sharing g, omega and initial label are merged: k of them
-    stay in their symmetric (Dicke) subspace, where sum g sigma_x = 2g Jx,
+    Every factor's coupling is real symmetric tridiagonal with a zero diagonal
+    in its storage basis (g (a + a^dagger), g sigma_x or 2g Jx), so it is held
+    as its off-diagonal: entry n couples levels n and n + 1.  With
+    dicke=False there is one factor per component.  With dicke=True,
+    spin-halves sharing g, omega and initial label are merged: k of them stay
+    in their symmetric (Dicke) subspace, where sum g sigma_x = 2g Jx,
     sum omega sigma_z / 2 = omega Jz for spin k/2, and the initial state is
     |M = +k/2> ('up') or |M = -k/2> ('down').  A group of one keeps the
-    component's own matrices.
+    component's own levels.
     """
     groups = {}
     for i, (comp, label) in enumerate(zip(bath.components, bath.initial)):
@@ -526,37 +526,69 @@ def _bath_factors(bath, dicke=True):
         groups.setdefault(key, [comp, label, 0])[2] += 1
     factors = []
     for comp, label, k in groups.values():
-        if k == 1:
-            factors.append((comp.coupling_operator(), comp.level_frequencies(),
-                            comp.initial_vector(label)))
+        if k == 1:  # coupling_operator()'s off-diagonal, bit for bit
+            factors.append((comp.g * np.sqrt(np.arange(comp.levels - 1) + 1.0),
+                            comp.level_frequencies(), comp.initial_vector(label)))
             continue
         _check_entries("Dicke factor coupling operator", (k + 1) ** 2, DENSE_BATH_LIMIT ** 2)
-        # spin_matrices' basis, m = k/2, ..., -k/2, written directly: 2g Jx is real
-        # tridiagonal, g sqrt(j(j+1) - m(m+1)) between m and m + 1, and Jz is m
+        # spin_matrices' basis, m = k/2, ..., -k/2: 2g Jx has g sqrt(j(j+1) - m(m+1))
+        # between m and m + 1, and Jz is m
         j, m = 0.5 * k, 0.5 * k - np.arange(k + 1)
-        ladder, n = comp.g * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), np.arange(k)
-        coupling = np.zeros((k + 1, k + 1))
-        coupling[n, n + 1] = coupling[n + 1, n] = ladder
         vec = np.zeros(k + 1, dtype=complex)
         vec[0 if label == "up" else k] = 1.0
-        factors.append((coupling, comp.omega * m, vec))
+        factors.append((comp.g * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), comp.omega * m, vec))
     return factors
 
 
-def _sparse_bath_ops(factors, hbar):
-    """Sparse coupling agent B and the (diagonal) H_res of a product of factors."""
-    import scipy.sparse
+def _kron_sum(vectors):
+    """The diagonal of sum_f 1 (x) diag(v_f) (x) 1, flattened in storage order."""
+    return reduce(lambda a, b: np.add.outer(a, b).ravel(), vectors)
 
-    def embed(index, op):  # op on factor index, identity on the others
-        mats = [scipy.sparse.csr_matrix(op) if k == index
-                else scipy.sparse.identity(chi.size, format="csr")
-                for k, (_, _, chi) in enumerate(factors)]
-        return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
 
-    b_sp = sum(embed(i, c) for i, (c, _, _) in enumerate(factors))
-    # H_res is diagonal in the storage basis: the Kronecker sum of level frequencies
-    diag = reduce(lambda a, b: np.add.outer(a, b).ravel(), [f for _, f, _ in factors])
-    return b_sp, hbar * diag
+def _row_sums(off):
+    """Row sums of |T|, T the zero-diagonal symmetric tridiagonal with off-diagonal off."""
+    return np.convolve(np.abs(off), [1.0, 1.0])
+
+
+def _stepped_bath(bath, dim_s, hbar, name):
+    """The bath as a stepped back end holds it: (bvals, offs, chi0, hres, rows).
+
+    A static bath is one axis in B's eigenbasis, which is exact: B = diag(bvals),
+    H_res = 0 and the initial vector chi0 = sqrt(W), with offs None.  A
+    dynamic bath has one axis per factor of _bath_factors: offs are their
+    off-diagonals, chi0 the product of their initial vectors (one axis each)
+    and bvals None.  hres (hbar times the level frequencies) and rows
+    (rowsum|B|, the Kronecker sum of the factors' row sums) are flat over the
+    bath.  The joint state of dim_s system levels per bath level is refused
+    above JOINT_DIMENSION_LIMIT entries per branch, as the named array.
+    """
+    if bath.is_static():
+        bvals, weights = bath_eigen_decomposition(bath)
+        _check_entries(name, dim_s * bvals.size, JOINT_DIMENSION_LIMIT)
+        return bvals, None, np.sqrt(weights), np.zeros(bvals.size), np.abs(bvals)
+    factors = _bath_factors(bath)
+    _check_entries(name, dim_s * math.prod(chi.size for _, _, chi in factors),
+                   JOINT_DIMENSION_LIMIT)
+    offs = [off for off, _, _ in factors]
+    chi0 = reduce(np.multiply.outer, [chi for _, _, chi in factors])
+    hres = hbar * _kron_sum([f for _, f, _ in factors])
+    return None, offs, chi0, hres, _kron_sum([_row_sums(off) for off in offs])
+
+
+def _tridiagonal(coef, axis):
+    """add(out, x, tmp): out += T x along axis of the state, T the zero-diagonal
+    symmetric tridiagonal whose off-diagonal is coef, axis 0 of coef on that
+    axis and its other axes broadcast against the state's later ones.  tmp
+    is a scratch state; nothing is allocated per call."""
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+
+    def add(out, x, tmp):
+        for dst, src in ((lo, hi), (hi, lo)):  # T_{n,n+1} x_{n+1}, then T_{n+1,n} x_n
+            np.multiply(coef, x[src], out=tmp[dst])
+            np.add(out[dst], tmp[dst], out=out[dst])
+
+    return add
 
 
 def _chebyshev_top(r):
@@ -595,13 +627,14 @@ def _spectral_scale(lo, hi):
     return 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)  # scalar H: R = 0
 
 
-def _chebyshev_advance(times, branch1, branch2, bath_state, step, hw, hbar, axes):
-    """N_12(times) from psi = branch_k (x) bath_state (branches on axis 0,
-    system x bath matrices) under exp(-i H t / hbar), checking each branch
-    stays at unit norm at every sample.
+def _chebyshev_advance(times, psi, step, hw, hbar, order):
+    """N_12(times) from the joint state psi under exp(-i H t / hbar), checking
+    each branch stays at unit norm at every sample.
 
-    Tal-Ezer and Kosloff's expansion, one series per chunk of sample times,
-    for h~ = (H - mid) / hw of _spectral_scale, run on the terms
+    psi.transpose(order) has the axes (branch, system, bath...): the two
+    branches on its first axis, each a system x bath matrix.  Tal-Ezer and
+    Kosloff's expansion, one series per chunk of sample times, for
+    h~ = (H - mid) / hw of _spectral_scale, run on the terms
     S_k = (-i)^k T_k(h~) psi: S_1 = -i h~ S_0 and S_{k+1} = -2i h~ S_k + S_{k-1},
     where step(x, prev, out) writes -2i h~ x + prev into the buffer out (never
     x or prev).  From the state psi = S_0 at a chunk's start the terms are
@@ -613,16 +646,16 @@ def _chebyshev_advance(times, branch1, branch2, bath_state, step, hw, hbar, axes
     suffix since times ascend.  A chunk holds at least one time and ends
     before its accumulators or its coefficient table would pass
     SAMPLE_BUDGET entries, or its next offset's recurrence would pass
-    CHEBYSHEV_ORDER_LIMIT; the next chunk starts from its last sample.  The
-    recurrence runs on psi.transpose(axes), made contiguous, and each sample
-    is reduced through the inverse transpose.
+    CHEBYSHEV_ORDER_LIMIT; the next chunk starts from its last sample.  A
+    chunk's samples are checked and reduced together, from one contiguous
+    copy in the (sample, branch, system, bath) order.
     """
-    shape = tuple(((2,) + branch1.shape + bath_state.shape)[a] for a in axes)
-    inverse = np.argsort(axes)
-    rows = max(1, SAMPLE_BUDGET // math.prod(shape))  # accumulators per chunk
+    shape, dim_s = psi.shape, psi.shape[order[1]]
+    rows = max(1, SAMPLE_BUDGET // psi.size)  # accumulators per chunk
     ring = np.empty((max(3, rows),) + shape, dtype=complex)
-    ring[0] = np.multiply.outer(np.stack([branch1, branch2]), bath_state).transpose(axes)
-    acc = np.empty((min(rows, times.size), ring[0].size), dtype=complex)
+    ring[0] = psi
+    acc = np.empty((min(rows, times.size), psi.size), dtype=complex)
+    sample_order = (0,) + tuple(1 + a for a in order)
     norms, start, t0 = np.empty(times.size), 0, 0.0
     while start < times.size:
         r = hw * (times[start:start + rows] - t0) / hbar
@@ -645,48 +678,63 @@ def _chebyshev_advance(times, branch1, branch2, bath_state, step, hw, hbar, axes
                 first = int(np.argmax(orders >= k0))  # the samples whose series still runs
                 terms = ring[:slot + 1].reshape(slot + 1, -1).view(float)
                 chunk.view(float)[first:] += coef[first:, k0:k + 1] @ terms
-        for i, state in enumerate(chunk, start):
-            psi = np.ascontiguousarray(state.reshape(shape).transpose(inverse))
-            drift = max(abs(np.linalg.norm(branch) - 1.0) for branch in psi)
-            if drift > UNITARITY_DRIFT:
-                raise StepSizeError(f"unitarity drift {drift:.3g}")
-            norms[i] = _sandwich_norm(psi[0], psi[1])
+        samples = np.ascontiguousarray(chunk.reshape((-1,) + shape).transpose(sample_order))
+        samples = samples.reshape(orders.size, 2, dim_s, -1)
+        squares = _float_rows(samples)
+        drift = np.abs(np.sqrt(np.einsum("...i,...i->...", squares, squares)) - 1.0).max()
+        if drift > UNITARITY_DRIFT:
+            raise StepSizeError(f"unitarity drift {drift:.3g}")
+        norms[start:start + orders.size] = _sandwich_norm(samples[:, 0], samples[:, 1])
         ring[0] = chunk[-1].reshape(shape)
         start += orders.size
         t0 = times[start - 1]
     return norms
 
 
-def _spin_sparse_curve(sys, bath, branch1, branch2, times):
-    """The joint H as one scipy.sparse matrix on a (system, bath, branch)
-    state, its spectral interval from Gershgorin's row sums."""
-    import scipy.sparse
+def _spin_curve(sys, bath, branch1, branch2, times):
+    """H = Omega Jz + Jx B + H_res on a (branch, system, bath) state, by _chebyshev_advance.
 
-    factors = _bath_factors(bath)
-    dim_s = branch1.size
-    dim_b = math.prod(chi.size for _, _, chi in factors)
-    _check_entries("Krylov joint state", dim_s * dim_b, JOINT_DIMENSION_LIMIT)
+    The bath is held as _stepped_bath gives it.  Jx is real tridiagonal in
+    the Jz basis and Omega Jz + H_res is one diagonal multiply.  A static
+    bath's B = diag(b) folds into Jx's off-diagonal, one coefficient per
+    (m, b) pair; otherwise each step forms B x in a scratch state, each
+    factor's tridiagonal coupling along its own axis, and applies Jx along
+    the system axis of that.  Coefficients are held at the full shape of
+    the axes they act along and after, so no multiply broadcasts a short
+    inner axis.  With D = Omega m + h_res and the radius
+    rad = rowsum|Jx| rowsum|B|, the spectrum lies in [min(D - rad), max(D + rad)]
+    (Gershgorin: Jx and B have zero diagonals).
+    """
     jx, _, jz = spin_matrices(sys.j, sys.hbar)
-    b_sp, hres_diag = _sparse_bath_ops(factors, sys.hbar)
-    eye_b = scipy.sparse.identity(dim_b, format="csr")
-    h = (
-        sys.omega * scipy.sparse.kron(scipy.sparse.csr_matrix(jz), eye_b, format="csr")
-        + scipy.sparse.kron(scipy.sparse.identity(dim_s, format="csr"),
-                            scipy.sparse.diags(hres_diag), format="csr")
-        + scipy.sparse.kron(scipy.sparse.csr_matrix(jx), b_sp, format="csr")
-    )
-    diag = h.diagonal().real
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    jx_off = np.diag(jx.real, 1)
+    bvals, offs, chi0, hres, rows = _stepped_bath(bath, branch1.size, sys.hbar,
+                                                  "Krylov joint state")
+    diag = np.add.outer(sys.omega * jz.real.diagonal(), hres)
+    radius = np.multiply.outer(_row_sums(jx_off), rows)
     mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius))
-    h = h - mid * scipy.sparse.identity(len(diag), format="csr")  # -2i h~ replaces H: one copy
-    h.data *= -2j / hw
-    chi0 = reduce(np.kron, [chi for _, _, chi in factors])
+    scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
+    psi = np.multiply.outer(np.stack([branch1, branch2]), chi0)
+    diag_s = (scale * (diag - mid)).reshape(psi.shape[1:])
+    tmp = np.empty_like(psi)
+    if offs is None:
+        system = _tridiagonal(np.multiply.outer(scale * jx_off, bvals), 1)
+    else:
+        dims, bx = chi0.shape, np.empty_like(psi)
+        system = _tridiagonal(np.multiply.outer(scale * jx_off, np.ones(dims)), 1)
+        factors = [_tridiagonal(np.multiply.outer(off, np.ones(dims[i + 1:], complex)), 2 + i)
+                   for i, off in enumerate(offs)]
 
     def step(x, prev, out):
-        n = len(diag)
-        np.add(h @ x.reshape(n, -1), prev.reshape(n, -1), out=out.reshape(n, -1))
+        np.multiply(diag_s, x, out=out)
+        if offs is not None:
+            bx.fill(0.0)
+            for add in factors:
+                add(bx, x, tmp)
+            x = bx
+        system(out, x, tmp)
+        np.add(out, prev, out=out)
 
-    return _chebyshev_advance(times, branch1, branch2, chi0, step, hw, sys.hbar, axes=(1, 2, 0))
+    return _chebyshev_advance(times, psi, step, hw, sys.hbar, tuple(range(psi.ndim)))
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -701,14 +749,14 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
     """
     occupied = np.flatnonzero((np.abs(amp1) > 1e-14) | (np.abs(amp2) > 1e-14))
     qs = pointers[occupied]
-    factors = _bath_factors(bath, dicke=False)
-    _check_entries("pointer eigenvector stacks", qs.size * sum(c.size for c, _, _ in factors),
-                   STACK_BUDGET)
+    _check_entries("pointer eigenvector stacks",
+                   qs.size * sum(comp.levels ** 2 for comp in bath.components), STACK_BUDGET)
     _check_entries("pointer overlaps", qs.size * qs.size, STACK_BUDGET)
     eigen = []
-    for c, f, chi in factors:  # per pointer q: q coupling + hbar level frequencies
-        w, v = np.linalg.eigh(qs[:, None, None] * c + hbar * np.diag(f))
-        eigen.append((w, v, _dagger(v) @ chi))
+    for comp, label in zip(bath.components, bath.initial):  # per q: q c + hbar level frequencies
+        h = qs[:, None, None] * comp.coupling_operator() + hbar * np.diag(comp.level_frequencies())
+        w, v = np.linalg.eigh(h)
+        eigen.append((w, v, _dagger(v) @ comp.initial_vector(label)))
     w1, w2 = (np.abs(amp[occupied]) ** 2 for amp in (amp1, amp2))
     norms = []
     for chis in _eigen_phase_chunks(times, hbar, eigen, qs.size ** 2):
@@ -722,45 +770,45 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
 def _grid_curve(sys, bath, branch1, branch2, times):
     """H = T + V + q B + H_res on a (bath, branch, grid) state, by _chebyshev_advance.
 
-    T = hbar^2 k^2 / 2M is applied by FFT along the contiguous grid axis.  A
-    static bath is held in B's eigenbasis: B is diagonal, so q B joins the
-    potential, H_res = 0 and the initial bath vector is sqrt(W).  A dynamic
-    bath is held as Dicke factors, with B applied as one sparse product on
-    the bath axis.  With D = V + h_res (plus q b_m when static) and the
-    radius rad = |q| rowsum|B| (zero when static), the spectrum lies in
-    [min(D - rad), max(D + rad) + max T]: Gershgorin for V + q B + H_res,
-    and T >= 0 adds at most max T.
+    T = hbar^2 k^2 / 2M is applied by FFT along the contiguous grid axis.
+    The bath is held as _stepped_bath gives it: when static, B is diagonal
+    and q B joins the potential; otherwise q B is each factor's tridiagonal
+    coupling times q, applied along the factor's own axis.  With
+    D = V + h_res (plus q b_m when static) and the radius rad = |q| rowsum|B|
+    (zero when static), the spectrum lies in [min(D - rad), max(D + rad) + max T]:
+    Gershgorin for V + q B + H_res, and T >= 0 adds at most max T.
     """
     q = sys.grid.points
-    if bath.is_static():
-        bvals, weights = bath_eigen_decomposition(bath)
-        _check_entries("static grid columns", q.size * bvals.size, JOINT_DIMENSION_LIMIT)
-        diag, radius, b_sp, chi0 = bvals[:, None] * q, 0.0, None, np.sqrt(weights)
+    bvals, offs, chi0, hres, rows = _stepped_bath(
+        bath, q.size, sys.hbar, "static grid columns" if bath.is_static() else "dynamic grid state")
+    if offs is None:
+        diag, radius = bvals[:, None] * q, 0.0
     else:
-        factors = _bath_factors(bath)
-        dim_b = math.prod(chi.size for _, _, chi in factors)
-        _check_entries("dynamic grid state", q.size * dim_b, JOINT_DIMENSION_LIMIT)
-        b_sp, hres_diag = _sparse_bath_ops(factors, sys.hbar)
-        diag, radius = hres_diag[:, None], np.abs(q) * np.asarray(abs(b_sp).sum(axis=1))
-        chi0 = reduce(np.kron, [chi for _, _, chi in factors])
+        diag, radius = hres[:, None], np.abs(q) * rows[:, None]
     diag = diag + sys.potential()  # (bath, grid)
     k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys.grid.spacing)
     kin = (sys.hbar * k) ** 2 / (2.0 * sys.mass)
 
     mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius) + kin.max())
     scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
-    kin_s, diag_s, q_s = scale * kin, (scale * (diag - mid))[:, None, :], scale * q
+    psi = np.multiply.outer(chi0, np.stack([branch1, branch2]))
+    kin_s, diag_s = scale * kin, (scale * (diag - mid)).reshape(chi0.shape + (1, q.size))
+    factors = [_tridiagonal(np.multiply.outer(scale * off, q).reshape(
+        (-1,) + (1,) * (chi0.ndim - i) + (q.size,)), i) for i, off in enumerate(offs or ())]
+    tmp = np.empty_like(psi)
 
     def step(x, prev, out):
         np.fft.fft(x, axis=-1, out=out)
         out *= kin_s
         np.fft.ifft(out, axis=-1, out=out)
-        out += diag_s * x
-        if b_sp is not None:
-            out += q_s * (b_sp @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+        np.multiply(diag_s, x, out=tmp)
+        out += tmp
+        for add in factors:
+            add(out, x, tmp)
         out += prev
 
-    return _chebyshev_advance(times, branch1, branch2, chi0, step, hw, sys.hbar, axes=(2, 0, 1))
+    order = (chi0.ndim, chi0.ndim + 1) + tuple(range(chi0.ndim))
+    return _chebyshev_advance(times, psi, step, hw, sys.hbar, order)
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -782,10 +830,10 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 
     The back end follows what is conserved (see the module docstring): an
     infinite mass or omega == 0 conserves the coupling operator (pointers).
-    A stepped back end (Krylov, finite-mass grid) costs about hw t_total / hbar
-    applications of H, plus one Bessel tail of about 20 R^(1/3) + 40 terms per
-    chunk of sample times; on the grid hw is dominated by hbar^2 k_max^2 / 2M
-    with k_max = pi / spacing.
+    A stepped back end (spin with omega != 0, finite-mass grid) costs about
+    hw t_total / hbar applications of H, plus one Bessel tail of about
+    20 R^(1/3) + 40 terms per chunk of sample times; on the grid hw is
+    dominated by hbar^2 k_max^2 / 2M with k_max = pi / spacing.
     """
     times = _check_times(times)
     if dt is not None:
@@ -805,8 +853,7 @@ def _norm_values(sys, bath, branch1, branch2, times):
         w, v = np.linalg.eigh(spin_matrices(sys.j, sys.hbar)[0])
         values = _pointer_curve(w, _dagger(v) @ b1, _dagger(v) @ b2, bath, sys.hbar, times)
     elif isinstance(sys, SpinSystem):
-        curve = _spin_static_curve if bath.is_static() else _spin_sparse_curve
-        values = curve(sys, bath, b1, b2, times)
+        values = _spin_curve(sys, bath, b1, b2, times)
     elif math.isinf(sys.mass):
         values = _pointer_curve(sys.grid.points, b1, b2, bath, sys.hbar, times)
     else:

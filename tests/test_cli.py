@@ -44,6 +44,11 @@ MISCONFIGS = {
     "memory-foreign-parameter": ("norm", "kind = short-time",
                                  "kind = memory\n[memory]\ncorrelation = exponential\nvar_b = 1.0\n"
                                  "gamma = 2.0\ndq = 1.0\ntau_c = 5.0", "tau_c"),
+    # a [base] key the target's law does not read used to run and change only the hash
+    "sweep-foreign-gamma": ("sweep", "var_b = 1.0", "var_b = 1.0\ngamma = 7.0", "gamma"),
+    "sweep-foreign-j": ("sweep", "var_b = 1.0", "var_b = 1.0\nj = 3", "[base] j"),
+    "sweep-foreign-alpha": ("sweep", "var_b = 1.0", "var_b = 1.0\nalpha = 0.5+0.5j", "alpha"),
+    "sweep-foreign-beta": ("sweep", "var_b = 1.0", "var_b = 1.0\nbeta = -1+0j", "beta"),
     # decoherence_times ignores omega, and only spin reads var_bdot and kappa
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
@@ -71,34 +76,45 @@ TEMPLATES_PROBE = textwrap.dedent("""
     print("scipy-modules", *[m for m in sys.modules if m.split(".")[0] == "scipy"])
 """)
 
-# Calls the oracle and law paths once each after a scipy-free import of
-# decolab; prints which of scipy.integrate and scipy.sparse.linalg were
-# loaded after each call and whether the results are finite.
+# Calls every evolve_norm back end, build_bath_operators and the closed-form
+# laws once each after a scipy-free import of decolab; after each call
+# prints its name, whether its results are finite and whether any scipy
+# module is loaded.
 SCIPY_PATHS_PROBE = textwrap.dedent("""
     import math
     import sys
     import numpy as np
     import decolab as dl
 
-    def loaded():
-        return [m in sys.modules for m in ("scipy.integrate", "scipy.sparse.linalg")]
-
-    print(*loaded())
-    # Omega != 0 in a dynamic bath: the Krylov (Chebyshev) back end
-    a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
-    b = dl.coherent_vector(dl.SpinCoherent(1.0, -1.0))
-    bath = dl.spin_bath(3, 1.0, omegas=0.7)
-    curve = dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, b, np.linspace(0.0, 1.0, 5))
-    print(*loaded())
-    # a bath_statistics correlation carries its lines: closed-form memory kernel
-    line_corr = dl.bath_statistics(bath)[1]
-    values = [dl.memory_kernel_norm(1.0, 1.0, 1.0, line_corr), *curve.values]
-    print(*loaded())
-    # the exponential family: closed-form memory kernel and golden-rule rate
+    static, dynamic = dl.spin_bath(3, 1.0), dl.spin_bath(3, 1.0, omegas=0.7)
+    a, b = (dl.coherent_vector(dl.SpinCoherent(1.0, alpha)) for alpha in (1.0, -1.0))
+    grid = dl.PositionGrid(-4.0, 4.0, 16)
+    g1, g2 = (dl.grid_packet_state(dl.GaussianPacket(q, 0.0, 0.5), grid) for q in (1.0, -1.0))
+    times = np.linspace(0.0, 1.0, 5)
     corr = dl.exponential_correlation(1.0, 1.0)
-    values += [dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
-               dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec]
-    print(all(map(math.isfinite, values)), *loaded())
+    calls = {
+        "import": lambda: [],
+        "pointer-spin": lambda: dl.evolve_norm(dl.SpinSystem(1.0, 0.0), dynamic, a, b, times),
+        "spin-static": lambda: dl.evolve_norm(dl.SpinSystem(1.0, 0.7), static, a, b, times),
+        "spin-dynamic": lambda: dl.evolve_norm(dl.SpinSystem(1.0, 0.7), dynamic, a, b, times),
+        "pointer-grid": lambda: dl.evolve_norm(dl.GridParticle(grid, math.inf), dynamic, g1, g2,
+                                               times),
+        "grid-static": lambda: dl.evolve_norm(dl.GridParticle(grid, 1.0), static, g1, g2, times),
+        "grid-dynamic": lambda: dl.evolve_norm(dl.GridParticle(grid, 1.0), dynamic, g1, g2, times),
+        "bath-operators": lambda: np.abs(dl.build_bath_operators(dynamic).Bddot).ravel(),
+        # a bath_statistics correlation carries its lines: closed-form memory kernel
+        "lines-kernel": lambda: [
+            dl.memory_kernel_norm(1.0, 1.0, 1.0, dl.bath_statistics(dynamic)[1])],
+        # the exponential family: closed-form memory kernel and golden-rule rate
+        "exponential-laws": lambda: [
+            dl.memory_kernel_norm(1.0, 1.0, 1.0, corr),
+            dl.golden_rule_times(corr, dl.SystemParams(1.0, omega=0.5), 1.0).tau_dec],
+    }
+    for name, call in calls.items():
+        result = call()
+        values = getattr(result, "values", result)
+        print(name, all(map(math.isfinite, values)),
+              any(m.split(".")[0] == "scipy" for m in sys.modules))
 """)
 
 
@@ -346,6 +362,21 @@ class TestExperiments:
         assert main([experiment, "--config", cfg, *flags]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, own, foreign", [("tau_gr", "gamma = 2.0", "j = 3"),
+                                                      ("tau_gr", "gamma = 2.0", "beta = 1j"),
+                                                      ("tau_x", "j = 3", "gamma = 2.0"),
+                                                      ("tau_x", "beta = -0.5+0j", "gamma = 2.0")])
+    def test_sweep_base_keys_follow_the_target(self, tmp_path, capsys, target, own, foreign):
+        # a [base] key runs with the targets whose law reads it, and names
+        # itself with any other
+        template = TEMPLATES["sweep"].replace("target = tau_q ", f"target = {target} ", 1)
+        ok = write(tmp_path, "ok.ini", template + own + "\n")
+        assert main(["sweep", "--config", ok, "--out", str(tmp_path / "ok.csv")]) == 0
+        bad = write(tmp_path, "bad.ini", template + foreign + "\n")
+        assert main(["sweep", "--config", bad, "--out", str(tmp_path / "bad.csv")]) == 1
+        assert f"[base] {foreign.split()[0]} is not an input of target = {target}" in (
+            capsys.readouterr().err)
+
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
@@ -485,8 +516,9 @@ class TestImportPath:
         assert lines[-1] == "scipy-modules"
 
     def test_deferred_scipy_imports_resolve(self):
-        before, krylov, lines, after = run_fresh(SCIPY_PATHS_PROBE).splitlines()
-        assert before.split() == ["False", "False"]
-        assert krylov.split() == ["False", "False"]
-        assert lines.split() == ["False", "False"]
-        assert after.split() == ["True", "False", "False"]
+        # no back end, bath operator or closed form loads any scipy module
+        lines = [line.split() for line in run_fresh(SCIPY_PATHS_PROBE).splitlines()]
+        assert [name for name, _, _ in lines] == [
+            "import", "pointer-spin", "spin-static", "spin-dynamic", "pointer-grid",
+            "grid-static", "grid-dynamic", "bath-operators", "lines-kernel", "exponential-laws"]
+        assert all(rest == ["True", "False"] for _, *rest in lines)

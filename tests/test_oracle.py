@@ -354,13 +354,17 @@ class TestSizeLimits:
         with pytest.raises(DimensionCapError, match=f"bath initial state would hold {1 << 200}"):
             dl.spin_bath(200, 1.0).initial_state()
 
-    def test_static_spin_stack(self):
-        # 16 eigenvalues of B x 601^2 entries per spin-300 eigenvector matrix
-        bath = _distinct_spins(4)
-        assert dl.bath_eigen_decomposition(bath)[0].size == 16
+    def test_static_spin_joint_state(self):
+        # a spin 300 against 2^12 eigenvalues of B: 601 x 4096 entries per
+        # branch.  16 eigenvalues (9616 entries) run: no eigenvector stack of
+        # 16 x 601^2 entries is formed
+        bath = _distinct_spins(12)
+        assert dl.bath_eigen_decomposition(bath)[0].size == 4096
         branch = np.eye(601)[0]
-        with pytest.raises(DimensionCapError, match="static spin eigenvector stack"):
+        with pytest.raises(DimensionCapError, match=f"Krylov joint state would hold {601 * 4096}"):
             dl.evolve_norm(dl.SpinSystem(300.0, 0.7), bath, branch, branch, [0.1])
+        curve = dl.evolve_norm(dl.SpinSystem(300.0, 0.7), _distinct_spins(4), branch, branch, [0.1])
+        assert 0.0 < curve.values[0] <= 1.0
 
     def test_static_grid_columns(self):
         # 64 grid points x 2^16 eigenvalues of B
@@ -1051,6 +1055,64 @@ class TestChebyshevChunks:
             dl.evolve_norm(self.SPIN, self.BATH, *self.BRANCHES, [0.0, 150.0])
 
 
+class TestTridiagonalFactors:
+    """The stepped back ends apply each bath factor's tridiagonal coupling
+    along its own axis of the state, refereed by eigh of the full joint H."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_mixed_factors_match_joint_eigh(self, data):
+        # a spin (static or dynamic bath) or a grid particle (dynamic bath)
+        # against spin-half groups of 1-3 (one Dicke factor each) and
+        # oscillators of 3-6 levels, in any order; couplings are kept away
+        # from zero so every factor acts, and the full bath is at most 96
+        # levels beside a spin and 32 beside a 16-point grid
+        backend = data.draw(st.sampled_from(["spin", "grid"]))
+        static = backend == "spin" and data.draw(st.booleans())
+        budget = 96 if backend == "spin" else 32
+        coupling = st.builds(math.copysign, st.floats(0.2, 1.0), st.sampled_from([1.0, -1.0]))
+        frequency = st.just(0.0) if static else st.floats(0.1, 2.0)
+        comps, labels, dim = [], [], 1
+        while not comps or (2 * dim <= budget and data.draw(st.booleans())):
+            if 3 * dim <= budget and data.draw(st.booleans()):
+                levels = data.draw(st.integers(3, min(6, budget // dim)))
+                comps.append(dl.BathComponent("oscillator", data.draw(coupling),
+                                              data.draw(frequency), levels))
+                labels.append(data.draw(st.integers(0, levels - 2)))
+                dim *= levels
+            else:
+                size = data.draw(st.integers(1, min(3, int(math.log2(budget // dim)))))
+                comps += [dl.BathComponent("spin-half", data.draw(coupling),
+                                           data.draw(frequency))] * size
+                labels += [data.draw(st.sampled_from(["up", "down"]))] * size
+                dim *= 2 ** size
+        order = data.draw(st.permutations(range(len(comps))))
+        bath = dl.BathModel(tuple(comps[i] for i in order), tuple(labels[i] for i in order))
+        assert bath.dimension <= budget and bath.is_static() == static
+        hbar = data.draw(st.floats(0.5, 2.0))
+        if backend == "spin":
+            j = data.draw(st.sampled_from([0.5, 1.0]))
+            omega = st.builds(math.copysign, st.floats(0.2, 1.5), st.sampled_from([1.0, -1.0]))
+            sys_x = dl.SpinSystem(j, data.draw(omega), hbar)
+            amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+            vectors = st.lists(amp, min_size=int(2 * j) + 1, max_size=int(2 * j) + 1).map(
+                np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+            branches = [data.draw(vectors), data.draw(vectors)]
+            referee = joint_eigh_norms
+        else:
+            grid = dl.PositionGrid(-6, 6, 16)
+            sys_x = dl.GridParticle(grid, data.draw(st.floats(1.0, 4.0)),
+                                    data.draw(st.none() | st.floats(0.2, 2.0)), hbar)
+            q0, p0 = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(-1.0, 1.0))
+            branches = [dl.grid_packet_state(dl.GaussianPacket(s * q0, s * p0, 0.6, hbar), grid)
+                        for s in (1, -1)]
+            referee = grid_joint_eigh_norms
+        times = sorted(data.draw(st.sets(st.floats(0.1, 2.0), min_size=1, max_size=3)))
+        curve = dl.evolve_norm(sys_x, bath, branches[0], branches[1], times)
+        expected = referee(sys_x, bath, branches, times)
+        np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
+
+
 KRYLOV_MEMORY_PROBE = textwrap.dedent("""
     import numpy as np
     import decolab as dl
@@ -1069,8 +1131,9 @@ class TestKrylovMemory:
         # per branch, 2^18 entries (4 MiB) for both, one time per chunk.
         # The per-span driver (a scaled copy of H, six states) peaked at
         # 123.8 MiB (numpy 2.4, scipy 1.17, x86-64 Linux); this driver's
-        # ring of 3 reads 112 MiB, a 16-term ring 134 MiB and one
-        # accumulator per time 424 MiB
+        # ring of 3 reads 112 MiB with a scipy.sparse joint H and 72 MiB
+        # with the factors applied as tridiagonals, a 16-term ring 134 MiB
+        # and one accumulator per time 424 MiB
         assert peak_memory_mib(KRYLOV_MEMORY_PROBE) <= 124
 
 
@@ -1091,7 +1154,8 @@ class TestDickeMemory:
         # 1,023 equal spins merge into one spin 1023/2 of 1,024 levels.
         # Built from spin_matrices (three dense complex matrices and their
         # temporaries) the Krylov curve peaked at 129.5 MiB; its real 2g Jx
-        # alone reads 62-63 MiB (numpy 2.4, scipy 1.17, x86-64 Linux)
+        # alone reads 62-63 MiB (numpy 2.4, scipy 1.17, x86-64 Linux), and
+        # its off-diagonal alone, with no scipy loaded, 38 MiB
         assert peak_memory_mib(DICKE_MEMORY_PROBE) <= 80
 
 
