@@ -448,10 +448,20 @@ def run_spin(c):
     return ["t", "norm", "stderr"], rows, extras
 
 
+def _require(section, key, value, ok, domain):
+    """Refuse value of [section] key unless ok, naming the key and its domain."""
+    if not ok:
+        raise ConfigError(f"[{section}] {key} must be {domain}, got {value!r}")
+
+
 def run_expansion_check(c):
     expansion = c["expansion"]
     dim, trials, hnorm_t = expansion["dim"], expansion["trials"], expansion["hnorm_t"]
     seed = expansion["seed"]
+    # 1 x 1 generators commute: no O(t^4) remainder, and the ratio can be 0/0
+    _require("expansion", "dim", dim, dim >= 2, ">= 2")
+    _require("expansion", "trials", trials, trials >= 1, ">= 1")
+    _require("expansion", "hnorm_t", hnorm_t, hnorm_t > 0, "> 0")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def random_hermitian():
@@ -473,6 +483,9 @@ def run_clt(c):
     clt = c["clt"]
     m_values = clt["m_values"]
     var_b, sigmas, points = clt["var_b"], clt["lambda_sigmas"], clt["lambda_points"]
+    _require("clt", "var_b", var_b, var_b > 0, "> 0")
+    _require("clt", "lambda_sigmas", sigmas, sigmas > 0, "> 0")
+    _require("clt", "lambda_points", points, points >= 2, ">= 2")
     lam = np.linspace(-sigmas / math.sqrt(var_b), sigmas / math.sqrt(var_b), points)
     gauss = np.exp(-(lam ** 2) * var_b / 2.0)
 
@@ -502,9 +515,13 @@ EXPERIMENTS = {
 def _format_cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return FLOAT_FMT % value
+    return FLOAT_FMT % value  # a non-finite float reads inf, -inf or nan
+
+
+def _json_number(value):
+    """value as a float, or its CSV token ("inf") where JSON has no number for it."""
+    value = float(value)
+    return value if math.isfinite(value) else _format_cell(value)
 
 
 def render_csv(experiment, config_hash, columns, rows, extras):
@@ -530,13 +547,13 @@ def render_json(experiment, config_hash, columns, rows, extras):
         "experiment": experiment,
         "config_sha256": config_hash,
         "extras": {
-            k: (float(v) if isinstance(v, (int, float, np.integer)) else v)
+            k: (_json_number(v) if isinstance(v, (int, float, np.integer)) else v)
             for k, v in extras.items()
         },
         "columns": columns,
-        "rows": [[float(v) for v in row] for row in rows],
+        "rows": [[_json_number(v) for v in row] for row in rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

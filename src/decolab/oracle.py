@@ -12,11 +12,11 @@ by the pure-state sandwich: the two branches, held on axis 0 as system x
 bath matrices A1, A2, give rho^{12} = A1 A2^dagger after the bath
 contraction and N_12 = ||A1 A2^dagger||_F^2, never the full density matrix.
 
-The bath statistics (moments of B and its correlation functions) are read
-off the same component operators the back ends evolve: out of its initial
-level n, a component with coupling operator c has spectral lines of weight
-|<k|c|n>|^2 at frequency omega_k - omega_n, so no component kind needs its
-own formula.
+Every path reads a component through one description, its tridiagonal
+factor (``_bath_factors``: coupling off-diagonal c, level frequencies,
+initial level n).  The bath statistics (moments of B and its correlations)
+are its spectral lines, of weight c_{n-1}^2 and c_n^2 at the frequencies
+omega_{n-1} - omega_n and omega_{n+1} - omega_n: no kind has its own formula.
 
 Evolution strategies, by what the Hamiltonian conserves:
 
@@ -75,10 +75,10 @@ from .errors import (
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
-from .spin import spin_matrices
+from .spin import _check_j, _ladder, spin_matrices
 
-# levels of a dense bath vector, squared for a matrix: component and Dicke-factor
-# operators, BathModel.initial_state and build_bath_operators
+# levels of a dense bath vector, squared for a matrix: a component's dense coupling
+# (the eigh callers), BathModel.initial_state and build_bath_operators
 DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for a static bath's eigenbasis
 JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: stepped spin, grid
@@ -115,24 +115,6 @@ class BathComponent:
             raise ValidationError("oscillator components need levels >= 2")
         _check_entries("component coupling operator", self.levels ** 2, DENSE_BATH_LIMIT ** 2)
 
-    def coupling_operator(self):
-        """Local coupling operator g (a + a^dagger); for two levels that is g sigma_x."""
-        n = np.arange(self.levels - 1)
-        a = np.zeros((self.levels, self.levels), dtype=complex)
-        a[n, n + 1] = np.sqrt(n + 1.0)
-        return self.g * (a + a.conj().T)
-
-    def coupling_column(self, n):
-        """Column n of coupling_operator(), bit for bit, in O(levels)."""
-        if not (is_int(n) and 0 <= n < self.levels):
-            raise ValidationError(f"level must be an integer in [0, {self.levels}), got {n!r}")
-        col = np.zeros(self.levels, dtype=complex)
-        if n > 0:
-            col[n - 1] = np.sqrt(float(n))
-        if n + 1 < self.levels:
-            col[n + 1] = np.sqrt(n + 1.0)
-        return self.g * col
-
     def level_frequencies(self):
         """Local H / hbar as its real diagonal (it is diagonal in the storage basis)."""
         if self.kind == "spin-half":
@@ -156,18 +138,14 @@ class BathComponent:
             )
         return n
 
-    def initial_vector(self, label):
-        vec = np.zeros(self.levels, dtype=complex)
-        vec[self.initial_level(label)] = 1.0
-        return vec
-
 
 @dataclass(frozen=True)
 class BathModel:
     """Ordered bath components with a pure product initial state.
 
-    Every component's initial state must have a vanishing coupling mean
-    (checked numerically).  The size limits live in the oracle paths (see
+    Every component's initial state has a vanishing coupling mean, zero by
+    construction: each starts in a storage-basis level and each coupling has
+    a zero diagonal there.  The size limits live in the oracle paths (see
     the module docstring); ``dimension_cap``, when given, is an explicit
     ceiling on the full dimension, the product of the components' levels.
     """
@@ -188,12 +166,7 @@ class BathModel:
             raise ValidationError(f"dimension_cap must be a positive integer, got {cap!r}")
         _check_entries("bath state", self.dimension, math.inf if cap is None else cap)
         for comp, label in zip(self.components, self.initial):
-            n = comp.initial_level(label)
-            mean = comp.coupling_column(n)[n]
-            if abs(mean) > 1e-12 * max(1.0, abs(comp.g)):
-                raise ValidationError(
-                    f"initial state {label!r} has nonzero coupling mean {mean:.3g}"
-                )
+            comp.initial_level(label)
 
     @property
     def dimension(self):
@@ -207,8 +180,7 @@ class BathModel:
 
     def initial_state(self):
         _check_entries("bath initial state", self.dimension, DENSE_BATH_LIMIT)
-        vecs = [c.initial_vector(l) for c, l in zip(self.components, self.initial)]
-        return reduce(np.kron, vecs)
+        return reduce(np.kron, [chi for _, _, chi in _bath_factors(self, dicke=False)])
 
 
 def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
@@ -236,6 +208,47 @@ def spin_bath(m, var_total, omegas=0.0, dimension_cap=None):
 # Bath operators, moments and correlation functions
 
 
+def _bath_factors(bath, dicke=True):
+    """The bath as independent factors (off-diagonal, level frequencies, initial vector).
+
+    The one description of a component that every path reads.  Every
+    factor's coupling is real symmetric tridiagonal with a zero diagonal in
+    its storage basis (g (a + a^dagger), g sigma_x or 2g Jx), so it is held
+    as its off-diagonal: entry n couples levels n and n + 1; the initial
+    vector is one storage-basis level.  With dicke=False there is one factor
+    per component.  With dicke=True,
+    spin-halves sharing g, omega and initial label are merged: k of them stay
+    in their symmetric (Dicke) subspace, where sum g sigma_x = 2g Jx,
+    sum omega sigma_z / 2 = omega Jz for spin k/2, and the initial state is
+    |M = +k/2> ('up') or |M = -k/2> ('down').  A group of one keeps the
+    component's own levels.
+    """
+    groups = {}
+    for i, (comp, label) in enumerate(zip(bath.components, bath.initial)):
+        key = (comp.g, comp.omega, label) if dicke and comp.kind == "spin-half" else i
+        groups.setdefault(key, [comp, label, 0])[2] += 1
+    factors = []
+    for comp, label, k in groups.values():
+        if k == 1:  # g (a + a^dagger) has g sqrt(n + 1) between n and n + 1
+            off = comp.g * np.sqrt(np.arange(comp.levels - 1) + 1.0)
+            freqs, n = comp.level_frequencies(), comp.initial_level(label)
+        else:  # spin k/2 in spin_matrices' basis m = k/2, ..., -k/2: 2g Jx and omega Jz
+            m, ladder = _ladder(0.5 * k)
+            off, freqs, n = comp.g * ladder, comp.omega * m, 0 if label == "up" else k
+        chi = np.zeros(freqs.size, dtype=complex)
+        chi[n] = 1.0
+        factors.append((off, freqs, chi))
+    return factors
+
+
+def _dense_coupling(off):
+    """The zero-diagonal symmetric tridiagonal with off-diagonal off, as a dense complex matrix."""
+    n = np.arange(off.size)
+    dense = np.zeros((off.size + 1, off.size + 1), dtype=complex)
+    dense[n, n + 1] = dense[n + 1, n] = off
+    return dense
+
+
 @dataclass(frozen=True)
 class OracleBathOperators:
     """Dense bath operators plus the derived moments and correlations.
@@ -258,20 +271,22 @@ def bath_statistics(bath, hbar=1.0):
     """Exact (moments, corr) of the coupling agent, from its spectral lines.
 
     Each component starts in a storage-basis state |n> (true of every
-    component kind), so out of it the component's coupling operator c has
-    lines of weight a = |<k|c|n>|^2 at the frequencies nu = omega_k - omega_n
-    of its frequency operator; zero-weight lines are skipped.  Then
+    component kind), so out of it the component's tridiagonal coupling c
+    has lines of weight a = |<k|c|n>|^2 (k = n - 1 and n + 1 only) at the
+    frequencies nu = omega_k - omega_n of its frequency operator;
+    zero-weight lines are skipped.  Then
     <B^2> = sum a, <Bdot^2> = sum a nu^2, kappa = (2/hbar) sum a nu and
     <B~(s) B> = sum a exp(-i nu s); corr holds the lines, so
     sym(s) = 2 sum a cos(nu s).
     """
     require_positive(hbar=hbar)
     lines = []
-    for comp, label in zip(bath.components, bath.initial):
-        n = comp.initial_level(label)
-        levels = comp.level_frequencies()
-        weights = np.abs(comp.coupling_column(n)) ** 2
-        lines += [(float(weights[k]), float(levels[k] - levels[n]))
+    for off, freqs, chi in _bath_factors(bath, dicke=False):
+        n = int(np.flatnonzero(chi)[0])
+        weights = np.zeros(freqs.size)  # c links n to n - 1 by off[n - 1], n + 1 by off[n]
+        weights[n - 1:n] = off[n - 1:n] ** 2
+        weights[n + 1:n + 2] = off[n:n + 1] ** 2
+        lines += [(float(weights[k]), float(freqs[k] - freqs[n]))
                   for k in np.flatnonzero(weights)]
     var_b = sum(a for a, _ in lines)
     var_bdot = sum(a * nu * nu for a, nu in lines)
@@ -325,10 +340,9 @@ def bath_eigen_decomposition(bath):
     """
     values = np.array([0.0])
     weights = np.array([1.0])
-    for comp, label in zip(bath.components, bath.initial):
-        w_loc, v_loc = np.linalg.eigh(comp.coupling_operator())
-        init = comp.initial_vector(label)
-        p_loc = np.abs(v_loc.conj().T @ init) ** 2
+    for off, _, chi in _bath_factors(bath, dicke=False):
+        w_loc, v_loc = np.linalg.eigh(_dense_coupling(off))
+        p_loc = np.abs(v_loc.conj().T @ chi) ** 2
         values = (values[:, None] + w_loc[None, :]).ravel()
         weights = (weights[:, None] * p_loc[None, :]).ravel()
         order = np.argsort(values, kind="stable")
@@ -378,7 +392,8 @@ class SpinSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        spin_matrices(self.j, self.hbar)  # validates j and hbar
+        _check_j(self.j)
+        require_positive(hbar=self.hbar)
         require_real(omega=self.omega)
 
 
@@ -488,56 +503,6 @@ def _sandwich_norm(a, b):
 
 # ---------------------------------------------------------------------------
 # Evolution back ends
-
-
-def _eigen_phase_chunks(times, hbar, eigen, entries_per_time):
-    """Per chunk of times ts, the states psi(ts) = v e^{-i w ts / hbar} c.
-
-    For each (w, v, c) in eigen (eigenvalues, eigenvectors, initial
-    coefficients in that eigenbasis) a lazy sequence gives a stack of shape
-    c.shape + (ts.size,): times on the last axis, so each block of v is one
-    matrix product with all the chunk's times, not one per time.  A chunk
-    holds SAMPLE_BUDGET // entries_per_time times (at least one), bounding
-    the caller's largest stack.
-    """
-    step = max(1, SAMPLE_BUDGET // entries_per_time)
-    for start in range(0, times.size, step):
-        ts = times[start:start + step]
-        yield (v @ (np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c[..., None])
-               for w, v, c in eigen)
-
-
-def _bath_factors(bath, dicke=True):
-    """The bath as independent factors (off-diagonal, level frequencies, initial vector).
-
-    Every factor's coupling is real symmetric tridiagonal with a zero diagonal
-    in its storage basis (g (a + a^dagger), g sigma_x or 2g Jx), so it is held
-    as its off-diagonal: entry n couples levels n and n + 1.  With
-    dicke=False there is one factor per component.  With dicke=True,
-    spin-halves sharing g, omega and initial label are merged: k of them stay
-    in their symmetric (Dicke) subspace, where sum g sigma_x = 2g Jx,
-    sum omega sigma_z / 2 = omega Jz for spin k/2, and the initial state is
-    |M = +k/2> ('up') or |M = -k/2> ('down').  A group of one keeps the
-    component's own levels.
-    """
-    groups = {}
-    for i, (comp, label) in enumerate(zip(bath.components, bath.initial)):
-        key = (comp.g, comp.omega, label) if dicke and comp.kind == "spin-half" else i
-        groups.setdefault(key, [comp, label, 0])[2] += 1
-    factors = []
-    for comp, label, k in groups.values():
-        if k == 1:  # coupling_operator()'s off-diagonal, bit for bit
-            factors.append((comp.g * np.sqrt(np.arange(comp.levels - 1) + 1.0),
-                            comp.level_frequencies(), comp.initial_vector(label)))
-            continue
-        _check_entries("Dicke factor coupling operator", (k + 1) ** 2, DENSE_BATH_LIMIT ** 2)
-        # spin_matrices' basis, m = k/2, ..., -k/2: 2g Jx has g sqrt(j(j+1) - m(m+1))
-        # between m and m + 1, and Jz is m
-        j, m = 0.5 * k, 0.5 * k - np.arange(k + 1)
-        vec = np.zeros(k + 1, dtype=complex)
-        vec[0 if label == "up" else k] = 1.0
-        factors.append((comp.g * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), comp.omega * m, vec))
-    return factors
 
 
 def _kron_sum(vectors):
@@ -705,11 +670,11 @@ def _spin_curve(sys, bath, branch1, branch2, times):
     rad = rowsum|Jx| rowsum|B|, the spectrum lies in [min(D - rad), max(D + rad)]
     (Gershgorin: Jx and B have zero diagonals).
     """
-    jx, _, jz = spin_matrices(sys.j, sys.hbar)
-    jx_off = np.diag(jx.real, 1)
+    m, ladder = _ladder(sys.j)
+    jx_off = 0.5 * (sys.hbar * ladder)
     bvals, offs, chi0, hres, rows = _stepped_bath(bath, branch1.size, sys.hbar,
                                                   "Krylov joint state")
-    diag = np.add.outer(sys.omega * jz.real.diagonal(), hres)
+    diag = np.add.outer(sys.omega * (sys.hbar * m), hres)
     radius = np.multiply.outer(_row_sums(jx_off), rows)
     mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius))
     scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
@@ -743,24 +708,30 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
     pointers are its eigenvalues q, amp1 and amp2 the branches in its
     eigenbasis.  <chi_q(t)|chi_q'(t)> = prod_i <chi_{q,i}(t)|chi_{q',i}(t)>,
     exact because q B + H_res is a sum of commuting single-component terms
-    and the initial bath state is a product.  The Q x Q overlaps (Q occupied
-    pointers, refused above STACK_BUDGET entries) are reduced one sampler
-    chunk at a time, so memory stays O(Q^2).
+    and the initial bath state is a product: chi_{q,i}(t) = v e^{-i w t / hbar} c0
+    for the eigh (w, v) of q c + hbar diag(omega) and c0 = v^dagger chi_i(0).
+    Times come in chunks of SAMPLE_BUDGET // Q^2 (at least one), so the Q x Q
+    overlaps (Q occupied pointers, refused above STACK_BUDGET entries) stay
+    O(Q^2) per time.
     """
     occupied = np.flatnonzero((np.abs(amp1) > 1e-14) | (np.abs(amp2) > 1e-14))
     qs = pointers[occupied]
+    factors = _bath_factors(bath, dicke=False)
     _check_entries("pointer eigenvector stacks",
-                   qs.size * sum(comp.levels ** 2 for comp in bath.components), STACK_BUDGET)
+                   qs.size * sum(chi.size ** 2 for _, _, chi in factors), STACK_BUDGET)
     _check_entries("pointer overlaps", qs.size * qs.size, STACK_BUDGET)
     eigen = []
-    for comp, label in zip(bath.components, bath.initial):  # per q: q c + hbar level frequencies
-        h = qs[:, None, None] * comp.coupling_operator() + hbar * np.diag(comp.level_frequencies())
-        w, v = np.linalg.eigh(h)
-        eigen.append((w, v, _dagger(v) @ comp.initial_vector(label)))
+    for off, freqs, chi in factors:
+        w, v = np.linalg.eigh(qs[:, None, None] * _dense_coupling(off) + hbar * np.diag(freqs))
+        eigen.append((w, v, _dagger(v) @ chi))
     w1, w2 = (np.abs(amp[occupied]) ** 2 for amp in (amp1, amp2))
+    step = max(1, SAMPLE_BUDGET // qs.size ** 2)
     norms = []
-    for chis in _eigen_phase_chunks(times, hbar, eigen, qs.size ** 2):
+    for start in range(0, times.size, step):
+        ts = times[start:start + step]
         # chi has axes (q, level, t); the overlaps are (t, q, q').
+        chis = (v @ (np.exp(-1j * np.multiply.outer(w, ts) / hbar) * c0[..., None])
+                for w, v, c0 in eigen)
         overlaps = reduce(np.multiply, (chi.transpose(2, 0, 1).conj() @ chi.transpose(2, 1, 0)
                                         for chi in chis))
         norms.append((np.abs(overlaps) ** 2 @ w1) @ w2)
@@ -893,12 +864,12 @@ def bath_characteristic(bath, lam):
     require_real_array(lam=lam)
     lam = np.asarray(lam, dtype=float)
     result = np.ones(lam.shape, dtype=complex)
-    for comp, label in zip(bath.components, bath.initial):
+    for comp, (off, _, chi) in zip(bath.components, _bath_factors(bath, dicke=False)):
         if comp.kind == "spin-half":
             result = result * np.cos(lam * comp.g)
         else:
-            w_loc, v_loc = np.linalg.eigh(comp.coupling_operator())
-            probs = np.abs(v_loc.conj().T @ comp.initial_vector(label)) ** 2
+            w_loc, v_loc = np.linalg.eigh(_dense_coupling(off))
+            probs = np.abs(v_loc.conj().T @ chi) ** 2
             result = result * (np.exp(1j * np.multiply.outer(lam, w_loc)) @ probs)
     return result if result.ndim else complex(result)
 

@@ -40,21 +40,26 @@ def _check_j(j):
     return int(round(two_j))
 
 
+def _ladder(j):
+    """m = j, j-1, ..., -j and sqrt(j(j+1) - m(m+1)) for m = j-1, ..., -j: J+ / hbar
+    between indices n + 1 and n of that basis, and twice Jx / hbar's off-diagonal."""
+    m = j - np.arange(int(round(2.0 * j)) + 1)
+    return m, np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+
+
 def spin_matrices(j, hbar=1.0):
     """Standard (2j+1)-dimensional Jx, Jy, Jz in the descending Jz basis.
 
     Basis ordering is m = j, j-1, ..., -j, so index n corresponds to
     m = j - n.  Satisfies [Jx, Jy] = i hbar Jz to machine precision.
     """
-    two_j = _check_j(j)
+    _check_j(j)
     require_positive(hbar=hbar)
-    dim = two_j + 1
-    m = j - np.arange(dim)
+    m, ladder = _ladder(j)
+    dim = m.size
     jz = hbar * np.diag(m).astype(complex)
-    # J+ |j, m> = hbar sqrt(j(j+1) - m(m+1)) |j, m+1>; m+1 sits one index up.
     raising = np.zeros((dim, dim), dtype=complex)
-    coeff = hbar * np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    raising[np.arange(dim - 1), np.arange(1, dim)] = coeff
+    raising[np.arange(dim - 1), np.arange(1, dim)] = hbar * ladder
     lowering = raising.conj().T
     jx = 0.5 * (raising + lowering)
     jy = -0.5j * (raising - lowering)

@@ -52,6 +52,19 @@ MISCONFIGS = {
     # decoherence_times ignores omega, and only spin reads var_bdot and kappa
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
+    # out-of-domain values used to divide by zero (exit 2), fail with a
+    # message not naming the key, give 0/0 ratios or an empty run, or run as
+    # another value (lambda_sigmas = -3 as 3)
+    "clt-var-b": ("clt", "var_b = 1.0", "var_b = 0.0", "[clt] var_b must be > 0"),
+    "clt-lambda-sigmas": ("clt", "lambda_sigmas = 3.0", "lambda_sigmas = -3.0",
+                          "[clt] lambda_sigmas must be > 0"),
+    "clt-lambda-points": ("clt", "lambda_points = 301", "lambda_points = 0",
+                          "[clt] lambda_points must be >= 2"),
+    "expansion-hnorm-t": ("expansion-check", "hnorm_t = 0.05", "hnorm_t = 0.0",
+                          "[expansion] hnorm_t must be > 0"),
+    "expansion-dim": ("expansion-check", "dim = 4", "dim = 1", "[expansion] dim must be >= 2"),
+    "expansion-trials": ("expansion-check", "trials = 10", "trials = 0",
+                         "[expansion] trials must be >= 1"),
     # the config, whose hash each output records, is the whole input
     "seed-flag": ("spin", "", "", "--seed", ("--seed", "4")),
 }
@@ -398,6 +411,25 @@ class TestExperiments:
         assert payload["experiment"] == "times"
         assert payload["columns"][0] == "dq"
         assert len(payload["config_sha256"]) == 64
+
+    @pytest.mark.parametrize("experiment, infinite", [("times", ("tau_qp", "tau_p")),
+                                                      ("spin", ("tau-y", "tau-z"))])
+    def test_json_mirror_is_strict_json(self, tmp_path, experiment, infinite):
+        # an infinite time is the CSV's token "inf", not the bare Infinity
+        # that RFC 8259 JSON does not have
+        import json
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        cfg = write(tmp_path, "c.ini", TEMPLATES[experiment])
+        jpath = str(tmp_path / "o.json")
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--json", jpath]) == 0
+        with open(jpath) as fh:
+            payload = json.load(fh, parse_constant=refuse)
+        cells = dict(payload["extras"], **dict(zip(payload["columns"], payload["rows"][0])))
+        assert [cells[key] for key in infinite] == ["inf", "inf"]
 
     def test_wrong_kind_config_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "t.ini", TIMES_CFG)

@@ -122,20 +122,24 @@ class TestBathModel:
         model = dl.BathModel((comp,), (2,))
         assert model.dimension == 4
 
-    def test_coupling_column_matches_operator(self):
-        for comp in (dl.BathComponent("spin-half", -0.7, 0.3),
-                     dl.BathComponent("oscillator", 0.45, 1.2, levels=7)):
-            dense = comp.coupling_operator()
-            for n in range(comp.levels):
-                np.testing.assert_array_equal(comp.coupling_column(n), dense[:, n])
-            for n in (-1, comp.levels, 1.0, True):
-                with pytest.raises(ValidationError):
-                    comp.coupling_column(n)
+    def test_factor_off_diagonal_matches_dense_operator(self):
+        # a component is described once, by its tridiagonal factor; the dense
+        # B of a one-component bath holds that off-diagonal and nothing else
+        for comp, label in ((dl.BathComponent("spin-half", -0.7, 0.3), "down"),
+                            (dl.BathComponent("oscillator", 0.45, 1.2, levels=7), 2)):
+            bath = dl.BathModel((comp,), (label,))
+            (off, freqs, chi), = oracle._bath_factors(bath, dicke=False)
+            b = dl.build_bath_operators(bath).B
+            np.testing.assert_array_equal(np.diag(b, 1), off)
+            np.testing.assert_array_equal(b, np.diag(off, 1) + np.diag(off, -1))
+            np.testing.assert_array_equal(off, comp.g * np.sqrt(np.arange(1.0, comp.levels)))
+            np.testing.assert_array_equal(freqs, comp.level_frequencies())
+            np.testing.assert_array_equal(chi, np.eye(comp.levels)[comp.initial_level(label)])
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_large_oscillator_statistics_fast_and_small(self):
-        # the mean check and the spectral lines read one column of the
-        # coupling operator; the dense 4096 x 4096 matrix is 256 MiB
+        # the spectral lines read the factor's off-diagonal next to the
+        # initial level; the dense 4096 x 4096 coupling is 256 MiB
         comp = dl.BathComponent("oscillator", 0.5, 1.0, levels=4096)
         start = time.perf_counter()
         moments, _ = dl.bath_statistics(dl.BathModel((comp,), (3,)))
@@ -414,11 +418,22 @@ class TestSizeLimits:
             dl.evolve_norm(sys_s, bath, a, b, [1e15])
 
     def test_dicke_factor(self):
-        # 5000 equal spins merge into one factor of 5001 levels
-        bath = dl.spin_bath(5000, 1.0, omegas=1.0)
+        # 5000 equal spins merge into one tridiagonal factor of 5001 levels:
+        # against a spin-1/2 the joint state is 2 x 5001 entries, and it runs.
+        # At omega = 1e-30 the bath is frozen over t <= 1, so it agrees with
+        # the static path (measured 2.1e-12)
         a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
-        with pytest.raises(DimensionCapError, match="Dicke factor"):
-            dl.evolve_norm(dl.SpinSystem(0.5, 0.7), bath, a, a, [0.1])
+        b = dl.coherent_vector(dl.SpinCoherent(0.5, -1.0))
+        times = np.linspace(0.0, 1.0, 11)
+        dicke = dl.evolve_norm(dl.SpinSystem(0.5, 0.7), dl.spin_bath(5000, 1.0, omegas=1e-30),
+                               a, b, times)
+        static = dl.evolve_norm(dl.SpinSystem(0.5, 0.7), dl.spin_bath(5000, 1.0), a, b, times)
+        assert np.abs(dicke.values - static.values).max() <= 1e-11
+        # the bound is the joint state: a spin 300 against 4000 equal spins
+        branch = np.eye(601)[0]
+        with pytest.raises(DimensionCapError, match="Krylov joint state would hold 2404601"):
+            dl.evolve_norm(dl.SpinSystem(300.0, 0.7), dl.spin_bath(4000, 1.0, omegas=1.0),
+                           branch, branch, [0.1])
 
 
 class TestEvolveNorm:
