@@ -9,7 +9,9 @@ Configs are INI files.  One schema table per experiment (``SCHEMA``) gives
 each key's type, default, choices and template text; ``parse_config`` turns
 a config into typed values and rejects an unknown section or key, a value
 outside its choices or a non-finite number, and ``--emit-config`` prints
-the commented template generated from the table.  Results are CSV
+the commented template generated from the table.  Each runner's reads are
+recorded, and a key the config sets that the run never read is refused
+before anything is written.  Results are CSV
 (one row per point, fixed header) with the config hash embedded in comment
 lines, plus an optional JSON mirror.  The config is the whole input (seeds
 included), so its hash identifies the run, and rerunning a config
@@ -131,9 +133,8 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
                                 ("tau_q", "tau_qp", "tau_p", "tau_gr", "tau_x", "tau_y", "tau_z")),
                   "start": Key(float, REQUIRED, "0.25"), "stop": Key(float, REQUIRED, "4.0"),
                   "num": Key(int, REQUIRED, "8")},
-        "base": {"dq": Key(float, 1.0, "2.0"), "dp": Key(float, 0.0, "0.0"),
-                 "mass": Key(float, 1.0, "1.0"), "omega": Key(float, 0.0, "0.0"),
-                 "hbar": Key(float, 1.0, "1.0"), "var_b": Key(float, 1.0, "1.0"),
+        "base": {"dq": Key(float, 1.0, "2.0"), "dp": Key(float, 0.0), "mass": Key(float, 1.0),
+                 "omega": Key(float, 0.0), "hbar": Key(float, 1.0), "var_b": Key(float, 1.0, "1.0"),
                  "gamma": Key(float, 1.0), "j": Key(float, 10.0),
                  "alpha": Key(complex, 1.0 + 0j), "beta": Key(complex, -1.0 + 0j)},
     }),
@@ -150,10 +151,9 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
                  "beta": Key(complex, REQUIRED, "-1+0j", note="or set case = i | ii | iii instead"),
                  "case": Key(str, None, choices=("i", "ii", "iii")),
                  "omega": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0")},
-        "bath": {"var_b": _VAR_B, "var_bdot": Key(float, None, "0.0"),
-                 "kappa": Key(float, 0.0, "0.0")},
+        "bath": {"var_b": _VAR_B, "var_bdot": Key(float, None), "kappa": Key(float, 0.0)},
         "norm": {"mode": Key(str, "regime", "regime", ("regime", "montecarlo")),
-                 "samples": Key(int, 100_000, "100000"), "seed": Key(int, 0, "0")},
+                 "samples": Key(int, 100_000), "seed": Key(int, 0)},
         "times": _times("0.001", "0.1", "40"),
     }),
     "expansion-check": (
@@ -189,12 +189,21 @@ TEMPLATES = {experiment: _template(experiment) for experiment in SCHEMA}
 
 
 class _Values(dict):
-    """Typed config values; reading an absent section or required key raises."""
+    """Typed config values; reading an absent section or required key raises.
 
-    def __init__(self, section=None, given=frozenset()):
+    Each read is recorded in ``read``, so ``main`` can refuse a key that the
+    config sets (``given``) and the run never read.
+    """
+
+    def __init__(self, section=None, given=()):
         super().__init__()
         self.section = section
-        self.given = given  # the keys the config sets, not filled from defaults
+        self.given = given  # the keys the config sets, in file order, not filled from defaults
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
     def __missing__(self, key):
         if self.section is None:
@@ -233,7 +242,7 @@ def parse_config(cfg, experiment):
             if key not in schema[section]:
                 origin = " (set in [DEFAULT])" if key in cfg.defaults() else ""
                 raise ConfigError(f"unknown key {key!r} in section [{section}]{origin}")
-        values[section] = typed = _Values(section, frozenset(cfg[section]))
+        values[section] = typed = _Values(section, tuple(cfg[section]))
         for key, row in schema[section].items():
             if key in cfg[section]:
                 typed[key] = _cast(section, key, row, cfg[section][key])
@@ -308,9 +317,6 @@ def run_times(c):
 
 def _correlation_from(memory):
     kind, var_b = memory["correlation"], memory["var_b"]
-    for key, family in (("gamma", "exponential"), ("tau_c", "gaussian")):
-        if key in memory and kind != family:
-            raise ConfigError(f"[memory] {key} is not a parameter of correlation = {kind}")
     if kind == "constant":
         return constant_correlation(var_b)
     if kind == "exponential":
@@ -346,41 +352,39 @@ def run_norm(c):
 def run_sweep(c):
     sweep = c["sweep"]
     axis, target = sweep["axis"], sweep["target"]
-    law_inputs = {  # the axes each target's closed-form law depends on
-        ("tau_q", "tau_qp", "tau_p"): ("hbar", "distance", "dp"),
-        ("tau_gr",): ("hbar", "distance"),
-        ("tau_x", "tau_y", "tau_z"): ("hbar", "j"),
-    }
-    if not any(target in targets and axis in axes for targets, axes in law_inputs.items()):
-        raise ConfigError(f"[sweep] axis = {axis} is not an input of target = {target}")
     start, stop, num = sweep["start"], sweep["stop"], sweep["num"]
     if num < 4:
         raise ConfigError("sweep needs at least 4 points")
     if start <= 0 or stop <= start:
         raise ConfigError("sweep needs 0 < start < stop")
     values = np.geomspace(start, stop, num)
-    base, spin_targets = c["base"], ("tau_x", "tau_y", "tau_z")
-    for name, targets in (("gamma", ("tau_gr",)), ("j", spin_targets), ("alpha", spin_targets),
-                          ("beta", spin_targets)):  # [base] keys only some laws read
-        if name in base.given and target not in targets:
-            raise ConfigError(f"[base] {name} is not an input of target = {target}")
-    key = "dq" if axis == "distance" else axis
+    base, key = c["base"], "dq" if axis == "distance" else axis
+    p = _Values("base")  # [base] with the swept value standing in for the axis's key
+    p.update(base)
 
     def tau_at(value):
-        p = dict(base, **{key: value})
-        if target in spin_targets:
+        # each law reads only its channel's inputs; constants close the other channels
+        p[key] = value
+        if target in ("tau_x", "tau_y", "tau_z"):
+            omega = 0.0 if target == "tau_x" else p["omega"]
             taus = spin_decoherence_times(
-                p["j"], p["alpha"], p["beta"], p["omega"], BathMoments(p["var_b"]), p["hbar"]
+                p["j"], p["alpha"], p["beta"], omega, BathMoments(p["var_b"]), p["hbar"]
             )
             return getattr(taus, target)
-        sysp = SystemParams(p["mass"], p["omega"], p["hbar"])
         if target == "tau_gr":
             corr = exponential_correlation(p["var_b"], p["gamma"])
+            sysp = SystemParams(1.0, p["omega"], p["hbar"])
             return golden_rule_times(corr, sysp, p["dq"]).tau_dec
-        taus = decoherence_times(p["dq"], p["dp"], sysp, BathMoments(p["var_b"]))
+        dq = 0.0 if target == "tau_p" else p["dq"]
+        dp, mass = (0.0, 1.0) if target == "tau_q" else (p["dp"], p["mass"])
+        sysp = SystemParams(mass, 0.0, p["hbar"])
+        taus = decoherence_times(dq, dp, sysp, BathMoments(p["var_b"]))
         return getattr(taus, target)
 
     taus = [tau_at(v) for v in values]
+    if key not in p.read:
+        raise ConfigError(f"[sweep] axis = {axis} is not an input of target = {target}")
+    base.read |= p.read - {key}  # a [base] key that the axis overrides stays unread
     fit = fit_scaling(values, taus, axis, target)
     rows = [[v, tau] for v, tau in zip(values, taus)]
     extras = {"fit-axis": axis, "fit-exponent": fit.exponent, "fit-stderr": fit.stderr}
@@ -420,31 +424,24 @@ def run_oracle_compare(c):
 
 
 def run_spin(c):
-    spin, norm = c["spin"], c["norm"]
+    spin, bath, norm = c["spin"], c["bath"], c["norm"]
     j, alpha, case = spin["j"], spin["alpha"], spin["case"]
-    if case is None:
-        beta = spin["beta"]
-    elif "beta" in spin:
-        raise ConfigError("[spin] sets both beta and case; set only one")
+    beta = spin["beta"] if case is None else special_pair(alpha, case)
+    omega, hbar, mode = spin["omega"], spin["hbar"], norm["mode"]
+    extras, draws = {}, {}
+    if mode == "montecarlo":  # only the sampler reads Bdot, kappa and the draw keys
+        bath = BathMoments(bath["var_b"], bath["var_bdot"], bath["kappa"])
+        draws = {"mode": mode, "samples": norm["samples"], "seed": norm["seed"]}
+        extras["seed"] = draws["seed"]
     else:
-        beta = special_pair(alpha, case)
-    omega, hbar = spin["omega"], spin["hbar"]
-    bath = BathMoments(c["bath"]["var_b"], c["bath"]["var_bdot"], c["bath"]["kappa"])
-    mode, samples, seed = norm["mode"], norm["samples"], norm["seed"]
+        bath = BathMoments(bath["var_b"])
     times = time_grid(c["times"])
     taus = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
     rows = []
     for t in times:
-        if mode == "montecarlo":
-            est = spin_coherence_norm(
-                t, j, alpha, beta, omega, bath, hbar, mode="montecarlo",
-                samples=samples, seed=seed,
-            )
-            rows.append([t, est.value, est.stderr])
-        else:
-            val = spin_coherence_norm(t, j, alpha, beta, omega, bath, hbar)
-            rows.append([t, float(val), 0.0])
-    extras = {"tau-x": taus.tau_x, "tau-y": taus.tau_y, "tau-z": taus.tau_z, "seed": seed}
+        est = spin_coherence_norm(t, j, alpha, beta, omega, bath, hbar, **draws)
+        rows.append([t, est.value, est.stderr] if draws else [t, float(est), 0.0])
+    extras.update({"tau-x": taus.tau_x, "tau-y": taus.tau_y, "tau-z": taus.tau_z})
     return ["t", "norm", "stderr"], rows, extras
 
 
@@ -462,6 +459,7 @@ def run_expansion_check(c):
     _require("expansion", "dim", dim, dim >= 2, ">= 2")
     _require("expansion", "trials", trials, trials >= 1, ">= 1")
     _require("expansion", "hnorm_t", hnorm_t, hnorm_t > 0, "> 0")
+    _require("expansion", "seed", seed, 0 <= seed < 1 << 128, "in [0, 2**128)")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def random_hermitian():
@@ -483,6 +481,7 @@ def run_clt(c):
     clt = c["clt"]
     m_values = clt["m_values"]
     var_b, sigmas, points = clt["var_b"], clt["lambda_sigmas"], clt["lambda_points"]
+    _require("clt", "m_values", m_values, min(m_values, default=0) >= 1, "integers >= 1")
     _require("clt", "var_b", var_b, var_b > 0, "> 0")
     _require("clt", "lambda_sigmas", sigmas, sigmas > 0, "> 0")
     _require("clt", "lambda_points", points, points >= 2, ">= 2")
@@ -606,6 +605,10 @@ def main(argv=None):
         cfg.read_string(raw.decode())
         values = parse_config(cfg, args.experiment)
         columns, rows, extras = EXPERIMENTS[args.experiment](values)
+        unread = [f"[{name}] {key}" for name, section in values.items() if name != "experiment"
+                  for key in section.given if key not in section.read]
+        if unread:  # a key that moves no value would still change the config's hash
+            raise ConfigError("not read by this run: " + ", ".join(unread))
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"decolab: error: numerical: {exc}", file=sys.stderr)

@@ -51,10 +51,12 @@ How a stepped back end holds the bath:
   subspace, so k of them evolve as one spin k/2 of dimension k + 1 instead
   of 2^k.
 
-A bath model sets no size limit.  Before each allocation that grows with
-the bath, ``_check_entries`` refuses an array above the limit of the code
-making it (the constants below say what each limit counts and where it
-applies) with DimensionCapError naming the array and its entry count.
+A bath model sets no limit on its dimension, only on one component's
+levels, which every path holds as vectors.  Before each allocation that
+grows with the bath, ``_check_entries`` refuses an array above the limit
+of the code making it (the constants below say what each limit counts and
+where it applies) with DimensionCapError naming the array and its entry
+count.
 
 Every back end, bath operator, closed form and fit here needs numpy
 alone.
@@ -75,13 +77,14 @@ from .errors import (
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
-from .spin import _check_j, _ladder, spin_matrices
+from .spin import _check_j, _ladder
 
-# levels of a dense bath vector, squared for a matrix: a component's dense coupling
-# (the eigh callers), BathModel.initial_state and build_bath_operators
+# levels of a dense vector, squared for a matrix: a dense coupling (the eigh callers:
+# a component's, or an Omega = 0 spin's Jx), BathModel.initial_state and build_bath_operators
 DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for a static bath's eigenbasis
-JOINT_DIMENSION_LIMIT = 1 << 21   # system x bath state per branch: stepped spin, grid
+# system x bath state per branch: stepped spin, grid; and a component's level vectors
+JOINT_DIMENSION_LIMIT = 1 << 21
 STACK_BUDGET = 1 << 22           # per-pointer matrix stack: pointer
 CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: stepped spin, grid
 SAMPLE_BUDGET = 1 << 17          # entries per time-chunk stack or Chebyshev coefficient table
@@ -113,7 +116,8 @@ class BathComponent:
             raise ValidationError("spin-half components have exactly 2 levels")
         if self.kind == "oscillator" and self.levels < 2:
             raise ValidationError("oscillator components need levels >= 2")
-        _check_entries("component coupling operator", self.levels ** 2, DENSE_BATH_LIMIT ** 2)
+        # each path holds the levels as vectors; a stepped one holds a joint state at least as large
+        _check_entries("component level vector", self.levels, JOINT_DIMENSION_LIMIT)
 
     def level_frequencies(self):
         """Local H / hbar as its real diagonal (it is diagonal in the storage basis)."""
@@ -241,10 +245,11 @@ def _bath_factors(bath, dicke=True):
     return factors
 
 
-def _dense_coupling(off):
-    """The zero-diagonal symmetric tridiagonal with off-diagonal off, as a dense complex matrix."""
+def _dense_coupling(off, dtype=complex):
+    """The zero-diagonal symmetric tridiagonal with off-diagonal off, as a dense matrix."""
+    _check_entries("dense coupling", (off.size + 1) ** 2, DENSE_BATH_LIMIT ** 2)
     n = np.arange(off.size)
-    dense = np.zeros((off.size + 1, off.size + 1), dtype=complex)
+    dense = np.zeros((off.size + 1, off.size + 1), dtype=dtype)
     dense[n, n + 1] = dense[n + 1, n] = off
     return dense
 
@@ -820,8 +825,8 @@ def _norm_values(sys, bath, branch1, branch2, times):
     dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
     b1 = _normalized_branch(branch1, dim, "branch1")
     b2 = _normalized_branch(branch2, dim, "branch2")
-    if isinstance(sys, SpinSystem) and sys.omega == 0:
-        w, v = np.linalg.eigh(spin_matrices(sys.j, sys.hbar)[0])
+    if isinstance(sys, SpinSystem) and sys.omega == 0:  # pointers: the eigenbasis of real Jx
+        w, v = np.linalg.eigh(_dense_coupling(0.5 * sys.hbar * _ladder(sys.j)[1], float))
         values = _pointer_curve(w, _dagger(v) @ b1, _dagger(v) @ b2, bath, sys.hbar, times)
     elif isinstance(sys, SpinSystem):
         values = _spin_curve(sys, bath, b1, b2, times)

@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import decolab as dl
-from decolab.cli import SCHEMA, TEMPLATES, fit_scaling, main
+from decolab.cli import EXPERIMENTS as RUNNERS, SCHEMA, TEMPLATES, fit_scaling, main, parse_config
 from decolab.errors import ValidationError
 from decolab.spin import _gaussian_draws
 
@@ -26,6 +27,14 @@ hbar = 1.0
 var_b = 1.0
 """
 
+
+def sweep_template(target):
+    """The sweep template with another target; a spin target reads no [base] dq."""
+    template = TEMPLATES["sweep"].replace("target = tau_q ", f"target = {target} ", 1)
+    spin = target in ("tau_x", "tau_y", "tau_z")
+    return template.replace("dq = 2.0\n", "", 1) if spin else template
+
+
 # Misconfigured templates: (experiment, template text, replacement, name
 # the error must give[, extra command-line arguments]).  Each used to run,
 # or fail for another reason.
@@ -36,7 +45,7 @@ MISCONFIGS = {
     "out-of-choice": ("spin", "mode = regime", "mode = montecarl", "mode"),
     "non-finite": ("sweep", "stop = 4.0", "stop = inf", "stop"),
     "axis-not-in-law": ("sweep", "axis = hbar", "axis = j", "axis"),
-    "beta-and-case": ("spin", "[spin]\n", "[spin]\ncase = ii\n", "case"),
+    "beta-and-case": ("spin", "[spin]\n", "[spin]\ncase = ii\n", "[spin] beta"),
     "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
     "dropped-key": ("norm", "spacing = linear\n", "spacing = linear\n[memory]\ntail_cutoff = inf\n",
                     "tail_cutoff"),
@@ -49,6 +58,18 @@ MISCONFIGS = {
     "sweep-foreign-j": ("sweep", "var_b = 1.0", "var_b = 1.0\nj = 3", "[base] j"),
     "sweep-foreign-alpha": ("sweep", "var_b = 1.0", "var_b = 1.0\nalpha = 0.5+0.5j", "alpha"),
     "sweep-foreign-beta": ("sweep", "var_b = 1.0", "var_b = 1.0\nbeta = -1+0j", "beta"),
+    # a key the run never reads used to run and change only the hash: the
+    # axis overrides [base] hbar, tau_q reads no dp and tau_x no mass, the
+    # regime closed form draws no samples, and the memory law reads no packets
+    "sweep-axis-key": ("sweep", "var_b = 1.0", "var_b = 1.0\nhbar = 2.0",
+                       "not read by this run: [base] hbar"),
+    "sweep-tau-q-dp": ("sweep", "var_b = 1.0", "var_b = 1.0\ndp = 3.0", "[base] dp"),
+    "sweep-tau-x-mass": ("sweep", TEMPLATES["sweep"], sweep_template("tau_x") + "mass = 2.0\n",
+                         "not read by this run: [base] mass"),
+    "spin-regime-samples": ("spin", "mode = regime", "mode = regime\nsamples = 20000",
+                            "not read by this run: [norm] samples"),
+    "memory-packets": ("norm", "kind = short-time", "kind = memory\n[memory]\n"
+                       "correlation = constant\nvar_b = 1.0\ndq = 1.0", "[packets] q1"),
     # decoherence_times ignores omega, and only spin reads var_bdot and kappa
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
@@ -65,6 +86,10 @@ MISCONFIGS = {
     "expansion-dim": ("expansion-check", "dim = 4", "dim = 1", "[expansion] dim must be >= 2"),
     "expansion-trials": ("expansion-check", "trials = 10", "trials = 0",
                          "[expansion] trials must be >= 1"),
+    "clt-m-values": ("clt", "m_values = 4 8 16 32", "m_values = 0 4",
+                     "[clt] m_values must be integers >= 1"),
+    "expansion-seed": ("expansion-check", "seed = 0", "seed = -1",
+                       "[expansion] seed must be in [0, 2**128)"),
     # the config, whose hash each output records, is the whole input
     "seed-flag": ("spin", "", "", "--seed", ("--seed", "4")),
 }
@@ -255,7 +280,7 @@ class TestExperiments:
             tmp_path,
             "s.ini",
             "[experiment]\nkind = sweep\n[sweep]\naxis = distance\ntarget = tau_q\n"
-            "start = 0.5\nstop = 8.0\nnum = 8\n[base]\ndq = 1.0\n",
+            "start = 0.5\nstop = 8.0\nnum = 8\n[base]\n",
         )
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
@@ -339,10 +364,10 @@ class TestExperiments:
 
     def test_spin_montecarlo_equals_cold_calls(self, tmp_path):
         # one curve draws once; each row must equal a call with an empty draw cache
-        template = TEMPLATES["spin"].replace("mode = regime", "mode = montecarlo", 1)
-        template = template.replace("samples = 100000", "samples = 10000", 1)
-        template = template.replace("num = 40", "num = 5", 1)
-        cfg = write(tmp_path, "mc.ini", template.replace("seed = 0", "seed = 6", 1))
+        template = TEMPLATES["spin"].replace("mode = regime",
+                                             "mode = montecarlo\nsamples = 10000\nseed = 6", 1)
+        template = template.replace("var_b = 1.0", "var_b = 1.0\nvar_bdot = 0.0", 1)
+        cfg = write(tmp_path, "mc.ini", template.replace("num = 40", "num = 5", 1))
         out = str(tmp_path / "mc.csv")
         assert main(["spin", "--config", cfg, "--out", out]) == 0
         _, rows = read_rows(out)
@@ -382,13 +407,33 @@ class TestExperiments:
     def test_sweep_base_keys_follow_the_target(self, tmp_path, capsys, target, own, foreign):
         # a [base] key runs with the targets whose law reads it, and names
         # itself with any other
-        template = TEMPLATES["sweep"].replace("target = tau_q ", f"target = {target} ", 1)
+        template = sweep_template(target)
         ok = write(tmp_path, "ok.ini", template + own + "\n")
         assert main(["sweep", "--config", ok, "--out", str(tmp_path / "ok.csv")]) == 0
         bad = write(tmp_path, "bad.ini", template + foreign + "\n")
         assert main(["sweep", "--config", bad, "--out", str(tmp_path / "bad.csv")]) == 1
-        assert f"[base] {foreign.split()[0]} is not an input of target = {target}" in (
-            capsys.readouterr().err)
+        assert f"not read by this run: [base] {foreign.split()[0]}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_template_run_reads_every_key_it_sets(self, experiment):
+        cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cfg.read_string(TEMPLATES[experiment])
+        values = parse_config(cfg, experiment)
+        RUNNERS[experiment](values)
+        assert [(name, key) for name, section in values.items() if name != "experiment"
+                for key in section.given if key not in section.read] == []
+
+    def test_unread_keys_are_named_in_order_before_any_output(self, tmp_path, capsys):
+        # the memory law reads none of the short-time sections the template sets
+        text = TEMPLATES["norm"].replace("kind = short-time", "kind = memory\n[memory]\n"
+                                         "correlation = constant\nvar_b = 1.0\ndq = 1.0", 1)
+        cfg, out = write(tmp_path, "n.ini", text), tmp_path / "n.csv"
+        assert main(["norm", "--config", cfg, "--out", str(out), "--json", str(out) + ".json"]) == 1
+        assert capsys.readouterr().err == (
+            "decolab: error: validation: not read by this run: [packets] q1, [packets] p1, "
+            "[packets] q2, [packets] p2, [packets] sigma, [packets] hbar, [system] mass, "
+            "[bath] var_b\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "n.ini"]
 
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
         cfg = write(

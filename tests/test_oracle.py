@@ -2,6 +2,7 @@ import math
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,8 +352,46 @@ class TestSizeLimits:
     """
 
     def test_component_levels(self):
-        with pytest.raises(DimensionCapError, match="component coupling operator"):
+        with pytest.raises(DimensionCapError, match="component level vector"):
             dl.BathComponent("oscillator", 1.0, 1.0, levels=1 << 40)
+
+    def test_large_oscillator_runs_as_its_factor(self):
+        # 5000 levels: the lines and the stepped spin read the tridiagonal
+        # factor alone.  From Fock 0 at g = 0.5 and t <= 1 the state does not
+        # reach level 40, so a 40-level truncation gives the same curve
+        big, small = (dl.BathModel((dl.BathComponent("oscillator", 0.5, 1.0, levels=n),), (0,))
+                      for n in (5000, 40))
+        assert dl.bath_statistics(big) == dl.bath_statistics(small)
+        a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
+        b = dl.coherent_vector(dl.SpinCoherent(0.5, -1.0))
+        times = np.linspace(0.0, 1.0, 6)
+        curves = [dl.evolve_norm(dl.SpinSystem(0.5, 0.7), bath, a, b, times).values
+                  for bath in (big, small)]
+        np.testing.assert_allclose(curves[0], curves[1], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("path", ["eigen-decomposition", "characteristic", "pointer",
+                                      "zero-omega-spin"])
+    def test_dense_coupling(self, path):
+        # the eigh paths form a dense coupling: 5000^2 entries for the
+        # oscillator, 5001^2 for the Jx of a spin 2500 (400 MB complex)
+        bath = dl.BathModel((dl.BathComponent("oscillator", 0.5, 1.0, levels=5000),), (0,))
+        a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
+        branch = np.eye(5001)[0]
+        calls = {
+            "eigen-decomposition": lambda: dl.bath_eigen_decomposition(bath),
+            "characteristic": lambda: dl.bath_characteristic(bath, [0.1]),
+            "pointer": lambda: dl.evolve_norm(dl.SpinSystem(0.5, 0.0), bath, a, a, [0.1]),
+            "zero-omega-spin": lambda: dl.evolve_norm(dl.SpinSystem(2500.0, 0.0),
+                                                      dl.spin_bath(2, 1.0), branch, branch, [0.1]),
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match="would hold 250"):
+                calls[path]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_initial_state(self):
         with pytest.raises(DimensionCapError, match=f"bath initial state would hold {1 << 200}"):
