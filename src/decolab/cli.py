@@ -15,7 +15,8 @@ before anything is written.  Results are CSV
 (one row per point, fixed header) with the config hash embedded in comment
 lines, plus an optional JSON mirror.  The config is the whole input (seeds
 included), so its hash identifies the run, and rerunning a config
-reproduces the output byte for byte.
+reproduces the output byte for byte.  Each runner imports the library
+modules it calls, so a run loads only those.
 
 Exit codes: 0 success, 1 validation error, 2 numerical error.
 """
@@ -31,32 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from ._linalg import spectral_norm
 from .errors import NumericalError, ValidationError, require_finite
-from .laws import (
-    BathMoments,
-    SystemParams,
-    coherence_norm_short_time,
-    constant_correlation,
-    decoherence_times,
-    exponential_correlation,
-    gaussian_correlation,
-    golden_rule_times,
-    memory_kernel_norm,
-    two_reservoir_norm,
-)
-from .packets import GaussianPacket, PositionGrid, Superposition
-from .expansion import ExpandedHamiltonian, expansion_error
-from .spin import special_pair, spin_coherence_norm, spin_decoherence_times
-from .oracle import (
-    GridParticle,
-    bath_characteristic,
-    bath_statistics,
-    evolve_norm,
-    position_eigenstate,
-    spin_bath,
-    static_bath_norm,
-)
 
 FLOAT_FMT = "%.17g"
 
@@ -128,7 +104,7 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
                    "dq": Key(float), "hbar": Key(float, 1.0)},
     }),
     "sweep": ("log-spaced parameter sweep with a scaling-exponent fit", {
-        "sweep": {"axis": Key(str, REQUIRED, "hbar", ("hbar", "distance", "dp", "j")),
+        "sweep": {"axis": Key(str, REQUIRED, "hbar", ("hbar", "distance", "dp")),
                   "target": Key(str, REQUIRED, "tau_q",
                                 ("tau_q", "tau_qp", "tau_p", "tau_gr", "tau_x", "tau_y", "tau_z")),
                   "start": Key(float, REQUIRED, "0.25"), "stop": Key(float, REQUIRED, "4.0"),
@@ -228,8 +204,9 @@ def parse_config(cfg, experiment):
 
     An unknown section or key (``[DEFAULT]`` keys count as keys of every
     section), a value outside ``choices`` or a non-finite number raises
-    ConfigError naming it.  Defaults fill the sections present; an absent
-    section or required key raises only when a runner reads it.
+    ConfigError naming it.  Defaults fill the sections present, and an
+    absent section none of whose keys is required; any other absent section
+    or required key raises only when a runner reads it.
     """
     kind = cfg.get("experiment", "kind", fallback=experiment)
     if kind != experiment:
@@ -242,13 +219,22 @@ def parse_config(cfg, experiment):
             if key not in schema[section]:
                 origin = " (set in [DEFAULT])" if key in cfg.defaults() else ""
                 raise ConfigError(f"unknown key {key!r} in section [{section}]{origin}")
-        values[section] = typed = _Values(section, tuple(cfg[section]))
-        for key, row in schema[section].items():
-            if key in cfg[section]:
-                typed[key] = _cast(section, key, row, cfg[section][key])
-            elif row.default is not REQUIRED:
-                typed[key] = row.default
+        values[section] = _typed(section, schema[section], cfg[section])
+    for section, keys in schema.items():
+        if section not in values and all(row.default is not REQUIRED for row in keys.values()):
+            values[section] = _typed(section, keys, {})
     return values
+
+
+def _typed(section, keys, given):
+    """[section] with the keys given cast and the other keys at their defaults."""
+    typed = _Values(section, tuple(given))
+    for key, row in keys.items():
+        if key in given:
+            typed[key] = _cast(section, key, row, given[key])
+        elif row.default is not REQUIRED:
+            typed[key] = row.default
+    return typed
 
 
 def time_grid(times):
@@ -276,10 +262,13 @@ def fit_scaling(axis_values, taus, axis="hbar", target="tau"):
     """Log-log least-squares exponent of tau against a swept axis.
 
     Sign convention: tau ~ hbar^mu / d^nu, so the returned exponent is the
-    raw slope for axis="hbar" and its negation for the distance-like axes
-    ("distance", "dp", "j"), making the reported mu and nu positive for the
-    physical laws.  A non-finite value (an infinite time: the channel does
-    not decay) raises ValidationError naming the axis or the target.
+    raw slope for axis="hbar" and its negation for any other, distance-like
+    axis ("distance", "dp", or a spin's "j"), making the reported mu and nu
+    positive for the physical laws.  The sweep experiment offers hbar,
+    distance and dp only: a log-spaced j is a half-integer only when each
+    point doubles the last.  A non-finite value (an infinite time: the
+    channel does not decay) raises ValidationError naming the axis or the
+    target.
     """
     x = np.asarray(axis_values, dtype=float)
     y = np.asarray(taus, dtype=float)
@@ -306,6 +295,8 @@ def fit_scaling(axis_values, taus, axis="hbar", target="tau"):
 
 
 def run_times(c):
+    from .laws import BathMoments, SystemParams, decoherence_times
+
     dq, dp = c["separation"]["dq"], c["separation"]["dp"]
     sysp = SystemParams(mass=c["system"]["mass"], hbar=c["system"]["hbar"])
     bath = BathMoments(c["bath"]["var_b"])
@@ -316,6 +307,8 @@ def run_times(c):
 
 
 def _correlation_from(memory):
+    from .laws import constant_correlation, exponential_correlation, gaussian_correlation
+
     kind, var_b = memory["correlation"], memory["var_b"]
     if kind == "constant":
         return constant_correlation(var_b)
@@ -325,6 +318,10 @@ def _correlation_from(memory):
 
 
 def run_norm(c):
+    from .laws import (BathMoments, SystemParams, coherence_norm_short_time, memory_kernel_norm,
+                       two_reservoir_norm)
+    from .packets import GaussianPacket, Superposition
+
     law = c["law"]["kind"]
     times = time_grid(c["times"])
     if law == "short-time":
@@ -350,6 +347,10 @@ def run_norm(c):
 
 
 def run_sweep(c):
+    from .laws import (BathMoments, SystemParams, decoherence_times, exponential_correlation,
+                       golden_rule_times)
+    from .spin import spin_decoherence_times
+
     sweep = c["sweep"]
     axis, target = sweep["axis"], sweep["target"]
     start, stop, num = sweep["start"], sweep["stop"], sweep["num"]
@@ -392,11 +393,18 @@ def run_sweep(c):
 
 
 def run_oracle_compare(c):
+    from .laws import memory_kernel_norm
+    from .oracle import (GridParticle, bath_statistics, evolve_norm, position_eigenstate,
+                         spin_bath, static_bath_norm)
+    from .packets import PositionGrid
+
     model, compare = c["bath-model"], c["compare"]
-    m, omega = model["m"], model["omega"]
-    omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
-    bath = spin_bath(m, model["var_total"], omegas)
     d, hbar, protocol, law = compare["d"], compare["hbar"], compare["protocol"], compare["law"]
+    m, omegas = model["m"], 0.0
+    if protocol == "frozen" or law == "memory":  # the static norm and var_B ignore frequencies
+        omega = model["omega"]
+        omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
+    bath = spin_bath(m, model["var_total"], omegas)
     times = time_grid(c["times"])
     moments, corr = bath_statistics(bath, hbar)
 
@@ -424,6 +432,9 @@ def run_oracle_compare(c):
 
 
 def run_spin(c):
+    from .laws import BathMoments
+    from .spin import special_pair, spin_coherence_norm, spin_decoherence_times
+
     spin, bath, norm = c["spin"], c["bath"], c["norm"]
     j, alpha, case = spin["j"], spin["alpha"], spin["case"]
     beta = spin["beta"] if case is None else special_pair(alpha, case)
@@ -452,6 +463,9 @@ def _require(section, key, value, ok, domain):
 
 
 def run_expansion_check(c):
+    from ._linalg import spectral_norm
+    from .expansion import ExpandedHamiltonian, expansion_error
+
     expansion = c["expansion"]
     dim, trials, hnorm_t = expansion["dim"], expansion["trials"], expansion["hnorm_t"]
     seed = expansion["seed"]
@@ -478,6 +492,8 @@ def run_expansion_check(c):
 
 
 def run_clt(c):
+    from .oracle import bath_characteristic, spin_bath
+
     clt = c["clt"]
     m_values = clt["m_values"]
     var_b, sigmas, points = clt["var_b"], clt["lambda_sigmas"], clt["lambda_points"]

@@ -44,7 +44,9 @@ MISCONFIGS = {
     "unknown-key": ("norm", "spacing = linear\n", "spacing = linear\nmas = 5\n", "mas"),
     "out-of-choice": ("spin", "mode = regime", "mode = montecarl", "mode"),
     "non-finite": ("sweep", "stop = 4.0", "stop = inf", "stop"),
-    "axis-not-in-law": ("sweep", "axis = hbar", "axis = j", "axis"),
+    "axis-not-in-law": ("sweep", "axis = hbar", "axis = dp", "axis = dp is not an input"),
+    # a log-spaced j is a half-integer only when each point doubles the last
+    "sweep-axis-j": ("sweep", "axis = hbar", "axis = j", "[sweep] axis must be one of"),
     "beta-and-case": ("spin", "[spin]\n", "[spin]\ncase = ii\n", "[spin] beta"),
     "default-key": ("times", "[experiment]\n", "[DEFAULT]\nhbar = 2.0\n[experiment]\n", "hbar"),
     "dropped-key": ("norm", "spacing = linear\n", "spacing = linear\n[memory]\ntail_cutoff = inf\n",
@@ -73,6 +75,11 @@ MISCONFIGS = {
     # decoherence_times ignores omega, and only spin reads var_bdot and kappa
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
+    # the static protocol's norm and the Gaussian law's var_B do not move with the frequencies
+    "oracle-static-omega": ("oracle-compare", TEMPLATES["oracle-compare"],
+                            TEMPLATES["oracle-compare"].replace("omega = 0 ", "omega = 0.7 ", 1)
+                            .replace("protocol = frozen", "protocol = static", 1),
+                            "not read by this run: [bath-model] omega"),
     # out-of-domain values used to divide by zero (exit 2), fail with a
     # message not naming the key, give 0/0 ratios or an empty run, or run as
     # another value (lambda_sigmas = -3 as 3)
@@ -154,6 +161,51 @@ SCIPY_PATHS_PROBE = textwrap.dedent("""
         print(name, all(map(math.isfinite, values)),
               any(m.split(".")[0] == "scipy" for m in sys.modules))
 """)
+
+# Runs `python -m decolab` with the arguments argv[1:] the way -m does and
+# prints the decolab modules the run loaded.
+MODULES_PROBE = textwrap.dedent("""
+    import runpy
+    import sys
+
+    sys.argv = ["decolab", *sys.argv[1:]]
+    try:
+        runpy.run_module("decolab", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "decolab"))
+""")
+
+# Resolves each exported name on a bare import of decolab and prints it with
+# whether it is the same attribute of the library module that exports it and
+# whether dir(decolab) lists it; then the same for each library module.
+EXPORTS_PROBE = textwrap.dedent("""
+    import importlib
+    import sys
+    import decolab
+
+    for module, names in decolab._EXPORTS.items():
+        for name in names:
+            value = getattr(decolab, name)
+            home = importlib.import_module(f"decolab.{module}")
+            print(name, value is getattr(home, name), name in dir(decolab))
+    for module in decolab._EXPORTS:
+        print(module, getattr(decolab, module) is sys.modules[f"decolab.{module}"],
+              module in dir(decolab))
+""")
+
+CLOSED_FORM_MODULES = {"decolab", "decolab.cli", "decolab.errors", "decolab.laws", "decolab.packets"}
+ORACLE_MODULES = CLOSED_FORM_MODULES | {"decolab.spin", "decolab.oracle"}
+LOADED_MODULES = {  # experiment -> the decolab modules its run loads
+    "times": CLOSED_FORM_MODULES,
+    "norm": CLOSED_FORM_MODULES,
+    "sweep": CLOSED_FORM_MODULES | {"decolab.spin"},
+    "spin": CLOSED_FORM_MODULES | {"decolab.spin"},
+    "expansion-check": {"decolab", "decolab.cli", "decolab.errors", "decolab._linalg",
+                        "decolab.expansion"},
+    "oracle-compare": ORACLE_MODULES,
+    "clt": ORACLE_MODULES,
+}
 
 
 def run_fresh(code, *args):
@@ -240,7 +292,7 @@ class TestExperiments:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 14\n"
-            "var_total = 1.0\nomega = 0\ncap = 4096\n[compare]\nd = 1.0\n"
+            "var_total = 1.0\ncap = 4096\n[compare]\nd = 1.0\n"
             "[times]\nstart = 0.01\nstop = 1.0\nnum = 10\n",
         )
         assert main(["oracle-compare", "--config", cfg]) == 1
@@ -252,7 +304,7 @@ class TestExperiments:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 200\n"
-            f"var_total = 1.0\nomega = 0\n[compare]\nd = 1.0\nprotocol = {protocol}\n"
+            f"var_total = 1.0\n[compare]\nd = 1.0\nprotocol = {protocol}\n"
             "[times]\nstart = 0.01\nstop = 1.0\nnum = 10\n",
         )
         out = str(tmp_path / "o.csv")
@@ -280,12 +332,45 @@ class TestExperiments:
             tmp_path,
             "s.ini",
             "[experiment]\nkind = sweep\n[sweep]\naxis = distance\ntarget = tau_q\n"
-            "start = 0.5\nstop = 8.0\nnum = 8\n[base]\n",
+            "start = 0.5\nstop = 8.0\nnum = 8\n",
         )
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
         text = open(out).read()
         assert "# fit-exponent: 1" in text
+
+    @pytest.mark.parametrize("experiment, section, text", [
+        ("sweep", "base", "[sweep]\naxis = hbar\ntarget = tau_q\nstart = 0.25\nstop = 4.0\nnum = 8\n"),
+        ("expansion-check", "expansion", ""),
+        ("clt", "clt", ""),
+    ])
+    def test_defaulted_section_may_be_left_out(self, tmp_path, experiment, section, text):
+        # a section none of whose keys is required used to be refused as missing
+        runs = []
+        for name, body in [("absent", text), ("empty", f"{text}[{section}]\n")]:
+            cfg = write(tmp_path, f"{name}.ini", f"[experiment]\nkind = {experiment}\n{body}")
+            out = str(tmp_path / f"{name}.csv")
+            assert main([experiment, "--config", cfg, "--out", out]) == 0
+            runs.append(read_rows(out))
+        assert runs[0] == runs[1] and runs[0][1]
+
+    def test_oracle_compare_static_memory_reads_omega(self, tmp_path):
+        # under the static protocol the frequencies move the memory law only
+        columns = []
+        for name, omega in [("moving", "omega = linear:0.6:1.8\n"), ("default", "")]:
+            cfg = write(
+                tmp_path,
+                f"{name}.ini",
+                f"[experiment]\nkind = oracle-compare\n[bath-model]\nm = 6\n{omega}"
+                "[compare]\nd = 1.0\nprotocol = static\nlaw = memory\n"
+                "[times]\nstart = 0.02\nstop = 1.5\nnum = 12\n",
+            )
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["oracle-compare", "--config", cfg, "--out", out]) == 0
+            _, rows = read_rows(out)
+            columns.append([[r["n_oracle"] for r in rows], [r["n_law"] for r in rows]])
+        (oracle, law), (oracle_0, law_0) = columns
+        assert oracle == oracle_0 and law != law_0
 
     def test_oracle_compare_deterministic(self, tmp_path):
         cfg = write(
@@ -309,7 +394,7 @@ class TestExperiments:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 16\n"
-            "var_total = 1.0\nomega = 0\n[compare]\nd = 2.0\n"
+            "var_total = 1.0\n[compare]\nd = 2.0\n"
             "protocol = static\nlaw = gaussian\n[times]\n"
             "start = 0.0\nstop = 0.8\nnum = 100\n",
         )
@@ -531,7 +616,7 @@ class TestOracleCompareFrozen:
             tmp_path,
             "o.ini",
             "[experiment]\nkind = oracle-compare\n[bath-model]\nm = 12\n"
-            f"var_total = 1.0\nomega = 0\n[compare]\nd = {d!r}\n"
+            f"var_total = 1.0\n[compare]\nd = {d!r}\n"
             "protocol = frozen\nlaw = gaussian\n[times]\n"
             "start = 0.01\nstop = 1.2\nnum = 40\n",
         )
@@ -591,6 +676,32 @@ class TestImportPath:
         lines = run_fresh(TEMPLATES_PROBE, str(tmp_path), *EXPERIMENTS).splitlines()
         assert lines[:-1] == [f"{experiment} 0" for experiment in EXPERIMENTS]
         assert lines[-1] == "scipy-modules"
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_run_loads_only_its_modules(self, tmp_path, experiment):
+        # each runner imports what it calls: the closed forms load no oracle
+        cfg = write(tmp_path, "cfg.ini", TEMPLATES[experiment])
+        loaded = run_fresh(MODULES_PROBE, experiment, "--config", cfg,
+                           "--out", str(tmp_path / "out.csv"))
+        assert set(loaded.split()) == LOADED_MODULES[experiment]
+
+    def test_import_loads_only_the_errors(self):
+        loaded = run_fresh("import sys, decolab\n"
+                           "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'decolab'))")
+        assert loaded.split() == ["decolab", "decolab.errors"]
+
+    def test_exports_resolve_on_first_use(self):
+        lines = [line.split() for line in run_fresh(EXPORTS_PROBE).splitlines()]
+        assert [name for name, *_ in lines] == [*dl.__all__, *dl._EXPORTS]
+        assert len(set(dl.__all__)) == len(dl.__all__)
+        assert all(rest == ["True", "True"] for _, *rest in lines)
+
+    def test_unknown_export_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dl.no_such_name
+        assert not hasattr(dl, "cli_main")
+        with pytest.raises(ImportError):
+            from decolab import no_such_name  # noqa: F401
 
     def test_deferred_scipy_imports_resolve(self):
         # no back end, bath operator or closed form loads any scipy module
