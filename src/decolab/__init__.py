@@ -14,35 +14,19 @@ import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
-    ConvergenceError,
-    DecolabError,
-    DegenerateBathError,
-    DimensionCapError,
-    FitWindowError,
-    GridMismatchError,
-    NumericalError,
-    ResolutionError,
-    StepSizeError,
-    ValidationError,
-)
+from .errors import DecolabError, NumericalError, ResolutionError, ValidationError  # noqa: F401
 
 _EXPORTS = {  # module -> the public names it gives the package
-    "errors": (
-        "ConvergenceError", "DecolabError", "DegenerateBathError", "DimensionCapError",
-        "FitWindowError", "GridMismatchError", "NumericalError", "ResolutionError",
-        "StepSizeError", "ValidationError",
-    ),
+    "errors": ("DecolabError", "NumericalError", "ResolutionError", "ValidationError"),
     "packets": (
         "DensityBlock", "GaussianPacket", "PositionGrid", "Superposition", "coherence_norm",
-        "density_block", "momentum_amplitude", "position_amplitude", "superposition_blocks",
+        "density_block", "position_amplitude",
     ),
     "laws": (
         "BathMoments", "CorrelationFunction", "DecoherenceTimes", "GoldenRuleTimes",
         "SystemParams", "coherence_norm_short_time", "constant_correlation",
         "decoherence_times", "evolve_density_short_time", "exponential_correlation",
-        "flo_time", "gaussian_correlation", "golden_rule_times", "memory_kernel_norm",
-        "transition_separation", "two_reservoir_norm",
+        "gaussian_correlation", "golden_rule_times", "memory_kernel_norm", "two_reservoir_norm",
     ),
     "expansion": (
         "ExpandedHamiltonian", "expansion_error", "magnus_exponent", "particle_generators",

@@ -42,10 +42,6 @@ FLOAT_FMT = "%.17g"
 # validation and the --emit-config templates
 
 
-class ConfigError(ValidationError):
-    pass
-
-
 REQUIRED = object()
 
 
@@ -183,19 +179,20 @@ class _Values(dict):
 
     def __missing__(self, key):
         if self.section is None:
-            raise ConfigError(f"missing config section [{key}]")
-        raise ConfigError(f"missing key {key!r} in section [{self.section}]")
+            raise ValidationError(f"missing config section [{key}]")
+        raise ValidationError(f"missing key {key!r} in section [{self.section}]")
 
 
 def _cast(section, key, row, raw):
     try:
         value = row.type(raw.strip())
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+        raise ValidationError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
     if row.choices and value not in row.choices:
-        raise ConfigError(f"[{section}] {key} must be one of {' | '.join(row.choices)}, got {raw!r}")
+        raise ValidationError(
+            f"[{section}] {key} must be one of {' | '.join(row.choices)}, got {raw!r}")
     if row.type in (float, complex) and not np.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        raise ValidationError(f"[{section}] {key} must be finite, got {raw!r}")
     return value
 
 
@@ -204,21 +201,21 @@ def parse_config(cfg, experiment):
 
     An unknown section or key (``[DEFAULT]`` keys count as keys of every
     section), a value outside ``choices`` or a non-finite number raises
-    ConfigError naming it.  Defaults fill the sections present, and an
+    ValidationError naming it.  Defaults fill the sections present, and an
     absent section none of whose keys is required; any other absent section
     or required key raises only when a runner reads it.
     """
     kind = cfg.get("experiment", "kind", fallback=experiment)
     if kind != experiment:
-        raise ConfigError(f"config is for experiment {kind!r}, not {experiment!r}")
+        raise ValidationError(f"config is for experiment {kind!r}, not {experiment!r}")
     schema, values = _sections(experiment), _Values()
     for section in cfg.sections():
         if section not in schema:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValidationError(f"unknown section [{section}]")
         for key in cfg[section]:
             if key not in schema[section]:
                 origin = " (set in [DEFAULT])" if key in cfg.defaults() else ""
-                raise ConfigError(f"unknown key {key!r} in section [{section}]{origin}")
+                raise ValidationError(f"unknown key {key!r} in section [{section}]{origin}")
         values[section] = _typed(section, schema[section], cfg[section])
     for section, keys in schema.items():
         if section not in values and all(row.default is not REQUIRED for row in keys.values()):
@@ -241,11 +238,11 @@ def time_grid(times):
     """Time points of a parsed ``[times]`` section."""
     start, stop, num = times["start"], times["stop"], times["num"]
     if num < 1 or stop <= start:
-        raise ConfigError("time grid needs num >= 1 and stop > start")
+        raise ValidationError("time grid needs num >= 1 and stop > start")
     if times["spacing"] == "linear":
         return np.linspace(start, stop, num)
     if start <= 0:
-        raise ConfigError("log-spaced time grid needs start > 0")
+        raise ValidationError("log-spaced time grid needs start > 0")
     return np.geomspace(start, stop, num)
 
 
@@ -349,15 +346,14 @@ def run_norm(c):
 def run_sweep(c):
     from .laws import (BathMoments, SystemParams, decoherence_times, exponential_correlation,
                        golden_rule_times)
-    from .spin import spin_decoherence_times
 
     sweep = c["sweep"]
     axis, target = sweep["axis"], sweep["target"]
     start, stop, num = sweep["start"], sweep["stop"], sweep["num"]
     if num < 4:
-        raise ConfigError("sweep needs at least 4 points")
+        raise ValidationError("sweep needs at least 4 points")
     if start <= 0 or stop <= start:
-        raise ConfigError("sweep needs 0 < start < stop")
+        raise ValidationError("sweep needs 0 < start < stop")
     values = np.geomspace(start, stop, num)
     base, key = c["base"], "dq" if axis == "distance" else axis
     p = _Values("base")  # [base] with the swept value standing in for the axis's key
@@ -367,6 +363,8 @@ def run_sweep(c):
         # each law reads only its channel's inputs; constants close the other channels
         p[key] = value
         if target in ("tau_x", "tau_y", "tau_z"):
+            from .spin import spin_decoherence_times
+
             omega = 0.0 if target == "tau_x" else p["omega"]
             taus = spin_decoherence_times(
                 p["j"], p["alpha"], p["beta"], omega, BathMoments(p["var_b"]), p["hbar"]
@@ -384,7 +382,7 @@ def run_sweep(c):
 
     taus = [tau_at(v) for v in values]
     if key not in p.read:
-        raise ConfigError(f"[sweep] axis = {axis} is not an input of target = {target}")
+        raise ValidationError(f"[sweep] axis = {axis} is not an input of target = {target}")
     base.read |= p.read - {key}  # a [base] key that the axis overrides stays unread
     fit = fit_scaling(values, taus, axis, target)
     rows = [[v, tau] for v, tau in zip(values, taus)]
@@ -459,7 +457,7 @@ def run_spin(c):
 def _require(section, key, value, ok, domain):
     """Refuse value of [section] key unless ok, naming the key and its domain."""
     if not ok:
-        raise ConfigError(f"[{section}] {key} must be {domain}, got {value!r}")
+        raise ValidationError(f"[{section}] {key} must be {domain}, got {value!r}")
 
 
 def run_expansion_check(c):
@@ -624,7 +622,7 @@ def main(argv=None):
         unread = [f"[{name}] {key}" for name, section in values.items() if name != "experiment"
                   for key in section.given if key not in section.read]
         if unread:  # a key that moves no value would still change the config's hash
-            raise ConfigError("not read by this run: " + ", ".join(unread))
+            raise ValidationError("not read by this run: " + ", ".join(unread))
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"decolab: error: numerical: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Two broad families matter to callers (and map onto the CLI exit codes):
 ``ValidationError`` for inputs that are rejected before any real work
 happens, and ``NumericalError`` for computations that start but cannot be
-completed reliably.
+completed reliably; a raise's message names its cause.  The one subclass
+kept, ``ResolutionError`` (a grid too coarse or a box too small), is one that
+callers tell apart: a property test discards a draw its grid cannot resolve.
 
 Input contract: public entry points check numeric arguments only through
 the validators below, which take them as keywords, never convert them, and
@@ -99,32 +101,8 @@ class ResolutionError(ValidationError):
     """A grid is too coarse (or too small a box) for the requested operation."""
 
 
-class GridMismatchError(ValidationError):
-    """Two objects that must share a grid do not."""
-
-
-class DegenerateBathError(ValidationError):
-    """A bath with vanishing coupling variance cannot decohere anything."""
-
-
-class DimensionCapError(ValidationError):
-    """An array would exceed the size limit of the code that allocates it."""
-
-
 class NumericalError(DecolabError):
     """A numerical procedure failed to converge or lost accuracy."""
-
-
-class StepSizeError(NumericalError):
-    """Time stepping lost unitarity beyond the allowed drift."""
-
-
-class ConvergenceError(NumericalError):
-    """A reference computation could not be converged to the needed accuracy."""
-
-
-class FitWindowError(NumericalError):
-    """Not enough usable points in the decay window for a fit."""
 
 
 def _float_range_checked(func):

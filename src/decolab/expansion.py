@@ -35,8 +35,7 @@ from ._linalg import (
     spectral_norm,
 )
 from .errors import (
-    ConvergenceError, ValidationError, is_int, require_nonnegative, require_positive,
-    require_real,
+    NumericalError, ValidationError, is_int, require_nonnegative, require_positive, require_real,
 )
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
@@ -212,7 +211,7 @@ def expansion_error(h, h_of_t, t):
             # the expansion is exact here for all practical purposes.
             return distance
         if n >= (1 << 18):
-            raise ConvergenceError(
+            raise NumericalError(
                 f"reference propagator not converged at n_steps={n}: "
                 f"self-error {estimate:.3g} vs distance {distance:.3g}"
             )

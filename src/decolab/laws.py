@@ -21,7 +21,8 @@ golden-rule rate is provided for comparison with the weak-coupling
 regime.  A correlation is held as its spectrum (spectral lines, as the
 oracle's bath_statistics builds, or an exponential or Gaussian family), so
 its memory kernel, and the golden-rule rate of a decaying family, are
-taken in closed form, and everything here needs numpy alone.
+taken in closed form, and everything here needs numpy alone.  Only the
+functions taking packets or blocks import them, so the times load neither.
 """
 
 import math
@@ -31,11 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, NumericalError, ResolutionError, ValidationError,
-    _decay_time, _float_range_checked, require_instance, require_nonnegative, require_positive,
-    require_real, require_real_array, require_times,
+    NumericalError, ResolutionError, ValidationError, _decay_time, _float_range_checked,
+    require_instance, require_nonnegative, require_positive, require_real, require_real_array,
+    require_times,
 )
-from .packets import BLOCK_CHUNK, DensityBlock, Superposition, _built_block, _nonzero_span
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def decoherence_times(dq, dp, sys, bath):
     """
     require_real(dq=dq, dp=dp)
     if not bath.var_B > 0:
-        raise DegenerateBathError("decoherence times require var_B > 0")
+        raise ValidationError("decoherence times require var_B > 0")
     dq, dp, v, hbar, mass = map(np.float64, (dq, dp, bath.var_B, sys.hbar, sys.mass))
     return DecoherenceTimes(
         _decay_time(lambda: abs(dq) * math.sqrt(v), lambda r: hbar / r),
@@ -190,6 +190,8 @@ def coherence_norm_short_time(t, sup, sys, bath):
     higher in t, so the law holds for t << min(tau_sys, tau_res).  For the
     reservoir side at longer times use memory_kernel_norm.
     """
+    from .packets import Superposition
+
     require_instance(sup=(sup, Superposition), sys=(sys, SystemParams), bath=(bath, BathMoments))
     hbar = sup.packet1.hbar
     if sys.hbar != hbar:
@@ -232,6 +234,8 @@ def _diagonal_peaks(box):
     down the columns; the last chunk is moved up to end at the last row,
     since rereading rows leaves a maximum unchanged.
     """
+    from .packets import BLOCK_CHUNK
+
     n_rows, n_cols = box.shape
     m = min(n_rows, max(1, BLOCK_CHUNK // (n_rows + n_cols)))
     sheared = np.zeros((m, n_cols + m - 1))
@@ -269,6 +273,8 @@ def evolve_density_short_time(block, t, sys, bath):
     IFFT.  The input block is finite, and every step that could leave the
     float64 range raises, so the output is not rescanned.
     """
+    from .packets import BLOCK_CHUNK, DensityBlock, _built_block, _nonzero_span
+
     require_instance(block=(block, DensityBlock), sys=(sys, SystemParams),
                      bath=(bath, BathMoments))
     require_nonnegative(t=t)
@@ -484,22 +490,3 @@ def golden_rule_times(corr, sys, dq):
     tau_dec = _decay_time(lambda: dq ** 2 / sys.hbar ** 2 * spectrum(), lambda r: 1.0 / r)
     return GoldenRuleTimes(tau_dec)
 
-
-def transition_separation(dp, hbar):
-    """Position separation sqrt(hbar |dp|) below which E^Q dominance is lost."""
-    require_real(dp=dp)
-    require_positive(hbar=hbar)
-    if dp == 0:
-        raise ValidationError("transition_separation requires dp != 0")
-    return math.sqrt(hbar * abs(dp))
-
-
-def flo_time(sigma, d, v):
-    """Thermal-ensemble time scale sigma / (d v), independent of hbar.
-
-    sigma is the position variance (width squared); the literature writes
-    this sigma^2 / (d v) with sigma denoting the width itself.
-    """
-    require_nonnegative(sigma=sigma)
-    require_positive(d=d, v=v)
-    return sigma / (d * v)

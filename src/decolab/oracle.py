@@ -55,7 +55,7 @@ A bath model sets no limit on its dimension, only on one component's
 levels, which every path holds as vectors.  Before each allocation that
 grows with the bath, ``_check_entries`` refuses an array above the limit
 of the code making it (the constants below say what each limit counts and
-where it applies) with DimensionCapError naming the array and its entry
+where it applies) with a ValidationError naming the array and its entry
 count.
 
 Every back end, bath operator, closed form and fit here needs numpy
@@ -71,9 +71,9 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import (
-    DimensionCapError, FitWindowError, StepSizeError, ValidationError, _float_range_checked,
-    is_int, require_finite, require_instance, require_nonnegative, require_positive, require_real,
-    require_real_array, require_times,
+    NumericalError, ValidationError, _float_range_checked, is_int, require_finite,
+    require_instance, require_nonnegative, require_positive, require_real, require_real_array,
+    require_times,
 )
 from .laws import BathMoments, CorrelationFunction
 from .packets import PositionGrid, position_amplitude
@@ -92,9 +92,9 @@ UNITARITY_DRIFT = 1e-8
 
 
 def _check_entries(array, entries, limit):
-    """Raise DimensionCapError before allocating an array of more than limit entries."""
+    """Raise ValidationError before allocating an array of more than limit entries."""
     if entries > limit:
-        raise DimensionCapError(f"{array} would hold {entries} entries, above the limit {limit}")
+        raise ValidationError(f"{array} would hold {entries} entries, above the limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -653,7 +653,7 @@ def _chebyshev_advance(times, psi, step, hw, hbar, order):
         squares = _float_rows(samples)
         drift = np.abs(np.sqrt(np.einsum("...i,...i->...", squares, squares)) - 1.0).max()
         if drift > UNITARITY_DRIFT:
-            raise StepSizeError(f"unitarity drift {drift:.3g}")
+            raise NumericalError(f"unitarity drift {drift:.3g}")
         norms[start:start + orders.size] = _sandwich_norm(samples[:, 0], samples[:, 1])
         ring[0] = chunk[-1].reshape(shape)
         start += orders.size
@@ -894,13 +894,13 @@ def fit_decay_exponent(curve, window=(0.05, 0.95)):
         raise ValidationError(f"fit window must satisfy 0 <= lo < hi <= 1, got {window}")
     mask = (curve.values > lo) & (curve.values < hi) & (curve.times > 0)
     if np.count_nonzero(mask) < 8:
-        raise FitWindowError(
+        raise NumericalError(
             f"only {np.count_nonzero(mask)} points in the fit window (need >= 8)"
         )
     t = curve.times[mask]
     n_vals = curve.values[mask]
     if np.any(np.diff(n_vals) >= 0):
-        raise FitWindowError("curve is not strictly decreasing over the fit window")
+        raise NumericalError("curve is not strictly decreasing over the fit window")
     x = np.log(t)
     y = np.log(-np.log(n_vals))
     slope, intercept = np.polyfit(x, y, 1)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridMismatchError, ResolutionError, ValidationError, _float_range_checked, is_int,
-    require_finite, require_instance, require_positive, require_real, require_real_array,
+    ResolutionError, ValidationError, _float_range_checked, is_int, require_finite,
+    require_instance, require_positive, require_real, require_real_array,
 )
 
 # Grid sizing rule: the box has to cover the packet centers with this many
@@ -152,24 +152,6 @@ def position_amplitude(packet, q):
     return phi
 
 
-def momentum_amplitude(packet, p):
-    """Momentum-representation amplitude, the Fourier dual of position_amplitude.
-
-    Convention: phi~(p) = (2 pi hbar)^(-1/2) * integral dq e^{-i p q / hbar} phi(q),
-    which evaluates to
-    (2 pi sigma)^(1/4) (pi hbar)^(-1/2) e^{-i p q0 / hbar} e^{-sigma ((p - p0) / hbar)^2},
-    the envelope scaled by hbar before squaring so that hbar^2 cannot underflow.
-    """
-    require_real_array(p=p)
-    p = np.asarray(p, dtype=float)
-    norm = (2.0 * np.pi * packet.sigma) ** 0.25 / np.sqrt(np.pi * packet.hbar)
-    with np.errstate(all="ignore"):  # a phase p q0 / hbar past float64 gives NaN
-        phi = norm * np.exp(-1j * p * packet.q0 / packet.hbar) * np.exp(
-            -packet.sigma * ((p - packet.p0) / packet.hbar) ** 2)
-    require_finite(amplitude=phi)
-    return phi
-
-
 def _check_grid_resolves(grid, packets):
     width = np.sqrt(packets[0].sigma)
     lo = min(p.q0 for p in packets) - BOX_MARGIN_WIDTHS * width
@@ -215,17 +197,6 @@ def density_block(packet_i, packet_j, grid):
     return _built_block(grid, values)
 
 
-def superposition_blocks(sup, grid):
-    """All four blocks rho^{ij} = |phi_i><phi_j| of a two-branch superposition, keyed (i, j)."""
-    require_instance(sup=(sup, Superposition))
-    packets = {1: sup.packet1, 2: sup.packet2}
-    return {
-        (i, j): density_block(packets[i], packets[j], grid)
-        for i in (1, 2)
-        for j in (1, 2)
-    }
-
-
 @_float_range_checked
 def coherence_norm(block_a, block_b):
     """Tr(a . b^dagger) by two-dimensional trapezoidal quadrature.
@@ -242,7 +213,7 @@ def coherence_norm(block_a, block_b):
     """
     require_instance(block_a=(block_a, DensityBlock), block_b=(block_b, DensityBlock))
     if block_a.grid != block_b.grid:
-        raise GridMismatchError("coherence_norm requires blocks on the same grid")
+        raise ValidationError("coherence_norm requires blocks on the same grid")
     w = block_a.grid.weights
     a, b = block_a.values, block_b.values
     live = a.any(axis=1)

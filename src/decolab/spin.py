@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateBathError, ValidationError, _decay_time, _float_range_checked, is_int,
-    require_complex, require_positive, require_real, require_times,
+    ValidationError, _decay_time, _float_range_checked, is_int, require_complex,
+    require_positive, require_real, require_times,
 )
 
 
@@ -161,8 +161,9 @@ def special_pair(alpha, case_id):
     (ii)  beta = alpha*    (opposite azimuth at equal polar angle)
     (iii) beta = 1/alpha   (antipode)
 
-    The fourth case listed alongside these is exposed only as the predicate
-    is_special_case_iv because its printed condition appears corrupted.
+    The fourth case leaves up to four partners, and none where
+    cos(phi_alpha) < 0, so it is exposed only as the predicate
+    is_special_case_iv.
     """
     require_complex(alpha=alpha)
     alpha = complex(alpha)
@@ -180,21 +181,22 @@ CASE_IV_TOL = 1e-9
 
 
 def is_special_case_iv(alpha, beta):
-    """Predicate for the fourth d_x = 0 case, recorded verbatim:
-    cos(phi_alpha) = sin(theta_beta) and cos(phi_beta) = sin(phi_alpha),
-    each to within CASE_IV_TOL.
+    """Predicate for the fourth d_x = 0 case:
+    cos(phi_alpha) = sin(theta_beta) and cos(phi_beta) = sin(theta_alpha),
+    each to within CASE_IV_TOL, with theta = 2 atan|alpha|.
 
-    The mixed angle pairing looks typographical; the condition is exposed
-    as printed rather than guessed at, and no constructor is provided.
+    Both terms of d_x / j = sin theta_a cos phi_a - sin theta_b cos phi_b then
+    equal sin theta_a sin theta_b; the printed sin(phi_alpha) gives no d_x = 0.
     """
     require_complex(alpha=alpha, beta=beta)
     alpha, beta = complex(alpha), complex(beta)
     phi_a = _phase(alpha)
     phi_b = _phase(beta)
+    theta_a = 2.0 * math.atan(abs(alpha))
     theta_b = 2.0 * math.atan(abs(beta))
     return (
         abs(math.cos(phi_a) - math.sin(theta_b)) <= CASE_IV_TOL
-        and abs(math.cos(phi_b) - math.sin(phi_a)) <= CASE_IV_TOL
+        and abs(math.cos(phi_b) - math.sin(theta_a)) <= CASE_IV_TOL
     )
 
 
@@ -216,7 +218,7 @@ def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
     """
     require_real(omega=omega)
     if not bath.var_B > 0:
-        raise DegenerateBathError("spin decoherence times require var_B > 0")
+        raise ValidationError("spin decoherence times require var_B > 0")
     v = bath.var_B
     d = separations(j, alpha, beta, hbar)
     return SpinDecoherenceTimes(

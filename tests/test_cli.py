@@ -194,12 +194,12 @@ EXPORTS_PROBE = textwrap.dedent("""
               module in dir(decolab))
 """)
 
-CLOSED_FORM_MODULES = {"decolab", "decolab.cli", "decolab.errors", "decolab.laws", "decolab.packets"}
-ORACLE_MODULES = CLOSED_FORM_MODULES | {"decolab.spin", "decolab.oracle"}
+CLOSED_FORM_MODULES = {"decolab", "decolab.cli", "decolab.errors", "decolab.laws"}
+ORACLE_MODULES = CLOSED_FORM_MODULES | {"decolab.packets", "decolab.spin", "decolab.oracle"}
 LOADED_MODULES = {  # experiment -> the decolab modules its run loads
     "times": CLOSED_FORM_MODULES,
-    "norm": CLOSED_FORM_MODULES,
-    "sweep": CLOSED_FORM_MODULES | {"decolab.spin"},
+    "norm": CLOSED_FORM_MODULES | {"decolab.packets"},
+    "sweep": CLOSED_FORM_MODULES,
     "spin": CLOSED_FORM_MODULES | {"decolab.spin"},
     "expansion-check": {"decolab", "decolab.cli", "decolab.errors", "decolab._linalg",
                         "decolab.expansion"},

@@ -39,7 +39,6 @@ PROBES = {
     "two_reservoir_norm-negative-var_bp": lambda: dl.two_reservoir_norm(1, 0, 1, 1, -1, 1),
     "two_reservoir_norm-zero-hbar": lambda: dl.two_reservoir_norm(1, 1, 0, 1, 1, 0),
     "static_bath_norm-complex-d": lambda: dl.static_bath_norm(1j, dl.spin_bath(2, 1.0), 1.0),
-    "transition_separation-complex-dp": lambda: dl.transition_separation(1j, 1.0),
     "time_ordered_propagator-negative-t": lambda: dl.time_ordered_propagator(H.at, -1.0, 4),
     "time_ordered_propagator-complex-t": lambda: dl.time_ordered_propagator(H.at, 1j, 4),
     "verify_holomorphic_identities-nan-alpha":
@@ -56,7 +55,6 @@ PROBES = {
     "GridParticle-complex-potential_omega":
         lambda: dl.GridParticle(GRID, 1.0, potential_omega=1j),
     "position_eigenstate-complex-q": lambda: dl.position_eigenstate(GRID, 1j),
-    "flo_time-negative-sigma": lambda: dl.flo_time(-1.0, 1.0, 1.0),
     "particle_generators-negative-mass":
         lambda: dl.particle_generators(MATS[0], MATS[1], MATS[0], MATS[1], mass=-1.0),
     "spin_coherence_norm-montecarlo-complex-omega":
@@ -98,7 +96,6 @@ PROBES = {
         lambda: dl.bath_characteristic(dl.spin_bath(2, 1.0), 1j),
     "special_pair-None-alpha": lambda: dl.special_pair(None, "i"),
     "position_amplitude-complex-q": lambda: dl.position_amplitude(PACKET, 1j),
-    "momentum_amplitude-complex-p": lambda: dl.momentum_amplitude(PACKET, 1j),
     "evolve_density_short_time-complex-t":
         lambda: dl.evolve_density_short_time(BLOCK, 1j, SYS, BATH),
     # one NaN entry spread to 30 and coherence_norm returned nan
@@ -109,7 +106,6 @@ PROBES = {
         lambda: dl.time_ordered_propagator(H.at, 1.0, 4, hbar=0.0),
     "memory_kernel_norm-zero-hbar":
         lambda: dl.memory_kernel_norm(1.0, 1.0, 0.0, dl.constant_correlation(1.0)),
-    "transition_separation-negative-hbar": lambda: dl.transition_separation(1.0, -1.0),
     # a non-integer step count used to integrate to the wrong time
     "time_ordered_propagator-fractional-n_steps":
         lambda: dl.time_ordered_propagator(H.at, 1.0, 2.5),
@@ -126,7 +122,6 @@ PROBES = {
     "Superposition-text-packet2": lambda: dl.Superposition(PACKET, "x"),
     "density_block-text-packet_j": lambda: dl.density_block(PACKET, "x", GRID),
     "density_block-text-grid": lambda: dl.density_block(PACKET, PACKET, "g"),
-    "superposition_blocks-text-sup": lambda: dl.superposition_blocks("sup", GRID),
     "DensityBlock-text-grid": lambda: dl.DensityBlock("g", BLOCK.values),
     "coherence_norm-text-block_b": lambda: dl.coherence_norm(BLOCK, "x"),
     "evolve_density_short_time-text-block":

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import decolab as dl
 from decolab import oracle
 from decolab._linalg import expm_phase
-from decolab.errors import DimensionCapError, FitWindowError, ValidationError, require_finite
+from decolab.errors import NumericalError, ValidationError, require_finite
 from helpers import (
     frozen_position_curve, grid_joint_eigh_norms, joint_eigh_norms, momentum_separation_curve,
     peak_memory_mib, quad_memory_kernel,
@@ -33,9 +33,9 @@ class TestBathModel:
         # no cap by default; an explicit one still refuses a larger bath
         bath = dl.spin_bath(13, 1.0)
         assert bath.dimension_cap is None and bath.dimension == 8192
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValidationError, match="bath state would hold 8192 entries, above"):
             dl.spin_bath(13, 1.0, dimension_cap=1 << 12)
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValidationError, match="dense bath operator would hold 67108864"):
             dl.build_bath_operators(bath)
 
     def test_component_validation(self):
@@ -301,7 +301,7 @@ class TestBathOperators:
 
     def test_dense_assembly_refused_above_limit(self):
         bath = dl.spin_bath(13, 1.0, dimension_cap=1 << 13)
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValidationError, match="dense bath operator would hold 67108864"):
             dl.build_bath_operators(bath)
 
     def test_bad_hbar_rejected(self):
@@ -352,7 +352,7 @@ class TestSizeLimits:
     """
 
     def test_component_levels(self):
-        with pytest.raises(DimensionCapError, match="component level vector"):
+        with pytest.raises(ValidationError, match="component level vector"):
             dl.BathComponent("oscillator", 1.0, 1.0, levels=1 << 40)
 
     def test_large_oscillator_runs_as_its_factor(self):
@@ -386,7 +386,7 @@ class TestSizeLimits:
         }
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionCapError, match="would hold 250"):
+            with pytest.raises(ValidationError, match="would hold 250"):
                 calls[path]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -394,7 +394,7 @@ class TestSizeLimits:
         assert peak < 4 << 20
 
     def test_initial_state(self):
-        with pytest.raises(DimensionCapError, match=f"bath initial state would hold {1 << 200}"):
+        with pytest.raises(ValidationError, match=f"bath initial state would hold {1 << 200}"):
             dl.spin_bath(200, 1.0).initial_state()
 
     def test_static_spin_joint_state(self):
@@ -404,7 +404,7 @@ class TestSizeLimits:
         bath = _distinct_spins(12)
         assert dl.bath_eigen_decomposition(bath)[0].size == 4096
         branch = np.eye(601)[0]
-        with pytest.raises(DimensionCapError, match=f"Krylov joint state would hold {601 * 4096}"):
+        with pytest.raises(ValidationError, match=f"Krylov joint state would hold {601 * 4096}"):
             dl.evolve_norm(dl.SpinSystem(300.0, 0.7), bath, branch, branch, [0.1])
         curve = dl.evolve_norm(dl.SpinSystem(300.0, 0.7), _distinct_spins(4), branch, branch, [0.1])
         assert 0.0 < curve.values[0] <= 1.0
@@ -414,14 +414,14 @@ class TestSizeLimits:
         grid = dl.PositionGrid(-4.0, 4.0, 64)
         b1, _ = dl.position_eigenstate(grid, 1.0)
         b2, _ = dl.position_eigenstate(grid, -1.0)
-        with pytest.raises(DimensionCapError, match="static grid columns"):
+        with pytest.raises(ValidationError, match="static grid columns"):
             dl.evolve_norm(dl.GridParticle(grid, 1.0), _distinct_spins(16), b1, b2, [0.1])
 
     def test_frozen_stacks(self):
         # 8192 occupied pointers x 200 components x 2^2 levels
         grid = dl.PositionGrid(-4.0, 4.0, 8192)
         branch = np.ones(grid.n_points)
-        with pytest.raises(DimensionCapError, match="pointer eigenvector stacks"):
+        with pytest.raises(ValidationError, match="pointer eigenvector stacks"):
             dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(200, 1.0),
                            branch, branch, [0.1])
 
@@ -429,7 +429,7 @@ class TestSizeLimits:
         # 4096 occupied pointers: 4096^2 overlaps per sampled time
         grid = dl.PositionGrid(-4.0, 4.0, 4096)
         branch = np.ones(grid.n_points)
-        with pytest.raises(DimensionCapError, match=f"pointer overlaps would hold {1 << 24}"):
+        with pytest.raises(ValidationError, match=f"pointer overlaps would hold {1 << 24}"):
             dl.evolve_norm(dl.GridParticle(grid, math.inf), dl.spin_bath(2, 1.0),
                            branch, branch, [0.1])
 
@@ -438,7 +438,7 @@ class TestSizeLimits:
         grid = dl.PositionGrid(-4.0, 4.0, 64)
         b1, _ = dl.position_eigenstate(grid, 1.0)
         bath = dl.spin_bath(16, 1.0, omegas=list(np.linspace(0.5, 1.5, 16)))
-        with pytest.raises(DimensionCapError, match=f"dynamic grid state would hold {1 << 22}"):
+        with pytest.raises(ValidationError, match=f"dynamic grid state would hold {1 << 22}"):
             dl.evolve_norm(dl.GridParticle(grid, 1.0), bath, b1, b1, [0.1])
 
     @pytest.mark.parametrize("backend", ["krylov", "grid"])
@@ -453,7 +453,7 @@ class TestSizeLimits:
             grid = dl.PositionGrid(-4.0, 4.0, 16)
             sys_s = dl.GridParticle(grid, 1.0)
             (a, _), (b, _) = dl.position_eigenstate(grid, 1.0), dl.position_eigenstate(grid, -1.0)
-        with pytest.raises(DimensionCapError, match="Chebyshev coefficients"):
+        with pytest.raises(ValidationError, match="Chebyshev coefficients"):
             dl.evolve_norm(sys_s, bath, a, b, [1e15])
 
     def test_dicke_factor(self):
@@ -470,7 +470,7 @@ class TestSizeLimits:
         assert np.abs(dicke.values - static.values).max() <= 1e-11
         # the bound is the joint state: a spin 300 against 4000 equal spins
         branch = np.eye(601)[0]
-        with pytest.raises(DimensionCapError, match="Krylov joint state would hold 2404601"):
+        with pytest.raises(ValidationError, match="Krylov joint state would hold 2404601"):
             dl.evolve_norm(dl.SpinSystem(300.0, 0.7), dl.spin_bath(4000, 1.0, omegas=1.0),
                            branch, branch, [0.1])
 
@@ -790,7 +790,7 @@ class TestEvolveNorm:
         # 31 x 2^20, while the pointer back end holds 31 pointers x 2 levels
         bath = dl.spin_bath(20, 1.0, omegas=list(np.linspace(0.6, 1.8, 20)))
         a = dl.coherent_vector(dl.SpinCoherent(15.0, 1.0))
-        with pytest.raises(DimensionCapError, match="Krylov joint state"):
+        with pytest.raises(ValidationError, match="Krylov joint state"):
             dl.evolve_norm(dl.SpinSystem(15.0, 1e-30), bath, a, a, [0.1])
         assert dl.evolve_norm(dl.SpinSystem(15.0, 0.0), bath, a, a, [0.1]).values.size == 1
 
@@ -845,16 +845,15 @@ class TestEvolveNorm:
         bath = dl.spin_bath(20, 1.0, omegas=list(np.linspace(0.5, 1.5, 20)),
                             dimension_cap=1 << 20)
         a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValidationError, match="Krylov joint state would hold 3145728"):
             dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, a, [0.1])
 
-    # The grid back end was once a merged Strang split step refereed by an
-    # unmerged one; it is now the Chebyshev expansion, and the referee is
-    # eigh of the full joint H, with the FFT's kinetic energy written out as
-    # a circulant matrix.  dt is still passed: it must move no value.
+    # The grid back end's Chebyshev expansion against eigh of the full joint
+    # H, with the FFT's kinetic energy written out as a circulant matrix.  dt
+    # is still passed: it must move no value.
 
     @pytest.mark.parametrize("omegas", [0.0, 1.0], ids=["static", "dicke"])
-    def test_merged_strang_matches_unmerged_reference(self, omegas):
+    def test_grid_chebyshev_matches_joint_eigh(self, omegas):
         # spans 0.25, 0.5, 0.75 and 0.6 from t = 0; four equal spins form one
         # Dicke factor on the dynamic path
         grid = dl.PositionGrid(-8, 8, 64)
@@ -870,7 +869,7 @@ class TestEvolveNorm:
 
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
-    def test_merged_strang_matches_unmerged_reference_random(self, data):
+    def test_grid_chebyshev_matches_joint_eigh_random(self, data):
         # static, Dicke, distinct-frequency and mixed oscillator baths on
         # 16-64 points, joint dimension <= 1024
         n = data.draw(st.sampled_from([16, 32, 64]))
@@ -1105,7 +1104,7 @@ class TestChebyshevChunks:
 
     def test_one_span_past_the_order_limit_is_refused(self, monkeypatch):
         monkeypatch.setattr(oracle, "CHEBYSHEV_ORDER_LIMIT", self.ORDER_LIMIT)
-        with pytest.raises(DimensionCapError, match="Chebyshev coefficients"):
+        with pytest.raises(ValidationError, match="Chebyshev coefficients"):
             dl.evolve_norm(self.SPIN, self.BATH, *self.BRANCHES, [0.0, 150.0])
 
 
@@ -1437,17 +1436,17 @@ class TestFitDecayExponent:
     def test_constant_curve_rejected(self):
         ts = np.linspace(0.1, 1.0, 30)
         curve = dl.NormCurve(ts, np.full(30, 0.5), "synthetic")
-        with pytest.raises(FitWindowError):
+        with pytest.raises(NumericalError, match="curve is not strictly decreasing"):
             dl.fit_decay_exponent(curve)
 
     def test_non_monotone_window_rejected(self):
         ts = np.linspace(0.1, 1.0, 30)
         vals = 0.5 + 0.3 * np.sin(8 * ts)
-        with pytest.raises(FitWindowError):
+        with pytest.raises(NumericalError, match="not strictly decreasing over the fit window"):
             dl.fit_decay_exponent(dl.NormCurve(ts, np.clip(vals, 0, 1), "synthetic"))
 
     def test_bad_window_rejected(self):
-        # bad input, not a numerical failure: ValidationError, never FitWindowError
+        # bad input, not a numerical failure: ValidationError, never NumericalError
         ts = np.linspace(0.3, 4.0, 120)
         curve = dl.NormCurve(ts, np.exp(-((ts / 2.0) ** 4)), "synthetic")
         for window in ((0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5),

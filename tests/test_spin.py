@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import decolab as dl
 from decolab.cli import fit_scaling
-from decolab.errors import DegenerateBathError, ValidationError
+from decolab.errors import ValidationError
 from decolab.spin import _gaussian_draws
 
 from helpers import exact_mc_spin_norm
@@ -145,12 +145,24 @@ class TestSeparationsAndPairs:
                 with pytest.raises(ValidationError):
                     dl.special_pair(alpha, case)
 
-    def test_case_iv_predicate_matches_printed_condition(self):
-        # recorded verbatim: cos(phi_a) = sin(theta_b), cos(phi_b) = sin(phi_a)
-        alpha = cmath.exp(1j * math.pi / 2)  # cos(phi_a) = 0, sin(phi_a) = 1
+    def test_case_iv_predicate_on_a_pole_and_an_equal_pair(self):
+        # cos(phi_a) = sin(theta_b), cos(phi_b) = sin(theta_a)
+        alpha = cmath.exp(1j * math.pi / 2)  # cos(phi_a) = 0, sin(theta_a) = 1
         beta = 0.0  # theta_b = 0 -> sin = 0; phi_b = 0 -> cos = 1
         assert dl.is_special_case_iv(alpha, beta)
         assert not dl.is_special_case_iv(0.5, 0.5)
+
+    @settings(deadline=None, max_examples=300)
+    @given(j=st.sampled_from([0.5, 1.0, 7.5, 40.0]), theta_a=st.floats(0.01, 3.0),
+           theta_b=st.floats(0.01, 3.0), sign_a=st.sampled_from([-1, 1]),
+           sign_b=st.sampled_from([-1, 1]))
+    def test_case_iv_pairs_have_no_x_separation(self, j, theta_a, theta_b, sign_a, sign_b):
+        # every pair built from the condition, away from the north pole where
+        # alpha = 0 has no phase
+        alpha = cmath.rect(math.tan(theta_a / 2), sign_a * math.acos(math.sin(theta_b)))
+        beta = cmath.rect(math.tan(theta_b / 2), sign_b * math.acos(math.sin(theta_a)))
+        assert dl.is_special_case_iv(alpha, beta)
+        assert abs(dl.separations(j, alpha, beta).d_x) <= 1e-12 * j
 
     def test_case_iv_predicate_rejects_non_finite(self):
         for alpha, beta in ((math.nan, 0.5), (0.5, math.inf), (complex(0.5, math.nan), 0.5)):
@@ -201,7 +213,7 @@ class TestSpinDecoherenceTimes:
         assert taus.tau_x < taus.tau_y < taus.tau_z
 
     def test_degenerate_bath(self):
-        with pytest.raises(DegenerateBathError):
+        with pytest.raises(ValidationError, match="spin decoherence times require var_B > 0"):
             dl.spin_decoherence_times(5.0, 1.0, -1.0, 1.0, dl.BathMoments(0.0))
 
 
