@@ -35,7 +35,8 @@ from ._linalg import (
     spectral_norm,
 )
 from .errors import (
-    NumericalError, ValidationError, is_int, require_nonnegative, require_positive, require_real,
+    NumericalError, ValidationError, is_int, require_instance, require_nonnegative,
+    require_positive, require_real,
 )
 
 REL_SELF_ERROR = 1e-3  # reference self-error allowed, relative to the distance
@@ -71,6 +72,7 @@ class ExpandedHamiltonian:
 
 def magnus_exponent(h, t):
     """Exponent Phi(t) with U(t) ~ exp(-i Phi(t) / hbar), accurate to O(t^4)."""
+    require_instance(h=(h, ExpandedHamiltonian))
     require_nonnegative(t=t)
     comm = h.h0 @ h.h1 - h.h1 @ h.h0
     return (
@@ -188,6 +190,7 @@ def expansion_error(h, h_of_t, t):
     at 1 and doubles until its own Richardson error estimate is below
     REL_SELF_ERROR times the reported distance.
     """
+    require_instance(h=(h, ExpandedHamiltonian))
     require_nonnegative(t=t)
     if t == 0:
         return 0.0

@@ -168,6 +168,7 @@ def decoherence_times(dq, dp, sys, bath):
     infinite mass; a time outside the float64 range raises NumericalError.
     """
     require_real(dq=dq, dp=dp)
+    require_instance(sys=(sys, SystemParams), bath=(bath, BathMoments))
     if not bath.var_B > 0:
         raise ValidationError("decoherence times require var_B > 0")
     dq, dp, v, hbar, mass = map(np.float64, (dq, dp, bath.var_B, sys.hbar, sys.mass))

@@ -1,16 +1,17 @@
 """Exact evolution of system x finite-bath pure states.
 
 The oracle measures coherence norms directly from the full Hamiltonian
-H = H_sys + H_res + Q (x) B (or Jx (x) B) on small composite Hilbert
-spaces, with no short-time or Gaussian approximation, so every closed-form
-law can be validated against it at desk scale.
+H = H_sys + H_res + q (x) B, q the system's coupling operator (a
+particle's position, a spin's Jx), on small composite Hilbert spaces, with
+no short-time or Gaussian approximation, so every closed-form law can be
+validated against it at desk scale.
 
 The bath is a product of independent components (spin-halves coupled
 through sigma_x, truncated oscillators through a + a^dagger), each
 prepared in a pure state with vanishing coupling mean.  Norms are computed
-by the pure-state sandwich: the two branches, held on axis 0 as system x
-bath matrices A1, A2, give rho^{12} = A1 A2^dagger after the bath
-contraction and N_12 = ||A1 A2^dagger||_F^2, never the full density matrix.
+by the pure-state sandwich: the two branches, as system x bath matrices
+A1, A2, give rho^{12} = A1 A2^dagger after the bath contraction and
+N_12 = ||A1 A2^dagger||_F^2, never the full density matrix.
 
 Every path reads a component through one description, its tridiagonal
 factor (``_bath_factors``: coupling off-diagonal c, level frequencies,
@@ -18,36 +19,44 @@ initial level n).  The bath statistics (moments of B and its correlations)
 are its spectral lines, of weight c_{n-1}^2 and c_n^2 at the frequencies
 omega_{n-1} - omega_n and omega_{n+1} - omega_n: no kind has its own formula.
 
+Every path reads the system through one description too, in the eigenbasis
+of q (``_coupling_basis``): the pointers (q's eigenvalues), the two
+branches in that basis, a diagonal potential and the free motion.  A grid
+particle is in that form already, its kinetic energy applied by FFT.  A
+spin enters it through the rotation exp(-i pi Jy / 2 hbar) of its two
+branches, a Chebyshev series, after which Jx is the diagonal -hbar m and
+Omega Jz a real tridiagonal: no dense matrix of the spin is formed.
+
 Evolution strategies, by what the Hamiltonian conserves:
 
-* the system's coupling operator, when H_sys = 0 (a frozen particle of
-  infinite mass, or a spin with Omega = 0): its eigenvalues q are pointers,
-  q B + H_res is a sum of commuting single-component terms and each
-  pointer's bath state stays a product; the pointer overlaps are products
-  over components of levels x levels evolutions, with no joint bath, from
-  one sampler of v e^{-i w t / hbar} c over chunks of times;
+* q, when the free motion is zero (a frozen particle of infinite mass, or
+  a spin with Omega = 0): q B + H_res is then a sum of commuting
+  single-component terms and each pointer's bath state stays a product;
+  the pointer overlaps are products over components of levels x levels
+  evolutions, with no joint bath, from one sampler of v e^{-i w t / hbar} c
+  over chunks of times;
 * otherwise the joint state is stepped by the Chebyshev expansion of its
   propagator (Tal-Ezer and Kosloff), one series per chunk of sample times
   whose terms S_k = (-i)^k T_k(h~) psi every sample of the chunk shares,
   each sample their real combination with coefficients 2 J_k, cut where
   these fall below 1e-17, exact to roundoff at any time offset.  One
-  driver serves a spin (H = Omega Jz + Jx B + H_res; the terms span the
-  Krylov space, hence the "Krylov" names) and a grid particle
-  (H = T + V + q B + H_res, with T applied by FFT along the contiguous grid
-  axis), and checks unitarity at every sample.
+  driver, on a (bath..., branch, system) state, serves every system
+  (H = T + V + q B + H_res) and the spin's rotation, and checks unitarity
+  at every sample.
 
-How a stepped back end holds the bath:
+How the stepped back end holds the bath:
 
 * a static bath (all component frequencies zero) in B's eigenbasis, one
   axis with amplitude sqrt(W_m) on each distinct eigenvalue b_m, which is
   exact: B is diagonal and H_res = 0;
 * a dynamic bath as its independent factors, one axis each.  Every
   coupling decolab builds (g sigma_x, g (a + a^dagger), the Dicke 2g Jx) is
-  real symmetric tridiagonal with a zero diagonal, and so is the spin's
-  Jx: each is applied along its own axis as two shifted multiply-adds with
-  its off-diagonal, H_res and Omega Jz as one diagonal multiply, and the
-  Gershgorin bounds come from the factors' row sums.  Spin-halves with
-  equal g, omega and initial sigma_z state stay in their symmetric (Dicke)
+  real symmetric tridiagonal with a zero diagonal, and so is a spin's
+  Omega Jz in the pointer basis: each is applied along its own axis as two
+  shifted multiply-adds with its off-diagonal (times q for a coupling),
+  V + H_res (+ q b_m when static) as one diagonal multiply, and the
+  Gershgorin bounds come from their row sums.  Spin-halves with equal g,
+  omega and initial sigma_z state stay in their symmetric (Dicke)
   subspace, so k of them evolve as one spin k/2 of dimension k + 1 instead
   of 2^k.
 
@@ -76,17 +85,16 @@ from .errors import (
     require_times,
 )
 from .laws import BathMoments, CorrelationFunction
-from .packets import PositionGrid, position_amplitude
+from .packets import GaussianPacket, PositionGrid, position_amplitude
 from .spin import _check_j, _ladder
 
-# levels of a dense vector, squared for a matrix: a dense coupling (the eigh callers:
-# a component's, or an Omega = 0 spin's Jx), BathModel.initial_state and build_bath_operators
+# levels of a dense vector, squared for a matrix: a component's dense coupling (the eigh
+# callers), BathModel.initial_state and build_bath_operators
 DENSE_BATH_LIMIT = 4096
 MAX_UNIQUE_EIGENVALUES = 1 << 16  # distinct eigenvalues of B, for a static bath's eigenbasis
-# system x bath state per branch: stepped spin, grid; and a component's level vectors
-JOINT_DIMENSION_LIMIT = 1 << 21
+JOINT_DIMENSION_LIMIT = 1 << 21  # the stepped system x bath state per branch; a component's levels
 STACK_BUDGET = 1 << 22           # per-pointer matrix stack: pointer
-CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset: stepped spin, grid
+CHEBYSHEV_ORDER_LIMIT = 1 << 20  # Bessel coefficients of one Chebyshev offset
 SAMPLE_BUDGET = 1 << 17          # entries per time-chunk stack or Chebyshev coefficient table
 UNITARITY_DRIFT = 1e-8
 
@@ -245,11 +253,11 @@ def _bath_factors(bath, dicke=True):
     return factors
 
 
-def _dense_coupling(off, dtype=complex):
+def _dense_coupling(off):
     """The zero-diagonal symmetric tridiagonal with off-diagonal off, as a dense matrix."""
     _check_entries("dense coupling", (off.size + 1) ** 2, DENSE_BATH_LIMIT ** 2)
     n = np.arange(off.size)
-    dense = np.zeros((off.size + 1, off.size + 1), dtype=dtype)
+    dense = np.zeros((off.size + 1, off.size + 1), dtype=complex)
     dense[n, n + 1] = dense[n + 1, n] = off
     return dense
 
@@ -284,6 +292,7 @@ def bath_statistics(bath, hbar=1.0):
     <B~(s) B> = sum a exp(-i nu s); corr holds the lines, so
     sym(s) = 2 sum a cos(nu s).
     """
+    require_instance(bath=(bath, BathModel))
     require_positive(hbar=hbar)
     lines = []
     for off, freqs, chi in _bath_factors(bath, dicke=False):
@@ -310,6 +319,7 @@ def build_bath_operators(bath, hbar=1.0):
     matrix product.  B, Bdot and Bddot are full-bath dimension x dimension
     matrices: refused above DENSE_BATH_LIMIT (4096, 12 spin-halves) levels.
     """
+    require_instance(bath=(bath, BathModel))
     require_positive(hbar=hbar)
     dim = bath.dimension
     _check_entries("dense bath operator", dim * dim, DENSE_BATH_LIMIT ** 2)
@@ -343,6 +353,7 @@ def bath_eigen_decomposition(bath):
     g (2k - M), each value a sum of local eigenvalues.  Exact because the
     initial state is a product and B is a sum of commuting local terms.
     """
+    require_instance(bath=(bath, BathModel))
     values = np.array([0.0])
     weights = np.array([1.0])
     for off, _, chi in _bath_factors(bath, dicke=False):
@@ -432,6 +443,7 @@ class FitResult(NamedTuple):
 
 def grid_packet_state(packet, grid):
     """l2-normalized grid samples of a Gaussian packet."""
+    require_instance(packet=(packet, GaussianPacket), grid=(grid, PositionGrid))
     vec = position_amplitude(packet, grid.points).astype(complex)
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -441,6 +453,7 @@ def grid_packet_state(packet, grid):
 
 def position_eigenstate(grid, q):
     """Delta state at the grid point nearest q; returns (state, snapped q)."""
+    require_instance(grid=(grid, PositionGrid))
     require_real(q=q)
     idx = int(np.argmin(np.abs(grid.points - q)))
     vec = np.zeros(grid.n_points, dtype=complex)
@@ -520,8 +533,8 @@ def _row_sums(off):
     return np.convolve(np.abs(off), [1.0, 1.0])
 
 
-def _stepped_bath(bath, dim_s, hbar, name):
-    """The bath as a stepped back end holds it: (bvals, offs, chi0, hres, rows).
+def _stepped_bath(bath, dim_s, hbar):
+    """The bath as the stepped back end holds it: (bvals, offs, chi0, hres, rows).
 
     A static bath is one axis in B's eigenbasis, which is exact: B = diag(bvals),
     H_res = 0 and the initial vector chi0 = sqrt(W), with offs None.  A
@@ -530,14 +543,14 @@ def _stepped_bath(bath, dim_s, hbar, name):
     and bvals None.  hres (hbar times the level frequencies) and rows
     (rowsum|B|, the Kronecker sum of the factors' row sums) are flat over the
     bath.  The joint state of dim_s system levels per bath level is refused
-    above JOINT_DIMENSION_LIMIT entries per branch, as the named array.
+    above JOINT_DIMENSION_LIMIT entries per branch.
     """
     if bath.is_static():
         bvals, weights = bath_eigen_decomposition(bath)
-        _check_entries(name, dim_s * bvals.size, JOINT_DIMENSION_LIMIT)
+        _check_entries("stepped joint state", dim_s * bvals.size, JOINT_DIMENSION_LIMIT)
         return bvals, None, np.sqrt(weights), np.zeros(bvals.size), np.abs(bvals)
     factors = _bath_factors(bath)
-    _check_entries(name, dim_s * math.prod(chi.size for _, _, chi in factors),
+    _check_entries("stepped joint state", dim_s * math.prod(chi.size for _, _, chi in factors),
                    JOINT_DIMENSION_LIMIT)
     offs = [off for off, _, _ in factors]
     chi0 = reduce(np.multiply.outer, [chi for _, _, chi in factors])
@@ -545,20 +558,27 @@ def _stepped_bath(bath, dim_s, hbar, name):
     return None, offs, chi0, hres, _kron_sum([_row_sums(off) for off in offs])
 
 
-def _tridiagonal(coef, axis):
-    """add(out, x, tmp): out += T x along axis of the state, T the zero-diagonal
-    symmetric tridiagonal whose off-diagonal is coef, axis 0 of coef on that
-    axis and its other axes broadcast against the state's later ones.  tmp
-    is a scratch state; nothing is allocated per call."""
-    lo = (slice(None),) * axis + (slice(None, -1),)
-    hi = (slice(None),) * axis + (slice(1, None),)
+def _tridiagonal(out, x, tmp, coef, shift):
+    """out += T x for T a real symmetric tridiagonal with a zero diagonal, held as coef.
 
-    def add(out, x, tmp):
-        for dst, src in ((lo, hi), (hi, lo)):  # T_{n,n+1} x_{n+1}, then T_{n+1,n} x_n
-            np.multiply(coef, x[src], out=tmp[dst])
-            np.add(out[dst], tmp[dst], out=out[dst])
+    The flat state is cut into blocks of coef.size + shift entries, and
+    coef[i] couples entries i and i + shift of every block: T acts along an
+    axis of stride shift, and coef holds its off-diagonal at the full shape
+    of that axis and the later ones (zero where an index would wrap), so
+    each multiply runs over whole contiguous blocks.  tmp is a scratch
+    state; nothing is allocated per call.
+    """
+    cols = coef.size + shift
+    out, x, tmp = out.reshape(-1, cols), x.reshape(-1, cols), tmp.reshape(-1, cols)
+    lo, hi = (slice(None), slice(None, -shift)), (slice(None), slice(shift, None))
+    for dst, src in ((lo, hi), (hi, lo)):  # T_{i,i+s} x_{i+s}, then T_{i+s,i} x_i
+        np.multiply(coef, x[src], out=tmp[dst])
+        np.add(out[dst], tmp[dst], out=out[dst])
 
-    return add
+
+def _last_axis(off, shape):
+    """_tridiagonal's (coef, shift) for the off-diagonal off along the last axis of shape."""
+    return np.broadcast_to(np.append(off, 0.0), shape).ravel()[:-1], 1
 
 
 def _chebyshev_top(r):
@@ -591,24 +611,19 @@ def _bessel_j(r):
     return j[:orders.max() + 1].T, orders
 
 
-def _spectral_scale(lo, hi):
-    """(mid, hw) mapping a Hermitian H with spectrum in [lo, hi] to h~ = (H - mid) / hw
-    with spectrum in [-1, 1]; the shift is a global phase, which cancels in every norm."""
-    return 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)  # scalar H: R = 0
-
-
-def _chebyshev_advance(times, psi, step, hw, hbar, order):
-    """N_12(times) from the joint state psi under exp(-i H t / hbar), checking
+def _chebyshev_samples(times, psi, hw, hbar, diag, kin, tridiagonals):
+    """Yield exp(-i H t / hbar) psi at the times, chunk by chunk, checking that
     each branch stays at unit norm at every sample.
 
-    psi.transpose(order) has the axes (branch, system, bath...): the two
-    branches on its first axis, each a system x bath matrix.  Tal-Ezer and
-    Kosloff's expansion, one series per chunk of sample times, for
-    h~ = (H - mid) / hw of _spectral_scale, run on the terms
-    S_k = (-i)^k T_k(h~) psi: S_1 = -i h~ S_0 and S_{k+1} = -2i h~ S_k + S_{k-1},
-    where step(x, prev, out) writes -2i h~ x + prev into the buffer out (never
-    x or prev).  From the state psi = S_0 at a chunk's start the terms are
-    built once and shared: the sample at offset tau_i is the real-coefficient
+    psi has the axes (bath..., branch, system), the system contiguous last.
+    H has its spectrum in [mid - hw, mid + hw] and h~ = (H - mid) / hw; -2i h~
+    comes in parts: diag, a multiply broadcast against the state; kin, one in the
+    Fourier basis of the last axis, or None; and tridiagonals, _tridiagonal's
+    (coef, shift) pairs.  Tal-Ezer and Kosloff's expansion, one series per
+    chunk of sample times, run on the terms S_k = (-i)^k T_k(h~) psi:
+    S_1 = -i h~ S_0 and S_{k+1} = -2i h~ S_k + S_{k-1}.  From the state
+    psi = S_0 at a chunk's start the terms are built once and shared: the
+    sample at offset tau_i is the real-coefficient
     sum_k (2 - delta_k0) J_k(hw tau_i / hbar) S_k, each row of coefficients
     cut where |J_k| < 1e-17.  The last B >= 3 terms are held in a ring, which
     is also the recurrence's buffer; every B terms are added, as one real
@@ -616,17 +631,27 @@ def _chebyshev_advance(times, psi, step, hw, hbar, order):
     suffix since times ascend.  A chunk holds at least one time and ends
     before its accumulators or its coefficient table would pass
     SAMPLE_BUDGET entries, or its next offset's recurrence would pass
-    CHEBYSHEV_ORDER_LIMIT; the next chunk starts from its last sample.  A
-    chunk's samples are checked and reduced together, from one contiguous
-    copy in the (sample, branch, system, bath) order.
+    CHEBYSHEV_ORDER_LIMIT; the next chunk starts from its last sample.  Each
+    chunk is yielded as a (sample, bath, branch, system) view, valid until
+    the next one.
     """
-    shape, dim_s = psi.shape, psi.shape[order[1]]
+    shape = psi.shape
     rows = max(1, SAMPLE_BUDGET // psi.size)  # accumulators per chunk
     ring = np.empty((max(3, rows),) + shape, dtype=complex)
     ring[0] = psi
+    tmp = np.empty_like(psi)
     acc = np.empty((min(rows, times.size), psi.size), dtype=complex)
-    sample_order = (0,) + tuple(1 + a for a in order)
-    norms, start, t0 = np.empty(times.size), 0, 0.0
+
+    def step(x, prev, out):  # out = -2i h~ x + prev
+        np.multiply(diag, x, out=out)
+        if kin is not None:  # the kinetic energy, by FFT
+            np.fft.fft(x, axis=-1, out=tmp)
+            out += np.fft.ifft(np.multiply(tmp, kin, out=tmp), axis=-1, out=tmp)
+        for coef, shift in tridiagonals:
+            _tridiagonal(out, x, tmp, coef, shift)
+        out += prev
+
+    start, t0 = 0, 0.0
     while start < times.size:
         r = hw * (times[start:start + rows] - t0) / hbar
         tops = _chebyshev_top(r)
@@ -648,63 +673,41 @@ def _chebyshev_advance(times, psi, step, hw, hbar, order):
                 first = int(np.argmax(orders >= k0))  # the samples whose series still runs
                 terms = ring[:slot + 1].reshape(slot + 1, -1).view(float)
                 chunk.view(float)[first:] += coef[first:, k0:k + 1] @ terms
-        samples = np.ascontiguousarray(chunk.reshape((-1,) + shape).transpose(sample_order))
-        samples = samples.reshape(orders.size, 2, dim_s, -1)
-        squares = _float_rows(samples)
-        drift = np.abs(np.sqrt(np.einsum("...i,...i->...", squares, squares)) - 1.0).max()
+        samples = chunk.reshape(orders.size, -1, 2, shape[-1])
+        squares = samples.view(float)
+        drift = np.abs(np.sqrt(np.einsum("nbks,nbks->nk", squares, squares)) - 1.0).max()
         if drift > UNITARITY_DRIFT:
             raise NumericalError(f"unitarity drift {drift:.3g}")
-        norms[start:start + orders.size] = _sandwich_norm(samples[:, 0], samples[:, 1])
+        yield samples
         ring[0] = chunk[-1].reshape(shape)
         start += orders.size
         t0 = times[start - 1]
-    return norms
 
 
-def _spin_curve(sys, bath, branch1, branch2, times):
-    """H = Omega Jz + Jx B + H_res on a (branch, system, bath) state, by _chebyshev_advance.
+def _coupling_basis(sys, amps):
+    """The system in the eigenbasis of its coupling operator: (q, amps, potential, kin, off).
 
-    The bath is held as _stepped_bath gives it.  Jx is real tridiagonal in
-    the Jz basis and Omega Jz + H_res is one diagonal multiply.  A static
-    bath's B = diag(b) folds into Jx's off-diagonal, one coefficient per
-    (m, b) pair; otherwise each step forms B x in a scratch state, each
-    factor's tridiagonal coupling along its own axis, and applies Jx along
-    the system axis of that.  Coefficients are held at the full shape of
-    the axes they act along and after, so no multiply broadcasts a short
-    inner axis.  With D = Omega m + h_res and the radius
-    rad = rowsum|Jx| rowsum|B|, the spectrum lies in [min(D - rad), max(D + rad)]
-    (Gershgorin: Jx and B have zero diagonals).
+    q are the operator's eigenvalues (the pointers), amps the branches (rows)
+    in that basis and the potential a diagonal there.  The free motion is
+    kin, applied by FFT along the system axis, or off, the off-diagonal of a
+    real symmetric tridiagonal along it; the other is None.  A grid particle
+    is in this form already.  A spin enters it through U = exp(-i pi Jy / 2 hbar),
+    which takes Jx to the diagonal -hbar m (ascending) and Jz to Jx, so
+    Omega Jz has off = Omega hbar ladder / 2.  U = Rz Ex Rz^dagger, Rz the
+    phases e^{-i pi m / 2} of exp(-i pi Jz / 2 hbar) and Ex = exp(-i pi Jx / 2 hbar)
+    a Chebyshev series on the branches, about pi j / 2 tridiagonal terms
+    (Jx / hbar has the spectrum [-j, j]).
     """
+    if isinstance(sys, GridParticle):
+        k = 2.0 * np.pi * np.fft.fftfreq(amps.shape[1], d=sys.grid.spacing)
+        return sys.grid.points, amps, sys.potential(), (sys.hbar * k) ** 2 / (2.0 * sys.mass), None
     m, ladder = _ladder(sys.j)
-    jx_off = 0.5 * (sys.hbar * ladder)
-    bvals, offs, chi0, hres, rows = _stepped_bath(bath, branch1.size, sys.hbar,
-                                                  "Krylov joint state")
-    diag = np.add.outer(sys.omega * (sys.hbar * m), hres)
-    radius = np.multiply.outer(_row_sums(jx_off), rows)
-    mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius))
-    scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
-    psi = np.multiply.outer(np.stack([branch1, branch2]), chi0)
-    diag_s = (scale * (diag - mid)).reshape(psi.shape[1:])
-    tmp = np.empty_like(psi)
-    if offs is None:
-        system = _tridiagonal(np.multiply.outer(scale * jx_off, bvals), 1)
-    else:
-        dims, bx = chi0.shape, np.empty_like(psi)
-        system = _tridiagonal(np.multiply.outer(scale * jx_off, np.ones(dims)), 1)
-        factors = [_tridiagonal(np.multiply.outer(off, np.ones(dims[i + 1:], complex)), 2 + i)
-                   for i, off in enumerate(offs)]
-
-    def step(x, prev, out):
-        np.multiply(diag_s, x, out=out)
-        if offs is not None:
-            bx.fill(0.0)
-            for add in factors:
-                add(bx, x, tmp)
-            x = bx
-        system(out, x, tmp)
-        np.add(out, prev, out=out)
-
-    return _chebyshev_advance(times, psi, step, hw, sys.hbar, tuple(range(psi.ndim)))
+    phases = np.exp(-0.5j * np.pi * m)
+    jx = _last_axis((-1j / sys.j) * ladder, amps.shape)  # -2i h~ = -2i (Jx / hbar) / j
+    rotated = next(_chebyshev_samples(np.array([0.5 * np.pi]), amps * phases.conj(), sys.j, 1.0,
+                                      0.0, None, [jx]))
+    return (-sys.hbar * m, rotated[0, 0] * phases, np.zeros(m.size), None,
+            sys.omega * (0.5 * sys.hbar * ladder))
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -743,48 +746,42 @@ def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
     return np.concatenate(norms)
 
 
-def _grid_curve(sys, bath, branch1, branch2, times):
-    """H = T + V + q B + H_res on a (bath, branch, grid) state, by _chebyshev_advance.
+def _stepped_curve(q, amps, potential, kin, off, bath, hbar, times):
+    """H = T + V + q B + H_res on a (bath..., branch, system) state, by _chebyshev_samples.
 
-    T = hbar^2 k^2 / 2M is applied by FFT along the contiguous grid axis.
-    The bath is held as _stepped_bath gives it: when static, B is diagonal
-    and q B joins the potential; otherwise q B is each factor's tridiagonal
-    coupling times q, applied along the factor's own axis.  With
-    D = V + h_res (plus q b_m when static) and the radius rad = |q| rowsum|B|
-    (zero when static), the spectrum lies in [min(D - rad), max(D + rad) + max T]:
-    Gershgorin for V + q B + H_res, and T >= 0 adds at most max T.
+    The system comes as _coupling_basis gives it, T being kin or off; the
+    bath as _stepped_bath gives it: when static, q B = diag(q b_m) joins the
+    potential, otherwise q B is each factor's tridiagonal coupling times q,
+    along the factor's own axis.  With D = V + h_res (+ q b_m) and the radius
+    rad = |q| rowsum|B| + rowsum|off| (zero where absent), the spectrum lies
+    in [min(D - rad), max(D + rad) + max kin]: Gershgorin for all but kin,
+    which is >= 0.  The shift to the middle is a global phase, which cancels
+    in every norm.
     """
-    q = sys.grid.points
-    bvals, offs, chi0, hres, rows = _stepped_bath(
-        bath, q.size, sys.hbar, "static grid columns" if bath.is_static() else "dynamic grid state")
+    bvals, offs, chi0, hres, rows = _stepped_bath(bath, q.size, hbar)
     if offs is None:
-        diag, radius = bvals[:, None] * q, 0.0
+        diag, radius = np.multiply.outer(bvals, q), 0.0
     else:
-        diag, radius = hres[:, None], np.abs(q) * rows[:, None]
-    diag = diag + sys.potential()  # (bath, grid)
-    k = 2.0 * np.pi * np.fft.fftfreq(q.size, d=sys.grid.spacing)
-    kin = (sys.hbar * k) ** 2 / (2.0 * sys.mass)
-
-    mid, hw = _spectral_scale(np.min(diag - radius), np.max(diag + radius) + kin.max())
+        diag, radius = hres[:, None], np.multiply.outer(rows, np.abs(q))
+    diag = diag + potential  # (bath, system)
+    if off is not None:
+        radius = radius + _row_sums(off)
+    lo, hi = np.min(diag - radius), np.max(diag + radius) + (0.0 if kin is None else kin.max())
+    mid, hw = 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)  # scalar H: R = 0
     scale = -2j / hw  # the parts of -2i h~ = -2i (H - mid) / hw
-    psi = np.multiply.outer(chi0, np.stack([branch1, branch2]))
-    kin_s, diag_s = scale * kin, (scale * (diag - mid)).reshape(chi0.shape + (1, q.size))
-    factors = [_tridiagonal(np.multiply.outer(scale * off, q).reshape(
-        (-1,) + (1,) * (chi0.ndim - i) + (q.size,)), i) for i, off in enumerate(offs or ())]
-    tmp = np.empty_like(psi)
-
-    def step(x, prev, out):
-        np.fft.fft(x, axis=-1, out=out)
-        out *= kin_s
-        np.fft.ifft(out, axis=-1, out=out)
-        np.multiply(diag_s, x, out=tmp)
-        out += tmp
-        for add in factors:
-            add(out, x, tmp)
-        out += prev
-
-    order = (chi0.ndim, chi0.ndim + 1) + tuple(range(chi0.ndim))
-    return _chebyshev_advance(times, psi, step, hw, sys.hbar, order)
+    psi = np.multiply.outer(chi0, amps)
+    shape = psi.shape
+    diag_s = (scale * (diag - mid)).reshape(chi0.shape + (1, q.size))
+    terms = [(np.multiply.outer(scale * c, np.broadcast_to(q, shape[i + 1:])).ravel(),
+              math.prod(shape[i + 1:])) for i, c in enumerate(offs or ())]
+    if off is not None:
+        terms.append(_last_axis(scale * off, shape))
+    kin_s = None if kin is None else scale * kin
+    norms = []
+    for samples in _chebyshev_samples(times, psi, hw, hbar, diag_s, kin_s, terms):
+        a = np.ascontiguousarray(samples.transpose(2, 0, 3, 1))  # (branch, sample, system, bath)
+        norms.append(_sandwich_norm(a[0], a[1]))
+    return np.concatenate(norms)
 
 
 def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
@@ -806,10 +803,13 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 
     The back end follows what is conserved (see the module docstring): an
     infinite mass or omega == 0 conserves the coupling operator (pointers).
-    A stepped back end (spin with omega != 0, finite-mass grid) costs about
-    hw t_total / hbar applications of H, plus one Bessel tail of about
+    The stepped back end (spin with omega != 0, finite-mass grid) costs
+    about hw t_total / hbar applications of H, plus one Bessel tail of about
     20 R^(1/3) + 40 terms per chunk of sample times; on the grid hw is
-    dominated by hbar^2 k_max^2 / 2M with k_max = pi / spacing.
+    dominated by hbar^2 k_max^2 / 2M with k_max = pi / spacing.  A spin
+    first rotates its two branches into the eigenbasis of Jx, about pi j / 2
+    tridiagonal applications on 2j + 1 levels, O(j^2) in all, with either
+    back end.
     """
     times = _check_times(times)
     if dt is not None:
@@ -823,17 +823,13 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 def _norm_values(sys, bath, branch1, branch2, times):
     """evolve_norm's values, from the back end that follows what is conserved."""
     dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
-    b1 = _normalized_branch(branch1, dim, "branch1")
-    b2 = _normalized_branch(branch2, dim, "branch2")
-    if isinstance(sys, SpinSystem) and sys.omega == 0:  # pointers: the eigenbasis of real Jx
-        w, v = np.linalg.eigh(_dense_coupling(0.5 * sys.hbar * _ladder(sys.j)[1], float))
-        values = _pointer_curve(w, _dagger(v) @ b1, _dagger(v) @ b2, bath, sys.hbar, times)
-    elif isinstance(sys, SpinSystem):
-        values = _spin_curve(sys, bath, b1, b2, times)
-    elif math.isinf(sys.mass):
-        values = _pointer_curve(sys.grid.points, b1, b2, bath, sys.hbar, times)
+    amps = np.stack([_normalized_branch(branch1, dim, "branch1"),
+                     _normalized_branch(branch2, dim, "branch2")])
+    q, amps, potential, kin, off = _coupling_basis(sys, amps)
+    if sys.omega == 0 if isinstance(sys, SpinSystem) else math.isinf(sys.mass):
+        values = _pointer_curve(q, amps[0], amps[1], bath, sys.hbar, times)
     else:
-        values = _grid_curve(sys, bath, b1, b2, times)
+        values = _stepped_curve(q, amps, potential, kin, off, bath, sys.hbar, times)
     # N <= 1: roundoff past it is clipped, a larger excess left for NormCurve to refuse
     return np.where(values > 1.0 + 1e-9, values, np.clip(values, 0.0, 1.0))
 
@@ -849,6 +845,7 @@ def static_bath_norm(d, bath, t, hbar=1.0):
     Requires spin-half components in sigma_z eigenstates under sigma_x
     coupling; ``d`` is the effective separation in the coupling agent.
     """
+    require_instance(bath=(bath, BathModel))
     for comp in bath.components:
         if comp.kind != "spin-half":
             raise ValidationError("static_bath_norm requires spin-half components")
@@ -866,6 +863,7 @@ def static_bath_norm(d, bath, t, hbar=1.0):
 
 def bath_characteristic(bath, lam):
     """Exact characteristic function <e^{i lam B}> of the initial state."""
+    require_instance(bath=(bath, BathModel))
     require_real_array(lam=lam)
     lam = np.asarray(lam, dtype=float)
     result = np.ones(lam.shape, dtype=complex)
@@ -885,6 +883,7 @@ def fit_decay_exponent(curve, window=(0.05, 0.95)):
     Only samples with window[0] < N < window[1] and t > 0 participate; the
     curve must be strictly decreasing there and provide at least 8 points.
     """
+    require_instance(curve=(curve, NormCurve))
     try:
         lo, hi = window
     except (TypeError, ValueError):  # not iterable, or not two entries

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import (
     ValidationError, _decay_time, _float_range_checked, is_int, require_complex,
-    require_positive, require_real, require_times,
+    require_instance, require_positive, require_real, require_times,
 )
+from .laws import BathMoments
 
 
 def _check_j(j):
@@ -121,6 +122,7 @@ def coherent_vector(state):
     because the binomial range then exceeds what the normalized components
     can represent reliably.
     """
+    require_instance(state=(state, SpinCoherent))
     if state.j > 200:
         raise ValidationError("coherent_vector supports j <= 200")
     alpha = complex(state.alpha)
@@ -129,6 +131,7 @@ def coherent_vector(state):
 
 def coherent_means(state):
     """Coherent-state means (<Jx>, <Jy>, <Jz>) from the rational forms in alpha."""
+    require_instance(state=(state, SpinCoherent))
     a = complex(state.alpha)
     denom = 1.0 + abs(a) ** 2
     scale = state.hbar * state.j
@@ -217,6 +220,7 @@ def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
     float64 range raises NumericalError.
     """
     require_real(omega=omega)
+    require_instance(bath=(bath, BathMoments))
     if not bath.var_B > 0:
         raise ValidationError("spin decoherence times require var_B > 0")
     v = bath.var_B

@@ -135,6 +135,24 @@ PROBES = {
     "evolve_norm-text-bath":
         lambda: dl.evolve_norm(dl.SpinSystem(1.0, 0.0), "bath", [1.0, 0.0, 0.0],
                                [0.0, 0.0, 1.0], [0.0, 0.1]),
+    "fit_decay_exponent-text-curve": lambda: dl.fit_decay_exponent("curve"),
+    "bath_statistics-text-bath": lambda: dl.bath_statistics("bath"),
+    "bath_eigen_decomposition-text-bath": lambda: dl.bath_eigen_decomposition("bath"),
+    "bath_characteristic-text-bath": lambda: dl.bath_characteristic("bath", 0.1),
+    "static_bath_norm-text-bath": lambda: dl.static_bath_norm(1.0, "bath", 0.1),
+    "build_bath_operators-text-bath": lambda: dl.build_bath_operators("bath"),
+    "grid_packet_state-text-grid": lambda: dl.grid_packet_state(PACKET, "g"),
+    "position_eigenstate-text-grid": lambda: dl.position_eigenstate("g", 0.0),
+    "decoherence_times-text-sys": lambda: dl.decoherence_times(1.0, 0.0, "sys", BATH),
+    "decoherence_times-text-bath": lambda: dl.decoherence_times(1.0, 0.0, SYS, "bath"),
+    "spin_decoherence_times-text-bath":
+        lambda: dl.spin_decoherence_times(10.0, 1.0, -1.0, 1.0, "bath"),
+    "coherent_vector-text-state": lambda: dl.coherent_vector("state"),
+    "coherent_means-text-state": lambda: dl.coherent_means("state"),
+    "magnus_exponent-text-h": lambda: dl.magnus_exponent("h", 0.1),
+    "short_time_propagator-text-h": lambda: dl.short_time_propagator("h", 0.1),
+    # at t = 0 the distance used to be 0.0 for any h
+    "expansion_error-text-h": lambda: dl.expansion_error("h", H.at, 0.0),
 }
 
 
@@ -297,12 +315,13 @@ class TestCoherenceNormContract:
 
 class TestEvolveNormContract:
     # Small instances of every back end: the pointer path (a spin with
-    # Omega = 0 or a frozen particle), the static spin, Krylov and the static-
-    # and dynamic-bath grid.  Half the examples take any finite input, most of
-    # which leaves the float64 range; the other half take desk-scale values,
-    # which compute.  CHEBYSHEV_ORDER_LIMIT is patched to 2,000 so a stepped
-    # curve past R ~ 1,900 is refused instead of run.
-    BACKENDS = ("pointer-spin", "pointer-grid", "spin-static", "krylov", "grid-static",
+    # Omega = 0 or a frozen particle) and the stepped path (a spin in a static
+    # or any bath, a grid particle in a static or dynamic bath).  Half the
+    # examples take any finite input, most of which leaves the float64 range;
+    # the other half take desk-scale values, which compute.
+    # CHEBYSHEV_ORDER_LIMIT is patched to 2,000 so a stepped curve past
+    # R ~ 1,900 is refused instead of run.
+    BACKENDS = ("pointer-spin", "pointer-grid", "spin-static", "spin", "grid-static",
                 "grid-dynamic")
 
     @settings(deadline=None, max_examples=60)
@@ -315,7 +334,7 @@ class TestEvolveNormContract:
         omegas = 0.0 if static else data.draw(st.lists(real, min_size=m, max_size=m))
         bath = dl.spin_bath(m, data.draw(VAR if wide else scale), omegas=omegas)
         hbar = data.draw(scale)
-        if backend in ("pointer-spin", "spin-static", "krylov"):
+        if backend in ("pointer-spin", "spin-static", "spin"):
             j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
             omega = 0.0 if backend == "pointer-spin" else data.draw(real.filter(bool))
             sys_x = dl.SpinSystem(j, omega, hbar)

@@ -369,20 +369,16 @@ class TestSizeLimits:
                   for bath in (big, small)]
         np.testing.assert_allclose(curves[0], curves[1], rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("path", ["eigen-decomposition", "characteristic", "pointer",
-                                      "zero-omega-spin"])
+    @pytest.mark.parametrize("path", ["eigen-decomposition", "characteristic", "pointer"])
     def test_dense_coupling(self, path):
         # the eigh paths form a dense coupling: 5000^2 entries for the
-        # oscillator, 5001^2 for the Jx of a spin 2500 (400 MB complex)
+        # oscillator (400 MB complex)
         bath = dl.BathModel((dl.BathComponent("oscillator", 0.5, 1.0, levels=5000),), (0,))
         a = dl.coherent_vector(dl.SpinCoherent(0.5, 1.0))
-        branch = np.eye(5001)[0]
         calls = {
             "eigen-decomposition": lambda: dl.bath_eigen_decomposition(bath),
             "characteristic": lambda: dl.bath_characteristic(bath, [0.1]),
             "pointer": lambda: dl.evolve_norm(dl.SpinSystem(0.5, 0.0), bath, a, a, [0.1]),
-            "zero-omega-spin": lambda: dl.evolve_norm(dl.SpinSystem(2500.0, 0.0),
-                                                      dl.spin_bath(2, 1.0), branch, branch, [0.1]),
         }
         tracemalloc.start()
         try:
@@ -392,6 +388,25 @@ class TestSizeLimits:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_zero_omega_spin_forms_no_dense_jx(self):
+        # a spin 2500 enters the pointer basis by a Chebyshev rotation of its
+        # two branches: the 5001^2 Jx that eigh needed (400 MB complex) is
+        # never formed.  It agrees with the stepped Omega = 1e-30 curve
+        branch = np.eye(5001)[0]
+        times = [0.0, 0.001, 0.01]
+        tracemalloc.start()
+        try:
+            pointer = dl.evolve_norm(dl.SpinSystem(2500.0, 0.0), dl.spin_bath(2, 1.0),
+                                     branch, branch, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert pointer.values[-1] < 0.9
+        stepped = dl.evolve_norm(dl.SpinSystem(2500.0, 1e-30), dl.spin_bath(2, 1.0),
+                                 branch, branch, times)
+        np.testing.assert_allclose(pointer.values, stepped.values, rtol=0, atol=1e-12)
 
     def test_initial_state(self):
         with pytest.raises(ValidationError, match=f"bath initial state would hold {1 << 200}"):
@@ -404,7 +419,7 @@ class TestSizeLimits:
         bath = _distinct_spins(12)
         assert dl.bath_eigen_decomposition(bath)[0].size == 4096
         branch = np.eye(601)[0]
-        with pytest.raises(ValidationError, match=f"Krylov joint state would hold {601 * 4096}"):
+        with pytest.raises(ValidationError, match=f"stepped joint state would hold {601 * 4096}"):
             dl.evolve_norm(dl.SpinSystem(300.0, 0.7), bath, branch, branch, [0.1])
         curve = dl.evolve_norm(dl.SpinSystem(300.0, 0.7), _distinct_spins(4), branch, branch, [0.1])
         assert 0.0 < curve.values[0] <= 1.0
@@ -414,7 +429,7 @@ class TestSizeLimits:
         grid = dl.PositionGrid(-4.0, 4.0, 64)
         b1, _ = dl.position_eigenstate(grid, 1.0)
         b2, _ = dl.position_eigenstate(grid, -1.0)
-        with pytest.raises(ValidationError, match="static grid columns"):
+        with pytest.raises(ValidationError, match="stepped joint state"):
             dl.evolve_norm(dl.GridParticle(grid, 1.0), _distinct_spins(16), b1, b2, [0.1])
 
     def test_frozen_stacks(self):
@@ -438,7 +453,7 @@ class TestSizeLimits:
         grid = dl.PositionGrid(-4.0, 4.0, 64)
         b1, _ = dl.position_eigenstate(grid, 1.0)
         bath = dl.spin_bath(16, 1.0, omegas=list(np.linspace(0.5, 1.5, 16)))
-        with pytest.raises(ValidationError, match=f"dynamic grid state would hold {1 << 22}"):
+        with pytest.raises(ValidationError, match=f"stepped joint state would hold {1 << 22}"):
             dl.evolve_norm(dl.GridParticle(grid, 1.0), bath, b1, b1, [0.1])
 
     @pytest.mark.parametrize("backend", ["krylov", "grid"])
@@ -470,7 +485,7 @@ class TestSizeLimits:
         assert np.abs(dicke.values - static.values).max() <= 1e-11
         # the bound is the joint state: a spin 300 against 4000 equal spins
         branch = np.eye(601)[0]
-        with pytest.raises(ValidationError, match="Krylov joint state would hold 2404601"):
+        with pytest.raises(ValidationError, match="stepped joint state would hold 2404601"):
             dl.evolve_norm(dl.SpinSystem(300.0, 0.7), dl.spin_bath(4000, 1.0, omegas=1.0),
                            branch, branch, [0.1])
 
@@ -584,13 +599,13 @@ class TestEvolveNorm:
             curve.values, dl.static_bath_norm(2.0 * j, bath, times), atol=1e-10
         )
 
-    def test_spin_sparse_agrees_with_static_path(self):
+    def test_spin_dynamic_bath_agrees_with_static_path(self):
         j = 2.0
         a = dl.coherent_vector(dl.SpinCoherent(j, 1.0))
         b = dl.coherent_vector(dl.SpinCoherent(j, 0.3 + 0.2j))
         times = np.linspace(0.01, 0.4, 8)
         static = dl.evolve_norm(dl.SpinSystem(j, 0.7), dl.spin_bath(4, 1.0), a, b, times)
-        # omega ~ 0 forces the Krylov back end while staying physically static
+        # omega ~ 0 steps the bath's factors while staying physically static
         dynamic = dl.evolve_norm(
             dl.SpinSystem(j, 0.7), dl.spin_bath(4, 1.0, omegas=[1e-30] * 4), a, b, times
         )
@@ -674,7 +689,7 @@ class TestEvolveNorm:
         # repeated (g, omega, label) spin groups, distinct spins and an
         # optional oscillator; reference: eigh of the full 2^m joint H
         # couplings and times are kept away from zero so every factor acts;
-        # a system Omega = 0 runs the pointer back end, any other Krylov
+        # a system Omega = 0 runs the pointer back end, any other the stepped one
         coupling = st.builds(math.copysign, st.floats(0.2, 1.0), st.sampled_from([1.0, -1.0]))
         comps, labels = [], []
         if data.draw(st.booleans()):
@@ -716,7 +731,7 @@ class TestEvolveNorm:
         expected = joint_eigh_norms(sys_s, bath, branches, times)
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
-    def test_krylov_leaves_global_rng_alone_and_matches_joint_eigh(self):
+    def test_stepped_spin_leaves_global_rng_alone_and_matches_joint_eigh(self):
         # spans of 20 put R ~ 1e3 in the Chebyshev sum; a complex alpha tells
         # forward from time-reversed propagation.  The curve draws nothing
         # from numpy's global random stream.
@@ -738,8 +753,8 @@ class TestEvolveNorm:
     @given(data=st.data())
     def test_pointer_path_matches_stepped_paths_near_zero_omega(self, data):
         # Omega = 0 conserves Jx and runs the pointer back end; Omega = 1e-30
-        # is the same physics on the Krylov (dynamic bath) or the static
-        # eigen path (static bath)
+        # is the same physics on the stepped back end, with the bath as its
+        # factors (dynamic) or in B's eigenbasis (static)
         static = data.draw(st.booleans())
         comps, labels = [], []
         for _ in range(data.draw(st.integers(1, 4))):
@@ -785,12 +800,12 @@ class TestEvolveNorm:
         assert mask.sum() > 10
         assert np.abs(spin.values - law)[mask].max() <= 0.03
 
-    def test_zero_omega_spin_runs_where_krylov_refuses(self):
-        # 20 distinct spins leave no symmetry: the Krylov joint state would be
+    def test_zero_omega_spin_runs_where_stepping_refuses(self):
+        # 20 distinct spins leave no symmetry: the stepped joint state would be
         # 31 x 2^20, while the pointer back end holds 31 pointers x 2 levels
         bath = dl.spin_bath(20, 1.0, omegas=list(np.linspace(0.6, 1.8, 20)))
         a = dl.coherent_vector(dl.SpinCoherent(15.0, 1.0))
-        with pytest.raises(ValidationError, match="Krylov joint state"):
+        with pytest.raises(ValidationError, match="stepped joint state"):
             dl.evolve_norm(dl.SpinSystem(15.0, 1e-30), bath, a, a, [0.1])
         assert dl.evolve_norm(dl.SpinSystem(15.0, 0.0), bath, a, a, [0.1]).values.size == 1
 
@@ -809,7 +824,7 @@ class TestEvolveNorm:
         assert frozen.values[-1] < 0.9
         np.testing.assert_allclose(dense.values, frozen.values, rtol=0, atol=1e-12)
 
-    def test_krylov_runs_thirty_equal_spins(self):
+    def test_stepped_spin_runs_thirty_equal_spins(self):
         # 2^30 bath levels, 31 in the symmetric subspace
         j = 1.5
         a = dl.coherent_vector(dl.SpinCoherent(j, 1.0))
@@ -840,12 +855,12 @@ class TestEvolveNorm:
         assert static.values[-1] < 0.5
         np.testing.assert_allclose(static.values, dicke.values, rtol=0, atol=1e-12)
 
-    def test_krylov_refuses_distinct_spins_above_joint_limit(self):
+    def test_stepped_spin_refuses_distinct_spins_above_joint_limit(self):
         # distinct frequencies leave no symmetry: the joint dimension is 3 x 2^20
         bath = dl.spin_bath(20, 1.0, omegas=list(np.linspace(0.5, 1.5, 20)),
                             dimension_cap=1 << 20)
         a = dl.coherent_vector(dl.SpinCoherent(1.0, 1.0))
-        with pytest.raises(ValidationError, match="Krylov joint state would hold 3145728"):
+        with pytest.raises(ValidationError, match="stepped joint state would hold 3145728"):
             dl.evolve_norm(dl.SpinSystem(1.0, 0.7), bath, a, a, [0.1])
 
     # The grid back end's Chebyshev expansion against eigh of the full joint
@@ -1028,7 +1043,7 @@ class TestEvolveNorm:
         cases = [
             (dl.SpinSystem(1.0, 0.0), static, s1, s2),  # pointer
             (dl.SpinSystem(1.0, 0.7), static, s1, s2),  # static spin
-            (dl.SpinSystem(1.0, 0.7), dynamic, s1, s2),  # Krylov
+            (dl.SpinSystem(1.0, 0.7), dynamic, s1, s2),  # dynamic spin
             (dl.GridParticle(grid, mass=math.inf), dynamic, g1, g2),  # pointer
             (dl.GridParticle(grid, mass=1.0), static, g1, g2),  # static grid
             (dl.GridParticle(grid, mass=1.0), dynamic, g1, g2),  # dynamic grid
@@ -1042,23 +1057,23 @@ class TestEvolveNorm:
 
 
 class TestChebyshevChunks:
-    """The stepped back ends' one Chebyshev series per chunk of sample times,
+    """The stepped back end's one Chebyshev series per chunk of sample times,
     refereed by eigh of the full joint H."""
 
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())
     def test_chunked_series_match_joint_eigh(self, data):
-        # the Krylov spin, the static-bath grid or the dynamic-bath grid, at
+        # the dynamic-bath spin, the static-bath grid or the dynamic-bath grid, at
         # irregular times with and without t = 0 and with a run of offsets in
         # [1e-300, 1e-150].  A drawn SAMPLE_BUDGET of at most 160 entries
         # holds at most 4 times of >= 40 coefficients, so 8 or more times
         # cross several chunks and the ring (budget // state entries, at
         # least 3 terms) wraps and flushes partial blocks
-        backend = data.draw(st.sampled_from(["krylov", "grid-static", "grid-dynamic"]))
+        backend = data.draw(st.sampled_from(["spin-dynamic", "grid-static", "grid-dynamic"]))
         hbar = data.draw(st.floats(0.5, 2.0))
         m = data.draw(st.integers(1, 3))
         omegas = data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
-        if backend == "krylov":
+        if backend == "spin-dynamic":
             j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
             sys_x = dl.SpinSystem(j, data.draw(st.floats(0.2, 1.5)), hbar)
             amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -1109,7 +1124,7 @@ class TestChebyshevChunks:
 
 
 class TestTridiagonalFactors:
-    """The stepped back ends apply each bath factor's tridiagonal coupling
+    """The stepped back end applies each bath factor's tridiagonal coupling
     along its own axis of the state, refereed by eigh of the full joint H."""
 
     @settings(deadline=None, max_examples=40)
@@ -1437,6 +1452,15 @@ class TestFitDecayExponent:
         ts = np.linspace(0.1, 1.0, 30)
         curve = dl.NormCurve(ts, np.full(30, 0.5), "synthetic")
         with pytest.raises(NumericalError, match="curve is not strictly decreasing"):
+            dl.fit_decay_exponent(curve)
+
+    def test_too_few_points_in_window_rejected(self):
+        # a quartic decay sampled coarsely: 7 of its 25 samples lie strictly
+        # inside the default window, one short of the fit's minimum
+        ts = np.linspace(0.1, 3.0, 25)
+        curve = dl.NormCurve(ts, np.exp(-(ts ** 4)), "synthetic")
+        assert np.count_nonzero((curve.values > 0.05) & (curve.values < 0.95)) == 7
+        with pytest.raises(NumericalError, match=r"only 7 points in the fit window \(need >= 8\)"):
             dl.fit_decay_exponent(curve)
 
     def test_non_monotone_window_rejected(self):
