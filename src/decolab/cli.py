@@ -101,14 +101,12 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
     }),
     "sweep": ("log-spaced parameter sweep with a scaling-exponent fit", {
         "sweep": {"axis": Key(str, REQUIRED, "hbar", ("hbar", "distance", "dp")),
-                  "target": Key(str, REQUIRED, "tau_q",
-                                ("tau_q", "tau_qp", "tau_p", "tau_gr", "tau_x", "tau_y", "tau_z")),
+                  "target": Key(str, REQUIRED, "tau_q", ("tau_q", "tau_qp", "tau_p", "tau_gr")),
                   "start": Key(float, REQUIRED, "0.25"), "stop": Key(float, REQUIRED, "4.0"),
                   "num": Key(int, REQUIRED, "8")},
         "base": {"dq": Key(float, 1.0, "2.0"), "dp": Key(float, 0.0), "mass": Key(float, 1.0),
                  "omega": Key(float, 0.0), "hbar": Key(float, 1.0), "var_b": Key(float, 1.0, "1.0"),
-                 "gamma": Key(float, 1.0), "j": Key(float, 10.0),
-                 "alpha": Key(complex, 1.0 + 0j), "beta": Key(complex, -1.0 + 0j)},
+                 "gamma": Key(float, 1.0)},
     }),
     "oracle-compare": ("exact finite-bath oracle against a closed-form law", {
         "bath-model": {"m": Key(int, REQUIRED, "12"), "var_total": Key(float, 1.0, "1.0"),
@@ -122,8 +120,8 @@ SCHEMA = {  # experiment -> (template title, {section: {key: Key}})
         "spin": {"j": Key(float, REQUIRED, "15"), "alpha": Key(complex, REQUIRED, "1+0j"),
                  "beta": Key(complex, REQUIRED, "-1+0j", note="or set case = i | ii | iii instead"),
                  "case": Key(str, None, choices=("i", "ii", "iii")),
-                 "omega": Key(float, REQUIRED, "1.0"), "hbar": Key(float, 1.0, "1.0")},
-        "bath": {"var_b": _VAR_B, "var_bdot": Key(float, None), "kappa": Key(float, 0.0)},
+                 "omega": Key(float, REQUIRED, "1.0")},
+        "bath": {"var_b": _VAR_B, "var_bdot": Key(float, None)},
         "norm": {"mode": Key(str, "regime", "regime", ("regime", "montecarlo")),
                  "samples": Key(int, 100_000), "seed": Key(int, 0)},
         "times": _times("0.001", "0.1", "40"),
@@ -260,12 +258,9 @@ def fit_scaling(axis_values, taus, axis="hbar", target="tau"):
 
     Sign convention: tau ~ hbar^mu / d^nu, so the returned exponent is the
     raw slope for axis="hbar" and its negation for any other, distance-like
-    axis ("distance", "dp", or a spin's "j"), making the reported mu and nu
-    positive for the physical laws.  The sweep experiment offers hbar,
-    distance and dp only: a log-spaced j is a half-integer only when each
-    point doubles the last.  A non-finite value (an infinite time: the
-    channel does not decay) raises ValidationError naming the axis or the
-    target.
+    axis ("distance", "dp"), making the reported mu and nu positive for the
+    physical laws.  A non-finite value (an infinite time: the channel does
+    not decay) raises ValidationError naming the axis or the target.
     """
     x = np.asarray(axis_values, dtype=float)
     y = np.asarray(taus, dtype=float)
@@ -362,14 +357,6 @@ def run_sweep(c):
     def tau_at(value):
         # each law reads only its channel's inputs; constants close the other channels
         p[key] = value
-        if target in ("tau_x", "tau_y", "tau_z"):
-            from .spin import spin_decoherence_times
-
-            omega = 0.0 if target == "tau_x" else p["omega"]
-            taus = spin_decoherence_times(
-                p["j"], p["alpha"], p["beta"], omega, BathMoments(p["var_b"]), p["hbar"]
-            )
-            return getattr(taus, target)
         if target == "tau_gr":
             corr = exponential_correlation(p["var_b"], p["gamma"])
             sysp = SystemParams(1.0, p["omega"], p["hbar"])
@@ -404,10 +391,10 @@ def run_oracle_compare(c):
         omegas = list(np.linspace(*omega, m)) if isinstance(omega, tuple) else omega
     bath = spin_bath(m, model["var_total"], omegas)
     times = time_grid(c["times"])
-    moments, corr = bath_statistics(bath, hbar)
+    moments, corr = bath_statistics(bath)
 
-    if protocol == "static":
-        n_oracle = np.atleast_1d(static_bath_norm(d, bath, times, hbar))
+    if protocol == "static":  # the frozen bath's cos^2 product, whatever the memory law's omega
+        n_oracle = np.atleast_1d(static_bath_norm(d, spin_bath(m, model["var_total"]), times, hbar))
     else:
         # Spacing |d|/2 about 0 puts both pointers +-d/2 on grid points.
         spacing = abs(d) / 2 or 1.0
@@ -436,19 +423,19 @@ def run_spin(c):
     spin, bath, norm = c["spin"], c["bath"], c["norm"]
     j, alpha, case = spin["j"], spin["alpha"], spin["case"]
     beta = spin["beta"] if case is None else special_pair(alpha, case)
-    omega, hbar, mode = spin["omega"], spin["hbar"], norm["mode"]
+    omega, mode = spin["omega"], norm["mode"]
     extras, draws = {}, {}
-    if mode == "montecarlo":  # only the sampler reads Bdot, kappa and the draw keys
-        bath = BathMoments(bath["var_b"], bath["var_bdot"], bath["kappa"])
+    if mode == "montecarlo":  # only the sampler reads Bdot and the draw keys
+        bath = BathMoments(bath["var_b"], bath["var_bdot"])
         draws = {"mode": mode, "samples": norm["samples"], "seed": norm["seed"]}
         extras["seed"] = draws["seed"]
     else:
         bath = BathMoments(bath["var_b"])
     times = time_grid(c["times"])
-    taus = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
+    taus = spin_decoherence_times(j, alpha, beta, omega, bath)
     rows = []
     for t in times:
-        est = spin_coherence_norm(t, j, alpha, beta, omega, bath, hbar, **draws)
+        est = spin_coherence_norm(t, j, alpha, beta, omega, bath, **draws)
         rows.append([t, est.value, est.stderr] if draws else [t, float(est), 0.0])
     extras.update({"tau-x": taus.tau_x, "tau-y": taus.tau_y, "tau-z": taus.tau_z})
     return ["t", "norm", "stderr"], rows, extras

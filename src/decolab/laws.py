@@ -42,17 +42,14 @@ from .errors import (
 class BathMoments:
     """Initial-state moments of the bath coupling agent B.
 
-    var_B is <B^2>; var_Bdot is <Bdot^2> (None when unknown); kappa models
-    the commutator as [B, Bdot] = i hbar kappa * identity.
+    var_B is <B^2>; var_Bdot is <Bdot^2> (None when unknown).
     """
 
     var_B: float
     var_Bdot: Optional[float] = None
-    kappa: float = 0.0
 
     def __post_init__(self):
         require_nonnegative(var_B=self.var_B)
-        require_real(kappa=self.kappa)
         if self.var_Bdot is not None:
             require_nonnegative(var_Bdot=self.var_Bdot)
 

@@ -23,9 +23,10 @@ Every path reads the system through one description too, in the eigenbasis
 of q (``_coupling_basis``): the pointers (q's eigenvalues), the two
 branches in that basis, a diagonal potential and the free motion.  A grid
 particle is in that form already, its kinetic energy applied by FFT.  A
-spin enters it through the rotation exp(-i pi Jy / 2 hbar) of its two
-branches, a Chebyshev series, after which Jx is the diagonal -hbar m and
-Omega Jz a real tridiagonal: no dense matrix of the spin is formed.
+spin, at hbar = 1 (hbar cancels from its norms), enters it through the
+rotation exp(-i pi Jy / 2) of its two branches, a Chebyshev series, after
+which Jx is the diagonal -m and Omega Jz a real tridiagonal: no dense
+matrix of the spin is formed.
 
 Evolution strategies, by what the Hamiltonian conserves:
 
@@ -280,7 +281,7 @@ class OracleBathOperators:
     initial_state: np.ndarray = field(repr=False, default=None)
 
 
-def bath_statistics(bath, hbar=1.0):
+def bath_statistics(bath):
     """Exact (moments, corr) of the coupling agent, from its spectral lines.
 
     Each component starts in a storage-basis state |n> (true of every
@@ -288,12 +289,10 @@ def bath_statistics(bath, hbar=1.0):
     has lines of weight a = |<k|c|n>|^2 (k = n - 1 and n + 1 only) at the
     frequencies nu = omega_k - omega_n of its frequency operator;
     zero-weight lines are skipped.  Then
-    <B^2> = sum a, <Bdot^2> = sum a nu^2, kappa = (2/hbar) sum a nu and
-    <B~(s) B> = sum a exp(-i nu s); corr holds the lines, so
-    sym(s) = 2 sum a cos(nu s).
+    <B^2> = sum a, <Bdot^2> = sum a nu^2 and <B~(s) B> = sum a exp(-i nu s);
+    corr holds the lines, so sym(s) = 2 sum a cos(nu s).
     """
     require_instance(bath=(bath, BathModel))
-    require_positive(hbar=hbar)
     lines = []
     for off, freqs, chi in _bath_factors(bath, dicke=False):
         n = int(np.flatnonzero(chi)[0])
@@ -304,8 +303,7 @@ def bath_statistics(bath, hbar=1.0):
                   for k in np.flatnonzero(weights)]
     var_b = sum(a for a, _ in lines)
     var_bdot = sum(a * nu * nu for a, nu in lines)
-    kappa = sum(2.0 * a * nu for a, nu in lines) / hbar
-    return BathMoments(var_b, var_bdot, kappa), CorrelationFunction("lines", tuple(lines))
+    return BathMoments(var_b, var_bdot), CorrelationFunction("lines", tuple(lines))
 
 
 def build_bath_operators(bath, hbar=1.0):
@@ -335,7 +333,7 @@ def build_bath_operators(bath, hbar=1.0):
     gaps = (1j / hbar) * np.subtract.outer(hres_diag, hres_diag)
     bdot = gaps * b_total
     bddot = np.multiply(gaps, bdot, out=gaps)  # gaps' last use: reuse its memory
-    moments, corr = bath_statistics(bath, hbar)
+    moments, corr = bath_statistics(bath)
     return OracleBathOperators(
         B=b_total, Bdot=bdot, Bddot=bddot, H_res=hres_diag,
         moments=moments, corr=corr, initial_state=bath.initial_state(),
@@ -401,15 +399,17 @@ class GridParticle:
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Spin j precessing as H_sys = Omega Jz, coupled through Jx."""
+    """Spin j precessing as H_sys = Omega Jz, coupled through Jx.
+
+    J is hbar times the spin matrix, so hbar cancels from every norm and the
+    spin runs at hbar = 1.
+    """
 
     j: float
     omega: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         _check_j(self.j)
-        require_positive(hbar=self.hbar)
         require_real(omega=self.omega)
 
 
@@ -691,23 +691,22 @@ def _coupling_basis(sys, amps):
     in that basis and the potential a diagonal there.  The free motion is
     kin, applied by FFT along the system axis, or off, the off-diagonal of a
     real symmetric tridiagonal along it; the other is None.  A grid particle
-    is in this form already.  A spin enters it through U = exp(-i pi Jy / 2 hbar),
-    which takes Jx to the diagonal -hbar m (ascending) and Jz to Jx, so
-    Omega Jz has off = Omega hbar ladder / 2.  U = Rz Ex Rz^dagger, Rz the
-    phases e^{-i pi m / 2} of exp(-i pi Jz / 2 hbar) and Ex = exp(-i pi Jx / 2 hbar)
+    is in this form already.  A spin (hbar = 1) enters it through
+    U = exp(-i pi Jy / 2), which takes Jx to the diagonal -m (ascending) and
+    Jz to Jx, so Omega Jz has off = Omega ladder / 2.  U = Rz Ex Rz^dagger,
+    Rz the phases e^{-i pi m / 2} of exp(-i pi Jz / 2) and Ex = exp(-i pi Jx / 2)
     a Chebyshev series on the branches, about pi j / 2 tridiagonal terms
-    (Jx / hbar has the spectrum [-j, j]).
+    (Jx has the spectrum [-j, j]).
     """
     if isinstance(sys, GridParticle):
         k = 2.0 * np.pi * np.fft.fftfreq(amps.shape[1], d=sys.grid.spacing)
         return sys.grid.points, amps, sys.potential(), (sys.hbar * k) ** 2 / (2.0 * sys.mass), None
     m, ladder = _ladder(sys.j)
     phases = np.exp(-0.5j * np.pi * m)
-    jx = _last_axis((-1j / sys.j) * ladder, amps.shape)  # -2i h~ = -2i (Jx / hbar) / j
+    jx = _last_axis((-1j / sys.j) * ladder, amps.shape)  # -2i h~ = -2i Jx / j
     rotated = next(_chebyshev_samples(np.array([0.5 * np.pi]), amps * phases.conj(), sys.j, 1.0,
                                       0.0, None, [jx]))
-    return (-sys.hbar * m, rotated[0, 0] * phases, np.zeros(m.size), None,
-            sys.omega * (0.5 * sys.hbar * ladder))
+    return -m, rotated[0, 0] * phases, np.zeros(m.size), None, sys.omega * (0.5 * ladder)
 
 
 def _pointer_curve(pointers, amp1, amp2, bath, hbar, times):
@@ -822,14 +821,17 @@ def evolve_norm(sys, bath, branch1, branch2, times, dt=None):
 @_float_range_checked
 def _norm_values(sys, bath, branch1, branch2, times):
     """evolve_norm's values, from the back end that follows what is conserved."""
-    dim = int(round(2 * sys.j)) + 1 if isinstance(sys, SpinSystem) else sys.grid.n_points
+    if isinstance(sys, SpinSystem):
+        dim, hbar, conserved = int(round(2 * sys.j)) + 1, 1.0, sys.omega == 0
+    else:
+        dim, hbar, conserved = sys.grid.n_points, sys.hbar, math.isinf(sys.mass)
     amps = np.stack([_normalized_branch(branch1, dim, "branch1"),
                      _normalized_branch(branch2, dim, "branch2")])
     q, amps, potential, kin, off = _coupling_basis(sys, amps)
-    if sys.omega == 0 if isinstance(sys, SpinSystem) else math.isinf(sys.mass):
-        values = _pointer_curve(q, amps[0], amps[1], bath, sys.hbar, times)
+    if conserved:
+        values = _pointer_curve(q, amps[0], amps[1], bath, hbar, times)
     else:
-        values = _stepped_curve(q, amps, potential, kin, off, bath, sys.hbar, times)
+        values = _stepped_curve(q, amps, potential, kin, off, bath, hbar, times)
     # N <= 1: roundoff past it is clipped, a larger excess left for NormCurve to refuse
     return np.where(values > 1.0 + 1e-9, values, np.clip(values, 0.0, 1.0))
 
@@ -843,12 +845,14 @@ def static_bath_norm(d, bath, t, hbar=1.0):
     """Exact norm for frozen system and bath: N(t) = prod_i cos^2(d g_i t / hbar).
 
     Requires spin-half components in sigma_z eigenstates under sigma_x
-    coupling; ``d`` is the effective separation in the coupling agent.
+    coupling, all of frequency zero; ``d`` is the effective separation in the
+    coupling agent.
     """
     require_instance(bath=(bath, BathModel))
-    for comp in bath.components:
-        if comp.kind != "spin-half":
-            raise ValidationError("static_bath_norm requires spin-half components")
+    if any(comp.kind != "spin-half" for comp in bath.components):
+        raise ValidationError("static_bath_norm requires spin-half components")
+    if not bath.is_static():
+        raise ValidationError("static_bath_norm requires a static bath (every omega zero)")
     require_real(d=d)
     require_times(t=t)
     require_positive(hbar=hbar)

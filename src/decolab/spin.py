@@ -8,15 +8,18 @@ operators (checked here by finite differences).
 
 With H_sys = Omega Jz and H_int = Jx B, a superposition of two coherent
 states decoheres at a rate set by which of the three mean separations
-d_i = <alpha|J_i|alpha> - <beta|J_i|beta> survives:
+d_i = <alpha|J_i|alpha> - <beta|J_i|beta> survives.  J is hbar times the
+spin matrix, so hbar cancels from every time and norm: the laws take the
+separations of the spin matrices (hbar = 1),
 
-    d_x != 0:            N = exp(-(t/tau_x)^2),  tau_x = hbar / (|d_x| sqrt(<B^2>))
-    d_x = 0, d_y != 0:   N = exp(-(t/tau_y)^4),  tau_y = (d_y^2 Omega^2 <B^2> / 4 hbar^2)^(-1/4)
+    d_x != 0:            N = exp(-(t/tau_x)^2),  tau_x = 1 / (|d_x| sqrt(<B^2>))
+    d_x = 0, d_y != 0:   N = exp(-(t/tau_y)^4),  tau_y = (d_y^2 Omega^2 <B^2> / 4)^(-1/4)
     d_x = d_y = 0, d_z:  N = (1 + (t/tau_z)^6)^(-1/2),
-                         tau_z = (d_z^2 Omega^2 <B^2>^2 / 36 hbar^2)^(-1/6)
+                         tau_z = (d_z^2 Omega^2 <B^2>^2 / 36)^(-1/6)
 
-The Monte-Carlo mode samples the full exponent with Gaussian B, Bdot and
-the commutator [B, Bdot] replaced by i hbar kappa.
+where a separation vanishes at |d_i| <= 1e-12 max(|d|, 1), below which it
+is roundoff.  The Monte-Carlo mode samples the full exponent with Gaussian
+B and Bdot.
 """
 
 import functools
@@ -210,27 +213,28 @@ class SpinDecoherenceTimes:
     tau_z: float
 
 
-def spin_decoherence_times(j, alpha, beta, omega, bath, hbar=1.0):
+def spin_decoherence_times(j, alpha, beta, omega, bath):
     """Decay times of the three spin decoherence channels.
 
-    tau_x uses the reciprocal form hbar / (|d_x| sqrt(<B^2>)), which is the
+    tau_x uses the reciprocal form 1 / (|d_x| sqrt(<B^2>)), which is the
     dimensionally consistent reading and reproduces the explicit
-    angle-resolved expressions.  Channels whose separation (or, for y and
-    z, the precession frequency) vanishes get math.inf; a time outside the
-    float64 range raises NumericalError.
+    angle-resolved expressions.  A channel whose separation vanishes (|d_i|
+    <= 1e-12 max(|d|, 1): roundoff), or, for y and z, whose precession
+    frequency does, gets math.inf; a time outside the float64 range raises
+    NumericalError.
     """
     require_real(omega=omega)
     require_instance(bath=(bath, BathMoments))
     if not bath.var_B > 0:
         raise ValidationError("spin decoherence times require var_B > 0")
     v = bath.var_B
-    d = separations(j, alpha, beta, hbar)
+    d = separations(j, alpha, beta)
+    tol = 1e-12 * max(abs(d.d_x), abs(d.d_y), abs(d.d_z), 1.0)
+    d_x, d_y, d_z = (0.0 if abs(x) <= tol else x for x in (d.d_x, d.d_y, d.d_z))
     return SpinDecoherenceTimes(
-        _decay_time(lambda: abs(d.d_x) * math.sqrt(v), lambda r: hbar / r),
-        _decay_time(lambda: d.d_y ** 2 * omega ** 2 * v / (4.0 * hbar ** 2),
-                    lambda r: r ** -0.25),
-        _decay_time(lambda: d.d_z ** 2 * omega ** 2 * v ** 2 / (36.0 * hbar ** 2),
-                    lambda r: r ** (-1.0 / 6.0)),
+        _decay_time(lambda: abs(d_x) * math.sqrt(v), lambda r: 1.0 / r),
+        _decay_time(lambda: d_y ** 2 * omega ** 2 * v / 4.0, lambda r: r ** -0.25),
+        _decay_time(lambda: d_z ** 2 * omega ** 2 * v ** 2 / 36.0, lambda r: r ** (-1.0 / 6.0)),
     )
 
 
@@ -241,14 +245,13 @@ class MonteCarloNorm(NamedTuple):
     stderr: float
 
 
-def _regime_norm(t, seps, times):
-    scale = max(abs(seps.d_x), abs(seps.d_y), abs(seps.d_z), 1.0)
-    tol = 1e-12 * scale
-    if abs(seps.d_x) > tol:
+def _regime_norm(t, times):
+    """The closed form of the first channel, x then y then z, with a finite time."""
+    if times.tau_x < math.inf:
         return np.exp(-((t / times.tau_x) ** 2))
-    if abs(seps.d_y) > tol:
+    if times.tau_y < math.inf:
         return np.exp(-((t / times.tau_y) ** 4))
-    if abs(seps.d_z) > tol:
+    if times.tau_z < math.inf:
         return (1.0 + (t / times.tau_z) ** 6) ** -0.5
     return np.ones_like(t)
 
@@ -268,40 +271,52 @@ def _gaussian_draws(seed, samples, var_b, var_bdot):
     return b, bdot
 
 
+def _cos_sin(phi):
+    """(cos phi, sin phi) from one (SIMD) tangent h = tan(phi / 2), in phi's memory.
+
+    sin phi = 2h / (1 + h^2) and cos phi = (1 - h^2) / (1 + h^2) = 2 / (1 + h^2) - 1,
+    within a few 1e-16 of np.cos and np.sin at any float64 phi.  |h| < 1e19
+    for any float64, so h^2 cannot overflow.
+    """
+    h = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
+    d = np.multiply(h, h)
+    d += 1.0
+    sin = np.divide(h, d, out=h)
+    sin *= 2.0
+    cos = np.divide(2.0, d, out=d)
+    cos -= 1.0
+    return cos, sin
+
+
 @_float_range_checked
-def spin_coherence_norm(
-    t, j, alpha, beta, omega, bath, hbar=1.0, mode="regime",
-    samples=100_000, seed=0,
-):
+def spin_coherence_norm(t, j, alpha, beta, omega, bath, *, mode="regime", samples=100_000,
+                        seed=0):
     """Coherence norm of a two-coherent-state superposition under Jx B coupling.
 
-    mode="regime" dispatches on which separation survives and returns the
-    matching closed form (broadcasting over t).  mode="montecarlo" samples the
-    leading-order-in-j phase phi = u B + v Bdot + w B^2 + c, with B ~ N(0, var_B)
-    and Bdot ~ N(0, var_Bdot) independent, and returns MonteCarloNorm(value,
-    stderr): the bias-corrected |mean exp(-i phi)|^2, which can fall a few
-    stderr below 0 where the norm is near 0, and its delta-method standard
-    error.  Each sample costs one transcendental: cos phi and sin phi both
-    come from tan(phi / 2) by the half-angle identity, within a few 1e-16 of
-    np.cos and np.sin at any float64 phi.  kappa (the commutator [B, Bdot]
-    replaced by i hbar kappa) enters only the global phase c, so at this
-    order it moves neither.  samples (at least 10000) and seed (in
-    [0, 2**128)) must be integers.  The draws are a pure function of (seed,
-    samples, var_B, var_Bdot) from a counter-based RNG; the last key's draws
-    (16 x samples bytes) are kept, and the calls of one curve, one per time,
-    draw once.
+    mode="regime" dispatches on which channel has a finite decay time and
+    returns the matching closed form (broadcasting over t).  mode="montecarlo"
+    samples the leading-order-in-j phase phi = u B + v Bdot + w B^2, with
+    B ~ N(0, var_B) and Bdot ~ N(0, var_Bdot) independent, and returns
+    MonteCarloNorm(value, stderr): the bias-corrected |mean exp(-i phi)|^2,
+    which can fall a few stderr below 0 where the norm is near 0, and its
+    delta-method standard error.  Each sample costs one transcendental (see
+    _cos_sin).  The commutator [B, Bdot] would add only a global phase, which
+    moves neither.  samples (at least 10000) and seed (in [0, 2**128)) must be
+    integers.  The draws are a pure function of (seed, samples, var_B,
+    var_Bdot) from a counter-based RNG; the last key's draws (16 x samples
+    bytes) are kept, and the calls of one curve, one per time, draw once.
     """
     require_times(t=t)
     require_real(omega=omega)
+    require_instance(bath=(bath, BathMoments))
     t_arr = np.asarray(t, dtype=float)
-    seps = separations(j, alpha, beta, hbar)
     if mode == "regime":
-        times = spin_decoherence_times(j, alpha, beta, omega, bath, hbar)
-        result = _regime_norm(t_arr, seps, times)
+        result = _regime_norm(t_arr, spin_decoherence_times(j, alpha, beta, omega, bath))
         return result if result.ndim else float(result)
     if mode != "montecarlo":
         raise ValidationError(f"mode must be 'regime' or 'montecarlo', got {mode!r}")
 
+    seps = separations(j, alpha, beta)
     if bath.var_Bdot is None:
         raise ValidationError("montecarlo mode requires bath.var_Bdot to be set")
     if not (is_int(samples) and samples >= 10_000):
@@ -313,26 +328,14 @@ def spin_coherence_norm(
         raise ValidationError("montecarlo mode evaluates one time per call")
 
     b, bdot = _gaussian_draws(seed, samples, bath.var_B, bath.var_Bdot)
-    mxa, mxb = (coherent_means(SpinCoherent(j, s, hbar))[0] for s in (alpha, beta))
     # The second bath derivative has no variance in BathMoments and is left out
     # of the t^3 terms; float64 coefficients overflow under the errstate.
     t = np.float64(t)
-    u = (seps.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * seps.d_y * t ** 2 / 2.0) / hbar
-    v = (seps.d_x * t ** 2 / 2.0 - omega * seps.d_y * t ** 3 / 3.0) / hbar
-    w = omega * seps.d_z * t ** 3 / 12.0 / hbar
-    c = -(mxa ** 2 - mxb ** 2) * bath.kappa * t ** 3 / 12.0 / hbar
-    phi = (w * b + u) * b + v * bdot + c
+    u = seps.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * seps.d_y * t ** 2 / 2.0
+    v = seps.d_x * t ** 2 / 2.0 - omega * seps.d_y * t ** 3 / 3.0
+    w = omega * seps.d_z * t ** 3 / 12.0
     # Re z = cos phi and Im z = -sin phi; that sign drops out of every moment.
-    # Both come from one (SIMD) tangent h = tan(phi / 2): sin phi = 2h / (1 + h^2)
-    # and cos phi = (1 - h^2) / (1 + h^2) = 2 / (1 + h^2) - 1.  |h| < 1e19 for
-    # any float64, so h^2 cannot overflow.
-    h = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
-    d = np.multiply(h, h)
-    d += 1.0
-    sin = np.divide(h, d, out=h)
-    sin *= 2.0
-    cos = np.divide(2.0, d, out=d)
-    cos -= 1.0
+    cos, sin = _cos_sin((w * b + u) * b + v * bdot)
     mean_c, mean_s = cos.mean(), sin.mean()
     cos -= mean_c
     sin -= mean_s

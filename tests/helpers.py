@@ -82,10 +82,14 @@ def _joint_eigh_norms(h_sys, coupling, bath, branches, times, hbar):
     return np.array(expected)
 
 
-def joint_eigh_norms(sys_s, bath, branches, times):
-    """N_12(t) of a spin in a bath from eigh of the full system x bath H."""
-    jx, _, jz = dl.spin_matrices(sys_s.j, sys_s.hbar)
-    return _joint_eigh_norms(sys_s.omega * jz, jx, bath, branches, times, sys_s.hbar)
+def joint_eigh_norms(sys_s, bath, branches, times, hbar=1.0):
+    """N_12(t) of a spin in a bath from eigh of the full system x bath H.
+
+    J is hbar times the spin matrix and H_res hbar times the level
+    frequencies, so hbar cancels and every hbar gives the norm at hbar = 1.
+    """
+    jx, _, jz = dl.spin_matrices(sys_s.j, hbar)
+    return _joint_eigh_norms(sys_s.omega * jz, jx, bath, branches, times, hbar)
 
 
 def grid_joint_eigh_norms(sys_p, bath, branches, times):
@@ -165,18 +169,17 @@ def midpoint_expansion_error(h, h_of_t, t):
         coarse = fine
 
 
-def exact_mc_spin_norm(t, j, alpha, beta, omega, bath, hbar=1.0):
+def exact_mc_spin_norm(t, j, alpha, beta, omega, bath):
     """Exact |E exp(-i phi)|^2 for the phase spin_coherence_norm samples.
 
-    With phi hbar = u B + v Bdot + w B^2 + c and independent Gaussian B, Bdot,
-    |E z|^2 = (1 + 4 w~^2 s^2)^(-1/2) exp(-u~^2 s / (1 + 4 w~^2 s^2))
-    exp(-v~^2 s_d), where u~, v~, w~ are u, v, w over hbar and s, s_d are
-    var_B and var_Bdot; the global phase c (the kappa term) drops out.
+    With phi = u B + v Bdot + w B^2 and independent Gaussian B, Bdot,
+    |E z|^2 = (1 + 4 w^2 s^2)^(-1/2) exp(-u^2 s / (1 + 4 w^2 s^2)) exp(-v^2 s_d),
+    where s and s_d are var_B and var_Bdot.
     """
-    d = dl.separations(j, alpha, beta, hbar)
-    u = (d.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * d.d_y * t ** 2 / 2.0) / hbar
-    v = (d.d_x * t ** 2 / 2.0 - omega * d.d_y * t ** 3 / 3.0) / hbar
-    w = omega * d.d_z * t ** 3 / 12.0 / hbar
+    d = dl.separations(j, alpha, beta)
+    u = d.d_x * (t - omega ** 2 * t ** 3 / 6.0) - omega * d.d_y * t ** 2 / 2.0
+    v = d.d_x * t ** 2 / 2.0 - omega * d.d_y * t ** 3 / 3.0
+    w = omega * d.d_z * t ** 3 / 12.0
     s, s_d = bath.var_B, bath.var_Bdot
     spread = 1.0 + 4.0 * w ** 2 * s ** 2
     return spread ** -0.5 * math.exp(-(u ** 2) * s / spread - v ** 2 * s_d)

@@ -29,10 +29,9 @@ var_b = 1.0
 
 
 def sweep_template(target):
-    """The sweep template with another target; a spin target reads no [base] dq."""
+    """The sweep template with another target; tau_p reads no [base] dq."""
     template = TEMPLATES["sweep"].replace("target = tau_q ", f"target = {target} ", 1)
-    spin = target in ("tau_x", "tau_y", "tau_z")
-    return template.replace("dq = 2.0\n", "", 1) if spin else template
+    return template.replace("dq = 2.0\n", "", 1) if target == "tau_p" else template
 
 
 # Misconfigured templates: (experiment, template text, replacement, name
@@ -55,26 +54,30 @@ MISCONFIGS = {
     "memory-foreign-parameter": ("norm", "kind = short-time",
                                  "kind = memory\n[memory]\ncorrelation = exponential\nvar_b = 1.0\n"
                                  "gamma = 2.0\ndq = 1.0\ntau_c = 5.0", "tau_c"),
-    # a [base] key the target's law does not read used to run and change only the hash
+    # a [base] key the target's law does not read used to run and change only the hash;
+    # j, alpha and beta are read by no target, so they are unknown keys
     "sweep-foreign-gamma": ("sweep", "var_b = 1.0", "var_b = 1.0\ngamma = 7.0", "gamma"),
-    "sweep-foreign-j": ("sweep", "var_b = 1.0", "var_b = 1.0\nj = 3", "[base] j"),
+    "sweep-foreign-j": ("sweep", "var_b = 1.0", "var_b = 1.0\nj = 3",
+                        "unknown key 'j' in section [base]"),
     "sweep-foreign-alpha": ("sweep", "var_b = 1.0", "var_b = 1.0\nalpha = 0.5+0.5j", "alpha"),
     "sweep-foreign-beta": ("sweep", "var_b = 1.0", "var_b = 1.0\nbeta = -1+0j", "beta"),
     # a key the run never reads used to run and change only the hash: the
-    # axis overrides [base] hbar, tau_q reads no dp and tau_x no mass, the
-    # regime closed form draws no samples, and the memory law reads no packets
+    # axis overrides [base] hbar, tau_q reads no dp, the regime closed form
+    # draws no samples, and the memory law reads no packets
     "sweep-axis-key": ("sweep", "var_b = 1.0", "var_b = 1.0\nhbar = 2.0",
                        "not read by this run: [base] hbar"),
     "sweep-tau-q-dp": ("sweep", "var_b = 1.0", "var_b = 1.0\ndp = 3.0", "[base] dp"),
-    "sweep-tau-x-mass": ("sweep", TEMPLATES["sweep"], sweep_template("tau_x") + "mass = 2.0\n",
-                         "not read by this run: [base] mass"),
     "spin-regime-samples": ("spin", "mode = regime", "mode = regime\nsamples = 20000",
                             "not read by this run: [norm] samples"),
     "memory-packets": ("norm", "kind = short-time", "kind = memory\n[memory]\n"
                        "correlation = constant\nvar_b = 1.0\ndq = 1.0", "[packets] q1"),
-    # decoherence_times ignores omega, and only spin reads var_bdot and kappa
+    # decoherence_times ignores omega, no experiment reads kappa, and hbar
+    # cancels from every spin time and norm
     "times-omega": ("times", "hbar = 1.0\n", "hbar = 1.0\nomega = 0.0\n", "unknown key 'omega'"),
     "norm-kappa": ("norm", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
+    "spin-kappa": ("spin", "var_b = 1.0\n", "var_b = 1.0\nkappa = 0.0\n", "unknown key 'kappa'"),
+    "spin-hbar": ("spin", "omega = 1.0\n", "omega = 1.0\nhbar = 1.0\n",
+                  "unknown key 'hbar' in section [spin]"),
     # the static protocol's norm and the Gaussian law's var_B do not move with the frequencies
     "oracle-static-omega": ("oracle-compare", TEMPLATES["oracle-compare"],
                             TEMPLATES["oracle-compare"].replace("omega = 0 ", "omega = 0.7 ", 1)
@@ -447,6 +450,23 @@ class TestExperiments:
         assert header == ["t", "norm", "stderr"]
         assert all(float(r["stderr"]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("case, vanishing", [("i", ("tau-x", "tau-y")),
+                                                 ("ii", ("tau-x", "tau-z")),
+                                                 ("iii", ("tau-x",))], ids=("i", "ii", "iii"))
+    def test_special_pair_header_marks_vanishing_channels_infinite(self, tmp_path, case,
+                                                                   vanishing):
+        # a roundoff separation (cases i and iii leave |d_x| = 8.9e-16) used to print
+        # a finite time, 1125899906842624, beside a norm that followed another channel
+        text = TEMPLATES["spin"].replace("alpha = 1+0j", "alpha = 0.3+0.2j", 1)
+        text = re.sub(r"^beta = .*$", f"case = {case}", text, count=1, flags=re.M)
+        cfg, out = write(tmp_path, "s.ini", text), str(tmp_path / "s.csv")
+        assert main(["spin", "--config", cfg, "--out", out]) == 0
+        header = dict(line[2:].strip().split(": ", 1) for line in open(out)
+                      if line.startswith("# tau-"))
+        assert {key for key, value in header.items() if value == "inf"} == set(vanishing)
+        assert all(0.0 < float(value) < 10.0 for key, value in header.items()
+                   if key not in vanishing)
+
     def test_spin_montecarlo_equals_cold_calls(self, tmp_path):
         # one curve draws once; each row must equal a call with an empty draw cache
         template = TEMPLATES["spin"].replace("mode = regime",
@@ -485,17 +505,18 @@ class TestExperiments:
         assert main([experiment, "--config", cfg, *flags]) == 1
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target, own, foreign", [("tau_gr", "gamma = 2.0", "j = 3"),
-                                                      ("tau_gr", "gamma = 2.0", "beta = 1j"),
-                                                      ("tau_x", "j = 3", "gamma = 2.0"),
-                                                      ("tau_x", "beta = -0.5+0j", "gamma = 2.0")])
+    @pytest.mark.parametrize("target, own, foreign", [("tau_gr", "gamma = 2.0", "mass = 2.0"),
+                                                      ("tau_gr", "omega = 0.5", "dp = 1.0"),
+                                                      ("tau_qp", "dp = 1.0", "gamma = 2.0"),
+                                                      ("tau_p", "dp = 1.0", "omega = 0.5")],
+                             ids=("tau_gr-mass", "tau_gr-dp", "tau_qp-gamma", "tau_p-omega"))
     def test_sweep_base_keys_follow_the_target(self, tmp_path, capsys, target, own, foreign):
         # a [base] key runs with the targets whose law reads it, and names
         # itself with any other
         template = sweep_template(target)
         ok = write(tmp_path, "ok.ini", template + own + "\n")
         assert main(["sweep", "--config", ok, "--out", str(tmp_path / "ok.csv")]) == 0
-        bad = write(tmp_path, "bad.ini", template + foreign + "\n")
+        bad = write(tmp_path, "bad.ini", template + own + "\n" + foreign + "\n")
         assert main(["sweep", "--config", bad, "--out", str(tmp_path / "bad.csv")]) == 1
         assert f"not read by this run: [base] {foreign.split()[0]}\n" in capsys.readouterr().err
 

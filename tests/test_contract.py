@@ -147,6 +147,8 @@ PROBES = {
     "decoherence_times-text-bath": lambda: dl.decoherence_times(1.0, 0.0, SYS, "bath"),
     "spin_decoherence_times-text-bath":
         lambda: dl.spin_decoherence_times(10.0, 1.0, -1.0, 1.0, "bath"),
+    "spin_coherence_norm-montecarlo-text-bath":
+        lambda: dl.spin_coherence_norm(0.1, 10.0, 1.0, -1.0, 1.0, "bath", mode="montecarlo"),
     "coherent_vector-text-state": lambda: dl.coherent_vector("state"),
     "coherent_means-text-state": lambda: dl.coherent_means("state"),
     "magnus_exponent-text-h": lambda: dl.magnus_exponent("h", 0.1),
@@ -236,10 +238,10 @@ class TestClosedFormNormsStayInUnitInterval:
 
     @settings(deadline=None, max_examples=150)
     @given(t=TIME, j=st.sampled_from([0.5, 1.0, 2.5, 10.0]), alpha=COMPLEX, beta=COMPLEX,
-           omega=FINITE, var=VAR, hbar=SCALE)
-    def test_spin_regime(self, t, j, alpha, beta, omega, var, hbar):
+           omega=FINITE, var=VAR)
+    def test_spin_regime(self, t, j, alpha, beta, omega, var):
         _in_unit_interval_or_decolab_error(
-            lambda: dl.spin_coherence_norm(t, j, alpha, beta, omega, dl.BathMoments(var), hbar))
+            lambda: dl.spin_coherence_norm(t, j, alpha, beta, omega, dl.BathMoments(var)))
 
     @settings(deadline=None, max_examples=150)
     @given(d=FINITE, m=st.integers(1, 6), var=VAR, t=TIME, hbar=SCALE)
@@ -337,7 +339,7 @@ class TestEvolveNormContract:
         if backend in ("pointer-spin", "spin-static", "spin"):
             j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
             omega = 0.0 if backend == "pointer-spin" else data.draw(real.filter(bool))
-            sys_x = dl.SpinSystem(j, omega, hbar)
+            sys_x = dl.SpinSystem(j, omega)
             dim = int(2 * j) + 1
         else:
             dim = data.draw(st.sampled_from([16, 32]))

@@ -80,7 +80,6 @@ class TestBathMoments:
         for kwargs in (
             {"var_B": math.nan},
             {"var_B": 1.0, "var_Bdot": math.nan},
-            {"var_B": 1.0, "kappa": math.inf},
         ):
             with pytest.raises(ValidationError):
                 dl.BathMoments(**kwargs)

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import textwrap
@@ -178,17 +179,16 @@ class TestBathOperators:
         # reference: expectation values in the initial state of products of
         # the dense B, Bdot = (i/hbar)[H_res, B] and B(s) = U(s)^dagger B U(s)
         bath, hbar = data.draw(mixed_baths())
-        moments, corr = dl.bath_statistics(bath, hbar)
+        moments, corr = dl.bath_statistics(bath)  # hbar cancels from Bdot's moments
         ops = dl.build_bath_operators(bath, hbar)
         b, h, chi = ops.B, np.diag(ops.H_res), ops.initial_state
         b_chi = b @ chi
         bdot_chi = (1j / hbar) * (h @ b_chi - b @ (h @ chi))
         assert moments.var_B == pytest.approx(np.vdot(b_chi, b_chi).real, abs=1e-12)
         assert moments.var_Bdot == pytest.approx(np.vdot(bdot_chi, bdot_chi).real, abs=1e-12)
-        # <[B, Bdot]> = i hbar kappa
-        assert moments.kappa == pytest.approx(2.0 * np.vdot(b_chi, bdot_chi).imag / hbar,
-                                              abs=1e-12)
         a, nu = np.reshape(corr.params, (-1, 2)).T
+        # <[B, Bdot]> = 2i sum a nu: the lines carry the commutator too
+        assert np.sum(a * nu) == pytest.approx(np.vdot(b_chi, bdot_chi).imag, abs=1e-12)
         for s in data.draw(st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3)):
             u = expm_phase(h, s / hbar)
             bs_chi = u @ (b @ (u.conj().T @ chi))
@@ -271,7 +271,7 @@ class TestBathOperators:
                 comps.append(dl.BathComponent("oscillator", g, omega, levels))
                 labels.append(data.draw(st.integers(0, levels - 2)))
         hbar = data.draw(st.floats(0.5, 2.0))
-        _, corr = dl.bath_statistics(dl.BathModel(tuple(comps), tuple(labels)), hbar)
+        _, corr = dl.bath_statistics(dl.BathModel(tuple(comps), tuple(labels)))
         assert corr.kind == "lines" and corr.params
         dq = data.draw(st.floats(0.1, 1.5))
         for t in data.draw(st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=4)):
@@ -286,8 +286,9 @@ class TestBathOperators:
         var_bdot = float(np.real(chi.conj() @ ops.Bdot @ ops.Bdot @ chi))
         assert ops.moments.var_Bdot == pytest.approx(var_bdot, rel=1e-12)
         comm = ops.B @ ops.Bdot - ops.Bdot @ ops.B
-        kappa_dense = float(np.imag(chi.conj() @ comm @ chi))  # [B,Bdot] = i hbar kappa
-        assert ops.moments.kappa == pytest.approx(kappa_dense, rel=1e-12)
+        kappa_dense = float(np.imag(chi.conj() @ comm @ chi))  # <[B, Bdot]> = i hbar kappa
+        a, nu = np.reshape(ops.corr.params, (-1, 2)).T
+        assert 2.0 * np.sum(a * nu) == pytest.approx(kappa_dense, rel=1e-12)
 
     def test_oscillator_component_statistics(self):
         comp = dl.BathComponent("oscillator", 0.4, omega=0.8, levels=6)
@@ -307,8 +308,6 @@ class TestBathOperators:
     def test_bad_hbar_rejected(self):
         bath = dl.spin_bath(2, 1.0, omegas=0.5)
         for hbar in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValidationError):
-                dl.bath_statistics(bath, hbar)
             with pytest.raises(ValidationError):
                 dl.build_bath_operators(bath, hbar)
 
@@ -456,11 +455,11 @@ class TestSizeLimits:
         with pytest.raises(ValidationError, match=f"stepped joint state would hold {1 << 22}"):
             dl.evolve_norm(dl.GridParticle(grid, 1.0), bath, b1, b1, [0.1])
 
-    @pytest.mark.parametrize("backend", ["krylov", "grid"])
+    @pytest.mark.parametrize("backend", ["spin", "grid"])
     def test_chebyshev_order(self, backend):
         # one span of 1e15 would take about 2e15 Bessel coefficients
         bath = dl.spin_bath(2, 1.0, omegas=1.0)
-        if backend == "krylov":
+        if backend == "spin":
             sys_s = dl.SpinSystem(1.5, 1.0)
             a = dl.coherent_vector(dl.SpinCoherent(1.5, 1.0))
             b = dl.coherent_vector(dl.SpinCoherent(1.5, -1.0))
@@ -509,7 +508,7 @@ class TestEvolveNorm:
             curve.values, dl.static_bath_norm(d, bath, times), atol=1e-10
         )
 
-    def test_frozen_krylov_path_matches_closed_form(self):
+    def test_frozen_pointer_path_matches_closed_form(self):
         # nine components (bath dimension 512), the largest closed-form check
         bath = dl.spin_bath(9, 1.0)  # dim 512
         times = np.linspace(0.01, 0.9, 7)
@@ -710,8 +709,8 @@ class TestEvolveNorm:
         order = data.draw(st.permutations(range(len(comps))))
         bath = dl.BathModel(tuple(comps[i] for i in order), tuple(labels[i] for i in order))
         j = data.draw(st.sampled_from([0.5, 1.0]))
-        hbar = data.draw(st.floats(0.5, 2.0))
-        sys_s = dl.SpinSystem(j, data.draw(st.just(0.0) | st.floats(-1.5, 1.5)), hbar)
+        hbar = data.draw(st.floats(0.5, 2.0))  # the referee's: hbar cancels from a spin's norm
+        sys_s = dl.SpinSystem(j, data.draw(st.just(0.0) | st.floats(-1.5, 1.5)))
         dim_s = int(2 * j) + 1
         amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
         vectors = st.lists(amp, min_size=dim_s, max_size=dim_s).map(np.array).filter(
@@ -728,7 +727,7 @@ class TestEvolveNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             curve = dl.evolve_norm(sys_s, bath, branches[0], branches[1], times)
-        expected = joint_eigh_norms(sys_s, bath, branches, times)
+        expected = joint_eigh_norms(sys_s, bath, branches, times, hbar)
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
     def test_stepped_spin_leaves_global_rng_alone_and_matches_joint_eigh(self):
@@ -770,12 +769,11 @@ class TestEvolveNorm:
         bath = dl.BathModel(tuple(comps), tuple(labels))
         assert bath.is_static() == static
         j = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
-        hbar = data.draw(st.floats(0.5, 2.0))
         alpha = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
         a, b = (dl.coherent_vector(dl.SpinCoherent(j, data.draw(alpha))) for _ in range(2))
         times = sorted(data.draw(st.sets(st.floats(0.0, 2.0), min_size=1, max_size=4)))
-        pointer = dl.evolve_norm(dl.SpinSystem(j, 0.0, hbar), bath, a, b, times)
-        stepped = dl.evolve_norm(dl.SpinSystem(j, 1e-30, hbar), bath, a, b, times)
+        pointer = dl.evolve_norm(dl.SpinSystem(j, 0.0), bath, a, b, times)
+        stepped = dl.evolve_norm(dl.SpinSystem(j, 1e-30), bath, a, b, times)
         np.testing.assert_allclose(pointer.values, stepped.values, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("j, m", [(0.5, 12), (3.0, 12), (15.0, 20)])
@@ -1075,12 +1073,12 @@ class TestChebyshevChunks:
         omegas = data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
         if backend == "spin-dynamic":
             j = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
-            sys_x = dl.SpinSystem(j, data.draw(st.floats(0.2, 1.5)), hbar)
+            sys_x = dl.SpinSystem(j, data.draw(st.floats(0.2, 1.5)))
             amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
             vectors = st.lists(amp, min_size=int(2 * j) + 1, max_size=int(2 * j) + 1).map(
                 np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
             branches = [data.draw(vectors), data.draw(vectors)]
-            referee = joint_eigh_norms
+            referee = functools.partial(joint_eigh_norms, hbar=hbar)  # hbar cancels
         else:
             grid = dl.PositionGrid(-6, 6, data.draw(st.sampled_from([16, 32])))
             sys_x = dl.GridParticle(grid, data.draw(st.floats(1.0, 4.0)),
@@ -1161,12 +1159,12 @@ class TestTridiagonalFactors:
         if backend == "spin":
             j = data.draw(st.sampled_from([0.5, 1.0]))
             omega = st.builds(math.copysign, st.floats(0.2, 1.5), st.sampled_from([1.0, -1.0]))
-            sys_x = dl.SpinSystem(j, data.draw(omega), hbar)
+            sys_x = dl.SpinSystem(j, data.draw(omega))
             amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
             vectors = st.lists(amp, min_size=int(2 * j) + 1, max_size=int(2 * j) + 1).map(
                 np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
             branches = [data.draw(vectors), data.draw(vectors)]
-            referee = joint_eigh_norms
+            referee = functools.partial(joint_eigh_norms, hbar=hbar)  # hbar cancels
         else:
             grid = dl.PositionGrid(-6, 6, 16)
             sys_x = dl.GridParticle(grid, data.draw(st.floats(1.0, 4.0)),
@@ -1181,7 +1179,7 @@ class TestTridiagonalFactors:
         np.testing.assert_allclose(curve.values, expected, rtol=0, atol=1e-12)
 
 
-KRYLOV_MEMORY_PROBE = textwrap.dedent("""
+STEPPED_MEMORY_PROBE = textwrap.dedent("""
     import numpy as np
     import decolab as dl
 
@@ -1192,7 +1190,7 @@ KRYLOV_MEMORY_PROBE = textwrap.dedent("""
 """)
 
 
-class TestKrylovMemory:
+class TestSteppedMemory:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_chunked_series_stay_within_the_per_span_driver(self):
         # two Dicke factors of 128 and 256 levels: a joint state of 4 x 2^15
@@ -1202,7 +1200,7 @@ class TestKrylovMemory:
         # ring of 3 reads 112 MiB with a scipy.sparse joint H and 72 MiB
         # with the factors applied as tridiagonals, a 16-term ring 134 MiB
         # and one accumulator per time 424 MiB
-        assert peak_memory_mib(KRYLOV_MEMORY_PROBE) <= 124
+        assert peak_memory_mib(STEPPED_MEMORY_PROBE) <= 124
 
 
 DICKE_MEMORY_PROBE = textwrap.dedent("""
@@ -1372,6 +1370,12 @@ class TestStaticBathNorm:
         bath = dl.BathModel((dl.BathComponent("oscillator", 1.0, levels=3),), (0,))
         with pytest.raises(ValidationError):
             dl.static_bath_norm(1.0, bath, 0.5)
+
+    @pytest.mark.parametrize("omegas", [1.0, [0.0, 0.0, 0.0, 1e-30]], ids=["all", "one"])
+    def test_moving_bath_rejected(self, omegas):
+        # the cos^2 product holds for a frozen bath only; a moving one used to get it silently
+        with pytest.raises(ValidationError, match="static bath"):
+            dl.static_bath_norm(1.0, dl.spin_bath(4, 1.0, omegas=omegas), 0.5)
 
     def test_non_finite_arguments_rejected(self):
         bath = dl.spin_bath(4, 1.0)
